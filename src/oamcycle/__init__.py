@@ -13,6 +13,7 @@ from .elements import (
     NonMultipleMode,
     TwoPortUnitary,
     hologram_apply,
+    splitter_amplitudes,
     splitter_route_strict,
     splitter_unitary,
     z_phase,
@@ -44,11 +45,13 @@ from .serialization import (
     serialize,
 )
 from .simulation import (
+    CompiledDevice,
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
     apply_netlist,
     apply_portgraph,
+    compile_device,
     simulate_word,
 )
 from .synthesis import (

@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
-from .model import ModeVector, Netlist, extract_permutation
+from .model import Netlist, extract_permutation
 from .portgraph import PortGraph
 from .simulation import (
     DEFAULT_CONFIG,
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
-    apply_netlist,
-    apply_portgraph,
+    compile_device,
 )
 from .synthesis import (
     count_beamsplitters,
@@ -63,12 +63,6 @@ class CycleSet:
         return len(self.modes)
 
 
-def _transform_for(device, config: SimulationConfig):
-    if isinstance(device, PortGraph):
-        return lambda state: apply_portgraph(device, state, config)
-    return lambda state: apply_netlist(device, state, config)
-
-
 def verify_gate(
     d: int,
     variant: str = "standard",
@@ -103,10 +97,9 @@ def verify_gate(
     domain = range(shift, shift + d)
     expected = {k: ((k - shift + step) % d) + shift for k in domain}
     mapping: dict[int, int] = {}
+    transform = partial(compile_device(device).run, config=config)
     try:
-        mapping = extract_permutation(
-            _transform_for(device, config), domain, device.input_path, device.output_path
-        )
+        mapping = extract_permutation(transform, domain, device.input_path, device.output_path)
     except (NormDrift, HopBudgetExceeded) as exc:
         violations.append(f"simulation failed: {exc}")
     for k in domain:
@@ -149,7 +142,7 @@ def discover_cycles(
     fresh simulation before being reported.
     """
     d = device.dimension
-    transform = _transform_for(device, config)
+    transform = partial(compile_device(device).run, config=config)
     window = range(lo, hi + 1)
     mapping = extract_permutation(
         transform, window, device.input_path, device.output_path
@@ -159,17 +152,18 @@ def discover_cycles(
     for start in sorted(mapping):
         if start in members:
             continue
-        orbit = [start]
+        orbit, visited = [start], {start}
         current = start
         closed = False
         for _ in range(d):
             current = mapping.get(current, None)
-            if current is None or (current != start and current in orbit):
+            if current is None or (current != start and current in visited):
                 break
             if current == start:
                 closed = len(orbit) == d
                 break
             orbit.append(current)
+            visited.add(current)
         if not closed or start != min(orbit):
             continue
         for u, v in zip(orbit, orbit[1:] + [start]):

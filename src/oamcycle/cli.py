@@ -28,8 +28,7 @@ from .simulation import (
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
-    apply_netlist,
-    apply_portgraph,
+    compile_device,
 )
 from .synthesis import (
     InvalidDimension,
@@ -87,11 +86,7 @@ def _cmd_simulate(args) -> int:
         print(f"note: input normalized (norm was {state.norm():.6g})", file=sys.stderr)
         state = normalize(state)
     config = SimulationConfig(mode=args.mode)
-    device = _device_for(doc)
-    if doc.variant == "simplified":
-        out = apply_portgraph(device, state, config)
-    else:
-        out = apply_netlist(device, state, config)
+    out = compile_device(_device_for(doc)).run(state, config)
     print(format_state(out))
     return 0
 

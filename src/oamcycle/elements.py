@@ -8,10 +8,11 @@ Two models of that behavior are provided.
   to a single port and is defined only when ell is a multiple of m.  It
   is phase-free and exact, and is the reference semantics for netlist
   verification.
-* The physical model (`splitter_unitary`) is the two-port interferometer
-  unitary with internal phase phi = pi*ell/m, defined for every ell.  At
-  multiples of m it concentrates all probability on the strict router's
-  port, with an ell-dependent phase on top.
+* The physical model (`splitter_amplitudes`; `splitter_unitary` as a 2x2
+  numpy matrix) is the two-port interferometer with internal phase
+  phi = pi*ell/m, defined for every ell.  At multiples of m it puts all
+  probability, exactly, on the strict router's port, with an
+  ell-dependent phase on top.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 PORT_X = "x"
 PORT_Y = "y"
@@ -64,15 +67,34 @@ class TwoPortUnitary:
     phase: float
 
 
-def splitter_unitary(m: int, ell: int) -> TwoPortUnitary:
-    """Physical transfer matrix of an order-m splitter for OAM value ell."""
+#: (stay, cross) at ell = 0, m, 2m, 3m (mod 4m)
+_QUARTER_TURNS = ((1 + 0j, 0j), (0j, 1j), (-1 + 0j, 0j), (0j, -1j))
+
+
+def splitter_amplitudes(m: int, ell: int) -> tuple[complex, complex]:
+    """(stay, cross) amplitudes cos(phi/2), i*sin(phi/2), phi = pi*ell/m.
+
+    ell is reduced mod 4m (the period in ell) in integers before any float
+    arithmetic, so huge ell keep full precision and multiples of m give
+    exactly 1, i, -1 or -i on one port and 0 on the other.
+    """
     if m < 1:
         raise ValueError(f"splitter order must be >= 1, got {m}")
-    phi = math.pi * ell / m
-    c = math.cos(phi / 2.0)
-    s = math.sin(phi / 2.0)
-    matrix = np.array([[c, 1j * s], [1j * s, c]], dtype=complex)
-    return TwoPortUnitary(matrix=matrix, phase=phi)
+    r = ell % (4 * m)
+    turns, rest = divmod(r, m)
+    if not rest:
+        return _QUARTER_TURNS[turns]
+    half = math.pi * r / (2 * m)
+    return complex(math.cos(half)), 1j * math.sin(half)
+
+
+def splitter_unitary(m: int, ell: int) -> TwoPortUnitary:
+    """Physical transfer matrix of an order-m splitter for OAM value ell."""
+    import numpy as np
+
+    stay, cross = splitter_amplitudes(m, ell)
+    matrix = np.array([[stay, cross], [cross, stay]], dtype=complex)
+    return TwoPortUnitary(matrix=matrix, phase=math.pi * ell / m)
 
 
 def hologram_apply(v: int, ell: int) -> int:

@@ -12,6 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 
+from .analysis import VARIANTS
 from .model import (
     Element,
     Hologram,
@@ -28,8 +29,6 @@ SCHEMA_VERSION = "1"
 KIND_SPLITTER = "LI"
 KIND_HOLOGRAM = "HOLOG"
 KIND_ZPLATE = "ZPLATE"
-
-VARIANTS = ("standard", "simplified", "inverse", "shifted")
 
 
 class ParseError(Exception):

@@ -1,21 +1,19 @@
-"""State propagation through netlists and port graphs.
+"""State propagation through netlists and port graphs, on one engine.
 
-Two simulators share the same element semantics:
-
-* `apply_netlist` walks the element sequence, transforming the whole
-  state at each element.  Splitters act jointly on both ports, so norm
-  is checked after every element.
-* `apply_portgraph` is packet-based: each (port, OAM, amplitude) packet
-  hops along the wiring until it reaches a terminal, where amplitudes
-  sum coherently.  Packets are independent (the optics is linear), which
-  is what lets folded graphs route light backwards through an element.
-  Norm is checked once against the terminal sum, since packets taking
-  paths of different lengths make the in-flight norm momentarily
-  non-conserved under interference.
+`compile_device` turns a device into int tables once: a netlist is first
+threaded into a port graph, then each port becomes a small int slot and
+the wiring a tuple from out-slot to in-slot.  `CompiledDevice.run` is the
+one propagation loop.  Each (slot, OAM, amplitude) packet hops along the
+wiring, visiting only the elements it reaches, until it lands on a
+terminal, where amplitudes sum coherently.  Packets are independent (the
+optics is linear), which lets folded graphs route light backwards through
+an element.  Norm is checked once against the terminal sum, since packets
+taking paths of different lengths make the in-flight norm momentarily
+non-conserved under interference.
 
 In strict mode every element moves basis states to basis states with no
 phase, so simulation is exact.  In physical mode splitters apply the
-full two-port unitary: basis states still land on the strict port when
+full two-port amplitudes: basis states still land on the strict port when
 the OAM value is a multiple of the order, but with an extra
 value-dependent phase, so superpositions generally agree with strict
 mode only componentwise, not in their relative phases.
@@ -25,13 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elements import (
-    NonMultipleMode,
-    hologram_apply,
-    splitter_route_strict,
-    splitter_unitary,
-    z_phase,
-)
+from .elements import NonMultipleMode, splitter_amplitudes, z_phase
 from .model import (
     PRUNE_THRESHOLD,
     Hologram,
@@ -39,10 +31,9 @@ from .model import (
     Netlist,
     OamBeamSplitter,
     PathLabel,
-    StateKey,
     ZPlate,
 )
-from .portgraph import PortGraph
+from .portgraph import PortGraph, netlist_to_portgraph
 
 STRICT = "strict"
 PHYSICAL = "physical"
@@ -58,11 +49,11 @@ class HopBudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Knobs shared by both simulators.
+    """Knobs of the propagation engine.
 
-    ``hop_budget`` bounds the node traversals of any single packet in
-    `apply_portgraph` (None means 10x the node count); ``amplitude_tolerance``
-    is the allowed norm drift.
+    ``hop_budget`` bounds the node traversals of any single packet (None
+    means 10x the node count); ``amplitude_tolerance`` is the allowed
+    drift of the terminal norm from the input norm.
     """
 
     mode: str = STRICT
@@ -78,94 +69,128 @@ class SimulationConfig:
 DEFAULT_CONFIG = SimulationConfig()
 
 
-def _splitter_netlist_step(
-    el: OamBeamSplitter, entries: dict[StateKey, complex], mode: str
-) -> dict[StateKey, complex]:
-    out: dict[StateKey, complex] = {}
-    if mode == STRICT:
-        for (path, ell), amp in entries.items():
-            if path == el.port_x or path == el.port_y:
-                side = "x" if path == el.port_x else "y"
-                dest_side = splitter_route_strict(el.m, side, ell)
-                dest = el.port_x if dest_side == "x" else el.port_y
-                out[(dest, ell)] = out.get((dest, ell), 0j) + amp
-            else:
-                out[(path, ell)] = out.get((path, ell), 0j) + amp
-        return out
-    touched = set()
-    for (path, ell), amp in entries.items():
-        if path == el.port_x or path == el.port_y:
-            touched.add(ell)
-        else:
+_SPLITTER, _HOLOGRAM, _ZPLATE = 0, 1, 2
+_KINDS = {OamBeamSplitter: _SPLITTER, Hologram: _HOLOGRAM, ZPlate: _ZPLATE}
+_PARAMS = ("m", "v", "d")  # the attribute each kind is parametrized by
+_BACKWARD = 2  # slot bit of the b* ports; bit 0 is the splitter side (y = 1)
+
+
+def _slot(index: int, port: str) -> int:
+    return 4 * index + _BACKWARD * port.startswith("b") + port.endswith("_y")
+
+
+@dataclass(frozen=True)
+class CompiledDevice:
+    """A netlist or port graph as int tables, ready for `run`.
+
+    Node i has element kind ``kinds[i]`` with order, charge or dimension
+    ``params[i]``.  Its ports are the slots ``4*i + 2*backward + side``,
+    numbered alike for in and out.  ``wiring[slot]`` is the in-slot an
+    out-slot feeds, or ``~t`` for the terminal path ``terminals[t]``
+    (``terminals[0]`` is None: unwired ports lead there).  ``entries``
+    maps each path that enters the device to its first slot or terminal.
+    """
+
+    kinds: tuple[int, ...]
+    params: tuple[int, ...]
+    wiring: tuple[int, ...]
+    entries: dict[PathLabel, int]
+    terminals: tuple[PathLabel | None, ...]
+
+    def run(self, state: ModeVector, config: SimulationConfig = DEFAULT_CONFIG) -> ModeVector:
+        """Propagate *state*; the contract is `apply_portgraph`'s."""
+        kinds, params, wiring = self.kinds, self.params, self.wiring
+        strict, prune = config.mode == STRICT, config.prune
+        budget = 10 * max(1, len(kinds)) if config.hop_budget is None else config.hop_budget
+        norm_in = state.norm()
+        # packets: (in-slot, ell); landed: (~terminal, ell); out: (path, ell)
+        packets: dict[tuple[int, int], complex] = {}
+        landed: dict[tuple[int, int], complex] = {}
+        out: dict[tuple[PathLabel, int], complex] = {}
+        for (path, ell), amp in state.items():
+            slot = self.entries.get(path)
+            into = out if slot is None else packets if slot >= 0 else landed
+            key = (path, ell) if slot is None else (slot, ell)
+            into[key] = into.get(key, 0j) + amp
+        hops = 0
+        while packets:
+            hops += 1
+            if hops > budget:
+                raise HopBudgetExceeded(f"packets still in flight after {budget} node traversals")
+            staged: dict[tuple[int, int], complex] = {}
+            for (slot, ell), amp in packets.items():
+                node = slot >> 2
+                kind, k = kinds[node], params[node]
+                if kind == _SPLITTER:
+                    if strict:  # the rule of splitter_route_strict, on slots
+                        turns, rest = divmod(ell, k)
+                        if rest:
+                            raise NonMultipleMode(ell, k)
+                        slot ^= turns & 1
+                    else:
+                        stay, cross = splitter_amplitudes(k, ell)
+                        if cross:
+                            dest = wiring[slot ^ 1]
+                            into = staged if dest >= 0 else landed
+                            into[(dest, ell)] = into.get((dest, ell), 0j) + cross * amp
+                        if not stay:
+                            continue
+                        amp *= stay
+                elif kind == _HOLOGRAM:
+                    ell = ell - k if slot & _BACKWARD else ell + k
+                else:
+                    amp *= z_phase(k, ell)
+                dest = wiring[slot]
+                into = staged if dest >= 0 else landed
+                into[(dest, ell)] = into.get((dest, ell), 0j) + amp
+            packets = {key: a for key, a in staged.items() if abs(a) > prune}
+        for (dest, ell), amp in landed.items():
+            path = self.terminals[~dest]
+            if path is None:
+                raise ValueError("a packet left the device through an unwired port")
             out[(path, ell)] = out.get((path, ell), 0j) + amp
-    for ell in touched:
-        u = splitter_unitary(el.m, ell).matrix
-        ax = entries.get((el.port_x, ell), 0j)
-        ay = entries.get((el.port_y, ell), 0j)
-        out[(el.port_x, ell)] = u[0, 0] * ax + u[1, 0] * ay
-        out[(el.port_y, ell)] = u[1, 0] * ax + u[0, 0] * ay
-    return out
+        result = ModeVector(out, prune=prune)
+        norm_out = result.norm()
+        if abs(norm_out - norm_in) > config.amplitude_tolerance:
+            raise NormDrift(f"terminal norm {norm_out!r} differs from input norm {norm_in!r}")
+        if result and norm_in > 0.0 and norm_out != norm_in:
+            result = result.scaled(norm_in / norm_out)
+        return result
+
+
+def compile_device(device: Netlist | PortGraph) -> CompiledDevice:
+    """Number the ports of *device* and flatten its wiring, once."""
+    graph = netlist_to_portgraph(device) if isinstance(device, Netlist) else device
+    terminals: list[PathLabel | None] = [None]
+
+    def code(endpoint) -> int:
+        if endpoint[0] == "node":
+            return _slot(endpoint[1], endpoint[2])
+        if endpoint[1] not in terminals:
+            terminals.append(endpoint[1])
+        return ~terminals.index(endpoint[1])
+
+    wiring = [~0] * (4 * len(graph.nodes))
+    for (index, port), endpoint in graph.wiring.items():
+        wiring[_slot(index, port)] = code(endpoint)
+    kinds = tuple(_KINDS.get(type(el)) for el in graph.nodes)
+    if None in kinds:
+        raise TypeError(f"unknown element {graph.nodes[kinds.index(None)]!r}")
+    return CompiledDevice(
+        kinds=kinds,
+        params=tuple(getattr(el, _PARAMS[kind]) for el, kind in zip(graph.nodes, kinds)),
+        wiring=tuple(wiring),
+        entries={path: code(endpoint) for path, endpoint in graph.entries.items()},
+        terminals=tuple(terminals),
+    )
 
 
 def apply_netlist(
     netlist: Netlist, state: ModeVector, config: SimulationConfig = DEFAULT_CONFIG
 ) -> ModeVector:
-    """Propagate *state* through the element sequence.
-
-    Returns the output state rescaled to the input norm (cleaning float
-    dust); raises NormDrift if any element step moves the norm by more
-    than the configured tolerance.
-    """
-    norm_in = state.norm()
-    entries: dict[StateKey, complex] = dict(state.items())
-    for el in netlist.elements:
-        if isinstance(el, OamBeamSplitter):
-            entries = _splitter_netlist_step(el, entries, config.mode)
-        elif isinstance(el, Hologram):
-            stepped: dict[StateKey, complex] = {}
-            for (path, ell), amp in entries.items():
-                key = (path, hologram_apply(el.v, ell)) if path == el.path else (path, ell)
-                stepped[key] = stepped.get(key, 0j) + amp
-            entries = stepped
-        elif isinstance(el, ZPlate):
-            entries = {
-                (path, ell): amp * z_phase(el.d, ell) if path == el.path else amp
-                for (path, ell), amp in entries.items()
-            }
-        else:
-            raise TypeError(f"unknown element {el!r}")
-        entries = {k: v for k, v in entries.items() if abs(v) > config.prune}
-        norm_now = sum(abs(a) ** 2 for a in entries.values()) ** 0.5
-        if abs(norm_now - norm_in) > config.amplitude_tolerance:
-            raise NormDrift(
-                f"norm moved from {norm_in!r} to {norm_now!r} at element {el!r}"
-            )
-    result = ModeVector(entries, prune=config.prune)
-    if result and norm_in > 0.0:
-        result = result.scaled(norm_in / result.norm())
-    return result
-
-
-def _traverse(el, port: str, ell: int, amp: complex, mode: str):
-    """Yield (out_port, oam, amplitude) for one packet crossing one element."""
-    backward = port.startswith("b")
-    prefix = "b" if backward else ""
-    if isinstance(el, OamBeamSplitter):
-        side = port[-1]
-        other = "y" if side == "x" else "x"
-        if mode == STRICT:
-            yield (prefix + "out_" + splitter_route_strict(el.m, side, ell), ell, amp)
-        else:
-            u = splitter_unitary(el.m, ell).matrix
-            yield (prefix + "out_" + side, ell, u[0, 0] * amp)
-            yield (prefix + "out_" + other, ell, u[1, 0] * amp)
-    elif isinstance(el, Hologram):
-        shift = -el.v if backward else el.v
-        yield (prefix + "out", hologram_apply(shift, ell), amp)
-    elif isinstance(el, ZPlate):
-        yield (prefix + "out", ell, amp * z_phase(el.d, ell))
-    else:
-        raise TypeError(f"unknown element {el!r}")
+    """Propagate *state* through the element sequence: compile and run,
+    with the contract of `apply_portgraph`."""
+    return compile_device(netlist).run(state, config)
 
 
 def apply_portgraph(
@@ -176,49 +201,10 @@ def apply_portgraph(
     Components entering on paths with no entry port pass through
     unchanged.  Raises HopBudgetExceeded if a packet survives more node
     traversals than the budget allows, and NormDrift if the coherent
-    terminal sum does not carry the input norm.
+    terminal sum does not carry the input norm.  The output is rescaled
+    to the input norm (cleaning float dust).
     """
-    budget = config.hop_budget
-    if budget is None:
-        budget = 10 * max(1, len(graph.nodes))
-    norm_in = state.norm()
-    packets: dict[tuple[int, str, int], complex] = {}
-    terminals: dict[StateKey, complex] = {}
-
-    def deposit(endpoint, ell: int, amp: complex, into: dict) -> None:
-        if endpoint[0] == "term":
-            key = (endpoint[1], ell)
-            terminals[key] = terminals.get(key, 0j) + amp
-        else:
-            _, index, port = endpoint
-            key = (index, port, ell)
-            into[key] = into.get(key, 0j) + amp
-
-    for (path, ell), amp in state.items():
-        deposit(graph.entry_for(path), ell, amp, packets)
-
-    hops = 0
-    while packets:
-        hops += 1
-        if hops > budget:
-            raise HopBudgetExceeded(
-                f"packets still in flight after {budget} node traversals"
-            )
-        staged: dict[tuple[int, str, int], complex] = {}
-        for (index, port, ell), amp in packets.items():
-            for out_port, out_ell, out_amp in _traverse(
-                graph.nodes[index], port, ell, amp, config.mode
-            ):
-                deposit(graph.wiring[(index, out_port)], out_ell, out_amp, staged)
-        packets = {k: v for k, v in staged.items() if abs(v) > config.prune}
-
-    result = ModeVector(terminals, prune=config.prune)
-    norm_out = result.norm()
-    if abs(norm_out - norm_in) > config.amplitude_tolerance:
-        raise NormDrift(f"terminal norm {norm_out!r} differs from input norm {norm_in!r}")
-    if result and norm_in > 0.0:
-        result = result.scaled(norm_in / norm_out)
-    return result
+    return compile_device(graph).run(state, config)
 
 
 def simulate_word(
@@ -240,9 +226,10 @@ def simulate_word(
     if d == 1:
         return state
     shift = synth_arbitrary(d)
+    engine = compile_device(shift)
     out = state
     for _ in range(x_power):
-        out = apply_netlist(shift, out, config)
+        out = engine.run(out, config)
     if z_power:
         plate = Netlist(
             (ZPlate(shift.output_path, d),) * z_power,

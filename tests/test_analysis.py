@@ -48,6 +48,13 @@ def test_verify_shifted():
     assert report.mapping[-3] == -2 and report.mapping[6] == -3
 
 
+@pytest.mark.parametrize("d", [*range(2, 65), 127, 128, 500, 1000, 2000])
+def test_verify_physical(d):
+    # exact splitter amplitudes leave no float dust on the wrong port
+    report = verify_gate(d, config=SimulationConfig(mode="physical"))
+    assert report.passed, report.violations[:3]
+
+
 def test_verify_d2_bound_is_degenerate():
     report = verify_gate(2)
     assert report.passed and report.bound is None

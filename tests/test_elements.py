@@ -2,6 +2,10 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, strategies as st
 from oamcycle.elements import (
     NonMultipleMode,
     hologram_apply,
+    splitter_amplitudes,
     splitter_route_strict,
     splitter_unitary,
     z_phase,
@@ -108,16 +113,33 @@ def test_physical_rejects_bad_order():
 
 @pytest.mark.parametrize("m", [2**t for t in range(11)])
 def test_models_agree_on_multiples(m):
-    # the strict router's port carries all probability in the physical model
+    # the strict router's port carries all probability in the physical
+    # model, exactly: 1, i, -1, -i on that port and 0 on the other
     for k in range(-8, 9):
         ell = k * m
         u = splitter_unitary(m, ell).matrix
-        port = splitter_route_strict(m, "x", ell)
-        stay, cross = abs(u[0, 0]), abs(u[1, 0])
-        if port == "x":
-            assert abs(stay - 1.0) < 1e-12 and cross < 1e-12
+        quarter = (1, 1j, -1, -1j)[k % 4]
+        if splitter_route_strict(m, "x", ell) == "x":
+            assert (u[0, 0], u[1, 0]) == (quarter, 0)
         else:
-            assert abs(cross - 1.0) < 1e-12 and stay < 1e-12
+            assert (u[0, 0], u[1, 0]) == (0, quarter)
+        assert splitter_amplitudes(m, ell) == (u[0, 0], u[1, 0])
+
+
+def test_amplitudes_keep_precision_for_huge_modes():
+    # float(ell) would round 2**60 + 1 to 2**60; the integer reduction does not
+    assert splitter_amplitudes(1, 2**60 + 1) == (0, 1j)
+    assert splitter_amplitudes(4, 10**17 + 2) == splitter_amplitudes(4, 2)
+    assert splitter_amplitudes(3, -12 * 10**17 - 1) == splitter_amplitudes(3, -1)
+
+
+def test_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, oamcycle; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # --- holograms and phase plates ------------------------------------------------

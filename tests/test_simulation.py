@@ -1,10 +1,14 @@
-"""State propagation: sequential netlist walk and packet port-graph walk."""
+"""State propagation: the compiled packet engine on netlists and port graphs,
+cross-checked against the element-by-element reference interpreter."""
 
+import cmath
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from reference_netlist import reference_apply_netlist
 
 from oamcycle.elements import NonMultipleMode
 from oamcycle.model import (
@@ -145,6 +149,16 @@ def test_physical_splits_instead_of_raising():
     assert abs(out.norm() - 1.0) < 1e-12
 
 
+def test_physical_huge_mode_stays_one_component():
+    # ell is reduced mod 4m in integers, so 10**17 + 3 keeps full precision
+    net = synth_arbitrary(11)
+    state = ModeVector.basis(R0, 10**17 + 3)
+    strict_out = apply_netlist(net, state)
+    phys_out = apply_netlist(net, state, PHYSICAL)
+    assert len(strict_out) == 1 and set(phys_out.keys()) == set(strict_out.keys())
+    assert abs(abs(phys_out.get((R0, 10**17 + 4))) - 1.0) < 1e-12
+
+
 def test_norm_drift_guard_trips():
     with pytest.raises(NormDrift):
         apply_netlist(
@@ -157,21 +171,49 @@ def test_norm_drift_guard_trips():
 # --- port graphs ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d", [2, 3, 8, 10, 11])
+def _unit_state(rng, modes):
+    amps = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in modes]
+    scale = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    return ModeVector({(R0, k): a / scale for k, a in zip(modes, amps)})
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 10, 11, 64, 500])
 @pytest.mark.parametrize("mode", ["strict", "physical"])
 def test_portgraph_matches_netlist(d, mode):
+    # both entry points run the packet engine; the reference walks the
+    # element sequence with whole-state steps instead
     net = synth_arbitrary(d)
     graph = netlist_to_portgraph(net)
     config = SimulationConfig(mode=mode)
     rng = random.Random(d)
     states = [ModeVector.basis(R0, k) for k in range(d)]
-    amps = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d)]
-    scale = math.sqrt(sum(abs(a) ** 2 for a in amps))
-    states.append(ModeVector({(R0, k): a / scale for k, a in enumerate(amps)}))
+    states.append(_unit_state(rng, range(d)))
+    if mode == "physical":  # off-window values split and interfere
+        states.append(_unit_state(rng, rng.sample(range(-2 * d, 3 * d), min(8, 5 * d))))
     for state in states:
-        a = apply_netlist(net, state, config)
-        b = apply_portgraph(graph, state, config)
-        assert (a - b).norm() < 1e-11, state
+        want = reference_apply_netlist(net, state, config)
+        for got in (apply_netlist(net, state, config), apply_portgraph(graph, state, config)):
+            assert (got - want).norm() < 1e-11, state
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 256), st.data())
+def test_strict_and_physical_agree_componentwise(d, data):
+    modes = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=8, unique=True))
+    polar = data.draw(st.lists(
+        st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 2 * math.pi)),
+        min_size=len(modes), max_size=len(modes),
+    ))
+    amps = [r * cmath.exp(1j * phi) for r, phi in polar]
+    scale = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    state = ModeVector({(R0, k): a / scale for k, a in zip(modes, amps)})
+    net = synth_arbitrary(d)
+    for device, apply in ((net, apply_netlist), (simplify(net), apply_portgraph)):
+        strict_out = apply(device, state)
+        phys_out = apply(device, state, PHYSICAL)
+        assert set(strict_out.keys()) == set(phys_out.keys())
+        for key in strict_out.keys():
+            assert abs(abs(phys_out.get(key)) - abs(strict_out.get(key))) < 1e-12, key
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 9, 11, 15, 33])
