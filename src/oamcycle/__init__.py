@@ -45,14 +45,13 @@ from .serialization import (
     serialize,
 )
 from .simulation import (
-    CompiledDevice,
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
     apply_netlist,
     apply_portgraph,
-    compile_device,
     simulate_word,
+    transform,
 )
 from .synthesis import (
     InvalidDimension,

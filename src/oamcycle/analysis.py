@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 from .model import Netlist, extract_permutation
 from .portgraph import PortGraph
@@ -18,7 +17,7 @@ from .simulation import (
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
-    compile_device,
+    transform,
 )
 from .synthesis import (
     count_beamsplitters,
@@ -97,9 +96,10 @@ def verify_gate(
     domain = range(shift, shift + d)
     expected = {k: ((k - shift + step) % d) + shift for k in domain}
     mapping: dict[int, int] = {}
-    transform = partial(compile_device(device).run, config=config)
     try:
-        mapping = extract_permutation(transform, domain, device.input_path, device.output_path)
+        mapping = extract_permutation(
+            transform(device, config), domain, device.input_path, device.output_path
+        )
     except (NormDrift, HopBudgetExceeded) as exc:
         violations.append(f"simulation failed: {exc}")
     for k in domain:
@@ -142,11 +142,9 @@ def discover_cycles(
     fresh simulation before being reported.
     """
     d = device.dimension
-    transform = partial(compile_device(device).run, config=config)
+    gate = transform(device, config)
     window = range(lo, hi + 1)
-    mapping = extract_permutation(
-        transform, window, device.input_path, device.output_path
-    )
+    mapping = extract_permutation(gate, window, device.input_path, device.output_path)
     cycles: list[CycleSet] = []
     members: set[int] = set()
     for start in sorted(mapping):
@@ -167,9 +165,7 @@ def discover_cycles(
         if not closed or start != min(orbit):
             continue
         for u, v in zip(orbit, orbit[1:] + [start]):
-            recheck = extract_permutation(
-                transform, [u], device.input_path, device.output_path
-            )
+            recheck = extract_permutation(gate, [u], device.input_path, device.output_path)
             if recheck.get(u) != v:
                 raise AssertionError(f"cycle edge {u} -> {v} failed re-simulation")
         members.update(orbit)

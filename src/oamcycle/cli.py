@@ -11,7 +11,7 @@ import re
 import sys
 from pathlib import Path
 
-from .analysis import discover_cycles, scaling_csv, scaling_table, verify_gate
+from .analysis import VARIANTS, discover_cycles, scaling_csv, scaling_table, verify_gate
 from .elements import NonMultipleMode
 from .model import ZeroState, normalize
 from .serialization import (
@@ -24,12 +24,7 @@ from .serialization import (
     parse_state,
     serialize,
 )
-from .simulation import (
-    HopBudgetExceeded,
-    NormDrift,
-    SimulationConfig,
-    compile_device,
-)
+from .simulation import HopBudgetExceeded, NormDrift, SimulationConfig, transform
 from .synthesis import (
     InvalidDimension,
     NotSimplifiable,
@@ -40,6 +35,9 @@ from .synthesis import (
 )
 
 _WINDOW_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
+
+#: most OAM values `cycles` will probe; each one is a full simulation
+MAX_WINDOW = 2**20
 
 
 def _load_document(path_text: str) -> NetlistDocument:
@@ -85,8 +83,7 @@ def _cmd_simulate(args) -> int:
     if abs(state.norm() - 1.0) > 1e-9:
         print(f"note: input normalized (norm was {state.norm():.6g})", file=sys.stderr)
         state = normalize(state)
-    config = SimulationConfig(mode=args.mode)
-    out = compile_device(_device_for(doc)).run(state, config)
+    out = transform(_device_for(doc), SimulationConfig(mode=args.mode))(state)
     print(format_state(out))
     return 0
 
@@ -125,7 +122,6 @@ def _cmd_scaling(args) -> int:
 
 def _cmd_cycles(args) -> int:
     doc = _load_document(args.netlist)
-    device = _device_for(doc)
     if args.window:
         match = _WINDOW_RE.match(args.window)
         if match is None:
@@ -135,7 +131,11 @@ def _cmd_cycles(args) -> int:
             raise ValueError(f"empty window {args.window!r}")
     else:
         lo, hi = -4 * doc.netlist.dimension, 4 * doc.netlist.dimension
-    cycles = discover_cycles(device, lo, hi)
+    if hi - lo + 1 > MAX_WINDOW:
+        raise ValueError(
+            f"window [{lo}, {hi}] holds {hi - lo + 1} values, more than {MAX_WINDOW}"
+        )
+    cycles = discover_cycles(_device_for(doc), lo, hi)
     for cycle in cycles:
         print("cycle:", " ".join(str(v) for v in cycle.modes))
     if not cycles:
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize a netlist and write it as JSON")
     p.add_argument("d", type=int, help="gate dimension (>= 2)")
-    p.add_argument("--variant", choices=("standard", "simplified", "inverse"),
+    p.add_argument("--variant", choices=[v for v in VARIANTS if v != "shifted"],
                    default="standard")
     p.add_argument("--shift", type=int, default=0, metavar="M",
                    help="operate on the OAM window starting at M")
@@ -174,8 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a synthesized gate against its oracle")
     p.add_argument("d", type=int)
-    p.add_argument("--variant", choices=("standard", "simplified", "inverse", "shifted"),
-                   default="standard")
+    p.add_argument("--variant", choices=VARIANTS, default="standard")
     p.add_argument("--shift", type=int, default=0, metavar="M")
     p.set_defaults(func=_cmd_verify)
 
@@ -188,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycles", help="find closed OAM orbits in a window")
     p.add_argument("netlist")
     p.add_argument("--window", metavar="LO..HI",
-                   help="default: -4d..4d for the netlist's dimension")
+                   help=f"default: -4d..4d for the netlist's dimension; "
+                        f"at most {MAX_WINDOW} values")
     p.set_defaults(func=_cmd_cycles)
 
     p = sub.add_parser("export", help="render a netlist as Graphviz DOT")

@@ -14,7 +14,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
-#: amplitudes at or below this magnitude are dropped from sparse states
+from .elements import NonMultipleMode
+
+#: amplitudes at or below this fraction of their state's norm are dropped
 PRUNE_THRESHOLD = 1e-15
 
 #: default tolerance on |amplitude| when reading a permutation off a state
@@ -65,8 +67,9 @@ StateKey = tuple[PathLabel, int]
 class ModeVector:
     """Sparse complex state over ``(path, oam)`` pairs.
 
-    Entries with magnitude <= ``prune`` are dropped on construction, so a
-    state never stores numerical dust.  Instances are treated as immutable;
+    Entries with magnitude <= ``PRUNE_THRESHOLD`` times the state's norm
+    are dropped on construction, so a state never stores numerical dust,
+    at any amplitude scale.  Instances are treated as immutable;
     all arithmetic returns new vectors.
     """
 
@@ -75,7 +78,6 @@ class ModeVector:
     def __init__(
         self,
         entries: Mapping[StateKey, complex] | Iterable[tuple[StateKey, complex]] = (),
-        prune: float = PRUNE_THRESHOLD,
     ):
         items = entries.items() if isinstance(entries, Mapping) else entries
         acc: dict[StateKey, complex] = {}
@@ -89,7 +91,9 @@ class ModeVector:
             if not (math.isfinite(a.real) and math.isfinite(a.imag)):
                 raise ValueError(f"non-finite amplitude for {path}|{ell}>")
             acc[key] = acc.get(key, 0j) + a
-        self._entries = {k: v for k, v in acc.items() if abs(v) > prune}
+        # a lone entry is its own norm, so only an exact zero is dropped
+        cut = PRUNE_THRESHOLD * math.hypot(*map(abs, acc.values())) if len(acc) > 1 else 0.0
+        self._entries = {k: v for k, v in acc.items() if abs(v) > cut}
 
     @classmethod
     def basis(cls, path: PathLabel, ell: int) -> "ModeVector":
@@ -181,8 +185,6 @@ def extract_permutation(
     (within *tol*).  Inputs that error, split, leak to another path, or
     lose amplitude are omitted rather than raised.
     """
-    from .elements import NonMultipleMode  # local import avoids a cycle
-
     mapping: dict[int, int] = {}
     for ell in domain:
         try:

@@ -1,81 +1,78 @@
-"""Port-level wiring graphs for netlists.
+"""Port-level wiring graphs for netlists, as int tables.
 
 A netlist is a linear element sequence; threading each path through the
-elements that touch it yields a directed graph of typed ports.  The graph
-form exists for two reasons: simplified layouts re-route light through an
-element *backwards* (which a flat sequence cannot express), and rendering.
+elements that touch it yields a directed graph of element ports.  The
+graph form exists for two reasons: simplified layouts re-route light
+through an element *backwards* (which a flat sequence cannot express),
+and propagation, which hops packets along the wiring.
 
-Endpoints are tagged tuples: ``("node", index, port)`` or
-``("term", path)``.  Splitter ports are ``in_x/in_y/out_x/out_y`` for the
-forward direction; the backward direction prefixes ``b`` (``bin_x`` enters
-the splitter against its forward orientation and leaves via ``bout_*``).
-Single-path elements use ``in/out`` and ``bin/bout``.
+Every port is a small int slot ``4*node + 2*backward + side``, numbered
+alike for in and out.  ``side`` is 0 for a splitter's x port and for the
+one port of a single-path element, 1 for a splitter's y port; the
+backward bit marks light entering against the element's orientation and
+leaving on the matching backward out port.  This module is the one place
+that writes the encoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
-from .model import Element, Netlist, OamBeamSplitter, PathLabel, element_paths
+from .model import Element, Netlist, PathLabel, element_paths
 
-Endpoint = Union[tuple[str, int, str], tuple[str, PathLabel]]
+#: slot bit of the ports that traverse an element backwards; bit 0 is the side
+BACKWARD = 2
 
-
-def node_endpoint(index: int, port: str) -> Endpoint:
-    return ("node", index, port)
-
-
-def terminal(path: PathLabel) -> Endpoint:
-    return ("term", path)
+#: wiring value of an out-slot that feeds nothing (``terminals[0]`` is None)
+UNWIRED = ~0
 
 
 @dataclass(frozen=True)
 class PortGraph:
     """Feed-through wiring of elements, with per-path entry points.
 
-    ``wiring`` maps every occupied output port to the endpoint it feeds.
-    ``entries`` maps each path that enters the device to its first port;
-    paths absent from ``entries`` pass straight through to the terminal of
-    the same label.
+    ``wiring[slot]`` is the in-slot an out-slot of ``nodes`` feeds, or
+    ``~t`` when it leaves the device on the terminal path
+    ``terminals[t]``; ``terminals[0]`` is None, so unwired ports hold
+    ``UNWIRED``.  ``entries`` maps each path that enters the device to
+    its first in-slot; paths absent from ``entries`` pass straight
+    through to the terminal of the same label.
     """
 
     nodes: tuple[Element, ...]
-    wiring: Mapping[tuple[int, str], Endpoint]
-    entries: Mapping[PathLabel, Endpoint]
+    wiring: tuple[int, ...]
+    entries: Mapping[PathLabel, int]
+    terminals: tuple[PathLabel | None, ...]
     input_path: PathLabel
     output_path: PathLabel
     dimension: int
 
-    def entry_for(self, path: PathLabel) -> Endpoint:
-        return self.entries.get(path, terminal(path))
-
-
-def _port_refs(element: Element) -> list[tuple[PathLabel, str, str]]:
-    if isinstance(element, OamBeamSplitter):
-        return [(element.port_x, "in_x", "out_x"), (element.port_y, "in_y", "out_y")]
-    (path,) = element_paths(element)
-    return [(path, "in", "out")]
+    def port_path(self, slot: int) -> PathLabel:
+        """The path label a port of a node lies on."""
+        return element_paths(self.nodes[slot >> 2])[slot & 1]
 
 
 def netlist_to_portgraph(netlist: Netlist) -> PortGraph:
     """Thread every path through the element sequence."""
-    wiring: dict[tuple[int, str], Endpoint] = {}
-    entries: dict[PathLabel, Endpoint] = {}
-    open_out: dict[PathLabel, tuple[int, str]] = {}
+    wiring = [UNWIRED] * (4 * len(netlist.elements))
+    entries: dict[PathLabel, int] = {}
+    open_out: dict[PathLabel, int] = {}
     for index, element in enumerate(netlist.elements):
-        for path, in_port, out_port in _port_refs(element):
+        for side, path in enumerate(element_paths(element)):
+            slot = 4 * index + side
             if path in open_out:
-                wiring[open_out[path]] = node_endpoint(index, in_port)
+                wiring[open_out[path]] = slot
             else:
-                entries[path] = node_endpoint(index, in_port)
-            open_out[path] = (index, out_port)
-    for path, source in open_out.items():
-        wiring[source] = terminal(path)
+                entries[path] = slot
+            open_out[path] = slot
+    for t, source in enumerate(open_out.values(), start=1):
+        wiring[source] = ~t
     return PortGraph(
         nodes=tuple(netlist.elements),
-        wiring=wiring,
+        wiring=tuple(wiring),
         entries=entries,
+        terminals=(None, *open_out),
         input_path=netlist.input_path,
         output_path=netlist.output_path,
         dimension=netlist.dimension,
@@ -86,35 +83,32 @@ def contract_mirrors(graph: PortGraph, pairs: Mapping[int, int]) -> PortGraph:
     """Delete each node in ``pairs`` and re-route its wires through the
     paired survivor's backward ports.
 
-    ``pairs`` maps removed node index -> kept node index.  A wire that fed
-    the removed node's ``in_*`` port now feeds the survivor's ``bin_*``
-    port, and wires leaving the removed node now leave the survivor's
-    ``bout_*`` port, so light retraces the kept element in reverse.
+    ``pairs`` maps removed node index -> kept node index.  Each slot of a
+    removed node moves to the same side of the survivor with the backward
+    bit set: a wire that fed the removed node now enters the survivor
+    backwards, and wires leaving the removed node leave the survivor's
+    backward out port, so light retraces the kept element in reverse.
     """
-    removed = set(pairs)
-    kept = [i for i in range(len(graph.nodes)) if i not in removed]
+    kept = [i for i in range(len(graph.nodes)) if i not in pairs]
     relabel = {old: new for new, old in enumerate(kept)}
 
-    def substitute(endpoint: Endpoint) -> Endpoint:
-        if endpoint[0] != "node":
-            return endpoint
-        _, index, port = endpoint
-        if index in pairs:
-            return node_endpoint(relabel[pairs[index]], "b" + port)
-        return node_endpoint(relabel[index], port)
+    def move(slot: int) -> int:
+        if slot < 0:
+            return slot
+        node, port = divmod(slot, 4)
+        if node in pairs:
+            return 4 * relabel[pairs[node]] + (port | BACKWARD)
+        return 4 * relabel[node] + port
 
-    wiring: dict[tuple[int, str], Endpoint] = {}
-    for (index, port), target in graph.wiring.items():
-        if index in pairs:
-            source = (relabel[pairs[index]], "b" + port)
-        else:
-            source = (relabel[index], port)
-        wiring[source] = substitute(target)
-    entries = {path: substitute(ep) for path, ep in graph.entries.items()}
+    wiring = [UNWIRED] * (4 * len(kept))
+    for source, target in enumerate(graph.wiring):
+        if target != UNWIRED:
+            wiring[move(source)] = move(target)
     return PortGraph(
         nodes=tuple(graph.nodes[i] for i in kept),
-        wiring=wiring,
-        entries=entries,
+        wiring=tuple(wiring),
+        entries={path: move(slot) for path, slot in graph.entries.items()},
+        terminals=graph.terminals,
         input_path=graph.input_path,
         output_path=graph.output_path,
         dimension=graph.dimension,

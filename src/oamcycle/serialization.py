@@ -22,7 +22,7 @@ from .model import (
     PathLabel,
     ZPlate,
 )
-from .portgraph import PortGraph, netlist_to_portgraph
+from .portgraph import BACKWARD, UNWIRED, PortGraph, netlist_to_portgraph
 
 SCHEMA_VERSION = "1"
 
@@ -183,12 +183,6 @@ def _node_label(element: Element) -> str:
     return f"Z_{element.d}"
 
 
-def _port_path(element: Element, port: str) -> PathLabel:
-    if isinstance(element, OamBeamSplitter):
-        return element.port_x if port.endswith("x") else element.port_y
-    return element.path
-
-
 def export_dot(device: Netlist | PortGraph) -> str:
     """Graphviz text for a netlist or port graph.
 
@@ -203,25 +197,28 @@ def export_dot(device: Netlist | PortGraph) -> str:
     for index, element in enumerate(graph.nodes):
         lines.append(f'  n{index} [shape=box, label="{_node_label(element)}"];')
     terminal_labels = sorted(
-        {str(target[1]) for target in graph.wiring.values() if target[0] == "term"}
+        {str(graph.terminals[~target]) for target in graph.wiring if target < UNWIRED}
     )
     for label in terminal_labels:
         lines.append(f'  t_{label} [shape=doublecircle, label="{label}"];')
 
-    def endpoint_text(endpoint) -> str:
-        if endpoint[0] == "term":
-            return f"t_{endpoint[1]}"
-        return f"n{endpoint[1]}"
+    def endpoint_text(slot: int) -> str:
+        return f"t_{graph.terminals[~slot]}" if slot < 0 else f"n{slot >> 2}"
 
     for path in sorted(graph.entries):
         target = graph.entries[path]
         lines.append(f'  in_{path} -> {endpoint_text(target)} [label="{path}"];')
-    for (index, port) in sorted(graph.wiring, key=lambda key: (key[0], key[1])):
-        target = graph.wiring[(index, port)]
-        label = _port_path(graph.nodes[index], port)
-        backward = port.startswith("b") or (target[0] == "node" and target[2].startswith("b"))
+    # per node, the backward out-slots first
+    for source in sorted(range(len(graph.wiring)), key=lambda slot: slot ^ BACKWARD):
+        target = graph.wiring[source]
+        if target == UNWIRED:
+            continue
+        backward = source & BACKWARD or (target >= 0 and target & BACKWARD)
         style = ", style=dashed" if backward else ""
-        lines.append(f'  n{index} -> {endpoint_text(target)} [label="{label}"{style}];')
+        lines.append(
+            f'  n{source >> 2} -> {endpoint_text(target)} '
+            f'[label="{graph.port_path(source)}"{style}];'
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"
 

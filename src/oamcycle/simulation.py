@@ -1,15 +1,16 @@
 """State propagation through netlists and port graphs, on one engine.
 
-`compile_device` turns a device into int tables once: a netlist is first
-threaded into a port graph, then each port becomes a small int slot and
-the wiring a tuple from out-slot to in-slot.  `CompiledDevice.run` is the
-one propagation loop.  Each (slot, OAM, amplitude) packet hops along the
-wiring, visiting only the elements it reaches, until it lands on a
-terminal, where amplitudes sum coherently.  Packets are independent (the
-optics is linear), which lets folded graphs route light backwards through
-an element.  Norm is checked once against the terminal sum, since packets
-taking paths of different lengths make the in-flight norm momentarily
-non-conserved under interference.
+A device is propagated as its port graph (a netlist is threaded into one
+first); `transform` does that once and returns the map for many states.
+One packet loop serves every entry point: each (slot, OAM, amplitude)
+packet hops along the graph's int wiring, visiting only the elements it
+reaches, until it lands on a terminal, where amplitudes sum coherently.
+Packets are independent (the optics is linear), which lets folded graphs
+route light backwards through an element.  Norm is checked once against
+the terminal sum, since packets taking paths of different lengths make
+the in-flight norm momentarily non-conserved under interference.  Both
+the pruning of dust and the norm tolerance are relative to the input
+norm, so a state behaves the same at every amplitude scale.
 
 In strict mode every element moves basis states to basis states with no
 phase, so simulation is exact.  In physical mode splitters apply the
@@ -22,6 +23,8 @@ mode only componentwise, not in their relative phases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .elements import NonMultipleMode, splitter_amplitudes, z_phase
 from .model import (
@@ -33,7 +36,8 @@ from .model import (
     PathLabel,
     ZPlate,
 )
-from .portgraph import PortGraph, netlist_to_portgraph
+from .portgraph import BACKWARD, PortGraph, netlist_to_portgraph
+from .synthesis import synth_arbitrary
 
 STRICT = "strict"
 PHYSICAL = "physical"
@@ -53,13 +57,13 @@ class SimulationConfig:
 
     ``hop_budget`` bounds the node traversals of any single packet (None
     means 10x the node count); ``amplitude_tolerance`` is the allowed
-    drift of the terminal norm from the input norm.
+    drift of the terminal norm from the input norm, relative to the
+    input norm.
     """
 
     mode: str = STRICT
     hop_budget: int | None = None
     amplitude_tolerance: float = 1e-12
-    prune: float = PRUNE_THRESHOLD
 
     def __post_init__(self):
         if self.mode not in (STRICT, PHYSICAL):
@@ -69,128 +73,89 @@ class SimulationConfig:
 DEFAULT_CONFIG = SimulationConfig()
 
 
-_SPLITTER, _HOLOGRAM, _ZPLATE = 0, 1, 2
-_KINDS = {OamBeamSplitter: _SPLITTER, Hologram: _HOLOGRAM, ZPlate: _ZPLATE}
-_PARAMS = ("m", "v", "d")  # the attribute each kind is parametrized by
-_BACKWARD = 2  # slot bit of the b* ports; bit 0 is the splitter side (y = 1)
-
-
-def _slot(index: int, port: str) -> int:
-    return 4 * index + _BACKWARD * port.startswith("b") + port.endswith("_y")
-
-
-@dataclass(frozen=True)
-class CompiledDevice:
-    """A netlist or port graph as int tables, ready for `run`.
-
-    Node i has element kind ``kinds[i]`` with order, charge or dimension
-    ``params[i]``.  Its ports are the slots ``4*i + 2*backward + side``,
-    numbered alike for in and out.  ``wiring[slot]`` is the in-slot an
-    out-slot feeds, or ``~t`` for the terminal path ``terminals[t]``
-    (``terminals[0]`` is None: unwired ports lead there).  ``entries``
-    maps each path that enters the device to its first slot or terminal.
-    """
-
-    kinds: tuple[int, ...]
-    params: tuple[int, ...]
-    wiring: tuple[int, ...]
-    entries: dict[PathLabel, int]
-    terminals: tuple[PathLabel | None, ...]
-
-    def run(self, state: ModeVector, config: SimulationConfig = DEFAULT_CONFIG) -> ModeVector:
-        """Propagate *state*; the contract is `apply_portgraph`'s."""
-        kinds, params, wiring = self.kinds, self.params, self.wiring
-        strict, prune = config.mode == STRICT, config.prune
-        budget = 10 * max(1, len(kinds)) if config.hop_budget is None else config.hop_budget
-        norm_in = state.norm()
-        # packets: (in-slot, ell); landed: (~terminal, ell); out: (path, ell)
-        packets: dict[tuple[int, int], complex] = {}
-        landed: dict[tuple[int, int], complex] = {}
-        out: dict[tuple[PathLabel, int], complex] = {}
-        for (path, ell), amp in state.items():
-            slot = self.entries.get(path)
-            into = out if slot is None else packets if slot >= 0 else landed
-            key = (path, ell) if slot is None else (slot, ell)
-            into[key] = into.get(key, 0j) + amp
-        hops = 0
-        while packets:
-            hops += 1
-            if hops > budget:
-                raise HopBudgetExceeded(f"packets still in flight after {budget} node traversals")
-            staged: dict[tuple[int, int], complex] = {}
-            for (slot, ell), amp in packets.items():
-                node = slot >> 2
-                kind, k = kinds[node], params[node]
-                if kind == _SPLITTER:
-                    if strict:  # the rule of splitter_route_strict, on slots
-                        turns, rest = divmod(ell, k)
-                        if rest:
-                            raise NonMultipleMode(ell, k)
-                        slot ^= turns & 1
-                    else:
-                        stay, cross = splitter_amplitudes(k, ell)
-                        if cross:
-                            dest = wiring[slot ^ 1]
-                            into = staged if dest >= 0 else landed
-                            into[(dest, ell)] = into.get((dest, ell), 0j) + cross * amp
-                        if not stay:
-                            continue
-                        amp *= stay
-                elif kind == _HOLOGRAM:
-                    ell = ell - k if slot & _BACKWARD else ell + k
+def _propagate(graph: PortGraph, state: ModeVector, config: SimulationConfig) -> ModeVector:
+    """The packet loop; the contract is `apply_portgraph`'s."""
+    nodes, wiring = graph.nodes, graph.wiring
+    strict = config.mode == STRICT
+    budget = 10 * max(1, len(nodes)) if config.hop_budget is None else config.hop_budget
+    norm_in = state.norm()
+    cut = PRUNE_THRESHOLD * norm_in
+    # packets: (in-slot, ell); landed: (~terminal, ell); out: (path, ell)
+    packets: dict[tuple[int, int], complex] = {}
+    landed: dict[tuple[int, int], complex] = {}
+    out: dict[tuple[PathLabel, int], complex] = {}
+    for (path, ell), amp in state.items():
+        slot = graph.entries.get(path)
+        into = out if slot is None else packets if slot >= 0 else landed
+        key = (path, ell) if slot is None else (slot, ell)
+        into[key] = into.get(key, 0j) + amp
+    hops = 0
+    while packets:
+        hops += 1
+        if hops > budget:
+            raise HopBudgetExceeded(f"packets still in flight after {budget} node traversals")
+        staged: dict[tuple[int, int], complex] = {}
+        for (slot, ell), amp in packets.items():
+            element = nodes[slot >> 2]
+            kind = type(element)
+            if kind is OamBeamSplitter:
+                k = element.m
+                if strict:  # the rule of splitter_route_strict, on slots
+                    turns, rest = divmod(ell, k)
+                    if rest:
+                        raise NonMultipleMode(ell, k)
+                    slot ^= turns & 1
                 else:
-                    amp *= z_phase(k, ell)
-                dest = wiring[slot]
-                into = staged if dest >= 0 else landed
-                into[(dest, ell)] = into.get((dest, ell), 0j) + amp
-            packets = {key: a for key, a in staged.items() if abs(a) > prune}
-        for (dest, ell), amp in landed.items():
-            path = self.terminals[~dest]
-            if path is None:
-                raise ValueError("a packet left the device through an unwired port")
-            out[(path, ell)] = out.get((path, ell), 0j) + amp
-        result = ModeVector(out, prune=prune)
-        norm_out = result.norm()
-        if abs(norm_out - norm_in) > config.amplitude_tolerance:
-            raise NormDrift(f"terminal norm {norm_out!r} differs from input norm {norm_in!r}")
-        if result and norm_in > 0.0 and norm_out != norm_in:
-            result = result.scaled(norm_in / norm_out)
-        return result
+                    stay, cross = splitter_amplitudes(k, ell)
+                    if cross:
+                        dest = wiring[slot ^ 1]
+                        into = staged if dest >= 0 else landed
+                        into[(dest, ell)] = into.get((dest, ell), 0j) + cross * amp
+                    if not stay:
+                        continue
+                    amp *= stay
+            elif kind is Hologram:
+                ell = ell - element.v if slot & BACKWARD else ell + element.v
+            elif kind is ZPlate:
+                amp *= z_phase(element.d, ell)
+            else:
+                raise TypeError(f"unknown element {element!r}")
+            dest = wiring[slot]
+            into = staged if dest >= 0 else landed
+            into[(dest, ell)] = into.get((dest, ell), 0j) + amp
+        packets = {key: a for key, a in staged.items() if abs(a) > cut}
+    for (dest, ell), amp in landed.items():
+        path = graph.terminals[~dest]
+        if path is None:
+            raise ValueError("a packet left the device through an unwired port")
+        out[(path, ell)] = out.get((path, ell), 0j) + amp
+    result = ModeVector(out)
+    norm_out = result.norm()
+    if abs(norm_out - norm_in) > config.amplitude_tolerance * norm_in:
+        raise NormDrift(f"terminal norm {norm_out!r} differs from input norm {norm_in!r}")
+    if result and norm_in > 0.0 and norm_out != norm_in:
+        result = result.scaled(norm_in / norm_out)
+    return result
 
 
-def compile_device(device: Netlist | PortGraph) -> CompiledDevice:
-    """Number the ports of *device* and flatten its wiring, once."""
+def transform(
+    device: Netlist | PortGraph, config: SimulationConfig = DEFAULT_CONFIG
+) -> Callable[[ModeVector], ModeVector]:
+    """The map *device* applies to states under *config*.
+
+    A netlist is threaded into its port graph once, here, so the returned
+    function is the way to push many states through one device.
+    """
     graph = netlist_to_portgraph(device) if isinstance(device, Netlist) else device
-    terminals: list[PathLabel | None] = [None]
-
-    def code(endpoint) -> int:
-        if endpoint[0] == "node":
-            return _slot(endpoint[1], endpoint[2])
-        if endpoint[1] not in terminals:
-            terminals.append(endpoint[1])
-        return ~terminals.index(endpoint[1])
-
-    wiring = [~0] * (4 * len(graph.nodes))
-    for (index, port), endpoint in graph.wiring.items():
-        wiring[_slot(index, port)] = code(endpoint)
-    kinds = tuple(_KINDS.get(type(el)) for el in graph.nodes)
-    if None in kinds:
-        raise TypeError(f"unknown element {graph.nodes[kinds.index(None)]!r}")
-    return CompiledDevice(
-        kinds=kinds,
-        params=tuple(getattr(el, _PARAMS[kind]) for el, kind in zip(graph.nodes, kinds)),
-        wiring=tuple(wiring),
-        entries={path: code(endpoint) for path, endpoint in graph.entries.items()},
-        terminals=tuple(terminals),
-    )
+    return partial(_propagate, graph, config=config)
 
 
 def apply_netlist(
     netlist: Netlist, state: ModeVector, config: SimulationConfig = DEFAULT_CONFIG
 ) -> ModeVector:
-    """Propagate *state* through the element sequence: compile and run,
-    with the contract of `apply_portgraph`."""
-    return compile_device(netlist).run(state, config)
+    """Propagate *state* through the element sequence, threaded into its
+    port graph, with the contract of `apply_portgraph`."""
+    return _propagate(netlist_to_portgraph(netlist), state, config)
 
 
 def apply_portgraph(
@@ -201,10 +166,12 @@ def apply_portgraph(
     Components entering on paths with no entry port pass through
     unchanged.  Raises HopBudgetExceeded if a packet survives more node
     traversals than the budget allows, and NormDrift if the coherent
-    terminal sum does not carry the input norm.  The output is rescaled
-    to the input norm (cleaning float dust).
+    terminal sum misses the input norm by more than the relative
+    tolerance.  Packets at or below ``PRUNE_THRESHOLD`` times the input
+    norm are dropped at every hop, and the output is rescaled to the
+    input norm (cleaning float dust).
     """
-    return compile_device(graph).run(state, config)
+    return _propagate(graph, state, config)
 
 
 def simulate_word(
@@ -219,17 +186,15 @@ def simulate_word(
     X is the synthesized cyclic shift netlist; Z is the phase plate.  For
     d = 1 both gates are the identity.
     """
-    from .synthesis import synth_arbitrary  # local import avoids a cycle
-
     if x_power < 0 or z_power < 0:
         raise ValueError("gate powers must be non-negative")
     if d == 1:
         return state
     shift = synth_arbitrary(d)
-    engine = compile_device(shift)
+    x_gate = transform(shift, config)
     out = state
     for _ in range(x_power):
-        out = engine.run(out, config)
+        out = x_gate(out)
     if z_power:
         plate = Netlist(
             (ZPlate(shift.output_path, d),) * z_power,
@@ -237,5 +202,5 @@ def simulate_word(
             shift.output_path,
             d,
         )
-        out = apply_netlist(plate, out, config)
+        out = transform(plate, config)(out)
     return out

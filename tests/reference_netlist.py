@@ -1,15 +1,16 @@
 """Reference interpreter for netlists, independent of the packet engine.
 
 It walks the element sequence and transforms the whole state at each
-element, pruning and checking the norm after every step.  This is a
-different propagation scheme from `CompiledDevice.run`, so the tests can
+element, pruning and checking the norm after every step, both relative
+to the input norm.  This is a different propagation scheme from the
+port-graph packet loop of `oamcycle.simulation`, so the tests can
 cross-check the engine against it; it shares only the element functions
 (`splitter_route_strict`, `splitter_unitary`, `hologram_apply`,
 `z_phase`).
 """
 
 from oamcycle.elements import hologram_apply, splitter_route_strict, splitter_unitary, z_phase
-from oamcycle.model import Hologram, ModeVector, OamBeamSplitter, ZPlate
+from oamcycle.model import PRUNE_THRESHOLD, Hologram, ModeVector, OamBeamSplitter, ZPlate
 from oamcycle.simulation import STRICT, NormDrift
 
 
@@ -42,6 +43,7 @@ def _splitter_step(el, entries, mode):
 def reference_apply_netlist(netlist, state, config):
     """Propagate *state* element by element; output rescaled to the input norm."""
     norm_in = state.norm()
+    cut = PRUNE_THRESHOLD * norm_in
     entries = dict(state.items())
     for el in netlist.elements:
         if isinstance(el, OamBeamSplitter):
@@ -59,11 +61,11 @@ def reference_apply_netlist(netlist, state, config):
             }
         else:
             raise TypeError(f"unknown element {el!r}")
-        entries = {k: v for k, v in entries.items() if abs(v) > config.prune}
+        entries = {k: v for k, v in entries.items() if abs(v) > cut}
         norm_now = sum(abs(a) ** 2 for a in entries.values()) ** 0.5
-        if abs(norm_now - norm_in) > config.amplitude_tolerance:
+        if abs(norm_now - norm_in) > config.amplitude_tolerance * norm_in:
             raise NormDrift(f"norm moved from {norm_in!r} to {norm_now!r} at element {el!r}")
-    result = ModeVector(entries, prune=config.prune)
+    result = ModeVector(entries)
     if result and norm_in > 0.0:
         result = result.scaled(norm_in / result.norm())
     return result

@@ -116,6 +116,14 @@ def test_simulate_non_multiple_mode_is_exit_one(tmp_path, capsys):
     assert "simulation failed" in capsys.readouterr().err
 
 
+def test_simulate_tiny_amplitude_normalizes(tmp_path, capsys):
+    # dust is pruned relative to the state's norm, so a tiny input survives
+    path = synth_file(tmp_path, 5)
+    capsys.readouterr()
+    assert main(["simulate", path, "--input", "1e-16*|3>"]) == 0
+    assert capsys.readouterr().out.strip() == "|4> @ r0"
+
+
 def test_simulate_zero_state_rejected(tmp_path, capsys):
     path = synth_file(tmp_path, 3)
     capsys.readouterr()
@@ -217,6 +225,18 @@ def test_cycles_rejects_malformed_window(tmp_path, capsys, window):
     path = synth_file(tmp_path, 3)
     capsys.readouterr()
     assert main(["cycles", path, "--window", window]) == 2
+
+
+@pytest.mark.parametrize("d, window", [(3, "-100000000..100000000"), (131072, None)])
+def test_cycles_rejects_oversized_window(tmp_path, capsys, d, window):
+    # explicit or default, a window of more than 2**20 values is refused
+    # before any probe runs
+    path = synth_file(tmp_path, d)
+    capsys.readouterr()
+    extra = ["--window", window] if window else []
+    assert main(["cycles", path, *extra]) == 2
+    captured = capsys.readouterr()
+    assert "more than 1048576" in captured.err and captured.out == ""
 
 
 # -- export -------------------------------------------------------------

@@ -163,6 +163,56 @@ def test_dot_is_deterministic():
     assert export_dot(synth_arbitrary(11)) == export_dot(synth_arbitrary(11))
 
 
+SIMPLIFIED_D6_DOT = """digraph device {
+  rankdir=LR;
+  in_r0 [shape=point, xlabel="r0"];
+  in_r1 [shape=point, xlabel="r1"];
+  in_r2 [shape=point, xlabel="r2"];
+  in_s0 [shape=point, xlabel="s0"];
+  n0 [shape=box, label="LI_1"];
+  n1 [shape=box, label="Holog-1"];
+  n2 [shape=box, label="LI_2"];
+  n3 [shape=box, label="Holog+2"];
+  n4 [shape=box, label="LI_4"];
+  n5 [shape=box, label="Holog-4"];
+  n6 [shape=box, label="LI_4"];
+  n7 [shape=box, label="LI_2"];
+  n8 [shape=box, label="Holog+1"];
+  t_r0 [shape=doublecircle, label="r0"];
+  t_r1 [shape=doublecircle, label="r1"];
+  t_r2 [shape=doublecircle, label="r2"];
+  t_s0 [shape=doublecircle, label="s0"];
+  in_r0 -> n0 [label="r0"];
+  in_r1 -> n0 [label="r1"];
+  in_r2 -> n4 [label="r2"];
+  in_s0 -> n2 [label="s0"];
+  n0 -> n8 [label="r0", style=dashed];
+  n0 -> t_r1 [label="r1", style=dashed];
+  n0 -> n0 [label="r0", style=dashed];
+  n0 -> n1 [label="r1"];
+  n1 -> n0 [label="r1", style=dashed];
+  n1 -> n2 [label="r1"];
+  n2 -> n4 [label="r1"];
+  n2 -> n3 [label="s0"];
+  n3 -> n7 [label="s0", style=dashed];
+  n3 -> n6 [label="s0"];
+  n4 -> n7 [label="r1"];
+  n4 -> n5 [label="r2"];
+  n5 -> n6 [label="r2"];
+  n6 -> n3 [label="r2", style=dashed];
+  n6 -> t_s0 [label="s0"];
+  n7 -> n1 [label="r1", style=dashed];
+  n7 -> t_r2 [label="r2"];
+  n8 -> t_r0 [label="r0"];
+}
+"""
+
+
+def test_dot_golden_folded_graph():
+    # pins node, terminal and edge order and the dashed backward edges
+    assert export_dot(simplify(synth_arbitrary(6))) == SIMPLIFIED_D6_DOT
+
+
 def test_dot_folded_graph_has_back_edges():
     dot = export_dot(simplify(synth_arbitrary(11)))
     assert "style=dashed" in dot

@@ -1,4 +1,4 @@
-"""State propagation: the compiled packet engine on netlists and port graphs,
+"""State propagation: the packet engine on netlists and port graphs,
 cross-checked against the element-by-element reference interpreter."""
 
 import cmath
@@ -20,7 +20,7 @@ from oamcycle.model import (
     r_path,
     s_path,
 )
-from oamcycle.portgraph import PortGraph, netlist_to_portgraph, node_endpoint
+from oamcycle.portgraph import PortGraph, netlist_to_portgraph
 from oamcycle.simulation import (
     HopBudgetExceeded,
     NormDrift,
@@ -216,6 +216,22 @@ def test_strict_and_physical_agree_componentwise(d, data):
             assert abs(abs(phys_out.get(key)) - abs(strict_out.get(key))) < 1e-12, key
 
 
+@pytest.mark.parametrize("d", [3, 11, 64, 500])
+def test_scaled_states_keep_their_support(d):
+    # pruning and the drift check are relative to the input norm, so a
+    # state behaves the same at every amplitude scale
+    net = synth_arbitrary(d)
+    rng = random.Random(d)
+    for device, apply in ((net, apply_netlist), (simplify(net), apply_portgraph)):
+        for _ in range(8):
+            state = _unit_state(rng, rng.sample(range(-2 * d, 3 * d), min(8, 5 * d)))
+            unit = apply(device, state, PHYSICAL)
+            for scale in (1e-20, 1e-12, 1e-4, 1e4, 1e8):
+                out = apply(device, state.scaled(scale), PHYSICAL)
+                assert set(out.keys()) == set(unit.keys()), scale
+                assert (out.scaled(1 / scale) - unit).norm() < 1e-12, scale
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 9, 11, 15, 33])
 def test_folded_graph_cycles_all_basis_states(d):
     graph = simplify(synth_arbitrary(d))
@@ -252,8 +268,9 @@ def test_portgraph_passes_unknown_paths_through():
 def test_hop_budget_guard():
     loop = PortGraph(
         nodes=(Hologram(R0, 1),),
-        wiring={(0, "out"): node_endpoint(0, "in")},
-        entries={R0: node_endpoint(0, "in")},
+        wiring=(0, ~0, ~0, ~0),
+        entries={R0: 0},
+        terminals=(None,),
         input_path=R0,
         output_path=R0,
         dimension=2,
