@@ -21,16 +21,13 @@ from .simulation import (
 )
 from .synthesis import (
     count_beamsplitters,
-    invert,
+    device_for,
     naive_count,
     predict_count,
     predict_simplified_count,
-    shifted_gate,
-    simplify,
     synth_arbitrary,
+    synth_variant,
 )
-
-VARIANTS = ("standard", "simplified", "inverse", "shifted")
 
 
 @dataclass(frozen=True)
@@ -75,21 +72,11 @@ def verify_gate(
     d >= 3) the logarithmic bound.  Every discrepancy lands in
     ``violations``; simulation errors are recorded rather than raised.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if variant == "simplified" and shift != 0:
-        raise ValueError("the simplified variant does not support a shifted window")
-
-    base = synth_arbitrary(d)
+    device = device_for(synth_variant(d, variant, shift), variant)
     step = -1 if variant == "inverse" else 1
+    count_predicted, bound = predict_count(d)
     if variant == "simplified":
-        device = simplify(base)
         count_predicted = predict_simplified_count(d)
-    else:
-        netlist = invert(base) if variant == "inverse" else base
-        device = shifted_gate(netlist, shift)
-        count_predicted = predict_count(d)[0]
-    bound = predict_count(d)[1]
     count_actual = count_beamsplitters(device)
 
     violations: list[str] = []
@@ -138,8 +125,8 @@ def discover_cycles(
 
     Each window value is simulated as a basis state; values that split,
     leak to another path, or leave the window break the orbit they were
-    part of.  Every returned cycle is re-verified edge by edge with a
-    fresh simulation before being reported.
+    part of.  Every edge of a returned cycle is simulated again, in one
+    pass per cycle, before the cycle is reported.
     """
     d = device.dimension
     gate = transform(device, config)
@@ -164,10 +151,11 @@ def discover_cycles(
             visited.add(current)
         if not closed or start != min(orbit):
             continue
-        for u, v in zip(orbit, orbit[1:] + [start]):
-            recheck = extract_permutation(gate, [u], device.input_path, device.output_path)
-            if recheck.get(u) != v:
-                raise AssertionError(f"cycle edge {u} -> {v} failed re-simulation")
+        edges = dict(zip(orbit, orbit[1:] + [start]))
+        recheck = extract_permutation(gate, orbit, device.input_path, device.output_path)
+        if recheck != edges:
+            bad = next(u for u in orbit if recheck.get(u) != edges[u])
+            raise AssertionError(f"cycle edge {bad} -> {edges[bad]} failed re-simulation")
         members.update(orbit)
         cycles.append(CycleSet(tuple(orbit)))
     return cycles

@@ -11,7 +11,7 @@ import re
 import sys
 from pathlib import Path
 
-from .analysis import VARIANTS, discover_cycles, scaling_csv, scaling_table, verify_gate
+from .analysis import discover_cycles, scaling_csv, scaling_table, verify_gate
 from .elements import NonMultipleMode
 from .model import ZeroState, normalize
 from .serialization import (
@@ -25,29 +25,16 @@ from .serialization import (
     serialize,
 )
 from .simulation import HopBudgetExceeded, NormDrift, SimulationConfig, transform
-from .synthesis import (
-    InvalidDimension,
-    NotSimplifiable,
-    invert,
-    shifted_gate,
-    simplify,
-    synth_arbitrary,
-)
+from .synthesis import VARIANTS, InvalidDimension, NotSimplifiable, device_for, synth_variant
 
 _WINDOW_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
-#: most OAM values `cycles` will probe; each one is a full simulation
+#: most OAM values `cycles` or `verify` will probe; each one is a full simulation
 MAX_WINDOW = 2**20
 
 
 def _load_document(path_text: str) -> NetlistDocument:
     return parse(Path(path_text).read_text(encoding="utf-8"))
-
-
-def _device_for(doc: NetlistDocument):
-    if doc.variant == "simplified":
-        return simplify(doc.netlist)
-    return doc.netlist
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -58,21 +45,8 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_synth(args) -> int:
-    if args.variant == "simplified" and args.shift:
-        raise ValueError("--shift cannot be combined with --variant simplified")
-    base = synth_arbitrary(args.d)
-    if args.variant == "inverse":
-        netlist = invert(base)
-    else:
-        if args.variant == "simplified":
-            simplify(base)  # validate before tagging the document
-        netlist = base
-    if args.shift:
-        netlist = shifted_gate(netlist, args.shift)
-    if args.variant == "standard":
-        tag = "shifted" if args.shift else "standard"
-    else:
-        tag = args.variant
+    netlist = synth_variant(args.d, args.variant, args.shift)
+    tag = "shifted" if args.variant == "standard" and args.shift else args.variant
     _write_or_print(serialize(netlist, tag), args.out)
     return 0
 
@@ -83,15 +57,15 @@ def _cmd_simulate(args) -> int:
     if abs(state.norm() - 1.0) > 1e-9:
         print(f"note: input normalized (norm was {state.norm():.6g})", file=sys.stderr)
         state = normalize(state)
-    out = transform(_device_for(doc), SimulationConfig(mode=args.mode))(state)
+    out = transform(device_for(doc.netlist, doc.variant), SimulationConfig(mode=args.mode))(state)
     print(format_state(out))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    variant = args.variant
-    if args.shift and variant == "standard":
-        variant = "shifted"
+    if args.d > MAX_WINDOW:
+        raise ValueError(f"dimension {args.d} is more than {MAX_WINDOW}")
+    variant = "shifted" if args.variant == "standard" and args.shift else args.variant
     report = verify_gate(args.d, variant=variant, shift=args.shift)
     window = f" shift={report.shift}" if report.shift else ""
     print(f"d={report.d} variant={report.variant}{window}")
@@ -135,7 +109,7 @@ def _cmd_cycles(args) -> int:
         raise ValueError(
             f"window [{lo}, {hi}] holds {hi - lo + 1} values, more than {MAX_WINDOW}"
         )
-    cycles = discover_cycles(_device_for(doc), lo, hi)
+    cycles = discover_cycles(device_for(doc.netlist, doc.variant), lo, hi)
     for cycle in cycles:
         print("cycle:", " ".join(str(v) for v in cycle.modes))
     if not cycles:
@@ -145,7 +119,7 @@ def _cmd_cycles(args) -> int:
 
 def _cmd_export(args) -> int:
     doc = _load_document(args.netlist)
-    _write_or_print(export_dot(_device_for(doc)), args.dot)
+    _write_or_print(export_dot(device_for(doc.netlist, doc.variant)), args.dot)
     return 0
 
 
@@ -173,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="check a synthesized gate against its oracle")
-    p.add_argument("d", type=int)
+    p.add_argument("d", type=int, help=f"gate dimension, 2..{MAX_WINDOW}")
     p.add_argument("--variant", choices=VARIANTS, default="standard")
     p.add_argument("--shift", type=int, default=0, metavar="M")
     p.set_defaults(func=_cmd_verify)

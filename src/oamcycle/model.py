@@ -19,7 +19,7 @@ from .elements import NonMultipleMode
 #: amplitudes at or below this fraction of their state's norm are dropped
 PRUNE_THRESHOLD = 1e-15
 
-#: default tolerance on |amplitude| when reading a permutation off a state
+#: tolerance on |amplitude| - 1 when reading a permutation off a state
 PERMUTATION_AMPLITUDE_TOL = 1e-9
 
 _PATH_RE = re.compile(r"^([rs])([0-9]+)$")
@@ -64,6 +64,14 @@ def s_path(index: int) -> PathLabel:
 StateKey = tuple[PathLabel, int]
 
 
+def _norm(amps: Iterable[complex]) -> float:
+    """2-norm of *amps*, free of overflow and underflow at any scale."""
+    # a list, not map(): unpacking an iterator of unknown length shrinks a
+    # 10-slot tuple to size, which parks a spare tuple on the interpreter's
+    # per-size free lists each call (up to 2000 per size, a few MB in all)
+    return math.hypot(*[abs(a) for a in amps])
+
+
 class ModeVector:
     """Sparse complex state over ``(path, oam)`` pairs.
 
@@ -92,7 +100,7 @@ class ModeVector:
                 raise ValueError(f"non-finite amplitude for {path}|{ell}>")
             acc[key] = acc.get(key, 0j) + a
         # a lone entry is its own norm, so only an exact zero is dropped
-        cut = PRUNE_THRESHOLD * math.hypot(*map(abs, acc.values())) if len(acc) > 1 else 0.0
+        cut = PRUNE_THRESHOLD * _norm(acc.values()) if len(acc) > 1 else 0.0
         self._entries = {k: v for k, v in acc.items() if abs(v) > cut}
 
     @classmethod
@@ -118,7 +126,7 @@ class ModeVector:
         return iter(self._entries)
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self._entries.values()))
+        return _norm(self._entries.values())
 
     def scaled(self, factor: complex) -> "ModeVector":
         return ModeVector({k: v * factor for k, v in self._entries.items()})
@@ -176,14 +184,14 @@ def extract_permutation(
     domain: Iterable[int],
     input_path: PathLabel,
     output_path: PathLabel,
-    tol: float = PERMUTATION_AMPLITUDE_TOL,
 ) -> dict[int, int]:
     """Probe *transform* with basis states and read back an OAM permutation.
 
     Returns a partial map ``ell -> ell'`` containing only the inputs whose
     image is a single basis state on *output_path* with unit magnitude
-    (within *tol*).  Inputs that error, split, leak to another path, or
-    lose amplitude are omitted rather than raised.
+    (within ``PERMUTATION_AMPLITUDE_TOL``).  Inputs that error, split,
+    leak to another path, or lose amplitude are omitted rather than
+    raised.
     """
     mapping: dict[int, int] = {}
     for ell in domain:
@@ -196,7 +204,7 @@ def extract_permutation(
         (path, image), amp = next(out.items())
         if path != output_path:
             continue
-        if abs(abs(amp) - 1.0) > tol:
+        if abs(abs(amp) - 1.0) > PERMUTATION_AMPLITUDE_TOL:
             continue
         mapping[ell] = image
     return mapping

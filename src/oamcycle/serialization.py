@@ -12,7 +12,6 @@ import json
 import re
 from dataclasses import dataclass
 
-from .analysis import VARIANTS
 from .model import (
     Element,
     Hologram,
@@ -23,6 +22,7 @@ from .model import (
     ZPlate,
 )
 from .portgraph import BACKWARD, UNWIRED, PortGraph, netlist_to_portgraph
+from .synthesis import VARIANTS
 
 SCHEMA_VERSION = "1"
 

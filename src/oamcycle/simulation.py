@@ -42,9 +42,15 @@ from .synthesis import synth_arbitrary
 STRICT = "strict"
 PHYSICAL = "physical"
 
+#: node traversals a packet may make, per node of the device
+HOPS_PER_NODE = 10
+
+#: allowed drift of the terminal norm from the input norm, relative to it
+NORM_TOLERANCE = 1e-12
+
 
 class NormDrift(Exception):
-    """Simulation lost or gained probability beyond the configured tolerance."""
+    """Simulation lost or gained probability beyond `NORM_TOLERANCE`."""
 
 
 class HopBudgetExceeded(Exception):
@@ -53,17 +59,9 @@ class HopBudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Knobs of the propagation engine.
-
-    ``hop_budget`` bounds the node traversals of any single packet (None
-    means 10x the node count); ``amplitude_tolerance`` is the allowed
-    drift of the terminal norm from the input norm, relative to the
-    input norm.
-    """
+    """The element model a run uses: ``"strict"`` or ``"physical"``."""
 
     mode: str = STRICT
-    hop_budget: int | None = None
-    amplitude_tolerance: float = 1e-12
 
     def __post_init__(self):
         if self.mode not in (STRICT, PHYSICAL):
@@ -77,7 +75,7 @@ def _propagate(graph: PortGraph, state: ModeVector, config: SimulationConfig) ->
     """The packet loop; the contract is `apply_portgraph`'s."""
     nodes, wiring = graph.nodes, graph.wiring
     strict = config.mode == STRICT
-    budget = 10 * max(1, len(nodes)) if config.hop_budget is None else config.hop_budget
+    budget = HOPS_PER_NODE * max(1, len(nodes))
     norm_in = state.norm()
     cut = PRUNE_THRESHOLD * norm_in
     # packets: (in-slot, ell); landed: (~terminal, ell); out: (path, ell)
@@ -131,7 +129,7 @@ def _propagate(graph: PortGraph, state: ModeVector, config: SimulationConfig) ->
         out[(path, ell)] = out.get((path, ell), 0j) + amp
     result = ModeVector(out)
     norm_out = result.norm()
-    if abs(norm_out - norm_in) > config.amplitude_tolerance * norm_in:
+    if abs(norm_out - norm_in) > NORM_TOLERANCE * norm_in:
         raise NormDrift(f"terminal norm {norm_out!r} differs from input norm {norm_in!r}")
     if result and norm_in > 0.0 and norm_out != norm_in:
         result = result.scaled(norm_in / norm_out)
@@ -164,12 +162,12 @@ def apply_portgraph(
     """Propagate *state* through a wired port graph.
 
     Components entering on paths with no entry port pass through
-    unchanged.  Raises HopBudgetExceeded if a packet survives more node
-    traversals than the budget allows, and NormDrift if the coherent
-    terminal sum misses the input norm by more than the relative
-    tolerance.  Packets at or below ``PRUNE_THRESHOLD`` times the input
-    norm are dropped at every hop, and the output is rescaled to the
-    input norm (cleaning float dust).
+    unchanged.  Raises HopBudgetExceeded if a packet survives more than
+    ``HOPS_PER_NODE`` times the node count of traversals, and NormDrift
+    if the coherent terminal sum misses the input norm by more than
+    ``NORM_TOLERANCE`` times the input norm.  Packets at or below
+    ``PRUNE_THRESHOLD`` times the input norm are dropped at every hop,
+    and the output is rescaled to the input norm (cleaning float dust).
     """
     return _propagate(graph, state, config)
 

@@ -17,6 +17,10 @@ the light backwards through the kept element, which roughly halves the
 number of physical splitters.  The result is a port graph rather than a
 netlist, since the element sequence no longer describes the traversal
 order.
+
+The gate variants are decided here and nowhere else: `synth_variant`
+builds the element list a variant's document stores, and `device_for`
+turns a stored list into the device the variant names.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ from dataclasses import dataclass
 
 from .model import Element, Hologram, Netlist, OamBeamSplitter, ZPlate, r_path, s_path
 from .portgraph import PortGraph, contract_mirrors, netlist_to_portgraph
+
+#: the gate variants a document can name (see `synth_variant`)
+VARIANTS = ("standard", "simplified", "inverse", "shifted")
 
 
 class InvalidDimension(Exception):
@@ -238,3 +245,25 @@ def simplify(netlist: Netlist) -> PortGraph:
         if partner is not None:
             pairs[i] = index_of[(partner, t)]
     return contract_mirrors(netlist_to_portgraph(netlist), pairs)
+
+
+def synth_variant(d: int, variant: str = "standard", shift: int = 0) -> Netlist:
+    """The element list a document of *variant* stores for dimension d,
+    cycling the OAM window {shift, ..., shift+d-1}.
+
+    A simplified document stores the standard list (`device_for` folds
+    it); the simplified layout has no shifted window.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if variant == "simplified" and shift != 0:
+        raise ValueError("the simplified variant does not support a shifted window")
+    netlist = synth_arbitrary(d)
+    if variant == "inverse":
+        netlist = invert(netlist)
+    return shifted_gate(netlist, shift)
+
+
+def device_for(netlist: Netlist, variant: str) -> Netlist | PortGraph:
+    """The device a document of *variant* storing *netlist* describes."""
+    return simplify(netlist) if variant == "simplified" else netlist

@@ -6,12 +6,14 @@ to the input norm.  This is a different propagation scheme from the
 port-graph packet loop of `oamcycle.simulation`, so the tests can
 cross-check the engine against it; it shares only the element functions
 (`splitter_route_strict`, `splitter_unitary`, `hologram_apply`,
-`z_phase`).
+`z_phase`) and the norm tolerance.
 """
+
+import math
 
 from oamcycle.elements import hologram_apply, splitter_route_strict, splitter_unitary, z_phase
 from oamcycle.model import PRUNE_THRESHOLD, Hologram, ModeVector, OamBeamSplitter, ZPlate
-from oamcycle.simulation import STRICT, NormDrift
+from oamcycle.simulation import NORM_TOLERANCE, STRICT, NormDrift
 
 
 def _splitter_step(el, entries, mode):
@@ -62,8 +64,8 @@ def reference_apply_netlist(netlist, state, config):
         else:
             raise TypeError(f"unknown element {el!r}")
         entries = {k: v for k, v in entries.items() if abs(v) > cut}
-        norm_now = sum(abs(a) ** 2 for a in entries.values()) ** 0.5
-        if abs(norm_now - norm_in) > config.amplitude_tolerance * norm_in:
+        norm_now = math.hypot(*[abs(a) for a in entries.values()])
+        if abs(norm_now - norm_in) > NORM_TOLERANCE * norm_in:
             raise NormDrift(f"norm moved from {norm_in!r} to {norm_now!r} at element {el!r}")
     result = ModeVector(entries)
     if result and norm_in > 0.0:

@@ -1,9 +1,11 @@
 """Verification reports, orbit discovery, scaling tables."""
 
 import math
+from itertools import count
 
 import pytest
 
+from oamcycle import analysis, simulation
 from oamcycle.analysis import (
     CycleSet,
     discover_cycles,
@@ -11,6 +13,7 @@ from oamcycle.analysis import (
     scaling_table,
     verify_gate,
 )
+from oamcycle.model import ModeVector
 from oamcycle.simulation import SimulationConfig
 from oamcycle.synthesis import shifted_gate, simplify, synth_arbitrary
 
@@ -67,10 +70,11 @@ def test_verify_rejects_bad_arguments():
         verify_gate(5, "simplified", shift=2)
 
 
-def test_verify_reports_failures_instead_of_raising():
+def test_verify_reports_failures_instead_of_raising(monkeypatch):
     # an impossible norm tolerance makes every simulation fail; the report
     # must say so rather than blow up
-    report = verify_gate(4, config=SimulationConfig(amplitude_tolerance=-1.0))
+    monkeypatch.setattr(simulation, "NORM_TOLERANCE", -1.0)
+    report = verify_gate(4)
     assert not report.passed
     assert not report.permutation_ok
     assert report.violations
@@ -92,6 +96,27 @@ def test_d11_wide_window_has_five_cycles():
     # each extra cycle is eleven consecutive values
     for c in cycles:
         assert c.modes == tuple(range(c.modes[0], c.modes[0] + 11))
+
+
+def test_cycle_recheck_catches_a_changed_gate(monkeypatch):
+    # every edge of a reported cycle is simulated again, so a gate whose
+    # answers change after the window pass is caught
+    real = analysis.transform
+
+    def drifting(device, config):
+        gate, probes = real(device, config), count(1)
+
+        def probe(state):
+            out = gate(state)
+            if next(probes) <= 11:  # the window pass
+                return out
+            return ModeVector({(path, ell + 1): amp for (path, ell), amp in out.items()})
+
+        return probe
+
+    monkeypatch.setattr(analysis, "transform", drifting)
+    with pytest.raises(AssertionError, match="failed re-simulation"):
+        discover_cycles(synth_arbitrary(11), 0, 10)
 
 
 def test_cycles_on_folded_graph_match_netlist():

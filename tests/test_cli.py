@@ -116,12 +116,18 @@ def test_simulate_non_multiple_mode_is_exit_one(tmp_path, capsys):
     assert "simulation failed" in capsys.readouterr().err
 
 
-def test_simulate_tiny_amplitude_normalizes(tmp_path, capsys):
-    # dust is pruned relative to the state's norm, so a tiny input survives
+@pytest.mark.parametrize(
+    "state, image",
+    [("1e-16*|3>", "|4>"), ("1e-200*|1>", "|2>"), ("1e200*|1>", "|2>")],
+    ids=["1e-16", "1e-200", "1e200"],
+)
+def test_simulate_tiny_amplitude_normalizes(tmp_path, capsys, state, image):
+    # dust is pruned relative to the state's norm and the norm neither
+    # overflows nor underflows, so an input at any scale survives
     path = synth_file(tmp_path, 5)
     capsys.readouterr()
-    assert main(["simulate", path, "--input", "1e-16*|3>"]) == 0
-    assert capsys.readouterr().out.strip() == "|4> @ r0"
+    assert main(["simulate", path, "--input", state]) == 0
+    assert capsys.readouterr().out.strip() == f"{image} @ r0"
 
 
 def test_simulate_zero_state_rejected(tmp_path, capsys):
@@ -168,6 +174,14 @@ def test_verify_inverse(capsys):
 
 def test_verify_bad_dimension(capsys):
     assert main(["verify", "0"]) == 2
+
+
+def test_verify_rejects_oversized_dimension(capsys):
+    # refused before synthesis: every one of the d values is a simulation
+    assert main(["verify", "1048577"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "more than 1048576" in captured.err
+    assert captured.out == ""
 
 
 # -- scaling ------------------------------------------------------------

@@ -7,10 +7,12 @@ import pytest
 from oamcycle.model import Hologram, Netlist, OamBeamSplitter, ZPlate, r_path, s_path
 from oamcycle.portgraph import PortGraph
 from oamcycle.synthesis import (
+    VARIANTS,
     InvalidDimension,
     NotSimplifiable,
     count_beamsplitters,
     decompose,
+    device_for,
     invert,
     naive_count,
     predict_count,
@@ -20,6 +22,7 @@ from oamcycle.synthesis import (
     synth_arbitrary,
     synth_odd,
     synth_power_of_two,
+    synth_variant,
 )
 
 R = r_path
@@ -289,3 +292,26 @@ def test_simplify_rejects_non_standard_layouts():
 def test_simplify_folds_have_backward_wires():
     graph = simplify(synth_arbitrary(11))
     assert any(slot & 2 for slot, target in enumerate(graph.wiring) if target != ~0)
+
+
+# --- variants ----------------------------------------------------------------------
+
+
+def test_synth_variant_builds_each_variant():
+    base = synth_arbitrary(10)
+    assert synth_variant(10) == base
+    assert synth_variant(10, "simplified") == base  # the document stores the ladder
+    assert synth_variant(10, "inverse") == invert(base)
+    assert synth_variant(10, "shifted", shift=-3) == shifted_gate(base, -3)
+    assert synth_variant(10, "standard", shift=4) == shifted_gate(base, 4)
+    assert synth_variant(10, "inverse", shift=2) == shifted_gate(invert(base), 2)
+
+
+def test_device_for_folds_only_the_simplified_variant():
+    net = synth_arbitrary(11)
+    for variant in VARIANTS:
+        device = device_for(net, variant)
+        if variant == "simplified":
+            assert device == simplify(net)
+        else:
+            assert device is net
