@@ -51,6 +51,7 @@ from .simulation import (
     apply_netlist,
     apply_portgraph,
     simulate_word,
+    strict_permutation,
     transform,
 )
 from .synthesis import (

@@ -14,9 +14,11 @@ from .model import Netlist, extract_permutation
 from .portgraph import PortGraph
 from .simulation import (
     DEFAULT_CONFIG,
+    STRICT,
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
+    strict_permutation,
     transform,
 )
 from .synthesis import (
@@ -123,15 +125,21 @@ def discover_cycles(
 ) -> list[CycleSet]:
     """Find every closed length-d orbit inside the OAM window [lo, hi].
 
-    Each window value is simulated as a basis state; values that split,
+    Every window value is routed through the device; values that split,
     leak to another path, or leave the window break the orbit they were
-    part of.  Every edge of a returned cycle is simulated again, in one
-    pass per cycle, before the cycle is reported.
+    part of.  In strict mode the window is routed by residue class
+    (`strict_permutation`); in physical mode each value is simulated as a
+    basis state.  Every edge of a returned cycle is then simulated again
+    on the packet engine, in one pass per cycle, before the cycle is
+    reported, so in strict mode the two engines check each other.
     """
     d = device.dimension
-    gate = transform(device, config)
-    window = range(lo, hi + 1)
-    mapping = extract_permutation(gate, window, device.input_path, device.output_path)
+    if config.mode == STRICT:
+        mapping = strict_permutation(device, lo, hi)
+    else:
+        mapping = extract_permutation(
+            transform(device, config), range(lo, hi + 1), device.input_path, device.output_path
+        )
     cycles: list[CycleSet] = []
     members: set[int] = set()
     for start in sorted(mapping):
@@ -152,7 +160,9 @@ def discover_cycles(
         if not closed or start != min(orbit):
             continue
         edges = dict(zip(orbit, orbit[1:] + [start]))
-        recheck = extract_permutation(gate, orbit, device.input_path, device.output_path)
+        recheck = extract_permutation(
+            transform(device, config), orbit, device.input_path, device.output_path
+        )
         if recheck != edges:
             bad = next(u for u in orbit if recheck.get(u) != edges[u])
             raise AssertionError(f"cycle edge {bad} -> {edges[bad]} failed re-simulation")

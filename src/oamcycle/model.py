@@ -72,6 +72,13 @@ def _norm(amps: Iterable[complex]) -> float:
     return math.hypot(*[abs(a) for a in amps])
 
 
+def _pruned(entries: dict[StateKey, complex]) -> dict[StateKey, complex]:
+    """*entries* without those at or below ``PRUNE_THRESHOLD`` times their norm."""
+    # a lone entry is its own norm, so only an exact zero is dropped
+    cut = PRUNE_THRESHOLD * _norm(entries.values()) if len(entries) > 1 else 0.0
+    return {k: v for k, v in entries.items() if abs(v) > cut}
+
+
 class ModeVector:
     """Sparse complex state over ``(path, oam)`` pairs.
 
@@ -99,9 +106,18 @@ class ModeVector:
             if not (math.isfinite(a.real) and math.isfinite(a.imag)):
                 raise ValueError(f"non-finite amplitude for {path}|{ell}>")
             acc[key] = acc.get(key, 0j) + a
-        # a lone entry is its own norm, so only an exact zero is dropped
-        cut = PRUNE_THRESHOLD * _norm(acc.values()) if len(acc) > 1 else 0.0
-        self._entries = {k: v for k, v in acc.items() if abs(v) > cut}
+        self._entries = _pruned(acc)
+
+    @classmethod
+    def _trusted(cls, entries: dict[StateKey, complex]) -> "ModeVector":
+        """A state over *entries*, pruned as on construction but not checked.
+
+        Only for amplitudes already summed per key, keyed by
+        ``(PathLabel, int)`` and finite: the simulation engine's output.
+        """
+        state = cls.__new__(cls)
+        state._entries = _pruned(entries)
+        return state
 
     @classmethod
     def basis(cls, path: PathLabel, ell: int) -> "ModeVector":
@@ -238,6 +254,10 @@ class Hologram:
 
     path: PathLabel
     v: int
+
+    def __post_init__(self):
+        if not isinstance(self.v, int) or isinstance(self.v, bool):
+            raise ValueError(f"hologram charge must be an int, got {self.v!r}")
 
 
 @dataclass(frozen=True)

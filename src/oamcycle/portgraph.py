@@ -105,7 +105,7 @@ def contract_mirrors(graph: PortGraph, pairs: Mapping[int, int]) -> PortGraph:
         if target != UNWIRED:
             wiring[move(source)] = move(target)
     return PortGraph(
-        nodes=tuple(graph.nodes[i] for i in kept),
+        nodes=tuple([graph.nodes[i] for i in kept]),
         wiring=tuple(wiring),
         entries={path: move(slot) for path, slot in graph.entries.items()},
         terminals=graph.terminals,

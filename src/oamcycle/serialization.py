@@ -164,7 +164,7 @@ def parse(text: str) -> NetlistDocument:
     input_path = _parse_path(_require(obj, "input_path", str, "document"), "input_path")
     output_path = _parse_path(_require(obj, "output_path", str, "document"), "output_path")
     raw_elements = _require(obj, "elements", list, "document")
-    elements = tuple(_parse_element(el, i) for i, el in enumerate(raw_elements))
+    elements = tuple([_parse_element(el, i) for i, el in enumerate(raw_elements)])
     try:
         netlist = Netlist(elements, input_path, output_path, dimension)
     except ValueError as exc:

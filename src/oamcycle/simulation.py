@@ -1,16 +1,17 @@
-"""State propagation through netlists and port graphs, on one engine.
+"""State propagation through netlists and port graphs.
 
-A device is propagated as its port graph (a netlist is threaded into one
-first); `transform` does that once and returns the map for many states.
-One packet loop serves every entry point: each (slot, OAM, amplitude)
-packet hops along the graph's int wiring, visiting only the elements it
-reaches, until it lands on a terminal, where amplitudes sum coherently.
-Packets are independent (the optics is linear), which lets folded graphs
-route light backwards through an element.  Norm is checked once against
-the terminal sum, since packets taking paths of different lengths make
-the in-flight norm momentarily non-conserved under interference.  Both
-the pruning of dust and the norm tolerance are relative to the input
-norm, so a state behaves the same at every amplitude scale.
+A device is propagated as its port graph: a netlist is threaded into one
+the first time it is simulated, and the graph is kept on the netlist.
+`transform` returns the device's map for many states.  One packet loop
+serves every state: each (slot, OAM, amplitude) packet hops along the
+graph's int wiring, visiting only the elements it reaches, until it
+lands on a terminal, where amplitudes sum coherently.  Packets are
+independent (the optics is linear), which lets folded graphs route
+light backwards through an element.  Norm is checked once against the
+terminal sum, since packets taking paths of different lengths make the
+in-flight norm momentarily non-conserved under interference.  Both the
+pruning of dust and the norm tolerance are relative to the input norm,
+so a state behaves the same at every amplitude scale.
 
 In strict mode every element moves basis states to basis states with no
 phase, so simulation is exact.  In physical mode splitters apply the
@@ -18,14 +19,24 @@ full two-port amplitudes: basis states still land on the strict port when
 the OAM value is a multiple of the order, but with an extra
 value-dependent phase, so superpositions generally agree with strict
 mode only componentwise, not in their relative phases.
+
+`strict_permutation` is a second loop over the same int tables, for
+reading a strict permutation off a window of OAM values.  A splitter
+routes on ell mod 2m and a hologram adds a constant, so the window
+values of one residue class take one route together; the loop follows
+classes, not values, and its work grows with the number of distinct
+routes rather than with the window.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+from . import portgraph
 from .elements import NonMultipleMode, splitter_amplitudes, z_phase
 from .model import (
     PRUNE_THRESHOLD,
@@ -35,8 +46,9 @@ from .model import (
     OamBeamSplitter,
     PathLabel,
     ZPlate,
+    _norm,
 )
-from .portgraph import BACKWARD, PortGraph, netlist_to_portgraph
+from .portgraph import BACKWARD, PortGraph
 from .synthesis import synth_arbitrary
 
 STRICT = "strict"
@@ -69,6 +81,19 @@ class SimulationConfig:
 
 
 DEFAULT_CONFIG = SimulationConfig()
+
+
+def _graph(device: Netlist | PortGraph) -> PortGraph:
+    """*device* as a port graph.  A netlist is threaded once and its graph
+    kept on the instance: looked up by identity, since hashing a netlist
+    walks all its elements."""
+    if not isinstance(device, Netlist):
+        return device
+    graph = device.__dict__.get("_portgraph")
+    if graph is None:
+        graph = portgraph.netlist_to_portgraph(device)
+        object.__setattr__(device, "_portgraph", graph)
+    return graph
 
 
 def _propagate(graph: PortGraph, state: ModeVector, config: SimulationConfig) -> ModeVector:
@@ -127,13 +152,92 @@ def _propagate(graph: PortGraph, state: ModeVector, config: SimulationConfig) ->
         if path is None:
             raise ValueError("a packet left the device through an unwired port")
         out[(path, ell)] = out.get((path, ell), 0j) + amp
-    result = ModeVector(out)
-    norm_out = result.norm()
+    norm_out = _norm(out.values())
+    if not math.isfinite(norm_out):
+        path, ell = next(key for key, amp in out.items() if not cmath.isfinite(amp))
+        raise ValueError(f"non-finite amplitude for {path}|{ell}>")
+    result = ModeVector._trusted(out)
+    if len(result) < len(out):
+        norm_out = result.norm()
     if abs(norm_out - norm_in) > NORM_TOLERANCE * norm_in:
         raise NormDrift(f"terminal norm {norm_out!r} differs from input norm {norm_in!r}")
     if result and norm_in > 0.0 and norm_out != norm_in:
-        result = result.scaled(norm_in / norm_out)
+        factor = norm_in / norm_out
+        result = ModeVector._trusted({key: amp * factor for key, amp in result.items()})
     return result
+
+
+def strict_permutation(device: Netlist | PortGraph, lo: int, hi: int) -> dict[int, int]:
+    """The strict map of the OAM window [lo, hi] from the device's input
+    path to its output path, routed one residue class at a time.
+
+    Returns what ``extract_permutation(transform(device), range(lo, hi + 1),
+    device.input_path, device.output_path)`` returns, and raises what it
+    raises: HopBudgetExceeded, or ValueError for an unwired port, or
+    TypeError for an unknown element, whichever the smallest failing
+    window value meets.  Values that are not a multiple of a splitter's
+    order where they reach it, and values leaving on another path, are
+    omitted.
+    """
+    graph = _graph(device)
+    span = hi - lo
+    entry = graph.entries.get(graph.input_path)
+    if span < 0 or entry is None:
+        same = graph.input_path == graph.output_path
+        return {ell: ell for ell in range(lo, hi + 1)} if same else {}
+    nodes, wiring = graph.nodes, graph.wiring
+    budget = HOPS_PER_NODE * max(1, len(nodes))
+    images: list[int | None] = [None] * (span + 1)
+    failure: tuple[int, Exception] | None = None
+    # (in-slot, hops, offset, r, q): the window values ell0 = r (mod q), which
+    # reach in-slot after `hops` traversals carrying ell0 + offset
+    classes = [(entry, 0, 0, 0, 1)]
+    while classes:
+        slot, hops, offset, r, q = classes.pop()
+        error = None
+        while slot >= 0:
+            if hops >= budget:
+                error = HopBudgetExceeded(f"packets still in flight after {budget} node traversals")
+                break
+            element = nodes[slot >> 2]
+            kind = type(element)
+            if kind is OamBeamSplitter:
+                m = element.m
+                g = math.gcd(q, m)
+                if (r + offset) % g:
+                    break  # no member is a multiple of m here
+                if g < m:  # keep the members that are: one class mod lcm(q, m)
+                    step = m // g
+                    r += q * (-(r + offset) // g * pow(q // g, -1, step) % step)
+                    q *= step
+                    if (r - lo) % q > span:
+                        break
+                if q % (2 * m):  # ell / m alternates in parity: split the class
+                    q *= 2
+                    if (r + q // 2 - lo) % q <= span:
+                        classes.append((slot, hops, offset, r + q // 2, q))
+                    if (r - lo) % q > span:
+                        break
+                slot ^= (r + offset) // m & 1
+            elif kind is Hologram:
+                offset += -element.v if slot & BACKWARD else element.v
+            elif kind is not ZPlate:
+                error = TypeError(f"unknown element {element!r}")
+                break
+            hops += 1
+            slot = wiring[slot]
+        else:
+            path = graph.terminals[~slot]
+            if path is None:
+                error = ValueError("a packet left the device through an unwired port")
+            elif path == graph.output_path:
+                first = (r - lo) % q
+                images[first::q] = range(lo + first + offset, hi + 1 + offset, q)
+        if error is not None and (failure is None or (r - lo) % q < failure[0]):
+            failure = ((r - lo) % q, error)
+    if failure is not None:
+        raise failure[1]
+    return {ell: image for ell, image in zip(range(lo, hi + 1), images) if image is not None}
 
 
 def transform(
@@ -141,11 +245,10 @@ def transform(
 ) -> Callable[[ModeVector], ModeVector]:
     """The map *device* applies to states under *config*.
 
-    A netlist is threaded into its port graph once, here, so the returned
-    function is the way to push many states through one device.
+    The returned function is the way to push many states through one
+    device.
     """
-    graph = netlist_to_portgraph(device) if isinstance(device, Netlist) else device
-    return partial(_propagate, graph, config=config)
+    return partial(_propagate, _graph(device), config=config)
 
 
 def apply_netlist(
@@ -153,7 +256,7 @@ def apply_netlist(
 ) -> ModeVector:
     """Propagate *state* through the element sequence, threaded into its
     port graph, with the contract of `apply_portgraph`."""
-    return _propagate(netlist_to_portgraph(netlist), state, config)
+    return _propagate(_graph(netlist), state, config)
 
 
 def apply_portgraph(

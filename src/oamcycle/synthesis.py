@@ -68,7 +68,7 @@ def decompose(d: int) -> SynthesisParams:
     two_exp = (d & -d).bit_length() - 1
     odd = d >> two_exp
     nbits = odd.bit_length()
-    bits = tuple((odd >> t) & 1 for t in range(nbits))
+    bits = tuple([(odd >> t) & 1 for t in range(nbits)])
     prev = [0, 0]  # prev_one[1] = 0 by definition
     for t in range(1, nbits - 1):
         prev.append(t if bits[t] else prev[t])
@@ -133,7 +133,7 @@ def _emit_tagged(d: int) -> list[tuple[Element, Role]]:
 
 def synth_arbitrary(d: int) -> Netlist:
     """Netlist cycling OAM values 0..d-1 by +1 (mod d) on path r0."""
-    elements = tuple(element for element, _ in _emit_tagged(d))
+    elements = tuple([element for element, _ in _emit_tagged(d)])
     return Netlist(elements, r_path(0), r_path(0), d)
 
 
@@ -234,7 +234,7 @@ def simplify(netlist: Netlist) -> PortGraph:
         tagged = _emit_tagged(netlist.dimension)
     except InvalidDimension as exc:
         raise NotSimplifiable(str(exc)) from exc
-    if tuple(element for element, _ in tagged) != netlist.elements:
+    if tuple([element for element, _ in tagged]) != netlist.elements:
         raise NotSimplifiable(
             f"netlist is not the standard d={netlist.dimension} layout"
         )

@@ -1,7 +1,6 @@
 """Verification reports, orbit discovery, scaling tables."""
 
 import math
-from itertools import count
 
 import pytest
 
@@ -99,24 +98,26 @@ def test_d11_wide_window_has_five_cycles():
 
 
 def test_cycle_recheck_catches_a_changed_gate(monkeypatch):
-    # every edge of a reported cycle is simulated again, so a gate whose
-    # answers change after the window pass is caught
+    # the strict window pass routes residue classes and never calls
+    # transform; every edge of a reported cycle is then simulated again on
+    # the packet engine, so a packet engine that disagrees is caught
     real = analysis.transform
 
-    def drifting(device, config):
-        gate, probes = real(device, config), count(1)
+    def shifted(device, config):
+        gate = real(device, config)
+        return lambda state: ModeVector(
+            {(path, ell + 1): amp for (path, ell), amp in gate(state).items()}
+        )
 
-        def probe(state):
-            out = gate(state)
-            if next(probes) <= 11:  # the window pass
-                return out
-            return ModeVector({(path, ell + 1): amp for (path, ell), amp in out.items()})
-
-        return probe
-
-    monkeypatch.setattr(analysis, "transform", drifting)
+    monkeypatch.setattr(analysis, "transform", shifted)
     with pytest.raises(AssertionError, match="failed re-simulation"):
         discover_cycles(synth_arbitrary(11), 0, 10)
+
+
+def test_physical_window_pass_finds_the_strict_cycles():
+    net = synth_arbitrary(11)
+    physical = discover_cycles(net, -44, 44, SimulationConfig(mode="physical"))
+    assert physical == discover_cycles(net, -44, 44)
 
 
 def test_cycles_on_folded_graph_match_netlist():

@@ -219,6 +219,10 @@ def test_element_validation():
     with pytest.raises(ValueError):
         ZPlate(R0, 1)
     assert Hologram(R0, -3).v == -3
+    # the engines add charges to int OAM values and trust the result
+    for charge in (1.0, 2.5, "1", True, None):
+        with pytest.raises(ValueError, match="hologram charge"):
+            Hologram(R0, charge)
 
 
 def test_netlist_identity():

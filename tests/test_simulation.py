@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference_netlist import reference_apply_netlist
 
-from oamcycle import simulation
+from oamcycle import portgraph, simulation
 from oamcycle.elements import NonMultipleMode
 from oamcycle.model import (
     Hologram,
@@ -178,6 +178,38 @@ def test_norm_drift_guard_trips():
     for config in (SimulationConfig(), PHYSICAL):
         with pytest.raises(NormDrift):
             apply_portgraph(merge, state, config)
+
+
+def test_overflowing_output_is_rejected():
+    # the same merge, at an amplitude whose sum at the terminal overflows
+    merge = PortGraph(
+        nodes=(OamBeamSplitter(1, R0, R1),),
+        wiring=(~1, ~1, ~0, ~0),
+        entries={R0: 0, R1: 1},
+        terminals=(None, R0),
+        input_path=R0,
+        output_path=R0,
+        dimension=2,
+    )
+    state = ModeVector({(R0, 0): 1.2e308, (R1, 0): 1.2e308})
+    for config in (SimulationConfig(), PHYSICAL):
+        with pytest.raises(ValueError, match=r"non-finite amplitude for r0\|0>"):
+            apply_portgraph(merge, state, config)
+
+
+def test_netlist_is_threaded_once(monkeypatch):
+    calls = []
+    thread = portgraph.netlist_to_portgraph
+    monkeypatch.setattr(portgraph, "netlist_to_portgraph", lambda n: calls.append(n) or thread(n))
+    net = synth_arbitrary(11)
+    state = ModeVector.basis(R0, 3)
+    for _ in range(2):
+        assert apply_netlist(net, state).get((R0, 4)) == 1.0
+    simulation.transform(net)(state)
+    assert calls == [net]
+    # an equal but distinct netlist is threaded for itself
+    apply_netlist(synth_arbitrary(11), state)
+    assert len(calls) == 2
 
 
 # --- port graphs ---------------------------------------------------------------------

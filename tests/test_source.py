@@ -1,0 +1,24 @@
+"""Idioms the package source avoids."""
+
+import ast
+from pathlib import Path
+
+import oamcycle
+
+SOURCE = Path(oamcycle.__file__).parent
+
+
+def test_no_tuple_of_a_generator():
+    # tuple(<generator>) keeps about 86 bytes per call alive until the next
+    # full collection, so hot paths raise RSS; tuple([...]) does not
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "tuple"
+                and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
