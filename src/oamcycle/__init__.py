@@ -51,8 +51,8 @@ from .simulation import (
     apply_netlist,
     apply_portgraph,
     simulate_word,
-    strict_permutation,
     transform,
+    window_permutation,
 )
 from .synthesis import (
     InvalidDimension,

@@ -7,19 +7,18 @@ against the closed-form predictions.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 from .model import Netlist, extract_permutation
 from .portgraph import PortGraph
 from .simulation import (
     DEFAULT_CONFIG,
-    STRICT,
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
-    strict_permutation,
     transform,
+    window_permutation,
 )
 from .synthesis import (
     count_beamsplitters,
@@ -69,10 +68,13 @@ def verify_gate(
 ) -> VerificationReport:
     """Synthesize the requested gate flavor and verify it end to end.
 
-    Checks the full permutation on the d-value window against modular
-    arithmetic, the splitter tally against the count formula, and (for
-    d >= 3) the logarithmic bound.  Every discrepancy lands in
+    Reads the permutation of the d-value window with `window_permutation`
+    and checks it against modular arithmetic, after probing every window
+    value again on the packet engine, so the two engines check each
+    other.  Also checks the splitter tally against the count formula and
+    (for d >= 3) the logarithmic bound.  Every discrepancy lands in
     ``violations``; simulation errors are recorded rather than raised.
+    An AssertionError means the engines disagree.
     """
     device = device_for(synth_variant(d, variant, shift), variant)
     step = -1 if variant == "inverse" else 1
@@ -86,9 +88,9 @@ def verify_gate(
     expected = {k: ((k - shift + step) % d) + shift for k in domain}
     mapping: dict[int, int] = {}
     try:
-        mapping = extract_permutation(
-            transform(device, config), domain, device.input_path, device.output_path
-        )
+        read = window_permutation(device, shift, shift + d - 1, config)
+        _resimulate(device, domain, read, config)
+        mapping = read
     except (NormDrift, HopBudgetExceeded) as exc:
         violations.append(f"simulation failed: {exc}")
     for k in domain:
@@ -101,7 +103,7 @@ def verify_gate(
         violations.append(
             f"splitter count {count_actual} != predicted {count_predicted}"
         )
-    if bound is not None and count_actual > bound and variant != "simplified":
+    if bound is not None and count_actual > bound:
         violations.append(f"splitter count {count_actual} exceeds bound {bound}")
 
     return VerificationReport(
@@ -125,21 +127,14 @@ def discover_cycles(
 ) -> list[CycleSet]:
     """Find every closed length-d orbit inside the OAM window [lo, hi].
 
-    Every window value is routed through the device; values that split,
+    The window is read with `window_permutation`; values that split,
     leak to another path, or leave the window break the orbit they were
-    part of.  In strict mode the window is routed by residue class
-    (`strict_permutation`); in physical mode each value is simulated as a
-    basis state.  Every edge of a returned cycle is then simulated again
-    on the packet engine, in one pass per cycle, before the cycle is
-    reported, so in strict mode the two engines check each other.
+    part of.  Every edge of a returned cycle is then simulated again on
+    the packet engine, in one pass per cycle, before the cycle is
+    reported, so the two engines check each other.
     """
     d = device.dimension
-    if config.mode == STRICT:
-        mapping = strict_permutation(device, lo, hi)
-    else:
-        mapping = extract_permutation(
-            transform(device, config), range(lo, hi + 1), device.input_path, device.output_path
-        )
+    mapping = window_permutation(device, lo, hi, config)
     cycles: list[CycleSet] = []
     members: set[int] = set()
     for start in sorted(mapping):
@@ -159,16 +154,28 @@ def discover_cycles(
             visited.add(current)
         if not closed or start != min(orbit):
             continue
-        edges = dict(zip(orbit, orbit[1:] + [start]))
-        recheck = extract_permutation(
-            transform(device, config), orbit, device.input_path, device.output_path
-        )
-        if recheck != edges:
-            bad = next(u for u in orbit if recheck.get(u) != edges[u])
-            raise AssertionError(f"cycle edge {bad} -> {edges[bad]} failed re-simulation")
+        _resimulate(device, orbit, {ell: mapping[ell] for ell in orbit}, config)
         members.update(orbit)
         cycles.append(CycleSet(tuple(orbit)))
     return cycles
+
+
+def _resimulate(
+    device: Netlist | PortGraph,
+    domain: Sequence[int],
+    mapping: dict[int, int],
+    config: SimulationConfig,
+) -> None:
+    """Probe *domain* on the packet engine; raise AssertionError at the
+    first value whose image differs from *mapping*, a map on *domain*."""
+    probed = extract_permutation(
+        transform(device, config), domain, device.input_path, device.output_path
+    )
+    if probed != mapping:
+        bad = next(ell for ell in domain if probed.get(ell) != mapping.get(ell))
+        raise AssertionError(
+            f"|{bad}> -> {mapping.get(bad)} failed re-simulation (got {probed.get(bad)})"
+        )
 
 
 @dataclass(frozen=True)

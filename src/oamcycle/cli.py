@@ -25,11 +25,19 @@ from .serialization import (
     serialize,
 )
 from .simulation import HopBudgetExceeded, NormDrift, SimulationConfig, transform
-from .synthesis import VARIANTS, InvalidDimension, NotSimplifiable, device_for, synth_variant
+from .synthesis import (
+    VARIANTS,
+    InvalidDimension,
+    NotSimplifiable,
+    device_for,
+    synth_variant,
+    variant_name,
+)
 
 _WINDOW_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
-#: most OAM values `cycles` or `verify` will probe; each one is a full simulation
+#: most OAM values `cycles` or `verify` will probe, each one a full
+#: simulation, and most dimensions `scaling` will synthesize
 MAX_WINDOW = 2**20
 
 
@@ -46,8 +54,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _cmd_synth(args) -> int:
     netlist = synth_variant(args.d, args.variant, args.shift)
-    tag = "shifted" if args.variant == "standard" and args.shift else args.variant
-    _write_or_print(serialize(netlist, tag), args.out)
+    _write_or_print(serialize(netlist, variant_name(args.variant, args.shift)), args.out)
     return 0
 
 
@@ -65,8 +72,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     if args.d > MAX_WINDOW:
         raise ValueError(f"dimension {args.d} is more than {MAX_WINDOW}")
-    variant = "shifted" if args.variant == "standard" and args.shift else args.variant
-    report = verify_gate(args.d, variant=variant, shift=args.shift)
+    report = verify_gate(args.d, variant=variant_name(args.variant, args.shift), shift=args.shift)
     window = f" shift={report.shift}" if report.shift else ""
     print(f"d={report.d} variant={report.variant}{window}")
     print(f"permutation: {len(report.mapping)}/{report.d} values correct"
@@ -84,6 +90,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
+    if args.max - args.min + 1 > MAX_WINDOW:
+        raise ValueError(
+            f"range [{args.min}, {args.max}] holds {args.max - args.min + 1} dimensions, "
+            f"more than {MAX_WINDOW}"
+        )
     rows = scaling_table(args.min, args.max)
     text = scaling_csv(rows)
     if args.csv:
@@ -154,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scaling", help="splitter counts over a dimension range")
     p.add_argument("--min", type=int, default=3)
-    p.add_argument("--max", type=int, default=500)
+    p.add_argument("--max", type=int, default=500,
+                   help=f"last dimension; at most {MAX_WINDOW} dimensions from --min")
     p.add_argument("--csv", metavar="FILE")
     p.set_defaults(func=_cmd_scaling)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
@@ -178,21 +179,24 @@ def equal_up_to_global_phase(a: ModeVector, b: ModeVector, tol: float = 1e-10) -
     """True when ``a = exp(i*gamma) * b`` for some global phase gamma.
 
     The phase is read off the largest-magnitude entry the two states share,
-    then the residual ``||a - exp(i*gamma)*b||`` is compared against *tol*.
+    then the residual ``||a - exp(i*gamma)*b||`` is compared against *tol*
+    times the larger of the two norms, so the answer is the same at every
+    amplitude scale.  Below the smallest normal float, where amplitudes
+    keep only absolute precision, the scale is taken as that float.
     """
     if not a and not b:
         return True
+    norm = max(a.norm(), b.norm())
+    limit = tol * max(norm, sys.float_info.min)
     shared = a.keys() & b.keys()
     if not shared:
-        return a.norm() <= tol and b.norm() <= tol
+        return norm <= limit
     key = max(shared, key=lambda k: abs(a.get(k)) + abs(b.get(k)))
-    ratio = a.get(key) / b.get(key)
-    mag = abs(ratio)
-    if mag == 0.0:
-        return False
-    phase = ratio / mag
+    ka, kb = a.get(key), b.get(key)
+    # the phase of ka / kb, without forming the ratio, which can overflow
+    phase = ka / abs(ka) * (kb / abs(kb)).conjugate()
     diff = a - b.scaled(phase)
-    return diff.norm() <= tol
+    return diff.norm() <= limit
 
 
 def extract_permutation(

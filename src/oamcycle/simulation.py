@@ -13,19 +13,23 @@ in-flight norm momentarily non-conserved under interference.  Both the
 pruning of dust and the norm tolerance are relative to the input norm,
 so a state behaves the same at every amplitude scale.
 
-In strict mode every element moves basis states to basis states with no
-phase, so simulation is exact.  In physical mode splitters apply the
-full two-port amplitudes: basis states still land on the strict port when
-the OAM value is a multiple of the order, but with an extra
-value-dependent phase, so superpositions generally agree with strict
-mode only componentwise, not in their relative phases.
+In strict mode splitters and holograms move basis states to basis
+states with no phase; a phase plate applies its phase in both modes.
+In physical mode splitters apply the full two-port amplitudes: basis
+states still land on the strict port when the OAM value is a multiple
+of the order, but with an extra value-dependent phase, so superpositions
+generally agree with strict mode only componentwise, not in their
+relative phases.
 
-`strict_permutation` is a second loop over the same int tables, for
-reading a strict permutation off a window of OAM values.  A splitter
-routes on ell mod 2m and a hologram adds a constant, so the window
-values of one residue class take one route together; the loop follows
-classes, not values, and its work grows with the number of distinct
-routes rather than with the window.
+`window_permutation` is a second loop over the same int tables, for
+reading a permutation off a window of OAM values in either mode.  A
+splitter routes on ell mod 2m and a hologram adds a constant, so the
+window values of one residue class take one route together; the loop
+follows classes, not values, and its work grows with the number of
+distinct routes rather than with the window.  A class meets only
+multiples of each splitter's order, where both modes route it the same
+way; in physical mode the values the classes leave unmapped, which may
+have split and recombined, are handed to the packet loop one by one.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .model import (
     PathLabel,
     ZPlate,
     _norm,
+    extract_permutation,
 )
 from .portgraph import BACKWARD, PortGraph
 from .synthesis import synth_arbitrary
@@ -167,17 +172,25 @@ def _propagate(graph: PortGraph, state: ModeVector, config: SimulationConfig) ->
     return result
 
 
-def strict_permutation(device: Netlist | PortGraph, lo: int, hi: int) -> dict[int, int]:
-    """The strict map of the OAM window [lo, hi] from the device's input
-    path to its output path, routed one residue class at a time.
+def window_permutation(
+    device: Netlist | PortGraph, lo: int, hi: int, config: SimulationConfig = DEFAULT_CONFIG
+) -> dict[int, int]:
+    """The map of the OAM window [lo, hi] from the device's input path to
+    its output path under *config*, routed one residue class at a time.
 
-    Returns what ``extract_permutation(transform(device), range(lo, hi + 1),
-    device.input_path, device.output_path)`` returns, and raises what it
-    raises: HopBudgetExceeded, or ValueError for an unwired port, or
-    TypeError for an unknown element, whichever the smallest failing
-    window value meets.  Values that are not a multiple of a splitter's
-    order where they reach it, and values leaving on another path, are
-    omitted.
+    Returns what ``extract_permutation(transform(device, config),
+    range(lo, hi + 1), device.input_path, device.output_path)`` returns,
+    and raises what it raises: HopBudgetExceeded, or ValueError for an
+    unwired port, or TypeError for an unknown element, or (from a physical
+    probe) NormDrift, whichever the smallest failing window value meets.
+
+    A value the classes map meets only multiples of each splitter's
+    order, where the physical amplitudes are exactly a power of i on one
+    port, and plates have unit modulus, so both modes route it as one
+    unit component.  In physical mode light split at a non-multiple may
+    recombine, so the window values below the first failing value that
+    the classes leave unmapped are probed on the packet loop, in
+    ascending order.
     """
     graph = _graph(device)
     span = hi - lo
@@ -235,6 +248,15 @@ def strict_permutation(device: Netlist | PortGraph, lo: int, hi: int) -> dict[in
                 images[first::q] = range(lo + first + offset, hi + 1 + offset, q)
         if error is not None and (failure is None or (r - lo) % q < failure[0]):
             failure = ((r - lo) % q, error)
+    if config.mode == PHYSICAL:
+        stop = span + 1 if failure is None else failure[0]
+        split = [lo + i for i in range(stop) if images[i] is None]
+        if split:
+            probed = extract_permutation(
+                transform(graph, config), split, graph.input_path, graph.output_path
+            )
+            for ell, image in probed.items():
+                images[ell - lo] = image
     if failure is not None:
         raise failure[1]
     return {ell: image for ell, image in zip(range(lo, hi + 1), images) if image is not None}

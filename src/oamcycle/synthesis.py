@@ -264,6 +264,12 @@ def synth_variant(d: int, variant: str = "standard", shift: int = 0) -> Netlist:
     return shifted_gate(netlist, shift)
 
 
+def variant_name(variant: str, shift: int) -> str:
+    """The name a gate of *variant* on the window starting at *shift* goes
+    by: a standard gate on a shifted window is ``"shifted"``."""
+    return "shifted" if variant == "standard" and shift else variant
+
+
 def device_for(netlist: Netlist, variant: str) -> Netlist | PortGraph:
     """The device a document of *variant* storing *netlist* describes."""
     return simplify(netlist) if variant == "simplified" else netlist

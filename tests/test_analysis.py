@@ -14,7 +14,13 @@ from oamcycle.analysis import (
 )
 from oamcycle.model import ModeVector
 from oamcycle.simulation import SimulationConfig
-from oamcycle.synthesis import shifted_gate, simplify, synth_arbitrary
+from oamcycle.synthesis import (
+    predict_count,
+    predict_simplified_count,
+    shifted_gate,
+    simplify,
+    synth_arbitrary,
+)
 
 
 # --- verify_gate -------------------------------------------------------------
@@ -62,6 +68,15 @@ def test_verify_d2_bound_is_degenerate():
     assert report.passed and report.bound is None
 
 
+def test_every_variant_meets_the_log_bound():
+    # inverse and shifted gates have the standard count; the simplified one
+    # has M + 2(N-1) + 2 <= 2M + 4(N-1) for N >= 2, so verify_gate checks
+    # the bound for every variant
+    for d in range(3, 4097):
+        count, bound = predict_count(d)
+        assert predict_simplified_count(d) <= count <= bound, d
+
+
 def test_verify_rejects_bad_arguments():
     with pytest.raises(ValueError):
         verify_gate(5, "reversed")
@@ -69,14 +84,42 @@ def test_verify_rejects_bad_arguments():
         verify_gate(5, "simplified", shift=2)
 
 
+def shift_the_packet_engine(monkeypatch):
+    """Make every re-simulation in `analysis` add 1 to each output OAM value.
+
+    The window pass routes residue classes and never calls
+    `analysis.transform`, so only the re-check sees the change.
+    """
+    real = analysis.transform
+
+    def shifted(device, config):
+        gate = real(device, config)
+        return lambda state: ModeVector(
+            {(path, ell + 1): amp for (path, ell), amp in gate(state).items()}
+        )
+
+    monkeypatch.setattr(analysis, "transform", shifted)
+
+
+@pytest.mark.parametrize("mode", ["strict", "physical"])
+def test_verify_recheck_catches_a_changed_gate(monkeypatch, mode):
+    # every window value is probed again on the packet engine; a packet
+    # engine that disagrees with the window read is an error, not a report
+    shift_the_packet_engine(monkeypatch)
+    with pytest.raises(AssertionError, match="failed re-simulation"):
+        verify_gate(11, config=SimulationConfig(mode=mode))
+
+
 def test_verify_reports_failures_instead_of_raising(monkeypatch):
     # an impossible norm tolerance makes every simulation fail; the report
     # must say so rather than blow up
     monkeypatch.setattr(simulation, "NORM_TOLERANCE", -1.0)
-    report = verify_gate(4)
-    assert not report.passed
-    assert not report.permutation_ok
-    assert report.violations
+    for mode in ("strict", "physical"):
+        report = verify_gate(4, config=SimulationConfig(mode=mode))
+        assert not report.passed
+        assert not report.permutation_ok
+        assert report.mapping == {}
+        assert report.violations[0].startswith("simulation failed: terminal norm")
 
 
 # --- discover_cycles ----------------------------------------------------------
@@ -98,18 +141,9 @@ def test_d11_wide_window_has_five_cycles():
 
 
 def test_cycle_recheck_catches_a_changed_gate(monkeypatch):
-    # the strict window pass routes residue classes and never calls
-    # transform; every edge of a reported cycle is then simulated again on
-    # the packet engine, so a packet engine that disagrees is caught
-    real = analysis.transform
-
-    def shifted(device, config):
-        gate = real(device, config)
-        return lambda state: ModeVector(
-            {(path, ell + 1): amp for (path, ell), amp in gate(state).items()}
-        )
-
-    monkeypatch.setattr(analysis, "transform", shifted)
+    # every edge of a reported cycle is simulated again on the packet
+    # engine, so a packet engine that disagrees is caught
+    shift_the_packet_engine(monkeypatch)
     with pytest.raises(AssertionError, match="failed re-simulation"):
         discover_cycles(synth_arbitrary(11), 0, 10)
 

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from oamcycle import Netlist, OamBeamSplitter, parse, r_path, serialize
+from oamcycle import Netlist, OamBeamSplitter, cli, parse, r_path, serialize
 from oamcycle.cli import main
 
 
@@ -206,6 +206,18 @@ def test_scaling_csv_file(tmp_path, capsys):
 
 def test_scaling_rejects_bad_range(capsys):
     assert main(["scaling", "--min", "10", "--max", "5"]) == 2
+
+
+def test_scaling_rejects_oversized_range(capsys, monkeypatch):
+    # refused before synthesis: every dimension in the range is synthesized
+    assert main(["scaling", "--min", "3", "--max", "1000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "more than 1048576" in captured.err
+    assert captured.out == ""
+    # a range of exactly 2**20 dimensions is accepted
+    monkeypatch.setattr(cli, "scaling_table", lambda lo, hi: [])
+    assert main(["scaling", "--min", "3", "--max", str(2 + 2**20)]) == 0
+    assert main(["scaling", "--min", "3", "--max", str(3 + 2**20)]) == 2
 
 
 # -- cycles -------------------------------------------------------------

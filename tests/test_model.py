@@ -138,6 +138,27 @@ def test_equal_up_to_global_phase_tolerance_boundary():
     assert not equal_up_to_global_phase(a, b, 1e-7)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-20, 1.0, 1e6, 1e20, 1e200])
+def test_equal_up_to_global_phase_is_scale_free(scale):
+    a = ModeVector({(R0, 0): 0.6 * scale, (R0, 1): 0.8 * scale})
+    assert equal_up_to_global_phase(a, a.scaled(cmath.exp(0.3j)))
+    nudged = ModeVector({(R0, 0): 0.6 * scale * (1 + 1e-15), (R0, 1): 0.8 * scale})
+    assert equal_up_to_global_phase(a, nudged)
+    flipped = ModeVector({(R0, 0): 0.6 * scale, (R0, 1): -0.8 * scale})
+    assert not equal_up_to_global_phase(a, flipped)
+    # disjoint supports are never equal, however small the amplitudes
+    zero, one = ModeVector.basis(R0, 0).scaled(scale), ModeVector.basis(R0, 1).scaled(scale)
+    assert not equal_up_to_global_phase(zero, one)
+
+
+def test_equal_up_to_global_phase_when_the_amplitude_ratio_overflows():
+    # 1 / 1e-313 is not a float; the states still compare, both ways round
+    big = ModeVector.basis(R0, 0)
+    tiny = big.scaled(1e-313)
+    assert not equal_up_to_global_phase(big, tiny)
+    assert not equal_up_to_global_phase(tiny, big)
+
+
 _paths = st.builds(PathLabel, st.sampled_from("rs"), st.integers(0, 3))
 _amps = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 _states = st.dictionaries(

@@ -1,5 +1,6 @@
-"""The residue-class engine against the packet engine: `strict_permutation`
-must return, and raise, what probing the same window value by value does."""
+"""The residue-class engine against the packet engine: `window_permutation`
+must return, and raise, what probing the same window value by value does,
+in both modes."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +16,21 @@ from oamcycle.model import (
     s_path,
 )
 from oamcycle.portgraph import PortGraph
-from oamcycle.simulation import HopBudgetExceeded, strict_permutation, transform
+from oamcycle.simulation import (
+    PHYSICAL,
+    STRICT,
+    HopBudgetExceeded,
+    NormDrift,
+    SimulationConfig,
+    transform,
+    window_permutation,
+)
 from oamcycle.synthesis import VARIANTS, device_for, synth_arbitrary, synth_variant
 
 R0, R1 = r_path(0), r_path(1)
 PATHS = (r_path(0), r_path(1), r_path(2), s_path(0), s_path(1))
-ERRORS = (HopBudgetExceeded, ValueError, TypeError)
+ERRORS = (HopBudgetExceeded, NormDrift, ValueError, TypeError)
+MODES = (STRICT, PHYSICAL)
 
 
 def outcome(read):
@@ -31,13 +41,15 @@ def outcome(read):
 
 
 def assert_engines_agree(device, lo, hi):
-    by_class = outcome(lambda: strict_permutation(device, lo, hi))
-    by_value = outcome(
-        lambda: extract_permutation(
-            transform(device), range(lo, hi + 1), device.input_path, device.output_path
+    for mode in MODES:
+        config = SimulationConfig(mode)
+        by_class = outcome(lambda: window_permutation(device, lo, hi, config))
+        by_value = outcome(
+            lambda: extract_permutation(
+                transform(device, config), range(lo, hi + 1), device.input_path, device.output_path
+            )
         )
-    )
-    assert by_class == by_value
+        assert by_class == by_value, mode
 
 
 def graph(nodes, wiring, entries, terminals=(None, R0), output=R0):
@@ -105,7 +117,7 @@ def windows():
     return st.tuples(centre, st.integers(-1, 80)).map(lambda t: (t[0], t[0] + t[1]))
 
 
-# --- differential -----------------------------------------------------------------
+# --- differential, in both modes --------------------------------------------------
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,8 +134,21 @@ def test_gate_windows_match(variant, d):
     assert_engines_agree(device, -4 * d, 4 * d)
 
 
+def test_physical_interferometer_recombines_split_values():
+    # odd values split at the first order-2 splitter and recombine at the
+    # second: physically every odd value leaves on r1 whole, while strictly
+    # the multiples of 2 end on r0 and the odd values are dropped
+    interferometer = Netlist(
+        (OamBeamSplitter(2, R0, R1), OamBeamSplitter(2, R0, R1)), R0, R1, 2
+    )
+    physical = window_permutation(interferometer, -3, 3, SimulationConfig(PHYSICAL))
+    assert physical == {-3: -3, -1: -1, 1: 1, 3: 3}
+    assert window_permutation(interferometer, -3, 3) == {}
+    assert_engines_agree(interferometer, -3, 3)
+
+
 def test_native_window_is_the_cyclic_shift():
-    assert strict_permutation(synth_arbitrary(500), 0, 499) == {
+    assert window_permutation(synth_arbitrary(500), 0, 499) == {
         k: (k + 1) % 500 for k in range(500)
     }
 
@@ -134,7 +159,7 @@ def test_native_window_is_the_cyclic_shift():
 def test_self_loop_exceeds_hop_budget():
     loop = graph([Hologram(R0, 1)], [0, ~0, ~0, ~0], {R0: 0})
     with pytest.raises(HopBudgetExceeded):
-        strict_permutation(loop, -3, 3)
+        window_permutation(loop, -3, 3)
     assert_engines_agree(loop, -3, 3)
 
 
@@ -142,10 +167,10 @@ def test_hop_budget_is_exact(monkeypatch):
     # through the hologram and back again: two traversals for one node
     there_and_back = graph([Hologram(R0, 3)], [2, ~0, ~1, ~0], {R0: 0})
     monkeypatch.setattr(simulation, "HOPS_PER_NODE", 2)
-    assert strict_permutation(there_and_back, -2, 2) == {k: k for k in range(-2, 3)}
+    assert window_permutation(there_and_back, -2, 2) == {k: k for k in range(-2, 3)}
     monkeypatch.setattr(simulation, "HOPS_PER_NODE", 1)
     with pytest.raises(HopBudgetExceeded):
-        strict_permutation(there_and_back, -2, 2)
+        window_permutation(there_and_back, -2, 2)
     assert_engines_agree(there_and_back, -2, 2)
 
 
@@ -153,16 +178,16 @@ def test_unwired_port_raises():
     # odd multiples of 2 cross to the y port, which feeds nothing
     open_y = graph([OamBeamSplitter(2, R0, R1)], [~1, ~0, ~0, ~0], {R0: 0})
     with pytest.raises(ValueError, match="unwired port"):
-        strict_permutation(open_y, -4, 4)
+        window_permutation(open_y, -4, 4)
     assert_engines_agree(open_y, -4, 4)
     # values 0 and 4 stay on x; a window without odd multiples raises nothing
-    assert strict_permutation(open_y, -1, 1) == {0: 0}
+    assert window_permutation(open_y, -1, 1) == {0: 0}
 
 
 def test_unknown_element_raises():
     odd = graph(["mirror"], [~1, ~0, ~0, ~0], {R0: 0})
     with pytest.raises(TypeError, match="unknown element"):
-        strict_permutation(odd, 0, 2)
+        window_permutation(odd, 0, 2)
     assert_engines_agree(odd, 0, 2)
 
 
@@ -173,24 +198,24 @@ def test_smallest_failing_value_decides_the_error():
         [OamBeamSplitter(2, R0, R1), "mirror"], [4, ~0, ~0, ~0, ~1, ~0, ~0, ~0], {R0: 0}
     )
     with pytest.raises(TypeError):
-        strict_permutation(split, 0, 2)
+        window_permutation(split, 0, 2)
     with pytest.raises(ValueError):
-        strict_permutation(split, 1, 4)
+        window_permutation(split, 1, 4)
     assert_engines_agree(split, 0, 2)
     assert_engines_agree(split, 1, 4)
 
 
 def test_input_path_with_no_entry():
     bypass = graph([Hologram(R1, 5)], [~1, ~0, ~0, ~0], {R1: 0})
-    assert strict_permutation(bypass, -2, 2) == {k: k for k in range(-2, 3)}
+    assert window_permutation(bypass, -2, 2) == {k: k for k in range(-2, 3)}
     leak = graph([Hologram(R1, 5)], [~1, ~0, ~0, ~0], {R1: 0}, output=R1)
-    assert strict_permutation(leak, -2, 2) == {}
+    assert window_permutation(leak, -2, 2) == {}
     assert_engines_agree(bypass, -2, 2)
     assert_engines_agree(leak, -2, 2)
 
 
 def test_empty_window():
-    assert strict_permutation(synth_arbitrary(5), 3, 2) == {}
+    assert window_permutation(synth_arbitrary(5), 3, 2) == {}
 
 
 def test_window_far_from_zero():

@@ -23,6 +23,7 @@ from oamcycle.synthesis import (
     synth_odd,
     synth_power_of_two,
     synth_variant,
+    variant_name,
 )
 
 R = r_path
@@ -305,6 +306,14 @@ def test_synth_variant_builds_each_variant():
     assert synth_variant(10, "shifted", shift=-3) == shifted_gate(base, -3)
     assert synth_variant(10, "standard", shift=4) == shifted_gate(base, 4)
     assert synth_variant(10, "inverse", shift=2) == shifted_gate(invert(base), 2)
+
+
+def test_variant_name_files_a_shifted_standard_gate_as_shifted():
+    assert variant_name("standard", 0) == "standard"
+    assert variant_name("standard", -3) == "shifted"
+    assert variant_name("shifted", 4) == "shifted"
+    assert variant_name("inverse", 2) == "inverse"
+    assert variant_name("simplified", 0) == "simplified"
 
 
 def test_device_for_folds_only_the_simplified_variant():
