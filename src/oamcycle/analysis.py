@@ -71,10 +71,11 @@ def verify_gate(
     Reads the permutation of the d-value window with `window_permutation`
     and checks it against modular arithmetic, after probing every window
     value again on the packet engine, so the two engines check each
-    other.  Also checks the splitter tally against the count formula and
-    (for d >= 3) the logarithmic bound.  Every discrepancy lands in
-    ``violations``; simulation errors are recorded rather than raised.
-    An AssertionError means the engines disagree.
+    other; each expected image is computed where it is compared.  Also
+    checks the splitter tally against the count formula and (for d >= 3)
+    the logarithmic bound.  Every discrepancy lands in ``violations``;
+    simulation errors are recorded rather than raised.  An AssertionError
+    means the engines disagree.
     """
     device = device_for(synth_variant(d, variant, shift), variant)
     step = -1 if variant == "inverse" else 1
@@ -85,7 +86,6 @@ def verify_gate(
 
     violations: list[str] = []
     domain = range(shift, shift + d)
-    expected = {k: ((k - shift + step) % d) + shift for k in domain}
     mapping: dict[int, int] = {}
     try:
         read = window_permutation(device, shift, shift + d - 1, config)
@@ -94,10 +94,11 @@ def verify_gate(
     except (NormDrift, HopBudgetExceeded) as exc:
         violations.append(f"simulation failed: {exc}")
     for k in domain:
-        got = mapping.get(k)
-        if got != expected[k]:
-            violations.append(f"|{k}> mapped to {got}, expected |{expected[k]}>")
-    permutation_ok = mapping == expected
+        got, want = mapping.get(k), (k - shift + step) % d + shift
+        if got != want:
+            violations.append(f"|{k}> mapped to {got}, expected |{want}>")
+    # the window read maps only window values, so no violation means equality
+    permutation_ok = not violations
 
     if count_actual != count_predicted:
         violations.append(
@@ -129,35 +130,31 @@ def discover_cycles(
 
     The window is read with `window_permutation`; values that split,
     leak to another path, or leave the window break the orbit they were
-    part of.  Every edge of a returned cycle is then simulated again on
-    the packet engine, in one pass per cycle, before the cycle is
-    reported, so the two engines check each other.
+    part of.  Each window value is walked once, and a walk that comes
+    back to one of its own values closes a loop; the loops of length d
+    are returned from their minimum, in ascending order of it.  Every
+    edge of them is then simulated again on the packet engine, in one
+    pass, so the two engines check each other.
     """
     d = device.dimension
     mapping = window_permutation(device, lo, hi, config)
-    cycles: list[CycleSet] = []
-    members: set[int] = set()
-    for start in sorted(mapping):
-        if start in members:
-            continue
-        orbit, visited = [start], {start}
-        current = start
-        closed = False
-        for _ in range(d):
-            current = mapping.get(current, None)
-            if current is None or (current != start and current in visited):
-                break
-            if current == start:
-                closed = len(orbit) == d
-                break
-            orbit.append(current)
-            visited.add(current)
-        if not closed or start != min(orbit):
-            continue
-        _resimulate(device, orbit, {ell: mapping[ell] for ell in orbit}, config)
-        members.update(orbit)
-        cycles.append(CycleSet(tuple(orbit)))
-    return cycles
+    cycles: list[tuple[int, ...]] = []
+    owner: dict[int, int] = {}  # window value -> the start of the walk that reached it
+    for start in mapping:
+        walk, current = [], start
+        while current in mapping and current not in owner:
+            owner[current] = start
+            walk.append(current)
+            current = mapping[current]
+        if owner.get(current) == start:  # the walk came back to one of its own values
+            loop = walk[walk.index(current):]
+            if len(loop) == d:
+                first = loop.index(min(loop))
+                cycles.append(tuple(loop[first:] + loop[:first]))
+    cycles.sort()
+    domain = [ell for cycle in cycles for ell in cycle]
+    _resimulate(device, domain, {ell: mapping[ell] for ell in domain}, config)
+    return [CycleSet(cycle) for cycle in cycles]
 
 
 def _resimulate(

@@ -26,6 +26,12 @@ PERMUTATION_AMPLITUDE_TOL = 1e-9
 _PATH_RE = re.compile(r"^([rs])([0-9]+)$")
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool: the engines do integer arithmetic
+    on element parameters and trust the result."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class ZeroState(Exception):
     """Normalization was asked of a state with no support."""
 
@@ -40,7 +46,7 @@ class PathLabel:
     def __post_init__(self):
         if self.family not in ("r", "s"):
             raise ValueError(f"path family must be 'r' or 's', got {self.family!r}")
-        if not isinstance(self.index, int) or self.index < 0:
+        if not _is_int(self.index) or self.index < 0:
             raise ValueError(f"path index must be a non-negative int, got {self.index!r}")
 
     @classmethod
@@ -246,8 +252,8 @@ class OamBeamSplitter:
     port_y: PathLabel
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"splitter order must be >= 1, got {self.m}")
+        if not _is_int(self.m) or self.m < 1:
+            raise ValueError(f"splitter order must be an int >= 1, got {self.m!r}")
         if self.port_x == self.port_y:
             raise ValueError(f"splitter ports must differ, got {self.port_x} twice")
 
@@ -260,7 +266,7 @@ class Hologram:
     v: int
 
     def __post_init__(self):
-        if not isinstance(self.v, int) or isinstance(self.v, bool):
+        if not _is_int(self.v):
             raise ValueError(f"hologram charge must be an int, got {self.v!r}")
 
 
@@ -272,8 +278,8 @@ class ZPlate:
     d: int
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"phase plate dimension must be >= 2, got {self.d}")
+        if not _is_int(self.d) or self.d < 2:
+            raise ValueError(f"phase plate dimension must be an int >= 2, got {self.d!r}")
 
 
 Element = Union[OamBeamSplitter, Hologram, ZPlate]
@@ -300,8 +306,8 @@ class Netlist:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        if not _is_int(self.dimension) or self.dimension < 1:
+            raise ValueError(f"dimension must be an int >= 1, got {self.dimension!r}")
         if self.elements:
             used = self.paths()
             for role, path in (("input", self.input_path), ("output", self.output_path)):

@@ -28,8 +28,9 @@ window values of one residue class take one route together; the loop
 follows classes, not values, and its work grows with the number of
 distinct routes rather than with the window.  A class meets only
 multiples of each splitter's order, where both modes route it the same
-way; in physical mode the values the classes leave unmapped, which may
-have split and recombined, are handed to the packet loop one by one.
+way; in physical mode the values no class carries to a terminal, which
+split at a non-multiple and may recombine, are handed to the packet loop
+one by one.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def window_permutation(
     port, and plates have unit modulus, so both modes route it as one
     unit component.  In physical mode light split at a non-multiple may
     recombine, so the window values below the first failing value that
-    the classes leave unmapped are probed on the packet loop, in
+    no class carries to a terminal are probed on the packet loop, in
     ascending order.
     """
     graph = _graph(device)
@@ -201,6 +202,7 @@ def window_permutation(
     nodes, wiring = graph.nodes, graph.wiring
     budget = HOPS_PER_NODE * max(1, len(nodes))
     images: list[int | None] = [None] * (span + 1)
+    landed = bytearray(span + 1)  # 1 where the value's class reached a terminal
     failure: tuple[int, Exception] | None = None
     # (in-slot, hops, offset, r, q): the window values ell0 = r (mod q), which
     # reach in-slot after `hops` traversals carrying ell0 + offset
@@ -240,17 +242,18 @@ def window_permutation(
             hops += 1
             slot = wiring[slot]
         else:
+            first = (r - lo) % q
+            landed[first::q] = b"\1" * len(range(first, span + 1, q))
             path = graph.terminals[~slot]
             if path is None:
                 error = ValueError("a packet left the device through an unwired port")
             elif path == graph.output_path:
-                first = (r - lo) % q
                 images[first::q] = range(lo + first + offset, hi + 1 + offset, q)
         if error is not None and (failure is None or (r - lo) % q < failure[0]):
             failure = ((r - lo) % q, error)
     if config.mode == PHYSICAL:
         stop = span + 1 if failure is None else failure[0]
-        split = [lo + i for i in range(stop) if images[i] is None]
+        split = [lo + i for i in range(stop) if not landed[i]]
         if split:
             probed = extract_permutation(
                 transform(graph, config), split, graph.input_path, graph.output_path

@@ -1,8 +1,10 @@
 """Verification reports, orbit discovery, scaling tables."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oamcycle import analysis, simulation
 from oamcycle.analysis import (
@@ -12,7 +14,8 @@ from oamcycle.analysis import (
     scaling_table,
     verify_gate,
 )
-from oamcycle.model import ModeVector
+from oamcycle.model import Hologram, ModeVector, Netlist, OamBeamSplitter, r_path
+from oamcycle.portgraph import UNWIRED, PortGraph
 from oamcycle.simulation import SimulationConfig
 from oamcycle.synthesis import (
     predict_count,
@@ -172,6 +175,141 @@ def test_shifted_window_cycle():
 def test_partial_window_breaks_cycle():
     # chopping one value off the window must kill the canonical cycle
     assert discover_cycles(synth_arbitrary(11), 0, 9) == []
+
+
+def test_cycles_of_a_map_that_is_not_injective():
+    # even values go through an order-2 splitter to +2 or -2 holograms, odd
+    # ones to a +1 hologram, and all three exits wire to r0: the 2-cycles
+    # {4k, 4k+2} each receive odd values too, which no netlist can do
+    r0, r1, r2 = r_path(0), r_path(1), r_path(2)
+    nodes = (
+        OamBeamSplitter(1, r0, r1),
+        OamBeamSplitter(2, r0, r2),
+        Hologram(r0, 2),
+        Hologram(r2, -2),
+        Hologram(r1, 1),
+    )
+    wiring = [UNWIRED] * 20
+    wiring[0], wiring[1], wiring[4], wiring[5] = 4, 16, 8, 12
+    wiring[8] = wiring[12] = wiring[16] = ~1
+    device = PortGraph(nodes, tuple(wiring), {r0: 0}, (None, r0), r0, r0, 2)
+    mapping = simulation.window_permutation(device, -4, 5)
+    assert mapping[-4] == mapping[-3] == -2
+    for mode in ("strict", "physical"):
+        cycles = discover_cycles(device, -4, 5, SimulationConfig(mode=mode))
+        assert cycles == [CycleSet((-4, -2)), CycleSet((0, 2))]
+
+
+def stepwise_cycles(mapping, d, recheck):
+    """Cycles found by stepping up to d times from every window value, each
+    cycle re-checked on its own: the reference the one-pass walk matches."""
+    cycles = []
+    members = set()
+    for start in sorted(mapping):
+        if start in members:
+            continue
+        orbit, visited = [start], {start}
+        current = start
+        closed = False
+        for _ in range(d):
+            current = mapping.get(current, None)
+            if current is None or (current != start and current in visited):
+                break
+            if current == start:
+                closed = len(orbit) == d
+                break
+            orbit.append(current)
+            visited.add(current)
+        if not closed or start != min(orbit):
+            continue
+        recheck(orbit)
+        members.update(orbit)
+        cycles.append(CycleSet(tuple(orbit)))
+    return cycles
+
+
+@st.composite
+def partial_maps(draw):
+    """Maps of up to 25 values in -12..12: permutations of their keys, rich
+    in loops, or arbitrary images, which are rarely injective."""
+    keys = draw(st.lists(st.integers(-12, 12), unique=True, max_size=25))
+    if draw(st.booleans()):
+        images = draw(st.permutations(keys))
+    else:
+        images = draw(st.lists(st.integers(-14, 14), min_size=len(keys), max_size=len(keys)))
+    return dict(zip(keys, images))
+
+
+@settings(max_examples=500, deadline=None)
+@given(partial_maps(), st.integers(1, 6), st.sets(st.integers(-12, 12), max_size=3))
+def test_cycles_match_the_stepwise_walk(mapping, d, bad):
+    rechecks = []
+
+    def recheck(domain):
+        # fails like `_resimulate`: at the first value of *domain* in *bad*
+        rechecks.append(list(domain))
+        wrong = next((ell for ell in domain if ell in bad), None)
+        if wrong is not None:
+            raise AssertionError(f"|{wrong}> failed re-simulation")
+
+    def outcome(find):
+        try:
+            return find()
+        except AssertionError as exc:
+            return str(exc)
+
+    cycles = stepwise_cycles(mapping, d, lambda orbit: None)
+    members = [ell for cycle in cycles for ell in cycle.modes]
+    expected = outcome(lambda: stepwise_cycles(mapping, d, recheck))
+    rechecks.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "window_permutation", lambda device, lo, hi, config: mapping)
+        patch.setattr(analysis, "_resimulate", lambda device, domain, *images: recheck(domain))
+        got = outcome(lambda: discover_cycles(SimpleNamespace(dimension=d), -12, 12))
+    assert got == expected
+    # one re-check of every member, in the order the stepwise walk checks them
+    assert rechecks == [members]
+
+
+class CountedLookups(dict):
+    """A window map that counts its lookups and stops a walk past *limit*."""
+
+    def __init__(self, mapping, limit):
+        super().__init__(mapping)
+        self.count, self.limit = 0, limit
+
+    def _looked_up(self):
+        self.count += 1
+        if self.count > self.limit:
+            raise AssertionError(f"more than {self.limit} lookups")
+
+    def __contains__(self, key):
+        self._looked_up()
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self._looked_up()
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self._looked_up()
+        return super().get(key, default)
+
+
+def test_each_window_value_is_walked_once(monkeypatch):
+    # a +1 chain through 20001 values: a walk of up to d steps from every
+    # value would make about 2 * 10^8 lookups
+    chain = Netlist((Hologram(r_path(0), 1),), r_path(0), r_path(0), 10**6)
+    real = analysis.window_permutation
+    counted = []
+
+    def counting(device, lo, hi, config):
+        counted.append(CountedLookups(real(device, lo, hi, config), 4 * (hi - lo + 1)))
+        return counted[-1]
+
+    monkeypatch.setattr(analysis, "window_permutation", counting)
+    assert discover_cycles(chain, 0, 20000) == []
+    assert 0 < counted[0].count <= 4 * 20001
 
 
 # --- scaling table ---------------------------------------------------------------

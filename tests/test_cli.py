@@ -5,6 +5,7 @@ whatever landed on stdout/stderr or in the output files.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -35,16 +36,18 @@ def test_synth_writes_canonical_json_to_stdout(capsys):
 def test_synth_out_file(tmp_path, capsys):
     path = synth_file(tmp_path, 10)
     assert capsys.readouterr().out == ""
-    doc = parse(open(path, encoding="utf-8").read())
+    doc = parse(Path(path).read_text(encoding="utf-8"))
     assert doc.netlist.dimension == 10
 
 
 def test_synth_variant_tags(tmp_path):
-    inv = parse(open(synth_file(tmp_path, 5, "--variant", "inverse"), encoding="utf-8").read())
+    inv = parse(Path(synth_file(tmp_path, 5, "--variant", "inverse")).read_text(encoding="utf-8"))
     assert inv.variant == "inverse"
-    simp = parse(open(synth_file(tmp_path, 9, "--variant", "simplified"), encoding="utf-8").read())
+    simp = parse(
+        Path(synth_file(tmp_path, 9, "--variant", "simplified")).read_text(encoding="utf-8")
+    )
     assert simp.variant == "simplified"
-    shifted = parse(open(synth_file(tmp_path, 3, "--shift", "5"), encoding="utf-8").read())
+    shifted = parse(Path(synth_file(tmp_path, 3, "--shift", "5")).read_text(encoding="utf-8"))
     assert shifted.variant == "shifted"
 
 
@@ -311,7 +314,7 @@ def test_corrupt_document_is_exit_two(tmp_path, capsys):
 
 
 def test_wrong_schema_version_is_exit_two(tmp_path, capsys):
-    good = json.loads(open(synth_file(tmp_path, 3), encoding="utf-8").read())
+    good = json.loads(Path(synth_file(tmp_path, 3)).read_text(encoding="utf-8"))
     good["schema_version"] = "99"
     path = tmp_path / "future.json"
     path.write_text(json.dumps(good), encoding="utf-8")

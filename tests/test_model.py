@@ -45,6 +45,9 @@ def test_path_family_validation():
         PathLabel("t", 0)
     with pytest.raises(ValueError):
         PathLabel("r", -1)
+    for index in (True, 1.0):
+        with pytest.raises(ValueError, match="path index"):
+            PathLabel("r", index)
 
 
 def test_paths_sort_r_before_s():
@@ -240,10 +243,16 @@ def test_element_validation():
     with pytest.raises(ValueError):
         ZPlate(R0, 1)
     assert Hologram(R0, -3).v == -3
-    # the engines add charges to int OAM values and trust the result
+    # the engines do integer arithmetic on these and trust the result
     for charge in (1.0, 2.5, "1", True, None):
         with pytest.raises(ValueError, match="hologram charge"):
             Hologram(R0, charge)
+    for order in (1.5, 2.0, "2", True, None):
+        with pytest.raises(ValueError, match="splitter order"):
+            OamBeamSplitter(order, R0, R1)
+    for d in (2.5, 3.0, "3", True, None):
+        with pytest.raises(ValueError, match="phase plate dimension"):
+            ZPlate(R0, d)
 
 
 def test_netlist_identity():
@@ -265,6 +274,9 @@ def test_netlist_requires_connected_io():
 def test_netlist_rejects_bad_dimension():
     with pytest.raises(ValueError):
         Netlist((), R0, R0, 0)
+    for d in (2.5, 2.0, "2", True, None):
+        with pytest.raises(ValueError, match="dimension must be an int"):
+            Netlist((Hologram(R0, 1),), R0, R0, d)
 
 
 def test_netlist_paths():

@@ -147,6 +147,25 @@ def test_physical_interferometer_recombines_split_values():
     assert_engines_agree(interferometer, -3, 3)
 
 
+@pytest.mark.parametrize("m, split", [(1, []), (2, list(range(1, 1000, 2)))])
+def test_physical_read_probes_only_split_values(monkeypatch, m, split):
+    # a class that reaches any terminal met only multiples, where both modes
+    # route alike, so only the values split at a non-multiple are probed;
+    # here the multiples of m that cross leak to r1 and are not probed
+    probed = []
+    real = simulation.extract_permutation
+
+    def recording(gate, domain, input_path, output_path):
+        probed.extend(domain)
+        return real(gate, domain, input_path, output_path)
+
+    monkeypatch.setattr(simulation, "extract_permutation", recording)
+    device = Netlist((OamBeamSplitter(m, R0, R1), Hologram(R0, 2)), R0, R0, 2)
+    physical = window_permutation(device, 0, 999, SimulationConfig(PHYSICAL))
+    assert physical == window_permutation(device, 0, 999)
+    assert probed == split
+
+
 def test_native_window_is_the_cyclic_shift():
     assert window_permutation(synth_arbitrary(500), 0, 499) == {
         k: (k + 1) % 500 for k in range(500)
