@@ -50,6 +50,7 @@ from .simulation import (
     SimulationConfig,
     apply_netlist,
     apply_portgraph,
+    probe_permutation,
     simulate_word,
     transform,
     window_permutation,

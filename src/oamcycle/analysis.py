@@ -10,14 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Netlist, extract_permutation
+from .model import Netlist
 from .portgraph import PortGraph
 from .simulation import (
     DEFAULT_CONFIG,
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
-    transform,
+    probe_permutation,
     window_permutation,
 )
 from .synthesis import (
@@ -139,18 +139,20 @@ def discover_cycles(
     d = device.dimension
     mapping = window_permutation(device, lo, hi, config)
     cycles: list[tuple[int, ...]] = []
-    owner: dict[int, int] = {}  # window value -> the start of the walk that reached it
+    walked = bytearray(max(0, hi - lo + 1))  # per window value: 1 on this walk, 2 walked
     for start in mapping:
         walk, current = [], start
-        while current in mapping and current not in owner:
-            owner[current] = start
+        while current in mapping and not walked[current - lo]:
+            walked[current - lo] = 1
             walk.append(current)
             current = mapping[current]
-        if owner.get(current) == start:  # the walk came back to one of its own values
+        if lo <= current <= hi and walked[current - lo] == 1:  # back on its own walk
             loop = walk[walk.index(current):]
             if len(loop) == d:
                 first = loop.index(min(loop))
                 cycles.append(tuple(loop[first:] + loop[:first]))
+        for ell in walk:
+            walked[ell - lo] = 2
     cycles.sort()
     domain = [ell for cycle in cycles for ell in cycle]
     _resimulate(device, domain, {ell: mapping[ell] for ell in domain}, config)
@@ -163,11 +165,10 @@ def _resimulate(
     mapping: dict[int, int],
     config: SimulationConfig,
 ) -> None:
-    """Probe *domain* on the packet engine; raise AssertionError at the
-    first value whose image differs from *mapping*, a map on *domain*."""
-    probed = extract_permutation(
-        transform(device, config), domain, device.input_path, device.output_path
-    )
+    """Probe every value of *domain* on the packet engine, in batches; raise
+    AssertionError at the first value whose image differs from *mapping*,
+    a map on *domain*."""
+    probed = probe_permutation(device, domain, config)
     if probed != mapping:
         bad = next(ell for ell in domain if probed.get(ell) != mapping.get(ell))
         raise AssertionError(

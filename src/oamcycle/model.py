@@ -107,7 +107,7 @@ class ModeVector:
             path, ell = key
             if not isinstance(path, PathLabel):
                 raise TypeError(f"state key path must be PathLabel, got {path!r}")
-            if not isinstance(ell, int):
+            if not _is_int(ell):
                 raise TypeError(f"OAM value must be int, got {ell!r}")
             a = complex(amp)
             if not (math.isfinite(a.real) and math.isfinite(a.imag)):
@@ -117,13 +117,14 @@ class ModeVector:
 
     @classmethod
     def _trusted(cls, entries: dict[StateKey, complex]) -> "ModeVector":
-        """A state over *entries*, pruned as on construction but not checked.
+        """A state over *entries*, taken as they are: neither checked nor pruned.
 
         Only for amplitudes already summed per key, keyed by
-        ``(PathLabel, int)`` and finite: the simulation engine's output.
+        ``(PathLabel, int)``, finite and pruned: the simulation engine's
+        output.
         """
         state = cls.__new__(cls)
-        state._entries = _pruned(entries)
+        state._entries = entries
         return state
 
     @classmethod
@@ -225,15 +226,22 @@ def extract_permutation(
             out = transform(ModeVector.basis(input_path, ell))
         except NonMultipleMode:
             continue
-        if len(out) != 1:
-            continue
-        (path, image), amp = next(out.items())
-        if path != output_path:
-            continue
-        if abs(abs(amp) - 1.0) > PERMUTATION_AMPLITUDE_TOL:
-            continue
-        mapping[ell] = image
+        image = _image(out, output_path)
+        if image is not None:
+            mapping[ell] = image
     return mapping
+
+
+def _image(out: ModeVector | Mapping[StateKey, complex], output_path: PathLabel) -> int | None:
+    """The OAM value of *out* when it is a single basis state on
+    *output_path* with unit magnitude (within ``PERMUTATION_AMPLITUDE_TOL``),
+    else None: the readout rule of every basis probe."""
+    if len(out) != 1:
+        return None
+    (path, image), amp = next(iter(out.items()))
+    if path != output_path or abs(abs(amp) - 1.0) > PERMUTATION_AMPLITUDE_TOL:
+        return None
+    return image
 
 
 # --- optical elements -------------------------------------------------------

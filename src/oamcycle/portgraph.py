@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import Element, Netlist, PathLabel, element_paths
+from .model import Element, Netlist, PathLabel, _is_int, element_paths
 
 #: slot bit of the ports that traverse an element backwards; bit 0 is the side
 BACKWARD = 2
@@ -47,6 +47,10 @@ class PortGraph:
     input_path: PathLabel
     output_path: PathLabel
     dimension: int
+
+    def __post_init__(self):
+        if not _is_int(self.dimension) or self.dimension < 1:
+            raise ValueError(f"dimension must be an int >= 1, got {self.dimension!r}")
 
     def port_path(self, slot: int) -> PathLabel:
         """The path label a port of a node lies on."""

@@ -13,6 +13,13 @@ in-flight norm momentarily non-conserved under interference.  Both the
 pruning of dust and the norm tolerance are relative to the input norm,
 so a state behaves the same at every amplitude scale.
 
+One run of the loop carries a batch of independent states, each packet
+tagged with its state; every state keeps its own prune cut, its own
+first error and its own norm check.  `transform` and `apply_*` run a
+batch of one.  `probe_permutation` reads a permutation off basis probes,
+``PROBE_BATCH`` of them per run, which spreads the loop's per-run cost
+over many probes; the batch bound keeps the packets in flight few.
+
 In strict mode splitters and holograms move basis states to basis
 states with no phase; a phase plate applies its phase in both modes.
 In physical mode splitters apply the full two-port amplitudes: basis
@@ -29,8 +36,8 @@ follows classes, not values, and its work grows with the number of
 distinct routes rather than with the window.  A class meets only
 multiples of each splitter's order, where both modes route it the same
 way; in physical mode the values no class carries to a terminal, which
-split at a non-multiple and may recombine, are handed to the packet loop
-one by one.
+split at a non-multiple and may recombine, are handed to
+`probe_permutation`.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterable
 
 from . import portgraph
 from .elements import NonMultipleMode, splitter_amplitudes, z_phase
@@ -51,8 +59,10 @@ from .model import (
     OamBeamSplitter,
     PathLabel,
     ZPlate,
+    _image,
+    _is_int,
     _norm,
-    extract_permutation,
+    _pruned,
 )
 from .portgraph import BACKWARD, PortGraph
 from .synthesis import synth_arbitrary
@@ -65,6 +75,10 @@ HOPS_PER_NODE = 10
 
 #: allowed drift of the terminal norm from the input norm, relative to it
 NORM_TOLERANCE = 1e-12
+
+#: basis probes `probe_permutation` sends through one run of the packet loop:
+#: enough to share its per-run cost, few enough to bound the packets in flight
+PROBE_BATCH = 64
 
 
 class NormDrift(Exception):
@@ -102,29 +116,50 @@ def _graph(device: Netlist | PortGraph) -> PortGraph:
     return graph
 
 
-def _propagate(graph: PortGraph, state: ModeVector, config: SimulationConfig) -> ModeVector:
-    """The packet loop; the contract is `apply_portgraph`'s."""
+def _propagate(
+    graph: PortGraph, states: list[dict[tuple[PathLabel, int], complex]], config: SimulationConfig
+) -> list[dict[tuple[PathLabel, int], complex] | Exception]:
+    """The packet loop, run once for a batch of independent states given as
+    entry dicts; the contract is `apply_portgraph`'s, state by state.
+
+    Returns, per state, its pruned and rescaled output entries, or the
+    exception its run alone would raise: the first its own packets meet.
+    """
     nodes, wiring = graph.nodes, graph.wiring
     strict = config.mode == STRICT
     budget = HOPS_PER_NODE * max(1, len(nodes))
-    norm_in = state.norm()
-    cut = PRUNE_THRESHOLD * norm_in
-    # packets: (in-slot, ell); landed: (~terminal, ell); out: (path, ell)
-    packets: dict[tuple[int, int], complex] = {}
-    landed: dict[tuple[int, int], complex] = {}
-    out: dict[tuple[PathLabel, int], complex] = {}
-    for (path, ell), amp in state.items():
-        slot = graph.entries.get(path)
-        into = out if slot is None else packets if slot >= 0 else landed
-        key = (path, ell) if slot is None else (slot, ell)
-        into[key] = into.get(key, 0j) + amp
+    norms: list[float] = []
+    cuts: list[float] = []
+    errors: list[Exception | None] = [None] * len(states)
+    # packets: (state, in-slot, ell); landed: (state, ~terminal, ell);
+    # outs[state]: (path, ell)
+    packets: dict[tuple[int, int, int], complex] = {}
+    landed: dict[tuple[int, int, int], complex] = {}
+    outs: list[dict[tuple[PathLabel, int], complex]] = []
+    for s, state in enumerate(states):
+        norm_in = _norm(state.values())
+        norms.append(norm_in)
+        cuts.append(PRUNE_THRESHOLD * norm_in)
+        outs.append({})
+        for (path, ell), amp in state.items():
+            slot = graph.entries.get(path)
+            into = outs[s] if slot is None else packets if slot >= 0 else landed
+            key = (path, ell) if slot is None else (s, slot, ell)
+            into[key] = into.get(key, 0j) + amp
+    # one cut serves a batch whose states share a norm, as basis probes do
+    cut = cuts[0] if len(set(cuts)) == 1 else None
     hops = 0
     while packets:
         hops += 1
         if hops > budget:
-            raise HopBudgetExceeded(f"packets still in flight after {budget} node traversals")
-        staged: dict[tuple[int, int], complex] = {}
-        for (slot, ell), amp in packets.items():
+            for s, _, _ in packets:
+                errors[s] = HopBudgetExceeded(
+                    f"packets still in flight after {budget} node traversals"
+                )
+            break
+        failed = False  # whether a state failed in this hop
+        staged: dict[tuple[int, int, int], complex] = {}
+        for (s, slot, ell), amp in packets.items():
             element = nodes[slot >> 2]
             kind = type(element)
             if kind is OamBeamSplitter:
@@ -132,14 +167,17 @@ def _propagate(graph: PortGraph, state: ModeVector, config: SimulationConfig) ->
                 if strict:  # the rule of splitter_route_strict, on slots
                     turns, rest = divmod(ell, k)
                     if rest:
-                        raise NonMultipleMode(ell, k)
+                        if errors[s] is None:
+                            errors[s], failed = NonMultipleMode(ell, k), True
+                        continue
                     slot ^= turns & 1
                 else:
                     stay, cross = splitter_amplitudes(k, ell)
                     if cross:
                         dest = wiring[slot ^ 1]
                         into = staged if dest >= 0 else landed
-                        into[(dest, ell)] = into.get((dest, ell), 0j) + cross * amp
+                        key = (s, dest, ell)
+                        into[key] = into.get(key, 0j) + cross * amp
                     if not stay:
                         continue
                     amp *= stay
@@ -148,29 +186,61 @@ def _propagate(graph: PortGraph, state: ModeVector, config: SimulationConfig) ->
             elif kind is ZPlate:
                 amp *= z_phase(element.d, ell)
             else:
-                raise TypeError(f"unknown element {element!r}")
+                if errors[s] is None:
+                    errors[s], failed = TypeError(f"unknown element {element!r}"), True
+                continue
             dest = wiring[slot]
             into = staged if dest >= 0 else landed
-            into[(dest, ell)] = into.get((dest, ell), 0j) + amp
-        packets = {key: a for key, a in staged.items() if abs(a) > cut}
-    for (dest, ell), amp in landed.items():
+            key = (s, dest, ell)
+            into[key] = into.get(key, 0j) + amp
+        if failed or cut is None:  # a failed state's packets stop where it failed
+            packets = {
+                key: a for key, a in staged.items()
+                if errors[key[0]] is None and abs(a) > cuts[key[0]]
+            }
+        else:
+            packets = {key: a for key, a in staged.items() if abs(a) > cut}
+    for (s, dest, ell), amp in landed.items():
+        if errors[s] is not None:
+            continue
         path = graph.terminals[~dest]
         if path is None:
-            raise ValueError("a packet left the device through an unwired port")
+            errors[s] = ValueError("a packet left the device through an unwired port")
+            continue
+        out = outs[s]
         out[(path, ell)] = out.get((path, ell), 0j) + amp
+    return [
+        _finish(out, norm_in) if error is None else error
+        for out, norm_in, error in zip(outs, norms, errors)
+    ]
+
+
+def _finish(
+    out: dict[tuple[PathLabel, int], complex], norm_in: float
+) -> dict[tuple[PathLabel, int], complex] | Exception:
+    """One state's terminal sum *out*, pruned and rescaled to *norm_in*, or
+    the exception its norm check raises."""
     norm_out = _norm(out.values())
     if not math.isfinite(norm_out):
         path, ell = next(key for key, amp in out.items() if not cmath.isfinite(amp))
-        raise ValueError(f"non-finite amplitude for {path}|{ell}>")
-    result = ModeVector._trusted(out)
+        return ValueError(f"non-finite amplitude for {path}|{ell}>")
+    result = _pruned(out)
     if len(result) < len(out):
-        norm_out = result.norm()
+        norm_out = _norm(result.values())
     if abs(norm_out - norm_in) > NORM_TOLERANCE * norm_in:
-        raise NormDrift(f"terminal norm {norm_out!r} differs from input norm {norm_in!r}")
+        return NormDrift(f"terminal norm {norm_out!r} differs from input norm {norm_in!r}")
     if result and norm_in > 0.0 and norm_out != norm_in:
         factor = norm_in / norm_out
-        result = ModeVector._trusted({key: amp * factor for key, amp in result.items()})
+        result = _pruned({key: amp * factor for key, amp in result.items()})
     return result
+
+
+def _run(graph: PortGraph, state: ModeVector, config: SimulationConfig) -> ModeVector:
+    """*state* through the packet loop as a batch of one."""
+    (result,) = _propagate(graph, [state._entries], config)
+    if isinstance(result, Exception):
+        raise result
+    return ModeVector._trusted(result)
 
 
 def window_permutation(
@@ -193,6 +263,9 @@ def window_permutation(
     no class carries to a terminal are probed on the packet loop, in
     ascending order.
     """
+    for bound in (lo, hi):
+        if not _is_int(bound):
+            raise TypeError(f"OAM value must be int, got {bound!r}")
     graph = _graph(device)
     span = hi - lo
     entry = graph.entries.get(graph.input_path)
@@ -254,15 +327,47 @@ def window_permutation(
     if config.mode == PHYSICAL:
         stop = span + 1 if failure is None else failure[0]
         split = [lo + i for i in range(stop) if not landed[i]]
-        if split:
-            probed = extract_permutation(
-                transform(graph, config), split, graph.input_path, graph.output_path
-            )
-            for ell, image in probed.items():
-                images[ell - lo] = image
+        for ell, image in probe_permutation(graph, split, config).items():
+            images[ell - lo] = image
     if failure is not None:
         raise failure[1]
     return {ell: image for ell, image in zip(range(lo, hi + 1), images) if image is not None}
+
+
+def probe_permutation(
+    device: Netlist | PortGraph, domain: Iterable[int], config: SimulationConfig = DEFAULT_CONFIG
+) -> dict[int, int]:
+    """The map of the OAM values *domain* from the device's input path to
+    its output path under *config*, probed one basis state per value on
+    the packet loop, ``PROBE_BATCH`` probes per run of it.
+
+    Returns what ``extract_permutation(transform(device, config), domain,
+    device.input_path, device.output_path)`` returns, and raises what it
+    raises, at the first value of *domain* that fails: TypeError for a
+    value that is not an int, or a bool, or the error its probe meets
+    other than NonMultipleMode, which leaves the value out.
+    """
+    graph = _graph(device)
+    source, target = graph.input_path, graph.output_path
+    mapping: dict[int, int] = {}
+    values = iter(domain)
+    while batch := list(islice(values, PROBE_BATCH)):
+        invalid = next((i for i, ell in enumerate(batch) if not _is_int(ell)), None)
+        if invalid is not None:  # probe the values before it, then raise
+            error = TypeError(f"OAM value must be int, got {batch[invalid]!r}")
+            del batch[invalid:]
+        outs = _propagate(graph, [{(source, ell): 1.0 + 0j} for ell in batch], config)
+        for ell, out in zip(batch, outs):
+            if isinstance(out, Exception):
+                if isinstance(out, NonMultipleMode):
+                    continue
+                raise out
+            image = _image(out, target)
+            if image is not None:
+                mapping[ell] = image
+        if invalid is not None:
+            raise error
+    return mapping
 
 
 def transform(
@@ -273,7 +378,7 @@ def transform(
     The returned function is the way to push many states through one
     device.
     """
-    return partial(_propagate, _graph(device), config=config)
+    return partial(_run, _graph(device), config=config)
 
 
 def apply_netlist(
@@ -281,7 +386,7 @@ def apply_netlist(
 ) -> ModeVector:
     """Propagate *state* through the element sequence, threaded into its
     port graph, with the contract of `apply_portgraph`."""
-    return _propagate(_graph(netlist), state, config)
+    return _run(_graph(netlist), state, config)
 
 
 def apply_portgraph(
@@ -297,7 +402,7 @@ def apply_portgraph(
     ``PRUNE_THRESHOLD`` times the input norm are dropped at every hop,
     and the output is rescaled to the input norm (cleaning float dust).
     """
-    return _propagate(graph, state, config)
+    return _run(graph, state, config)
 
 
 def simulate_word(

@@ -14,7 +14,7 @@ from oamcycle.analysis import (
     scaling_table,
     verify_gate,
 )
-from oamcycle.model import Hologram, ModeVector, Netlist, OamBeamSplitter, r_path
+from oamcycle.model import Hologram, Netlist, OamBeamSplitter, r_path
 from oamcycle.portgraph import UNWIRED, PortGraph
 from oamcycle.simulation import SimulationConfig
 from oamcycle.synthesis import (
@@ -85,23 +85,41 @@ def test_verify_rejects_bad_arguments():
         verify_gate(5, "reversed")
     with pytest.raises(ValueError):
         verify_gate(5, "simplified", shift=2)
+    for lo, hi in ((0.5, 2), (True, 2), (0, 2.0)):
+        with pytest.raises(TypeError, match="OAM value must be int"):
+            discover_cycles(synth_arbitrary(3), lo, hi)
+
+
+def test_verify_runs_the_packet_loop_once_per_batch(monkeypatch):
+    # the strict window read routes classes; the re-check probes all d
+    # window values, PROBE_BATCH to a run of the packet loop
+    runs = []
+    real = simulation._propagate
+
+    def counting(graph, states, config):
+        runs.append(len(states))
+        return real(graph, states, config)
+
+    monkeypatch.setattr(simulation, "_propagate", counting)
+    for d in (2, simulation.PROBE_BATCH, simulation.PROBE_BATCH + 1, 500):
+        runs.clear()
+        assert verify_gate(d).passed
+        assert len(runs) == math.ceil(d / simulation.PROBE_BATCH)
+        assert sum(runs) == d
 
 
 def shift_the_packet_engine(monkeypatch):
     """Make every re-simulation in `analysis` add 1 to each output OAM value.
 
     The window pass routes residue classes and never calls
-    `analysis.transform`, so only the re-check sees the change.
+    `analysis.probe_permutation`, so only the re-check sees the change.
     """
-    real = analysis.transform
+    real = analysis.probe_permutation
 
-    def shifted(device, config):
-        gate = real(device, config)
-        return lambda state: ModeVector(
-            {(path, ell + 1): amp for (path, ell), amp in gate(state).items()}
-        )
+    def shifted(device, domain, config):
+        return {ell: image + 1 for ell, image in real(device, domain, config).items()}
 
-    monkeypatch.setattr(analysis, "transform", shifted)
+    monkeypatch.setattr(analysis, "probe_permutation", shifted)
 
 
 @pytest.mark.parametrize("mode", ["strict", "physical"])

@@ -92,8 +92,10 @@ def test_add_sub_scale():
 def test_rejects_bad_keys_and_amplitudes():
     with pytest.raises(TypeError):
         ModeVector({("r0", 0): 1.0})
-    with pytest.raises(TypeError):
-        ModeVector({(R0, 1.5): 1.0})
+    # bools and floats are not OAM values, not even integral ones
+    for ell in (1.5, 1.0, True, "1", None):
+        with pytest.raises(TypeError, match="OAM value must be int"):
+            ModeVector({(R0, ell): 1.0})
     with pytest.raises(ValueError):
         ModeVector({(R0, 0): float("nan")})
 

@@ -2,6 +2,7 @@
 cross-checked against the element-by-element reference interpreter."""
 
 import cmath
+import dataclasses
 import math
 import random
 
@@ -143,6 +144,26 @@ def test_strict_raises_on_non_multiple():
     state = ModeVector.basis(r_path(1), 1)
     with pytest.raises(NonMultipleMode):
         apply_netlist(net, state)
+
+
+def test_a_state_fails_with_the_first_error_of_its_own_packets():
+    # r0 meets an order-2 splitter, r1 an unknown element, s0 a hologram
+    # wired to itself, and s1 leaves at once through an unwired port: the
+    # odd value on r0, the first component, fails first in strict mode,
+    # whatever the other component meets in the same hop or later
+    device = PortGraph(
+        nodes=(OamBeamSplitter(2, R0, R1), "mirror", Hologram(s_path(0), 1)),
+        wiring=(~1, ~1, ~0, ~0, ~1, ~0, ~0, ~0, 8, ~0, ~0, ~0),
+        entries={R0: 0, R1: 4, s_path(0): 8, s_path(1): ~0},
+        terminals=(None, R0),
+        input_path=R0,
+        output_path=R0,
+        dimension=2,
+    )
+    for other in ((R0, 3), (R1, 0), (s_path(0), 0), (s_path(1), 0)):
+        state = ModeVector({(R0, 1): 0.6, other: 0.8})
+        with pytest.raises(NonMultipleMode, match="OAM value 1 "):
+            apply_portgraph(device, state)
 
 
 def test_physical_splits_instead_of_raising():
@@ -332,6 +353,13 @@ def test_folded_graphs_fit_default_hop_budget(monkeypatch):
         graph = simplify(synth_arbitrary(d))
         out = apply_portgraph(graph, ModeVector.basis(R0, 0))
         assert out.get((R0, 1)) == pytest.approx(1.0)
+
+
+def test_portgraph_rejects_bad_dimension():
+    graph = netlist_to_portgraph(synth_arbitrary(3))
+    for d in (2.5, 2.0, "3", True, None, 0):
+        with pytest.raises(ValueError, match="dimension must be an int"):
+            dataclasses.replace(graph, dimension=d)
 
 
 # --- configuration -----------------------------------------------------------------

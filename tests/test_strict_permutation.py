@@ -1,6 +1,7 @@
 """The residue-class engine against the packet engine: `window_permutation`
 must return, and raise, what probing the same window value by value does,
-in both modes."""
+in both modes.  So must `probe_permutation`, which sends the probes through
+the packet loop in batches."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,10 +19,12 @@ from oamcycle.model import (
 from oamcycle.portgraph import PortGraph
 from oamcycle.simulation import (
     PHYSICAL,
+    PROBE_BATCH,
     STRICT,
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
+    probe_permutation,
     transform,
     window_permutation,
 )
@@ -40,16 +43,19 @@ def outcome(read):
         return type(exc), str(exc)
 
 
+def by_value(device, domain, config):
+    return outcome(
+        lambda: extract_permutation(
+            transform(device, config), domain, device.input_path, device.output_path
+        )
+    )
+
+
 def assert_engines_agree(device, lo, hi):
     for mode in MODES:
         config = SimulationConfig(mode)
         by_class = outcome(lambda: window_permutation(device, lo, hi, config))
-        by_value = outcome(
-            lambda: extract_permutation(
-                transform(device, config), range(lo, hi + 1), device.input_path, device.output_path
-            )
-        )
-        assert by_class == by_value, mode
+        assert by_class == by_value(device, range(lo, hi + 1), config), mode
 
 
 def graph(nodes, wiring, entries, terminals=(None, R0), output=R0):
@@ -153,17 +159,103 @@ def test_physical_read_probes_only_split_values(monkeypatch, m, split):
     # route alike, so only the values split at a non-multiple are probed;
     # here the multiples of m that cross leak to r1 and are not probed
     probed = []
-    real = simulation.extract_permutation
+    real = simulation.probe_permutation
 
-    def recording(gate, domain, input_path, output_path):
+    def recording(device, domain, config):
         probed.extend(domain)
-        return real(gate, domain, input_path, output_path)
+        return real(device, domain, config)
 
-    monkeypatch.setattr(simulation, "extract_permutation", recording)
+    monkeypatch.setattr(simulation, "probe_permutation", recording)
     device = Netlist((OamBeamSplitter(m, R0, R1), Hologram(R0, 2)), R0, R0, 2)
     physical = window_permutation(device, 0, 999, SimulationConfig(PHYSICAL))
     assert physical == window_permutation(device, 0, 999)
     assert probed == split
+
+
+# --- batched probes ------------------------------------------------------------------
+
+
+def domains():
+    """Windows up to three batches long, and value lists in any order, with repeats."""
+    centre = st.one_of(
+        st.integers(-120, 120), st.sampled_from([10**17, -(10**17), 2**60 + 3])
+    )
+    window = st.tuples(centre, st.integers(0, 3 * PROBE_BATCH)).map(
+        lambda t: range(t[0], t[0] + t[1])
+    )
+    values = st.tuples(centre, st.lists(st.integers(-40, 40), max_size=2 * PROBE_BATCH)).map(
+        lambda t: [t[0] + k for k in t[1]]
+    )
+    return st.one_of(window, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(netlists(), folded_gates(), wired_graphs()), domains())
+def test_batched_probes_match_value_by_value_probes(device, domain):
+    for mode in MODES:
+        config = SimulationConfig(mode)
+        batched = outcome(lambda: probe_permutation(device, iter(domain), config))
+        assert batched == by_value(device, domain, config), mode
+
+
+@st.composite
+def superpositions(draw):
+    """Entry dicts of up to six components near one centre, at one of many scales."""
+    centre = draw(st.integers(-60, 60))
+    scale = draw(st.sampled_from([1.0, 1e-200, 1e200, 1e-17]))
+    keys = draw(
+        st.lists(st.tuples(st.sampled_from(PATHS), st.integers(-20, 20)), unique=True, max_size=6)
+    )
+    amps = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    return {(path, centre + k): scale * draw(amps) for path, k in keys}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(netlists(), folded_gates(), wired_graphs()), st.lists(superpositions(), max_size=6))
+def test_states_in_one_run_do_not_interact(device, states):
+    def shown(results):
+        return [
+            (type(r), str(r)) if isinstance(r, Exception) else list(r.items()) for r in results
+        ]
+
+    graph_of_device = simulation._graph(device)
+    for mode in MODES:
+        config = SimulationConfig(mode)
+        together = simulation._propagate(graph_of_device, states, config)
+        alone = [simulation._propagate(graph_of_device, [state], config)[0] for state in states]
+        assert shown(together) == shown(alone), mode
+
+
+def test_first_failure_in_a_later_batch(monkeypatch):
+    # even values stay on x and map to themselves; odd ones cross to the y
+    # port, which feeds nothing.  The first batch maps whole, and the
+    # second run of the packet loop meets the failing value
+    open_y = graph([OamBeamSplitter(1, R0, R1)], [~1, ~0, ~0, ~0], {R0: 0})
+    evens = list(range(0, 2 * PROBE_BATCH, 2))
+    runs = []
+    real = simulation._propagate
+
+    def counting(graph, states, config):
+        runs.append(len(states))
+        return real(graph, states, config)
+
+    monkeypatch.setattr(simulation, "_propagate", counting)
+    cases = (
+        ([1000, 1001, 1002], ValueError, 3),  # 1001 crosses to the unwired port
+        ([1000, True, 1001], TypeError, 1),  # 1000 is probed, True is no OAM value
+        ([1001, True], ValueError, 1),  # the earlier value decides
+    )
+    for mode in MODES:
+        config = SimulationConfig(mode)
+        assert probe_permutation(open_y, evens, config) == {ell: ell for ell in evens}
+        for tail, error, probed in cases:
+            runs.clear()
+            with pytest.raises(error):
+                probe_permutation(open_y, evens + tail, config)
+            assert runs == [PROBE_BATCH, probed]
+            assert outcome(lambda: probe_permutation(open_y, evens + tail, config)) == by_value(
+                open_y, evens + tail, config
+            )
 
 
 def test_native_window_is_the_cyclic_shift():
