@@ -146,8 +146,6 @@ def _propagate(
             into = outs[s] if slot is None else packets if slot >= 0 else landed
             key = (path, ell) if slot is None else (s, slot, ell)
             into[key] = into.get(key, 0j) + amp
-    # one cut serves a batch whose states share a norm, as basis probes do
-    cut = cuts[0] if len(set(cuts)) == 1 else None
     hops = 0
     while packets:
         hops += 1
@@ -157,7 +155,6 @@ def _propagate(
                     f"packets still in flight after {budget} node traversals"
                 )
             break
-        failed = False  # whether a state failed in this hop
         staged: dict[tuple[int, int, int], complex] = {}
         for (s, slot, ell), amp in packets.items():
             element = nodes[slot >> 2]
@@ -168,7 +165,7 @@ def _propagate(
                     turns, rest = divmod(ell, k)
                     if rest:
                         if errors[s] is None:
-                            errors[s], failed = NonMultipleMode(ell, k), True
+                            errors[s] = NonMultipleMode(ell, k)
                         continue
                     slot ^= turns & 1
                 else:
@@ -187,19 +184,17 @@ def _propagate(
                 amp *= z_phase(element.d, ell)
             else:
                 if errors[s] is None:
-                    errors[s], failed = TypeError(f"unknown element {element!r}"), True
+                    errors[s] = TypeError(f"unknown element {element!r}")
                 continue
             dest = wiring[slot]
             into = staged if dest >= 0 else landed
             key = (s, dest, ell)
             into[key] = into.get(key, 0j) + amp
-        if failed or cut is None:  # a failed state's packets stop where it failed
-            packets = {
-                key: a for key, a in staged.items()
-                if errors[key[0]] is None and abs(a) > cuts[key[0]]
-            }
-        else:
-            packets = {key: a for key, a in staged.items() if abs(a) > cut}
+        # a failed state's packets stop where it failed
+        packets = {
+            key: a for key, a in staged.items()
+            if errors[key[0]] is None and abs(a) > cuts[key[0]]
+        }
     for (s, dest, ell), amp in landed.items():
         if errors[s] is not None:
             continue
