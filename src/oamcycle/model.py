@@ -232,10 +232,14 @@ def extract_permutation(
     return mapping
 
 
-def _image(out: ModeVector | Mapping[StateKey, complex], output_path: PathLabel) -> int | None:
+def _image(
+    out: ModeVector | Mapping[tuple, complex], output_path: PathLabel | int | None
+) -> int | None:
     """The OAM value of *out* when it is a single basis state on
     *output_path* with unit magnitude (within ``PERMUTATION_AMPLITUDE_TOL``),
-    else None: the readout rule of every basis probe."""
+    else None: the readout rule of every basis probe.  The path may be
+    named by its label or, in the engine's ``(t, ell)`` keys, by its
+    terminal index."""
     if len(out) != 1:
         return None
     (path, image), amp = next(iter(out.items()))

@@ -35,9 +35,10 @@ class PortGraph:
     ``wiring[slot]`` is the in-slot an out-slot of ``nodes`` feeds, or
     ``~t`` when it leaves the device on the terminal path
     ``terminals[t]``; ``terminals[0]`` is None, so unwired ports hold
-    ``UNWIRED``.  ``entries`` maps each path that enters the device to
-    its first in-slot; paths absent from ``entries`` pass straight
-    through to the terminal of the same label.
+    ``UNWIRED``, and no path label names two terminals.  ``entries`` maps
+    each path that enters the device to its first in-slot; paths absent
+    from ``entries`` pass straight through to the terminal of the same
+    label.
     """
 
     nodes: tuple[Element, ...]
@@ -51,6 +52,11 @@ class PortGraph:
     def __post_init__(self):
         if not _is_int(self.dimension) or self.dimension < 1:
             raise ValueError(f"dimension must be an int >= 1, got {self.dimension!r}")
+        # the engine sums light per terminal index, so one label is one terminal
+        labels = [path for path in self.terminals if path is not None]
+        if len(set(labels)) < len(labels):
+            twice = next(path for i, path in enumerate(labels) if path in labels[:i])
+            raise ValueError(f"terminal paths must differ, got {twice} twice")
 
     def port_path(self, slot: int) -> PathLabel:
         """The path label a port of a node lies on."""

@@ -15,10 +15,17 @@ so a state behaves the same at every amplitude scale.
 
 One run of the loop carries a batch of independent states, each packet
 tagged with its state; every state keeps its own prune cut, its own
-first error and its own norm check.  `transform` and `apply_*` run a
-batch of one.  `probe_permutation` reads a permutation off basis probes,
-``PROBE_BATCH`` of them per run, which spreads the loop's per-run cost
-over many probes; the batch bound keeps the packets in flight few.
+first error and its own norm check.  Dust is pruned at the head of each
+hop, where a packet whose state has failed is skipped too.  Inside the
+loop everything is an int: a packet is keyed (state, slot, ell) and
+lands on (terminal index, ell).  Path labels appear only at the
+boundary: `transform` and `apply_*` resolve each component's path to
+its entry slot, run a batch of one, and name the terminal sums by
+their labels for the output `ModeVector`.  `probe_permutation` reads a
+permutation off basis probes, ``PROBE_BATCH`` of them per run, which
+spreads the loop's per-run cost over many probes (the batch bound keeps
+the packets in flight few), and compares each probe's terminal index
+with the output path's, so no probe hashes a label.
 
 In strict mode splitters and holograms move basis states to basis
 states with no phase; a phase plate applies its phase in both modes.
@@ -117,46 +124,54 @@ def _graph(device: Netlist | PortGraph) -> PortGraph:
 
 
 def _propagate(
-    graph: PortGraph, states: list[dict[tuple[PathLabel, int], complex]], config: SimulationConfig
-) -> list[dict[tuple[PathLabel, int], complex] | Exception]:
-    """The packet loop, run once for a batch of independent states given as
-    entry dicts; the contract is `apply_portgraph`'s, state by state.
+    graph: PortGraph,
+    packets: dict[tuple[int, int, int], complex],
+    norms: list[float],
+    config: SimulationConfig,
+) -> list[dict[tuple[int, int], complex] | Exception]:
+    """The packet loop, run once for a batch of independent states.
 
-    Returns, per state, its pruned and rescaled output entries, or the
-    exception its run alone would raise: the first its own packets meet.
+    *packets* are keyed ``(state, slot, ell)``, each slot one of
+    ``graph.entries``' values; an entry slot ``~t`` lands on
+    ``terminals[t]`` at once.  ``norms[state]`` is the state's input norm,
+    which sets its prune cut.  Returns, per state, its terminal sums keyed
+    ``(t, ell)``, or the exception a run of that state alone raises: the
+    first its own packets meet, else ValueError if one lands on a terminal
+    with no label (an unwired port).  No path label is hashed or compared
+    here; the callers turn terminal indices into labels.
+
+    At the hop budget only a state with a packet still above its cut
+    fails, so a run whose last packets are all dust ends normally.
     """
-    nodes, wiring = graph.nodes, graph.wiring
+    nodes, wiring, terminals = graph.nodes, graph.wiring, graph.terminals
     strict = config.mode == STRICT
     budget = HOPS_PER_NODE * max(1, len(nodes))
-    norms: list[float] = []
-    cuts: list[float] = []
-    errors: list[Exception | None] = [None] * len(states)
-    # packets: (state, in-slot, ell); landed: (state, ~terminal, ell);
-    # outs[state]: (path, ell)
-    packets: dict[tuple[int, int, int], complex] = {}
+    errors: list[Exception | None] = [None] * len(norms)
+    # a packet is dropped at the head of a hop unless it clears its state's
+    # cut; a failed state's cut is infinite, so its packets stop where it
+    # failed.  `limits` are the cuts in force: none at the first hop, since
+    # the packets given are routed as they are, unpruned.
+    cuts = [PRUNE_THRESHOLD * norm for norm in norms]
+    limits = [-1.0] * len(norms)
+    # landed: (state, ~terminal, ell), summed in the order packets arrive
     landed: dict[tuple[int, int, int], complex] = {}
-    outs: list[dict[tuple[PathLabel, int], complex]] = []
-    for s, state in enumerate(states):
-        norm_in = _norm(state.values())
-        norms.append(norm_in)
-        cuts.append(PRUNE_THRESHOLD * norm_in)
-        outs.append({})
-        for (path, ell), amp in state.items():
-            slot = graph.entries.get(path)
-            into = outs[s] if slot is None else packets if slot >= 0 else landed
-            key = (path, ell) if slot is None else (s, slot, ell)
-            into[key] = into.get(key, 0j) + amp
+    if min(graph.entries.values(), default=0) < 0:  # an entry on a terminal lands at once
+        landed = {key: amp for key, amp in packets.items() if key[1] < 0}
+        packets = {key: amp for key, amp in packets.items() if key[1] >= 0}
     hops = 0
     while packets:
         hops += 1
         if hops > budget:
-            for s, _, _ in packets:
-                errors[s] = HopBudgetExceeded(
-                    f"packets still in flight after {budget} node traversals"
-                )
+            for (s, _, _), amp in packets.items():
+                if abs(amp) > cuts[s]:
+                    errors[s] = HopBudgetExceeded(
+                        f"packets still in flight after {budget} node traversals"
+                    )
             break
         staged: dict[tuple[int, int, int], complex] = {}
         for (s, slot, ell), amp in packets.items():
+            if not abs(amp) > limits[s]:
+                continue
             element = nodes[slot >> 2]
             kind = type(element)
             if kind is OamBeamSplitter:
@@ -164,8 +179,8 @@ def _propagate(
                 if strict:  # the rule of splitter_route_strict, on slots
                     turns, rest = divmod(ell, k)
                     if rest:
-                        if errors[s] is None:
-                            errors[s] = NonMultipleMode(ell, k)
+                        errors[s] = NonMultipleMode(ell, k)
+                        limits[s] = cuts[s] = math.inf
                         continue
                     slot ^= turns & 1
                 else:
@@ -183,45 +198,42 @@ def _propagate(
             elif kind is ZPlate:
                 amp *= z_phase(element.d, ell)
             else:
-                if errors[s] is None:
-                    errors[s] = TypeError(f"unknown element {element!r}")
+                errors[s] = TypeError(f"unknown element {element!r}")
+                limits[s] = cuts[s] = math.inf
                 continue
             dest = wiring[slot]
             into = staged if dest >= 0 else landed
             key = (s, dest, ell)
             into[key] = into.get(key, 0j) + amp
-        # a failed state's packets stop where it failed
-        packets = {
-            key: a for key, a in staged.items()
-            if errors[key[0]] is None and abs(a) > cuts[key[0]]
-        }
+        packets = staged
+        limits = cuts
+    outs: list[dict[tuple[int, int], complex]] = [{} for _ in norms]
     for (s, dest, ell), amp in landed.items():
-        if errors[s] is not None:
-            continue
-        path = graph.terminals[~dest]
-        if path is None:
-            errors[s] = ValueError("a packet left the device through an unwired port")
-            continue
-        out = outs[s]
-        out[(path, ell)] = out.get((path, ell), 0j) + amp
-    return [
-        _finish(out, norm_in) if error is None else error
-        for out, norm_in, error in zip(outs, norms, errors)
-    ]
+        if errors[s] is None:
+            if terminals[~dest] is None:
+                errors[s] = ValueError("a packet left the device through an unwired port")
+            else:
+                outs[s][~dest, ell] = amp
+    return [out if error is None else error for out, error in zip(outs, errors)]
 
 
 def _finish(
-    out: dict[tuple[PathLabel, int], complex], norm_in: float
-) -> dict[tuple[PathLabel, int], complex] | Exception:
-    """One state's terminal sum *out*, pruned and rescaled to *norm_in*, or
-    the exception its norm check raises."""
-    norm_out = _norm(out.values())
+    out: dict[tuple, complex], norm_in: float, terminals: tuple | None = None
+) -> dict[tuple, complex] | Exception:
+    """One state's output *out*, pruned and rescaled to *norm_in*, or the
+    exception its norm check raises.  Keys are ``(path, ell)``, or
+    ``(t, ell)`` for the path ``terminals[t]``."""
+    norm_out = abs(next(iter(out.values()))) if len(out) == 1 else _norm(out.values())
     if not math.isfinite(norm_out):
         path, ell = next(key for key, amp in out.items() if not cmath.isfinite(amp))
-        return ValueError(f"non-finite amplitude for {path}|{ell}>")
-    result = _pruned(out)
-    if len(result) < len(out):
-        norm_out = _norm(result.values())
+        label = path if terminals is None else terminals[path]
+        return ValueError(f"non-finite amplitude for {label}|{ell}>")
+    if len(out) > 1:
+        result = _pruned(out)
+        if len(result) < len(out):
+            norm_out = _norm(result.values())
+    else:  # a lone entry is its own norm and is pruned only at zero
+        result = out if norm_out else {}
     if abs(norm_out - norm_in) > NORM_TOLERANCE * norm_in:
         return NormDrift(f"terminal norm {norm_out!r} differs from input norm {norm_in!r}")
     if result and norm_in > 0.0 and norm_out != norm_in:
@@ -231,8 +243,29 @@ def _finish(
 
 
 def _run(graph: PortGraph, state: ModeVector, config: SimulationConfig) -> ModeVector:
-    """*state* through the packet loop as a batch of one."""
-    (result,) = _propagate(graph, [state._entries], config)
+    """*state* through the packet loop as a batch of one, with path labels
+    only at its ends: each component's path is resolved to its entry slot,
+    a component on a path with no entry passes through (it comes first in
+    its key's sum), and each terminal sum is added under its label."""
+    entries = graph.entries
+    out: dict[tuple[PathLabel, int], complex] = {}
+    packets: dict[tuple[int, int, int], complex] = {}
+    for (path, ell), amp in state.items():
+        slot = entries.get(path)
+        if slot is None:  # summed from 0j, like every output amplitude
+            out[path, ell] = 0j + amp
+        else:
+            key = (0, slot, ell)
+            packets[key] = packets.get(key, 0j) + amp
+    norm_in = state.norm()
+    (landed,) = _propagate(graph, packets, [norm_in], config)
+    if isinstance(landed, Exception):
+        raise landed
+    terminals = graph.terminals
+    for (t, ell), amp in landed.items():
+        key = (terminals[t], ell)
+        out[key] = out.get(key, 0j) + amp
+    result = _finish(out, norm_in)
     if isinstance(result, Exception):
         raise result
     return ModeVector._trusted(result)
@@ -344,6 +377,11 @@ def probe_permutation(
     """
     graph = _graph(device)
     source, target = graph.input_path, graph.output_path
+    # labels are looked up once: each probe is read by terminal index
+    entry = graph.entries.get(source)
+    terminals = graph.terminals
+    output = terminals.index(target) if target in terminals else None
+    through = entry is None and source == target
     mapping: dict[int, int] = {}
     values = iter(domain)
     while batch := list(islice(values, PROBE_BATCH)):
@@ -351,15 +389,22 @@ def probe_permutation(
         if invalid is not None:  # probe the values before it, then raise
             error = TypeError(f"OAM value must be int, got {batch[invalid]!r}")
             del batch[invalid:]
-        outs = _propagate(graph, [{(source, ell): 1.0 + 0j} for ell in batch], config)
-        for ell, out in zip(batch, outs):
-            if isinstance(out, Exception):
-                if isinstance(out, NonMultipleMode):
-                    continue
-                raise out
-            image = _image(out, target)
-            if image is not None:
-                mapping[ell] = image
+        if entry is None:  # each probe passes straight through, as in window_permutation
+            if through:
+                mapping.update(zip(batch, batch))
+        else:
+            packets = {(s, entry, ell): 1.0 + 0j for s, ell in enumerate(batch)}
+            outs = _propagate(graph, packets, [1.0] * len(batch), config)
+            for ell, out in zip(batch, outs):
+                if not isinstance(out, Exception):
+                    out = _finish(out, 1.0, terminals)
+                if isinstance(out, Exception):
+                    if isinstance(out, NonMultipleMode):
+                        continue
+                    raise out
+                image = _image(out, output)
+                if image is not None:
+                    mapping[ell] = image
         if invalid is not None:
             raise error
     return mapping

@@ -96,9 +96,9 @@ def test_verify_runs_the_packet_loop_once_per_batch(monkeypatch):
     runs = []
     real = simulation._propagate
 
-    def counting(graph, states, config):
-        runs.append(len(states))
-        return real(graph, states, config)
+    def counting(graph, packets, norms, config):
+        runs.append(len(norms))
+        return real(graph, packets, norms, config)
 
     monkeypatch.setattr(simulation, "_propagate", counting)
     for d in (2, simulation.PROBE_BATCH, simulation.PROBE_BATCH + 1, 500):

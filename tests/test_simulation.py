@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from reference_netlist import reference_apply_netlist
 
 from oamcycle import portgraph, simulation
-from oamcycle.elements import NonMultipleMode
+from oamcycle.elements import NonMultipleMode, splitter_amplitudes
 from oamcycle.model import (
+    PRUNE_THRESHOLD,
     Hologram,
     ModeVector,
     Netlist,
@@ -346,6 +347,72 @@ def test_hop_budget_guard():
         apply_portgraph(loop, ModeVector.basis(R0, 0))
 
 
+def test_dust_in_flight_at_the_hop_budget_ends_the_run_normally(monkeypatch):
+    # r0 passes a hologram, then an order-10**16 splitter, which crosses
+    # about 1.6e-16 of ell = 1 to its y port, below the prune cut; y feeds
+    # the hologram again, so that dust is the only packet in flight when
+    # the budget of two hops runs out
+    device = PortGraph(
+        nodes=(Hologram(R0, 0), OamBeamSplitter(10**16, R0, R1)),
+        wiring=(4, ~0, ~0, ~0, ~1, 0, ~0, ~0),
+        entries={R0: 0},
+        terminals=(None, R0),
+        input_path=R0,
+        output_path=R0,
+        dimension=2,
+    )
+    monkeypatch.setattr(simulation, "HOPS_PER_NODE", 1)
+    stay, cross = splitter_amplitudes(10**16, 1)
+    assert 0.0 < abs(cross) <= PRUNE_THRESHOLD
+    out = apply_portgraph(device, ModeVector.basis(R0, 1), PHYSICAL)
+    assert list(out.items()) == [((R0, 1), stay)]
+    # half of ell = 5 * 10**15 crosses: light, not dust, is still in flight
+    with pytest.raises(HopBudgetExceeded):
+        apply_portgraph(device, ModeVector.basis(R0, 5 * 10**15), PHYSICAL)
+
+
+def test_a_run_routes_the_packets_it_is_given():
+    # r0 and r1 enter at one slot, where their components nearly cancel;
+    # the remainder is below the prune cut but is routed, not dropped, so
+    # it reaches the terminal and the norm check names it
+    shared = PortGraph(
+        nodes=(Hologram(R0, 0),),
+        wiring=(~1, ~0, ~0, ~0),
+        entries={R0: 0, R1: 0},
+        terminals=(None, R0),
+        input_path=R0,
+        output_path=R0,
+        dimension=2,
+    )
+    state = ModeVector({(R0, 0): 1.0, (R1, 0): -(1.0 - 2.0**-52)})
+    assert 2.0**-52 <= PRUNE_THRESHOLD * state.norm()
+    with pytest.raises(NormDrift, match=r"terminal norm 2\.220446049250313e-16 differs"):
+        apply_portgraph(shared, state)
+
+
+def test_pass_through_comes_first_in_its_terminal_sum():
+    # r1 has no entry, so its component passes through to the r1 terminal,
+    # where two packets land with the same OAM value; their landed sum is
+    # added to it, 1 + (a + a), which rounds differently from (1 + a) + a
+    a = 17 * 2.0**-53
+    total = 1.0 + (a + a)
+    assert total != (1.0 + a) + a
+    device = PortGraph(
+        nodes=(Hologram(R0, 1), Hologram(s_path(0), 2), Hologram(s_path(1), 0)),
+        wiring=(~2, ~0, ~0, ~0, ~2, ~0, ~0, ~0, ~1, ~0, ~0, ~0),
+        entries={R0: 0, s_path(0): 4, s_path(1): 8},
+        terminals=(None, R0, R1),
+        input_path=R0,
+        output_path=R1,
+        dimension=2,
+    )
+    state = ModeVector({(R1, 5): 1.0, (R0, 4): a, (s_path(0), 3): a, (s_path(1), 0): 1.0})
+    factor = state.norm() / math.hypot(total, 1.0)
+    for config in (SimulationConfig(), PHYSICAL):
+        out = apply_portgraph(device, state, config)
+        assert list(out.items()) == [((R1, 5), total * factor), ((R0, 0), factor)]
+
+
 def test_folded_graphs_fit_default_hop_budget(monkeypatch):
     # every packet crosses each element at most twice after folding
     monkeypatch.setattr(simulation, "HOPS_PER_NODE", 4)
@@ -360,6 +427,15 @@ def test_portgraph_rejects_bad_dimension():
     for d in (2.5, 2.0, "3", True, None, 0):
         with pytest.raises(ValueError, match="dimension must be an int"):
             dataclasses.replace(graph, dimension=d)
+
+
+def test_portgraph_rejects_a_terminal_label_twice():
+    # the engine sums light per terminal index, so two terminals of one
+    # label would split one output component in two
+    graph = netlist_to_portgraph(synth_arbitrary(3))
+    with pytest.raises(ValueError, match="terminal paths must differ, got r0 twice"):
+        dataclasses.replace(graph, terminals=(*graph.terminals, R0))
+    assert dataclasses.replace(graph, terminals=(*graph.terminals, None)).terminals[-1] is None
 
 
 # --- configuration -----------------------------------------------------------------

@@ -11,7 +11,9 @@ from oamcycle.model import (
     Hologram,
     Netlist,
     OamBeamSplitter,
+    PathLabel,
     ZPlate,
+    _norm,
     extract_permutation,
     r_path,
     s_path,
@@ -218,11 +220,26 @@ def test_states_in_one_run_do_not_interact(device, states):
             (type(r), str(r)) if isinstance(r, Exception) else list(r.items()) for r in results
         ]
 
+    def packets(batch):
+        # each component at its path's entry slot, tagged with its state;
+        # components on paths with no entry pass through outside the loop
+        keyed = {}
+        for s, state in enumerate(batch):
+            for (path, ell), amp in state.items():
+                slot = graph_of_device.entries.get(path)
+                if slot is not None:
+                    keyed[s, slot, ell] = keyed.get((s, slot, ell), 0j) + amp
+        return keyed
+
     graph_of_device = simulation._graph(device)
+    norms = [_norm(state.values()) for state in states]
     for mode in MODES:
         config = SimulationConfig(mode)
-        together = simulation._propagate(graph_of_device, states, config)
-        alone = [simulation._propagate(graph_of_device, [state], config)[0] for state in states]
+        together = simulation._propagate(graph_of_device, packets(states), norms, config)
+        alone = [
+            simulation._propagate(graph_of_device, packets([state]), [norm], config)[0]
+            for state, norm in zip(states, norms)
+        ]
         assert shown(together) == shown(alone), mode
 
 
@@ -235,9 +252,9 @@ def test_first_failure_in_a_later_batch(monkeypatch):
     runs = []
     real = simulation._propagate
 
-    def counting(graph, states, config):
-        runs.append(len(states))
-        return real(graph, states, config)
+    def counting(graph, packets, norms, config):
+        runs.append(len(norms))
+        return real(graph, packets, norms, config)
 
     monkeypatch.setattr(simulation, "_propagate", counting)
     cases = (
@@ -256,6 +273,31 @@ def test_first_failure_in_a_later_batch(monkeypatch):
             assert outcome(lambda: probe_permutation(open_y, evens + tail, config)) == by_value(
                 open_y, evens + tail, config
             )
+
+
+def test_probes_look_up_path_labels_once_per_call(monkeypatch):
+    # each probe is read by terminal index, so the label lookups of a call
+    # do not grow with its domain (five hashes and two comparisons per probe
+    # made 2500 and 1000 at d = 500)
+    calls = []
+
+    def counted(name):
+        real = getattr(PathLabel, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    def lookups(d):
+        gate = synth_arbitrary(d)
+        simulation._graph(gate)  # threading the netlist is not probing
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(PathLabel, "__hash__", counted("__hash__"))
+            patch.setattr(PathLabel, "__eq__", counted("__eq__"))
+            assert probe_permutation(gate, range(d)) == {k: (k + 1) % d for k in range(d)}
+        return calls.count("__hash__"), calls.count("__eq__")
+
+    hashes, compares = lookups(500)
+    assert hashes + compares <= 8
+    assert lookups(37) == lookups(4096) == (hashes, compares)
 
 
 def test_native_window_is_the_cyclic_shift():
