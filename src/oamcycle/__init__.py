@@ -9,15 +9,7 @@ from .analysis import (
     scaling_table,
     verify_gate,
 )
-from .elements import (
-    NonMultipleMode,
-    TwoPortUnitary,
-    hologram_apply,
-    splitter_amplitudes,
-    splitter_route_strict,
-    splitter_unitary,
-    z_phase,
-)
+from .elements import NonMultipleMode, splitter_amplitudes, z_phase
 from .model import (
     Element,
     Hologram,

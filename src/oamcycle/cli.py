@@ -198,10 +198,7 @@ def main(argv=None) -> int:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1
     except (ParseError, SchemaVersionMismatch, InvalidDimension, NotSimplifiable,
-            ZeroState, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+            ZeroState, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

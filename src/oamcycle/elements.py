@@ -1,4 +1,4 @@
-"""Element semantics: beam-splitter routing, hologram shifts, phase plates.
+"""Element semantics: beam-splitter routing and phase plates.
 
 The OAM beam-splitter of order m sorts by the parity of ell/m: even
 multiples of m exit on the port they entered, odd multiples cross over.
@@ -9,7 +9,7 @@ Two models of that behavior are provided.
   is phase-free and exact, and is the reference semantics for netlist
   verification.
 * The physical model (`splitter_amplitudes`; `splitter_unitary` as a 2x2
-  numpy matrix) is the two-port interferometer with internal phase
+  matrix of rows) is the two-port interferometer with internal phase
   phi = pi*ell/m, defined for every ell.  At multiples of m it puts all
   probability, exactly, on the strict router's port, with an
   ell-dependent phase on top.
@@ -19,11 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 PORT_X = "x"
 PORT_Y = "y"
@@ -54,19 +49,6 @@ def splitter_route_strict(m: int, input_port: str, ell: int) -> str:
     return PORT_Y if input_port == PORT_X else PORT_X
 
 
-@dataclass(frozen=True)
-class TwoPortUnitary:
-    """2x2 transfer matrix of a splitter at a fixed OAM value.
-
-    Basis order is (same port, other port): ``matrix[0, 0]`` is the
-    amplitude to stay, ``matrix[1, 0]`` the amplitude to cross.  ``phase``
-    is the internal phase phi = pi*ell/m.
-    """
-
-    matrix: np.ndarray
-    phase: float
-
-
 #: (stay, cross) at ell = 0, m, 2m, 3m (mod 4m)
 _QUARTER_TURNS = ((1 + 0j, 0j), (0j, 1j), (-1 + 0j, 0j), (0j, -1j))
 
@@ -88,18 +70,11 @@ def splitter_amplitudes(m: int, ell: int) -> tuple[complex, complex]:
     return complex(math.cos(half)), 1j * math.sin(half)
 
 
-def splitter_unitary(m: int, ell: int) -> TwoPortUnitary:
-    """Physical transfer matrix of an order-m splitter for OAM value ell."""
-    import numpy as np
-
+def splitter_unitary(m: int, ell: int) -> tuple[tuple[complex, complex], ...]:
+    """Physical transfer matrix of an order-m splitter for OAM value ell, as
+    rows ``((stay, cross), (cross, stay))`` in the basis (same port, other port)."""
     stay, cross = splitter_amplitudes(m, ell)
-    matrix = np.array([[stay, cross], [cross, stay]], dtype=complex)
-    return TwoPortUnitary(matrix=matrix, phase=math.pi * ell / m)
-
-
-def hologram_apply(v: int, ell: int) -> int:
-    """OAM shift of a hologram of charge v."""
-    return ell + v
+    return ((stay, cross), (cross, stay))
 
 
 def z_phase(d: int, ell: int) -> complex:

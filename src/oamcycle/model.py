@@ -13,7 +13,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union, get_args
 
 from .elements import NonMultipleMode
 
@@ -297,6 +297,15 @@ class ZPlate:
 Element = Union[OamBeamSplitter, Hologram, ZPlate]
 
 
+def _check_kinds(elements: tuple) -> None:
+    """Raise TypeError unless each member's exact type is one of `Element`'s, on
+    which the engines dispatch; devices call this when built, so no loop does."""
+    kinds = get_args(Element)
+    if not set(map(type, elements)).issubset(kinds):
+        unknown = next(el for el in elements if type(el) not in kinds)
+        raise TypeError(f"unknown element {unknown!r}")
+
+
 def element_paths(element: Element) -> tuple[PathLabel, ...]:
     if isinstance(element, OamBeamSplitter):
         return (element.port_x, element.port_y)
@@ -309,6 +318,8 @@ class Netlist:
 
     Light enters on ``input_path`` and the designed output appears on
     ``output_path``.  The only legal empty netlist is the d=1 identity.
+    Raises TypeError for a member that is not one of the three element
+    classes.
     """
 
     elements: tuple[Element, ...]
@@ -320,11 +331,17 @@ class Netlist:
         object.__setattr__(self, "elements", tuple(self.elements))
         if not _is_int(self.dimension) or self.dimension < 1:
             raise ValueError(f"dimension must be an int >= 1, got {self.dimension!r}")
+        _check_kinds(self.elements)
         if self.elements:
             used = self.paths()
             for role, path in (("input", self.input_path), ("output", self.output_path)):
                 if path not in used:
                     raise ValueError(f"{role} path {path} not referenced by any element")
+        elif self.dimension != 1 or self.input_path != self.output_path:
+            raise ValueError(
+                f"a netlist with no elements is the d=1 identity, got d={self.dimension}, "
+                f"{self.input_path} -> {self.output_path}"
+            )
 
     @classmethod
     def identity(cls) -> "Netlist":

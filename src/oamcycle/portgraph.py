@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import Element, Netlist, PathLabel, _is_int, element_paths
+from .model import Element, Netlist, PathLabel, _check_kinds, _is_int, element_paths
 
 #: slot bit of the ports that traverse an element backwards; bit 0 is the side
 BACKWARD = 2
@@ -36,9 +36,11 @@ class PortGraph:
     ``~t`` when it leaves the device on the terminal path
     ``terminals[t]``; ``terminals[0]`` is None, so unwired ports hold
     ``UNWIRED``, and no path label names two terminals.  ``entries`` maps
-    each path that enters the device to its first in-slot; paths absent
-    from ``entries`` pass straight through to the terminal of the same
-    label.
+    each path that enters the device to its first in-slot, or to a
+    terminal index ``~t``; paths absent from ``entries`` pass straight
+    through to the terminal of the same label.  Raises TypeError for a
+    node that is not one of the three element classes, and ValueError for
+    tables the engines cannot index.
     """
 
     nodes: tuple[Element, ...]
@@ -52,6 +54,16 @@ class PortGraph:
     def __post_init__(self):
         if not _is_int(self.dimension) or self.dimension < 1:
             raise ValueError(f"dimension must be an int >= 1, got {self.dimension!r}")
+        _check_kinds(self.nodes)
+        if not self.terminals or self.terminals[0] is not None:
+            raise ValueError(f"terminals[0] must be None, got {self.terminals!r}")
+        slots = 4 * len(self.nodes)
+        if len(self.wiring) != slots:
+            raise ValueError(
+                f"wiring must hold 4 slots per node, {slots} in all, got {len(self.wiring)}"
+            )
+        _check_slots("wiring", self.wiring, slots, len(self.terminals))
+        _check_slots("entries", self.entries.values(), slots, len(self.terminals))
         # the engine sums light per terminal index, so one label is one terminal
         labels = [path for path in self.terminals if path is not None]
         if len(set(labels)) < len(labels):
@@ -61,6 +73,16 @@ class PortGraph:
     def port_path(self, slot: int) -> PathLabel:
         """The path label a port of a node lies on."""
         return element_paths(self.nodes[slot >> 2])[slot & 1]
+
+
+def _check_slots(field: str, values, slots: int, terminals: int) -> None:
+    """Raise ValueError unless each of *values* is an exact int: an in-slot below
+    *slots*, or ``~t`` with t < *terminals*.  In C passes: graphs are built on hot paths."""
+    if values and (
+        set(map(type, values)) != {int} or min(values) < -terminals or max(values) >= slots
+    ):
+        bad = next(v for v in values if type(v) is not int or not -terminals <= v < slots)
+        raise ValueError(f"{field} must hold slots < {slots} or ~t, t < {terminals}, got {bad!r}")
 
 
 def netlist_to_portgraph(netlist: Netlist) -> PortGraph:

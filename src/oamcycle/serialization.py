@@ -60,9 +60,7 @@ def _element_to_obj(element: Element) -> dict:
         }
     if isinstance(element, Hologram):
         return {"kind": KIND_HOLOGRAM, "v": element.v, "paths": [str(element.path)]}
-    if isinstance(element, ZPlate):
-        return {"kind": KIND_ZPLATE, "d": element.d, "paths": [str(element.path)]}
-    raise TypeError(f"unknown element {element!r}")
+    return {"kind": KIND_ZPLATE, "d": element.d, "paths": [str(element.path)]}
 
 
 def serialize(netlist: Netlist, variant: str = "standard") -> str:

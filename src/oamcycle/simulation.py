@@ -11,7 +11,9 @@ light backwards through an element.  Norm is checked once against the
 terminal sum, since packets taking paths of different lengths make the
 in-flight norm momentarily non-conserved under interference.  Both the
 pruning of dust and the norm tolerance are relative to the input norm,
-so a state behaves the same at every amplitude scale.
+so a state behaves the same at every amplitude scale.  A netlist or
+port graph admits only the three element classes when it is built, so
+neither loop here checks an element's kind beyond dispatching on it.
 
 One run of the loop carries a batch of independent states, each packet
 tagged with its state; every state keeps its own prune cut, its own
@@ -195,12 +197,8 @@ def _propagate(
                     amp *= stay
             elif kind is Hologram:
                 ell = ell - element.v if slot & BACKWARD else ell + element.v
-            elif kind is ZPlate:
+            else:  # a ZPlate: the graph admits only the three kinds
                 amp *= z_phase(element.d, ell)
-            else:
-                errors[s] = TypeError(f"unknown element {element!r}")
-                limits[s] = cuts[s] = math.inf
-                continue
             dest = wiring[slot]
             into = staged if dest >= 0 else landed
             key = (s, dest, ell)
@@ -280,8 +278,9 @@ def window_permutation(
     Returns what ``extract_permutation(transform(device, config),
     range(lo, hi + 1), device.input_path, device.output_path)`` returns,
     and raises what it raises: HopBudgetExceeded, or ValueError for an
-    unwired port, or TypeError for an unknown element, or (from a physical
-    probe) NormDrift, whichever the smallest failing window value meets.
+    unwired port, or (from a physical probe) NormDrift, whichever the
+    smallest failing window value meets.  Element kinds were checked when
+    the device was built, so no window value meets an unknown one.
 
     A value the classes map meets only multiples of each splitter's
     order, where the physical amplitudes are exactly a power of i on one
@@ -337,10 +336,7 @@ def window_permutation(
                 slot ^= (r + offset) // m & 1
             elif kind is Hologram:
                 offset += -element.v if slot & BACKWARD else element.v
-            elif kind is not ZPlate:
-                error = TypeError(f"unknown element {element!r}")
-                break
-            hops += 1
+            hops += 1  # a plate routes nothing
             slot = wiring[slot]
         else:
             first = (r - lo) % q

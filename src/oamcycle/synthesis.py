@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Element, Hologram, Netlist, OamBeamSplitter, ZPlate, r_path, s_path
+from .model import Element, Hologram, Netlist, OamBeamSplitter, ZPlate, _is_int, r_path, s_path
 from .portgraph import PortGraph, contract_mirrors, netlist_to_portgraph
 
 #: the gate variants a document can name (see `synth_variant`)
@@ -63,7 +63,7 @@ class SynthesisParams:
 
 def decompose(d: int) -> SynthesisParams:
     """Factor d and precompute the digit walk.  Requires d >= 2."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
+    if not _is_int(d) or d < 2:
         raise InvalidDimension(f"dimension must be an integer >= 2, got {d!r}")
     two_exp = (d & -d).bit_length() - 1
     odd = d >> two_exp
@@ -139,14 +139,14 @@ def synth_arbitrary(d: int) -> Netlist:
 
 def synth_odd(d: int) -> Netlist:
     """Cyclic shift netlist for odd d >= 3."""
-    if not isinstance(d, int) or d < 3 or d % 2 == 0:
+    if not _is_int(d) or d < 3 or d % 2 == 0:
         raise InvalidDimension(f"expected an odd dimension >= 3, got {d!r}")
     return synth_arbitrary(d)
 
 
 def synth_power_of_two(m: int) -> Netlist:
     """Cyclic shift netlist for d = 2^m, m >= 1: the plain doubling ladder."""
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise InvalidDimension(f"expected an exponent >= 1, got {m!r}")
     return synth_arbitrary(2**m)
 

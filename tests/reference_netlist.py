@@ -5,13 +5,13 @@ element, pruning and checking the norm after every step, both relative
 to the input norm.  This is a different propagation scheme from the
 port-graph packet loop of `oamcycle.simulation`, so the tests can
 cross-check the engine against it; it shares only the element functions
-(`splitter_route_strict`, `splitter_unitary`, `hologram_apply`,
-`z_phase`) and the norm tolerance.
+(`splitter_route_strict`, `splitter_unitary`, `z_phase`) and the norm
+tolerance.
 """
 
 import math
 
-from oamcycle.elements import hologram_apply, splitter_route_strict, splitter_unitary, z_phase
+from oamcycle.elements import splitter_route_strict, splitter_unitary, z_phase
 from oamcycle.model import PRUNE_THRESHOLD, Hologram, ModeVector, OamBeamSplitter, ZPlate
 from oamcycle.simulation import NORM_TOLERANCE, STRICT, NormDrift
 
@@ -34,11 +34,11 @@ def _splitter_step(el, entries, mode):
         else:
             out[(path, ell)] = out.get((path, ell), 0j) + amp
     for ell in touched:
-        u = splitter_unitary(el.m, ell).matrix
+        u = splitter_unitary(el.m, ell)
         ax = entries.get((el.port_x, ell), 0j)
         ay = entries.get((el.port_y, ell), 0j)
-        out[(el.port_x, ell)] = u[0, 0] * ax + u[1, 0] * ay
-        out[(el.port_y, ell)] = u[1, 0] * ax + u[0, 0] * ay
+        out[(el.port_x, ell)] = u[0][0] * ax + u[1][0] * ay
+        out[(el.port_y, ell)] = u[1][0] * ax + u[0][0] * ay
     return out
 
 
@@ -53,7 +53,7 @@ def reference_apply_netlist(netlist, state, config):
         elif isinstance(el, Hologram):
             stepped = {}
             for (path, ell), amp in entries.items():
-                key = (path, hologram_apply(el.v, ell)) if path == el.path else (path, ell)
+                key = (path, ell + el.v) if path == el.path else (path, ell)
                 stepped[key] = stepped.get(key, 0j) + amp
             entries = stepped
         elif isinstance(el, ZPlate):

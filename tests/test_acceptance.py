@@ -196,7 +196,7 @@ def test_09_element_model_cross_validation():
             m = 2**exp
             for k in range(-8, 9):
                 ell = k * m
-                u = splitter_unitary(m, ell).matrix
+                u = np.array(splitter_unitary(m, ell))
                 assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
                 stays = splitter_route_strict(m, PORT_X, ell) == PORT_X
                 routed = u[0, 0] if stays else u[1, 0]

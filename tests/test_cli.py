@@ -4,12 +4,14 @@ Every test drives ``main(argv)`` directly and checks the exit code plus
 whatever landed on stdout/stderr or in the output files.
 """
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from oamcycle import Netlist, OamBeamSplitter, cli, parse, r_path, serialize
+from oamcycle import Hologram, Netlist, OamBeamSplitter, analysis, cli, parse, r_path, serialize
 from oamcycle.cli import main
 
 
@@ -173,6 +175,26 @@ def test_verify_shift_flag_selects_shifted_variant(capsys):
 def test_verify_inverse(capsys):
     assert main(["verify", "7", "--variant", "inverse"]) == 0
     assert capsys.readouterr().out.strip().endswith("PASS")
+
+
+def test_verify_reports_a_failing_gate(monkeypatch, capsys):
+    # the first hologram's charge flipped: 16 of the 32 values go wrong
+    real = analysis.synth_variant
+
+    def broken(d, variant="standard", shift=0):
+        netlist = real(d, variant, shift)
+        elements = list(netlist.elements)
+        i = next(i for i, el in enumerate(elements) if isinstance(el, Hologram))
+        elements[i] = Hologram(elements[i].path, -elements[i].v)
+        return dataclasses.replace(netlist, elements=tuple(elements))
+
+    monkeypatch.setattr(analysis, "synth_variant", broken)
+    assert main(["verify", "32"]) == 1
+    out = capsys.readouterr().out
+    assert "permutation: FAILED (32/32 values mapped)" in out
+    assert len(re.findall(r"^violation: \|\d+> mapped to \d+, expected \|\d+>$", out, re.M)) == 10
+    assert "... and 6 more violations" in out
+    assert out.strip().endswith("FAIL")
 
 
 def test_verify_bad_dimension(capsys):

@@ -13,12 +13,13 @@ from hypothesis import given, strategies as st
 
 from oamcycle.elements import (
     NonMultipleMode,
-    hologram_apply,
     splitter_amplitudes,
     splitter_route_strict,
     splitter_unitary,
     z_phase,
 )
+from oamcycle.model import Hologram, ModeVector, Netlist, r_path
+from oamcycle.simulation import apply_netlist
 
 
 def _route_oracle(m, port, ell):
@@ -78,30 +79,34 @@ def test_strict_routing_is_an_involution(m, k, port):
 
 @given(st.integers(1, 1024), st.integers(-2048, 2048))
 def test_physical_model_is_unitary(m, ell):
-    u = splitter_unitary(m, ell).matrix
+    u = np.array(splitter_unitary(m, ell))
     assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
 
 def test_physical_phase_value():
-    assert splitter_unitary(4, 6).phase == pytest.approx(math.pi * 6 / 4)
+    # phi = pi*6/4 = 3pi/2: stay cos(3pi/4), cross i*sin(3pi/4)
+    (stay, cross), (cross_back, stay_back) = splitter_unitary(4, 6)
+    assert stay == pytest.approx(-math.sqrt(0.5), abs=1e-15)
+    assert cross == pytest.approx(1j * math.sqrt(0.5), abs=1e-15)
+    assert (cross_back, stay_back) == (cross, stay)
 
 
 def test_physical_even_multiple_stays():
     for m, k in [(1, 0), (2, 2), (8, -4), (16, 6)]:
-        u = splitter_unitary(m, 2 * k * m).matrix
+        u = np.array(splitter_unitary(m, 2 * k * m))
         assert abs(abs(u[0, 0]) - 1.0) < 1e-12
         assert abs(u[1, 0]) < 1e-12
 
 
 def test_physical_odd_multiple_crosses():
     for m, k in [(1, 0), (2, 1), (8, -2), (16, 3)]:
-        u = splitter_unitary(m, (2 * k + 1) * m).matrix
+        u = np.array(splitter_unitary(m, (2 * k + 1) * m))
         assert abs(abs(u[1, 0]) - 1.0) < 1e-12
         assert abs(u[0, 0]) < 1e-12
 
 
 def test_physical_half_multiple_splits_evenly():
-    u = splitter_unitary(8, 4).matrix  # phase pi/2: a 50/50 split
+    u = np.array(splitter_unitary(8, 4))  # phase pi/2: a 50/50 split
     assert abs(u[0, 0]) == pytest.approx(math.sqrt(0.5), abs=1e-12)
     assert abs(u[1, 0]) == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
@@ -117,7 +122,7 @@ def test_models_agree_on_multiples(m):
     # model, exactly: 1, i, -1, -i on that port and 0 on the other
     for k in range(-8, 9):
         ell = k * m
-        u = splitter_unitary(m, ell).matrix
+        u = np.array(splitter_unitary(m, ell))
         quarter = (1, 1j, -1, -1j)[k % 4]
         if splitter_route_strict(m, "x", ell) == "x":
             assert (u[0, 0], u[1, 0]) == (quarter, 0)
@@ -146,9 +151,10 @@ def test_import_does_not_load_numpy():
 
 
 def test_hologram_shift():
-    assert hologram_apply(3, 4) == 7
-    assert hologram_apply(-8, 0) == -8
-    assert hologram_apply(0, 5) == 5
+    r0 = r_path(0)
+    for v, ell, shifted in ((3, 4, 7), (-8, 0, -8), (0, 5, 5)):
+        out = apply_netlist(Netlist((Hologram(r0, v),), r0, r0, 2), ModeVector.basis(r0, ell))
+        assert dict(out.items()) == {(r0, shifted): 1}
 
 
 def test_z_phase_values():

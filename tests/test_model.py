@@ -281,6 +281,13 @@ def test_netlist_rejects_bad_dimension():
             Netlist((Hologram(R0, 1),), R0, R0, d)
 
 
+def test_an_empty_netlist_is_the_identity():
+    for dimension, output in ((5, R0), (1, R1), (5, R1)):
+        with pytest.raises(ValueError, match="no elements is the d=1 identity"):
+            Netlist((), R0, output, dimension)
+    assert Netlist((), R1, R1, 1).paths() == set()
+
+
 def test_netlist_paths():
     net = Netlist((OamBeamSplitter(1, R0, S0), Hologram(S0, 1)), R0, S0, 2)
     assert net.paths() == {R0, S0}

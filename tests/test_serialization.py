@@ -81,6 +81,16 @@ def test_identity_netlist_round_trips():
     assert '"elements": [' in text
 
 
+def test_parse_rejects_an_empty_netlist_other_than_the_identity():
+    text = serialize(Netlist.identity())
+    for wrong in (
+        text.replace('"dimension": 1', '"dimension": 5'),
+        text.replace('"output_path": "r0"', '"output_path": "r3"'),
+    ):
+        with pytest.raises(ParseError, match="d=1 identity"):
+            parse(wrong)
+
+
 def test_zplate_round_trips():
     net = Netlist((ZPlate(R0, 4),), R0, R0, 4)
     assert parse(serialize(net)).netlist == net

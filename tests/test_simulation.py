@@ -148,13 +148,13 @@ def test_strict_raises_on_non_multiple():
 
 
 def test_a_state_fails_with_the_first_error_of_its_own_packets():
-    # r0 meets an order-2 splitter, r1 an unknown element, s0 a hologram
-    # wired to itself, and s1 leaves at once through an unwired port: the
-    # odd value on r0, the first component, fails first in strict mode,
+    # r0 meets an order-2 splitter, r1 and s0 holograms wired to
+    # themselves, and s1 leaves at once through an unwired port: the odd
+    # value on r0, the first component, fails first in strict mode,
     # whatever the other component meets in the same hop or later
     device = PortGraph(
-        nodes=(OamBeamSplitter(2, R0, R1), "mirror", Hologram(s_path(0), 1)),
-        wiring=(~1, ~1, ~0, ~0, ~1, ~0, ~0, ~0, 8, ~0, ~0, ~0),
+        nodes=(OamBeamSplitter(2, R0, R1), Hologram(R1, 1), Hologram(s_path(0), 1)),
+        wiring=(~1, ~1, ~0, ~0, 4, ~0, ~0, ~0, 8, ~0, ~0, ~0),
         entries={R0: 0, R1: 4, s_path(0): 8, s_path(1): ~0},
         terminals=(None, R0),
         input_path=R0,
@@ -436,6 +436,38 @@ def test_portgraph_rejects_a_terminal_label_twice():
     with pytest.raises(ValueError, match="terminal paths must differ, got r0 twice"):
         dataclasses.replace(graph, terminals=(*graph.terminals, R0))
     assert dataclasses.replace(graph, terminals=(*graph.terminals, None)).terminals[-1] is None
+
+
+def test_portgraph_rejects_tables_the_loops_cannot_index():
+    # each of these once built, and then every loop failed on it with a
+    # bare IndexError
+    base = PortGraph(
+        nodes=(Hologram(R0, 1),),
+        wiring=(~1, ~0, ~0, ~0),
+        entries={R0: 0},
+        terminals=(None, R0),
+        input_path=R0,
+        output_path=R0,
+        dimension=2,
+    )
+    for field, value in (
+        ("wiring", (7, ~0, ~0, ~0)),
+        ("wiring", (~2, ~0, ~0, ~0)),
+        ("wiring", (~5,)),
+        ("wiring", (~1, ~0, ~0, ~0, ~0)),
+        ("wiring", (~1, ~0, ~0, 1.0)),
+        ("wiring", (True, ~0, ~0, ~0)),
+        ("entries", {R0: 4}),
+        ("entries", {R0: ~2}),
+        ("entries", {R0: 0.0}),
+        ("terminals", (R0, None)),
+        ("terminals", ()),
+    ):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            dataclasses.replace(base, **{field: value})
+    # an entry may lie on a terminal: its light lands there at once
+    on_terminal = dataclasses.replace(base, entries={R0: ~1})
+    assert dict(apply_portgraph(on_terminal, ModeVector.basis(R0, 3)).items()) == {(R0, 3): 1}
 
 
 # --- configuration -----------------------------------------------------------------

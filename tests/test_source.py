@@ -1,6 +1,7 @@
 """Idioms the package source avoids."""
 
 import ast
+import sys
 from pathlib import Path
 
 import oamcycle
@@ -21,4 +22,23 @@ def test_no_tuple_of_a_generator():
                 and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
             ):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_imports_only_the_standard_library():
+    # the package has no runtime dependency; numpy is for the tests alone
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
     assert found == []

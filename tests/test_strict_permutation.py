@@ -337,20 +337,27 @@ def test_unwired_port_raises():
     assert window_permutation(open_y, -1, 1) == {0: 0}
 
 
+class Mirror(Hologram):
+    """A hologram subclass: the engines dispatch on exact type, so it is
+    an unknown element to them."""
+
+
 def test_unknown_element_raises():
-    odd = graph(["mirror"], [~1, ~0, ~0, ~0], {R0: 0})
-    with pytest.raises(TypeError, match="unknown element"):
-        window_permutation(odd, 0, 2)
-    assert_engines_agree(odd, 0, 2)
+    # element kinds are checked when the device is built, before any loop
+    for unknown in ("mirror", Mirror(R0, 1)):
+        with pytest.raises(TypeError, match="unknown element"):
+            graph([unknown], [~1, ~0, ~0, ~0], {R0: 0})
+        with pytest.raises(TypeError, match="unknown element"):
+            Netlist((Hologram(R0, 1), unknown), R0, R0, 2)
 
 
 def test_smallest_failing_value_decides_the_error():
-    # even multiples of 2 stay on x and meet an unknown element, odd ones
-    # cross to y and leave through an unwired port
+    # even multiples of 2 stay on x and meet a hologram wired to itself,
+    # odd ones cross to y and leave through an unwired port
     split = graph(
-        [OamBeamSplitter(2, R0, R1), "mirror"], [4, ~0, ~0, ~0, ~1, ~0, ~0, ~0], {R0: 0}
+        [OamBeamSplitter(2, R0, R1), Hologram(R0, 1)], [4, ~0, ~0, ~0, 4, ~0, ~0, ~0], {R0: 0}
     )
-    with pytest.raises(TypeError):
+    with pytest.raises(HopBudgetExceeded):
         window_permutation(split, 0, 2)
     with pytest.raises(ValueError):
         window_permutation(split, 1, 4)
@@ -363,6 +370,9 @@ def test_input_path_with_no_entry():
     assert window_permutation(bypass, -2, 2) == {k: k for k in range(-2, 3)}
     leak = graph([Hologram(R1, 5)], [~1, ~0, ~0, ~0], {R1: 0}, output=R1)
     assert window_permutation(leak, -2, 2) == {}
+    for config in (SimulationConfig(STRICT), SimulationConfig(PHYSICAL)):
+        assert probe_permutation(bypass, [3, -1, 3], config) == {3: 3, -1: -1}
+        assert probe_permutation(leak, [3, -1], config) == {}
     assert_engines_agree(bypass, -2, 2)
     assert_engines_agree(leak, -2, 2)
 

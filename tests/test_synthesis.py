@@ -159,6 +159,14 @@ def test_wrapper_domains():
         synth_arbitrary(1)
 
 
+def test_wrappers_reject_bools():
+    # a bool is an int to isinstance: True once built the d = 2 gate
+    for wrapper in (synth_odd, synth_power_of_two):
+        for bad in (True, False):
+            with pytest.raises(InvalidDimension):
+                wrapper(bad)
+
+
 def test_io_paths():
     for d in (2, 3, 10, 88):
         net = synth_arbitrary(d)
