@@ -60,6 +60,15 @@ class PathLabel:
         return f"{self.family}{self.index}"
 
 
+def _check_paths(what: str, paths: Iterable) -> None:
+    """Raise ValueError unless each of *paths* is exactly a PathLabel: the engines
+    hash and compare labels, and a subclass compares unequal to every label."""
+    # a plain loop: at the few dozen labels a device holds it beats set(map(type, ...))
+    for path in paths:
+        if type(path) is not PathLabel:
+            raise ValueError(f"{what} must be PathLabel, got {path!r}")
+
+
 def r_path(index: int) -> PathLabel:
     return PathLabel("r", index)
 
@@ -266,6 +275,7 @@ class OamBeamSplitter:
     def __post_init__(self):
         if not _is_int(self.m) or self.m < 1:
             raise ValueError(f"splitter order must be an int >= 1, got {self.m!r}")
+        _check_paths("splitter port", (self.port_x, self.port_y))
         if self.port_x == self.port_y:
             raise ValueError(f"splitter ports must differ, got {self.port_x} twice")
 
@@ -280,6 +290,7 @@ class Hologram:
     def __post_init__(self):
         if not _is_int(self.v):
             raise ValueError(f"hologram charge must be an int, got {self.v!r}")
+        _check_paths("hologram path", (self.path,))
 
 
 @dataclass(frozen=True)
@@ -292,6 +303,7 @@ class ZPlate:
     def __post_init__(self):
         if not _is_int(self.d) or self.d < 2:
             raise ValueError(f"phase plate dimension must be an int >= 2, got {self.d!r}")
+        _check_paths("phase plate path", (self.path,))
 
 
 Element = Union[OamBeamSplitter, Hologram, ZPlate]
@@ -319,7 +331,7 @@ class Netlist:
     Light enters on ``input_path`` and the designed output appears on
     ``output_path``.  The only legal empty netlist is the d=1 identity.
     Raises TypeError for a member that is not one of the three element
-    classes.
+    classes, and ValueError for a path that is not a PathLabel.
     """
 
     elements: tuple[Element, ...]
@@ -332,6 +344,7 @@ class Netlist:
         if not _is_int(self.dimension) or self.dimension < 1:
             raise ValueError(f"dimension must be an int >= 1, got {self.dimension!r}")
         _check_kinds(self.elements)
+        _check_paths("input and output path", (self.input_path, self.output_path))
         if self.elements:
             used = self.paths()
             for role, path in (("input", self.input_path), ("output", self.output_path)):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import Element, Netlist, PathLabel, _check_kinds, _is_int, element_paths
+from .model import Element, Netlist, PathLabel, _check_kinds, _check_paths, _is_int, element_paths
 
 #: slot bit of the ports that traverse an element backwards; bit 0 is the side
 BACKWARD = 2
@@ -40,7 +40,7 @@ class PortGraph:
     terminal index ``~t``; paths absent from ``entries`` pass straight
     through to the terminal of the same label.  Raises TypeError for a
     node that is not one of the three element classes, and ValueError for
-    tables the engines cannot index.
+    tables the engines cannot index or a path that is not a PathLabel.
     """
 
     nodes: tuple[Element, ...]
@@ -64,8 +64,11 @@ class PortGraph:
             )
         _check_slots("wiring", self.wiring, slots, len(self.terminals))
         _check_slots("entries", self.entries.values(), slots, len(self.terminals))
-        # the engine sums light per terminal index, so one label is one terminal
+        _check_paths("input and output path", (self.input_path, self.output_path))
+        _check_paths("entry path", self.entries.keys())
         labels = [path for path in self.terminals if path is not None]
+        _check_paths("terminal path", labels)
+        # the engine sums light per terminal index, so one label is one terminal
         if len(set(labels)) < len(labels):
             twice = next(path for i, path in enumerate(labels) if path in labels[:i])
             raise ValueError(f"terminal paths must differ, got {twice} twice")

@@ -74,7 +74,7 @@ from .model import (
     _pruned,
 )
 from .portgraph import BACKWARD, PortGraph
-from .synthesis import synth_arbitrary
+from .synthesis import InvalidDimension, synth_arbitrary
 
 STRICT = "strict"
 PHYSICAL = "physical"
@@ -451,10 +451,13 @@ def simulate_word(
     """Apply the gate word X^x_power followed by Z^z_power in dimension d.
 
     X is the synthesized cyclic shift netlist; Z is the phase plate.  For
-    d = 1 both gates are the identity.
+    d = 1 both gates are the identity.  Raises InvalidDimension unless d is
+    an int >= 1, and ValueError unless both powers are ints >= 0.
     """
-    if x_power < 0 or z_power < 0:
-        raise ValueError("gate powers must be non-negative")
+    if not _is_int(d) or d < 1:
+        raise InvalidDimension(f"dimension must be an integer >= 1, got {d!r}")
+    if not (_is_int(x_power) and _is_int(z_power)) or x_power < 0 or z_power < 0:
+        raise ValueError(f"gate powers must be non-negative ints, got {x_power!r}, {z_power!r}")
     if d == 1:
         return state
     shift = synth_arbitrary(d)

@@ -12,7 +12,8 @@ Three entry points cover the published layouts: `synth_power_of_two`
 `synth_arbitrary`.  All three emit the same element sequence for a given
 dimension; the restricted forms only validate their precondition.
 
-`simplify` folds each mirror pair onto its forward partner, re-routing
+The emitter records each mirror pair as it emits the backward element,
+and `simplify` folds each such pair onto its forward partner, re-routing
 the light backwards through the kept element, which roughly halves the
 number of physical splitters.  The result is a port graph rather than a
 netlist, since the element sequence no longer describes the traversal
@@ -76,64 +77,58 @@ def decompose(d: int) -> SynthesisParams:
     return SynthesisParams(d, two_exp, odd, nbits, bits, prev_one)
 
 
-Role = tuple[str, int]
-
-_MIRROR_OF = {
-    "purple_bwd_li": "purple_fwd_li",
-    "purple_bwd_h": "purple_fwd_h",
-    "blue_bwd_li": "blue_fwd_li",
-    "blue_bwd_h": "blue_fwd_h",
-    "green_bwd_li": "green_fwd_li",
-    "closing_h": "stage0_h",
-}
-
-
-def _emit_tagged(d: int) -> list[tuple[Element, Role]]:
-    """Element sequence for dimension d, each tagged with its layout role."""
+def _emit(d: int) -> list[tuple[Element, int | None]]:
+    """Element sequence for dimension d, each element paired with the index
+    of the forward element it mirrors, recorded as the backward element is
+    emitted, or with None when it mirrors none."""
     p = decompose(d)
     M, N, bits, prev = p.two_exp, p.nbits, p.bits, p.prev_one
-    out: list[tuple[Element, Role]] = []
+    out: list[tuple[Element, int | None]] = []
+    opened: list[int] = []  # forward elements whose mirror is still to come
+    OPENS, CLOSES = 1, -1
 
-    def li(m, a, b, role, t=0):
-        out.append((OamBeamSplitter(m, a, b), (role, t)))
+    def emit(element, pair=0):
+        # the ladders nest, so each mirror closes the latest pair opened
+        if pair == OPENS:
+            opened.append(len(out))
+        out.append((element, opened.pop() if pair == CLOSES else None))
 
-    def holo(path, v, role, t=0):
-        if v != 0:
-            out.append((Hologram(path, v), (role, t)))
-
-    for t in range(M):
-        li(2**t, r_path(t), r_path(t + 1), "purple_fwd_li", t)
-        holo(r_path(t + 1), -(2**t), "purple_fwd_h", t)
+    for t in range(M):  # purple ladder, forward: the factor 2^M
+        emit(OamBeamSplitter(2**t, r_path(t), r_path(t + 1)), OPENS)
+        emit(Hologram(r_path(t + 1), -(2**t)), OPENS)
     if N == 1:
-        holo(r_path(M), -(2**M), "center_h")
+        emit(Hologram(r_path(M), -(2**M)))  # centre
     else:
-        li(2**M, r_path(M), s_path(0), "stage0_li")
-        holo(s_path(0), 2**M, "stage0_h")
-        for t in range(1, N - 1):
-            li(2 ** (t + M), r_path(prev[t] + M), r_path(t + M), "blue_fwd_li", t)
-            holo(r_path(t + M), -bits[t] * 2 ** (t + M), "blue_fwd_h", t)
-        li(2 ** (N - 1 + M), r_path(prev[N - 1] + M), r_path(N - 1 + M), "blue_apex_li")
-        holo(r_path(N - 1 + M), -(2 ** (N - 1 + M)), "blue_apex_h")
-        for t in range(N - 2, 0, -1):
-            holo(r_path(t + M), bits[t] * 2 ** (t + M), "blue_bwd_h", t)
-            li(2 ** (t + M), r_path(prev[t] + M), r_path(t + M), "blue_bwd_li", t)
-        for t in range(1, N - 1):
-            li(2 ** (t + M), s_path(0), s_path(t), "green_fwd_li", t)
-        li(2 ** (N - 1 + M), r_path(N - 1 + M), s_path(0), "green_apex_li")
-        for t in range(N - 2, 0, -1):
-            li(2 ** (t + M), r_path(N - 1 + M), s_path(t), "green_bwd_li", t)
-        holo(r_path(N - 1 + M), -(2**M), "closing_h")
-        li(2**M, r_path(M), r_path(N - 1 + M), "merger_li")
-    for t in range(M - 1, -1, -1):
-        holo(r_path(t + 1), 2**t, "purple_bwd_h", t)
-        li(2**t, r_path(t), r_path(t + 1), "purple_bwd_li", t)
-    out.append((Hologram(r_path(0), 1), ("final_h", 0)))
+        top = N - 1 + M  # the rung of both apexes
+        emit(OamBeamSplitter(2**M, r_path(M), s_path(0)))  # stage 0
+        emit(Hologram(s_path(0), 2**M), OPENS)
+        for t in range(1, N - 1):  # blue ladder, forward: the digits of Q
+            emit(OamBeamSplitter(2 ** (t + M), r_path(prev[t] + M), r_path(t + M)), OPENS)
+            if bits[t]:
+                emit(Hologram(r_path(t + M), -(2 ** (t + M))), OPENS)
+        emit(OamBeamSplitter(2**top, r_path(prev[N - 1] + M), r_path(top)))  # blue apex
+        emit(Hologram(r_path(top), -(2**top)))
+        for t in range(N - 2, 0, -1):  # blue ladder, backward
+            if bits[t]:
+                emit(Hologram(r_path(t + M), 2 ** (t + M)), CLOSES)
+            emit(OamBeamSplitter(2 ** (t + M), r_path(prev[t] + M), r_path(t + M)), CLOSES)
+        for t in range(1, N - 1):  # green ladder, forward
+            emit(OamBeamSplitter(2 ** (t + M), s_path(0), s_path(t)), OPENS)
+        emit(OamBeamSplitter(2**top, r_path(top), s_path(0)))  # green apex
+        for t in range(N - 2, 0, -1):  # green ladder, backward
+            emit(OamBeamSplitter(2 ** (t + M), r_path(top), s_path(t)), CLOSES)
+        emit(Hologram(r_path(top), -(2**M)), CLOSES)  # closing: mirrors stage 0's hologram
+        emit(OamBeamSplitter(2**M, r_path(M), r_path(top)))  # merger
+    for t in range(M - 1, -1, -1):  # purple ladder, backward
+        emit(Hologram(r_path(t + 1), 2**t), CLOSES)
+        emit(OamBeamSplitter(2**t, r_path(t), r_path(t + 1)), CLOSES)
+    emit(Hologram(r_path(0), 1))
     return out
 
 
 def synth_arbitrary(d: int) -> Netlist:
     """Netlist cycling OAM values 0..d-1 by +1 (mod d) on path r0."""
-    elements = tuple([element for element, _ in _emit_tagged(d)])
+    elements = tuple([element for element, _ in _emit(d)])
     return Netlist(elements, r_path(0), r_path(0), d)
 
 
@@ -224,26 +219,20 @@ def simplify(netlist: Netlist) -> PortGraph:
 
     Each backward-ladder element is deleted and its wires re-routed so the
     light traverses the forward partner in reverse; the stage-0 and closing
-    holograms cancel the same way.  Only netlists that are element-for-
-    element the standard layout for their dimension can be folded; anything
-    else (shifted, inverted, hand-edited) raises NotSimplifiable.
+    holograms cancel the same way.  The pairs are those the emitter records
+    as it emits each backward element, so only netlists that are element-
+    for-element the standard layout for their dimension can be folded;
+    anything else (shifted, inverted, hand-edited) raises NotSimplifiable.
     """
     if netlist.dimension < 2:
         raise NotSimplifiable("the d=1 identity netlist has nothing to fold")
     try:
-        tagged = _emit_tagged(netlist.dimension)
+        emitted = _emit(netlist.dimension)
     except InvalidDimension as exc:
         raise NotSimplifiable(str(exc)) from exc
-    if tuple([element for element, _ in tagged]) != netlist.elements:
-        raise NotSimplifiable(
-            f"netlist is not the standard d={netlist.dimension} layout"
-        )
-    index_of = {role: i for i, (_, role) in enumerate(tagged)}
-    pairs = {}
-    for i, (_, (name, t)) in enumerate(tagged):
-        partner = _MIRROR_OF.get(name)
-        if partner is not None:
-            pairs[i] = index_of[(partner, t)]
+    if tuple([element for element, _ in emitted]) != netlist.elements:
+        raise NotSimplifiable(f"netlist is not the standard d={netlist.dimension} layout")
+    pairs = {i: mirrored for i, (_, mirrored) in enumerate(emitted) if mirrored is not None}
     return contract_mirrors(netlist_to_portgraph(netlist), pairs)
 
 

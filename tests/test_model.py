@@ -255,6 +255,22 @@ def test_element_validation():
     for d in (2.5, 3.0, "3", True, None):
         with pytest.raises(ValueError, match="phase plate dimension"):
             ZPlate(R0, d)
+    # the engines hash and compare path labels, and neither a string nor a
+    # subclass instance ever equals a PathLabel
+    for path in ("r0", None, ("r", 0), type("Label", (PathLabel,), {})("r", 0)):
+        for ports in ((R0, path), (path, R0)):
+            with pytest.raises(ValueError, match="splitter port must be PathLabel"):
+                OamBeamSplitter(2, *ports)
+        with pytest.raises(ValueError, match="hologram path must be PathLabel"):
+            Hologram(path, 1)
+        with pytest.raises(ValueError, match="phase plate path must be PathLabel"):
+            ZPlate(path, 2)
+        # the element-less identity reads no element paths, so it checks its own
+        for io in ((path, path), (R0, path), (path, R0)):
+            with pytest.raises(ValueError, match="input and output path must be PathLabel"):
+                Netlist((), *io, 1)
+        with pytest.raises(ValueError, match="input and output path must be PathLabel"):
+            Netlist((Hologram(R0, 1),), R0, path, 2)
 
 
 def test_netlist_identity():

@@ -33,7 +33,7 @@ from oamcycle.simulation import (
     apply_portgraph,
     simulate_word,
 )
-from oamcycle.synthesis import simplify, synth_arbitrary
+from oamcycle.synthesis import InvalidDimension, simplify, synth_arbitrary
 
 R0 = r_path(0)
 R1 = r_path(1)
@@ -465,6 +465,16 @@ def test_portgraph_rejects_tables_the_loops_cannot_index():
     ):
         with pytest.raises(ValueError, match=f"^{field}"):
             dataclasses.replace(base, **{field: value})
+    # a string terminal label once came back as a state key no ModeVector
+    # accepts, and a string entry left its light unread
+    for field, value, what in (
+        ("input_path", "r0", "input and output path"),
+        ("output_path", "r0", "input and output path"),
+        ("entries", {"r0": 0}, "entry path"),
+        ("terminals", (None, "r0"), "terminal path"),
+    ):
+        with pytest.raises(ValueError, match=f"^{what} must be PathLabel, got 'r0'"):
+            dataclasses.replace(base, **{field: value})
     # an entry may lie on a terminal: its light lands there at once
     on_terminal = dataclasses.replace(base, entries={R0: ~1})
     assert dict(apply_portgraph(on_terminal, ModeVector.basis(R0, 3)).items()) == {(R0, 3): 1}
@@ -523,3 +533,15 @@ def test_word_identity_cases():
 def test_word_rejects_negative_powers():
     with pytest.raises(ValueError):
         simulate_word(3, -1, 0, ModeVector.basis(R0, 0))
+    # bools once passed as powers: X^True gave |1>
+    for d in (1, 2):
+        for powers in ((True, 0), (0, True), (1.0, 0), (0, "1"), (-1, 0)):
+            with pytest.raises(ValueError, match="gate powers must be non-negative ints"):
+                simulate_word(d, *powers, ModeVector.basis(R0, 0))
+
+
+def test_word_rejects_bad_dimensions_before_the_identity_shortcut():
+    # d = True once took the d = 1 shortcut and returned the state unchanged
+    for d in (True, False, 0, -1, 1.0, "1", None):
+        with pytest.raises(InvalidDimension, match="dimension must be an integer >= 1"):
+            simulate_word(d, 1, 0, ModeVector.basis(R0, 0))

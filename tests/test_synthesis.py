@@ -10,6 +10,7 @@ from oamcycle.synthesis import (
     VARIANTS,
     InvalidDimension,
     NotSimplifiable,
+    _emit,
     count_beamsplitters,
     decompose,
     device_for,
@@ -301,6 +302,42 @@ def test_simplify_rejects_non_standard_layouts():
 def test_simplify_folds_have_backward_wires():
     graph = simplify(synth_arbitrary(11))
     assert any(slot & 2 for slot, target in enumerate(graph.wiring) if target != ~0)
+
+
+def test_emitter_records_each_mirror_pair():
+    # simplify folds by exactly these pairs: each backward element mirrors an
+    # earlier forward one, and only the figure's unmirrored elements stand alone
+    for d in (*range(2, 513), 3073, 4095, 4096):
+        emitted = _emit(d)
+        p = decompose(d)
+        M, top = p.two_exp, p.nbits - 1 + p.two_exp
+        mirrored = set()
+        for i, (element, j) in enumerate(emitted):
+            if j is None:
+                continue
+            assert j < i and j not in mirrored, (d, i, j)
+            mirrored.add(j)
+            want = emitted[j][0]
+            # the green rungs and the closing hologram meet the side rail s0
+            # where their forward partner does, but from the apex rail
+            if isinstance(want, Hologram):
+                want = H(R(top) if want.path == S(0) else want.path, -want.v)
+            elif want.port_x == S(0):
+                want = LI(want.m, R(top), want.port_y)
+            assert element == want, (d, i, j)
+        lone = [el for i, (el, j) in enumerate(emitted) if j is None and i not in mirrored]
+        if p.nbits == 1:
+            assert lone == [H(R(M), -(2**M)), H(R(0), 1)], d  # centre, final
+        else:
+            apex = R(p.prev_one[p.nbits - 1] + M)
+            assert lone == [
+                LI(2**M, R(M), S(0)),  # stage 0
+                LI(2**top, apex, R(top)),  # blue apex
+                H(R(top), -(2**top)),
+                LI(2**top, R(top), S(0)),  # green apex
+                LI(2**M, R(M), R(top)),  # merger
+                H(R(0), 1),  # final
+            ], d
 
 
 # --- variants ----------------------------------------------------------------------
