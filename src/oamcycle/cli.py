@@ -1,12 +1,15 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 verification/simulation failure, 2 usage or
-document errors.
+document errors.  When the reader of stdout closes it early (as in
+``oamcycle cycles ... | head -1``) the command stops silently with 1,
+Python's own exit code for a broken pipe.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -194,6 +197,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # an OSError, but the reader left, not the document
+        return 1
     except (NonMultipleMode, NormDrift, HopBudgetExceeded) as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1
@@ -204,7 +209,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # nothing more reaches the reader; point stdout at devnull so that the
+        # flush at interpreter shutdown has nothing to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

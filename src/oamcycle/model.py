@@ -114,7 +114,7 @@ class ModeVector:
         acc: dict[StateKey, complex] = {}
         for key, amp in items:
             path, ell = key
-            if not isinstance(path, PathLabel):
+            if type(path) is not PathLabel:  # a subclass equals no label
                 raise TypeError(f"state key path must be PathLabel, got {path!r}")
             if not _is_int(ell):
                 raise TypeError(f"OAM value must be int, got {ell!r}")

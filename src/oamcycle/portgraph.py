@@ -38,7 +38,8 @@ class PortGraph:
     ``UNWIRED``, and no path label names two terminals.  ``entries`` maps
     each path that enters the device to its first in-slot, or to a
     terminal index ``~t``; paths absent from ``entries`` pass straight
-    through to the terminal of the same label.  Raises TypeError for a
+    through to the terminal of the same label.  The graph keeps its own
+    copies of the tables it is given.  Raises TypeError for a
     node that is not one of the three element classes, and ValueError for
     tables the engines cannot index or a path that is not a PathLabel.
     """
@@ -52,6 +53,11 @@ class PortGraph:
     dimension: int
 
     def __post_init__(self):
+        # private copies, so a caller's later edits cannot get past the checks
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "wiring", tuple(self.wiring))
+        object.__setattr__(self, "entries", dict(self.entries))
+        object.__setattr__(self, "terminals", tuple(self.terminals))
         if not _is_int(self.dimension) or self.dimension < 1:
             raise ValueError(f"dimension must be an int >= 1, got {self.dimension!r}")
         _check_kinds(self.nodes)

@@ -4,6 +4,11 @@ The JSON layout is canonical: fixed key order, one element per line, so
 serialize(parse(text)) reproduces its input byte for byte.  Simplified
 devices are stored as the standard element list tagged
 ``"variant": "simplified"``; the folded port graph is rebuilt on use.
+
+``_FORMS`` is the one place where element forms are stated: each kind's
+document ``kind``, parameter key, paths, name in messages and DOT label.
+The writer, the reader and the DOT labels all read it, so a new kind is
+one row there.
 """
 
 from __future__ import annotations
@@ -11,24 +16,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .model import (
-    Element,
-    Hologram,
-    ModeVector,
-    Netlist,
-    OamBeamSplitter,
-    PathLabel,
-    ZPlate,
-)
+from .model import Element, Hologram, ModeVector, Netlist, OamBeamSplitter, PathLabel, ZPlate
 from .portgraph import BACKWARD, UNWIRED, PortGraph, netlist_to_portgraph
 from .synthesis import VARIANTS
 
 SCHEMA_VERSION = "1"
-
-KIND_SPLITTER = "LI"
-KIND_HOLOGRAM = "HOLOG"
-KIND_ZPLATE = "ZPLATE"
 
 
 class ParseError(Exception):
@@ -51,16 +45,27 @@ class NetlistDocument:
     variant: str = "standard"
 
 
+class _Form(NamedTuple):
+    kind: str  # the document's "kind"
+    key: str  # key and attribute of the int parameter
+    paths: tuple[str, ...]  # path attributes, in document order
+    noun: str  # the kind's name in messages
+    label: str  # DOT label, formatted with the parameter
+
+
+#: keyed by exact class: `Netlist` and `PortGraph` admit no other
+_FORMS = {
+    OamBeamSplitter: _Form("LI", "m", ("port_x", "port_y"), "splitter", "LI_{}"),
+    Hologram: _Form("HOLOG", "v", ("path",), "hologram", "Holog{:+d}"),
+    ZPlate: _Form("ZPLATE", "d", ("path",), "phase plate", "Z_{}"),
+}
+_BY_KIND = {form.kind: (cls, form) for cls, form in _FORMS.items()}
+
+
 def _element_to_obj(element: Element) -> dict:
-    if isinstance(element, OamBeamSplitter):
-        return {
-            "kind": KIND_SPLITTER,
-            "m": element.m,
-            "paths": [str(element.port_x), str(element.port_y)],
-        }
-    if isinstance(element, Hologram):
-        return {"kind": KIND_HOLOGRAM, "v": element.v, "paths": [str(element.path)]}
-    return {"kind": KIND_ZPLATE, "d": element.d, "paths": [str(element.path)]}
+    form = _FORMS[type(element)]
+    paths = [str(getattr(element, field)) for field in form.paths]
+    return {"kind": form.kind, form.key: getattr(element, form.key), "paths": paths}
 
 
 def serialize(netlist: Netlist, variant: str = "standard") -> str:
@@ -110,25 +115,18 @@ def _parse_element(obj, index: int) -> Element:
     kind = _require(obj, "kind", str, what)
     paths = _require(obj, "paths", list, what)
     labels = [_parse_path(p, f"{what} path {i}") for i, p in enumerate(paths)]
+    if kind not in _BY_KIND:
+        raise ParseError(f"{what}: unknown kind {kind!r}")
+    cls, form = _BY_KIND[kind]
+    _check_keys(obj, {"kind", form.key, "paths"}, what)
+    if len(labels) != len(form.paths):
+        need = f"{len(form.paths)} path" + "s" * (len(form.paths) > 1)
+        raise ParseError(f"{what}: {form.noun} needs {need}, got {len(labels)}")
+    parameter = _require(obj, form.key, int, what)
     try:
-        if kind == KIND_SPLITTER:
-            _check_keys(obj, {"kind", "m", "paths"}, what)
-            if len(labels) != 2:
-                raise ParseError(f"{what}: splitter needs 2 paths, got {len(labels)}")
-            return OamBeamSplitter(_require(obj, "m", int, what), labels[0], labels[1])
-        if kind == KIND_HOLOGRAM:
-            _check_keys(obj, {"kind", "v", "paths"}, what)
-            if len(labels) != 1:
-                raise ParseError(f"{what}: hologram needs 1 path, got {len(labels)}")
-            return Hologram(labels[0], _require(obj, "v", int, what))
-        if kind == KIND_ZPLATE:
-            _check_keys(obj, {"kind", "d", "paths"}, what)
-            if len(labels) != 1:
-                raise ParseError(f"{what}: phase plate needs 1 path, got {len(labels)}")
-            return ZPlate(labels[0], _require(obj, "d", int, what))
+        return cls(**{form.key: parameter}, **dict(zip(form.paths, labels)))
     except ValueError as exc:  # element invariant violations
         raise ParseError(f"{what}: {exc}") from exc
-    raise ParseError(f"{what}: unknown kind {kind!r}")
 
 
 def _check_keys(obj: dict, allowed: set, what: str):
@@ -173,14 +171,6 @@ def parse(text: str) -> NetlistDocument:
 # --- DOT rendering ----------------------------------------------------------
 
 
-def _node_label(element: Element) -> str:
-    if isinstance(element, OamBeamSplitter):
-        return f"LI_{element.m}"
-    if isinstance(element, Hologram):
-        return f"Holog{element.v:+d}"
-    return f"Z_{element.d}"
-
-
 def export_dot(device: Netlist | PortGraph) -> str:
     """Graphviz text for a netlist or port graph.
 
@@ -193,10 +183,12 @@ def export_dot(device: Netlist | PortGraph) -> str:
     for path in sorted(graph.entries):
         lines.append(f'  in_{path} [shape=point, xlabel="{path}"];')
     for index, element in enumerate(graph.nodes):
-        lines.append(f'  n{index} [shape=box, label="{_node_label(element)}"];')
-    terminal_labels = sorted(
-        {str(graph.terminals[~target]) for target in graph.wiring if target < UNWIRED}
-    )
+        form = _FORMS[type(element)]
+        label = form.label.format(getattr(element, form.key))
+        lines.append(f'  n{index} [shape=box, label="{label}"];')
+    # the terminals that out-slots or entries reach; UNWIRED draws no edge
+    targets = (*graph.wiring, *graph.entries.values())
+    terminal_labels = sorted({str(graph.terminals[~t]) for t in targets if t < UNWIRED})
     for label in terminal_labels:
         lines.append(f'  t_{label} [shape=doublecircle, label="{label}"];')
 
@@ -205,7 +197,8 @@ def export_dot(device: Netlist | PortGraph) -> str:
 
     for path in sorted(graph.entries):
         target = graph.entries[path]
-        lines.append(f'  in_{path} -> {endpoint_text(target)} [label="{path}"];')
+        if target != UNWIRED:
+            lines.append(f'  in_{path} -> {endpoint_text(target)} [label="{path}"];')
     # per node, the backward out-slots first
     for source in sorted(range(len(graph.wiring)), key=lambda slot: slot ^ BACKWARD):
         target = graph.wiring[source]

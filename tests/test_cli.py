@@ -1,16 +1,21 @@
 """End-to-end tests for the command line interface.
 
-Every test drives ``main(argv)`` directly and checks the exit code plus
-whatever landed on stdout/stderr or in the output files.
+Every test but the closed-pipe one drives ``main(argv)`` directly and
+checks the exit code plus whatever landed on stdout/stderr or in the output
+files.
 """
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import oamcycle
 from oamcycle import Hologram, Netlist, OamBeamSplitter, analysis, cli, parse, r_path, serialize
 from oamcycle.cli import main
 
@@ -310,6 +315,26 @@ def test_export_dot_file(tmp_path, capsys):
     text = dot_path.read_text(encoding="utf-8")
     assert "digraph" in text
     assert "dashed" in text  # folded graphs carry backward-pass edges
+
+
+# -- closed output pipe -------------------------------------------------
+
+
+def test_closed_output_pipe_exits_one_without_noise(tmp_path):
+    # the reader of `oamcycle cycles ... | head -1` leaves after one line; the
+    # write that follows once raised "error: [Errno 32] Broken pipe", exit 2
+    path = synth_file(tmp_path, 3)
+    src = str(Path(oamcycle.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "oamcycle", "cycles", path, "--window", "-40000..40000"]
+    with subprocess.Popen(
+        argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"cycle: ")
+        proc.stdout.close()  # some 20000 lines, far more than a pipe buffers, are left
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, stderr) == (1, b"")
 
 
 # -- parser-level errors ------------------------------------------------

@@ -92,6 +92,13 @@ def test_add_sub_scale():
 def test_rejects_bad_keys_and_amplitudes():
     with pytest.raises(TypeError):
         ModeVector({("r0", 0): 1.0})
+
+    class Sub(PathLabel):
+        pass
+
+    # a subclass prints as its label but equals none, so no device would route it
+    with pytest.raises(TypeError, match="state key path must be PathLabel"):
+        ModeVector({(Sub("r", 0), 1): 1.0})
     # bools and floats are not OAM values, not even integral ones
     for ell in (1.5, 1.0, True, "1", None):
         with pytest.raises(TypeError, match="OAM value must be int"):

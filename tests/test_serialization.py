@@ -3,16 +3,20 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oamcycle.model import (
     Hologram,
     ModeVector,
     Netlist,
     OamBeamSplitter,
+    PathLabel,
     ZPlate,
+    element_paths,
     r_path,
     s_path,
 )
+from oamcycle.portgraph import PortGraph
 from oamcycle.serialization import (
     ParseError,
     SchemaVersionMismatch,
@@ -23,7 +27,7 @@ from oamcycle.serialization import (
     parse_state,
     serialize,
 )
-from oamcycle.synthesis import simplify, synth_arbitrary, synth_odd, synth_power_of_two
+from oamcycle.synthesis import VARIANTS, simplify, synth_arbitrary, synth_odd, synth_power_of_two
 
 R0 = r_path(0)
 
@@ -45,6 +49,11 @@ D3_DOC = """{
   ]
 }
 """
+
+
+def _swap_first_hologram(text: str, body: str) -> str:
+    """*text* with its first hologram replaced by the element ``{body}``."""
+    return text.replace('{"kind": "HOLOG", "v": 1, "paths": ["s0"]}', "{" + body + "}", 1)
 
 
 def test_d3_document_is_frozen():
@@ -94,6 +103,39 @@ def test_parse_rejects_an_empty_netlist_other_than_the_identity():
 def test_zplate_round_trips():
     net = Netlist((ZPlate(R0, 4),), R0, R0, 4)
     assert parse(serialize(net)).netlist == net
+    # the plate that the per-kind mangles below start from
+    text = _swap_first_hologram(D3_DOC, '"kind": "ZPLATE", "d": 3, "paths": ["s0"]')
+    assert parse(text).netlist.elements[1] == ZPlate(s_path(0), 3)
+
+
+_paths = st.builds(PathLabel, st.sampled_from("rs"), st.integers(0, 12))
+_elements = st.one_of(
+    st.builds(
+        lambda m, ports: OamBeamSplitter(m, *ports),
+        st.integers(1, 2**70),
+        st.lists(_paths, min_size=2, max_size=2, unique=True),
+    ),
+    st.builds(Hologram, _paths, st.integers(-(2**70), 2**70)),
+    st.builds(ZPlate, _paths, st.integers(2, 2**70)),
+)
+
+
+@st.composite
+def _netlists(draw):
+    elements = tuple(draw(st.lists(_elements, min_size=1, max_size=12)))
+    used = st.sampled_from(sorted({p for el in elements for p in element_paths(el)}))
+    return Netlist(elements, draw(used), draw(used), draw(st.integers(1, 2**70)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_netlists(), st.sampled_from(VARIANTS))
+def test_documents_of_every_kind_round_trip(net, variant):
+    text = serialize(net, variant)
+    doc = parse(text)
+    assert doc.netlist == net and doc.variant == variant
+    assert serialize(doc.netlist, variant) == text
+    nodes = re.findall(r"^  n\d+ \[shape=box, label=", export_dot(net), re.MULTILINE)
+    assert len(nodes) == len(net.elements)
 
 
 def test_serialize_rejects_unknown_variant():
@@ -138,6 +180,22 @@ def test_parse_schema_version_mismatch():
         lambda t: t.replace('{"kind": "HOLOG", "v": 1, "paths": ["s0"]}',
                             '{"kind": "HOLOG", "v": 1, "paths": ["s0"], "x": 2}'),
         lambda t: t.replace('{"kind": "HOLOG", "v": 1, "paths": ["s0"]}', "7"),
+        # per kind: path count, missing, extra, bool and float parameters
+        lambda t: _swap_first_hologram(t, '"kind": "HOLOG", "v": 1, "paths": ["s0", "r0"]'),
+        lambda t: _swap_first_hologram(t, '"kind": "ZPLATE", "d": 3, "paths": ["s0", "r0"]'),
+        lambda t: _swap_first_hologram(t, '"kind": "ZPLATE", "d": 3, "paths": []'),
+        lambda t: _swap_first_hologram(t, '"kind": "HOLOG", "paths": ["s0"]'),
+        lambda t: _swap_first_hologram(t, '"kind": "ZPLATE", "paths": ["s0"]'),
+        lambda t: _swap_first_hologram(t, '"kind": "ZPLATE", "d": 3, "paths": ["s0"], "v": 1'),
+        lambda t: _swap_first_hologram(t, '"kind": "ZPLATE", "m": 3, "paths": ["s0"]'),
+        lambda t: t.replace('"m": 1', '"m": true', 1),
+        lambda t: t.replace('"m": 1', '"m": 1.0', 1),
+        lambda t: t.replace('"v": 1', '"v": false', 1),
+        lambda t: t.replace('"v": 1', '"v": 1.5', 1),
+        lambda t: _swap_first_hologram(t, '"kind": "ZPLATE", "d": true, "paths": ["s0"]'),
+        lambda t: _swap_first_hologram(t, '"kind": "ZPLATE", "d": 3.0, "paths": ["s0"]'),
+        lambda t: _swap_first_hologram(t, '"kind": "ZPLATE", "d": -3, "paths": ["s0"]'),
+        lambda t: _swap_first_hologram(t, '"kind": "PLATE", "d": 3, "paths": ["s0", "x"]'),
     ],
 )
 def test_parse_rejects_mangled_documents(mangle):
@@ -238,6 +296,25 @@ def test_dot_folded_graph_has_back_edges():
 def test_dot_zplate_label():
     net = Netlist((ZPlate(R0, 4),), R0, R0, 4)
     assert 'label="Z_4"' in export_dot(net)
+
+
+def test_dot_declares_each_terminal_an_entry_reaches():
+    # an entry may lie on a terminal; one on ~0 reaches none and draws no edge
+    r1 = r_path(1)
+    graph = PortGraph(
+        nodes=(Hologram(R0, 1),),
+        wiring=(~1, ~0, ~0, ~0),
+        entries={R0: 0, r1: ~2, s_path(0): ~0},
+        terminals=(None, R0, r1),
+        input_path=R0,
+        output_path=R0,
+        dimension=2,
+    )
+    dot = export_dot(graph)
+    assert 't_r1 [shape=doublecircle, label="r1"];' in dot
+    assert 'in_r1 -> t_r1 [label="r1"];' in dot
+    assert 'in_s0 [shape=point, xlabel="s0"];' in dot
+    assert "in_s0 ->" not in dot and "None" not in dot
 
 
 def test_dot_edge_labels_are_paths():

@@ -480,6 +480,21 @@ def test_portgraph_rejects_tables_the_loops_cannot_index():
     assert dict(apply_portgraph(on_terminal, ModeVector.basis(R0, 3)).items()) == {(R0, 3): 1}
 
 
+def test_portgraph_keeps_its_own_tables():
+    # a caller's edits after the build once got past the slot checks, and the
+    # loops then failed with a bare IndexError
+    graph = netlist_to_portgraph(synth_arbitrary(5))
+    wiring, entries = list(graph.wiring), dict(graph.entries)
+    built = PortGraph(graph.nodes, wiring, entries, graph.terminals, R0, R0, 5)
+    state = ModeVector.basis(R0, 2)
+    before = dict(apply_portgraph(built, state).items())
+    entries[R0] = 99
+    wiring[0] = 57
+    assert dict(apply_portgraph(built, state).items()) == before == {(R0, 3): 1}
+    assert simulation.window_permutation(built, 0, 4) == cyclic(5)
+    assert built == graph
+
+
 # --- configuration -----------------------------------------------------------------
 
 
