@@ -64,9 +64,10 @@ def _cmd_synth(args) -> int:
 def _cmd_simulate(args) -> int:
     doc = _load_document(args.netlist)
     state = parse_state(args.input, doc.netlist.input_path)
-    if abs(state.norm() - 1.0) > 1e-9:
-        print(f"note: input normalized (norm was {state.norm():.6g})", file=sys.stderr)
-        state = normalize(state)
+    norm = state.norm()
+    if abs(norm - 1.0) > 1e-9:
+        state = normalize(state)  # raises ZeroState before any note is printed
+        print(f"note: input normalized (norm was {norm:.6g})", file=sys.stderr)
     out = transform(device_for(doc.netlist, doc.variant), SimulationConfig(mode=args.mode))(state)
     print(format_state(out))
     return 0

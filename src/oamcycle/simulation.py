@@ -27,7 +27,12 @@ their labels for the output `ModeVector`.  `probe_permutation` reads a
 permutation off basis probes, ``PROBE_BATCH`` of them per run, which
 spreads the loop's per-run cost over many probes (the batch bound keeps
 the packets in flight few), and compares each probe's terminal index
-with the output path's, so no probe hashes a label.
+with the output path's, so no probe hashes a label.  A probe that lands
+as one component of modulus exactly 1 (every strict probe, and every
+physical one at multiples of the splitter orders) is read straight off
+that component: there is no dust to prune, nothing to rescale, and its
+norm drifts by exactly 0.  Any other probe is read through the general
+pruning, norm check and rescale.
 
 In strict mode splitters and holograms move basis states to basis
 states with no phase; a phase plate applies its phase in both modes.
@@ -370,6 +375,13 @@ def probe_permutation(
     raises, at the first value of *domain* that fails: TypeError for a
     value that is not an int, or a bool, or the error its probe meets
     other than NonMultipleMode, which leaves the value out.
+
+    A probe that lands as one component of modulus exactly 1 maps to that
+    component's OAM value when it is on the output path, and is left out
+    otherwise; its norm check compares a drift of 0 with
+    ``NORM_TOLERANCE``.  Every other outcome (several components, a modulus
+    not exactly 1, a non-finite amplitude, an error) is pruned, checked and
+    rescaled before it is read, as `extract_permutation` reads it.
     """
     graph = _graph(device)
     source, target = graph.input_path, graph.output_path
@@ -381,7 +393,9 @@ def probe_permutation(
     mapping: dict[int, int] = {}
     values = iter(domain)
     while batch := list(islice(values, PROBE_BATCH)):
-        invalid = next((i for i, ell in enumerate(batch) if not _is_int(ell)), None)
+        invalid = None
+        if not all(type(ell) is int for ell in batch):  # find a bool or non-int, if any
+            invalid = next((i for i, ell in enumerate(batch) if not _is_int(ell)), None)
         if invalid is not None:  # probe the values before it, then raise
             error = TypeError(f"OAM value must be int, got {batch[invalid]!r}")
             del batch[invalid:]
@@ -392,6 +406,14 @@ def probe_permutation(
             packets = {(s, entry, ell): 1.0 + 0j for s, ell in enumerate(batch)}
             outs = _propagate(graph, packets, [1.0] * len(batch), config)
             for ell, out in zip(batch, outs):
+                if type(out) is dict and len(out) == 1:
+                    ((t, image), amp), = out.items()
+                    # one unit landing: no dust to prune, nothing to rescale, and a
+                    # drift of exactly 0, which fails only a negative tolerance
+                    if abs(amp) == 1.0 and not 0.0 > NORM_TOLERANCE:
+                        if t == output:
+                            mapping[ell] = image
+                        continue
                 if not isinstance(out, Exception):
                     out = _finish(out, 1.0, terminals)
                 if isinstance(out, Exception):

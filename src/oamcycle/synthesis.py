@@ -241,10 +241,13 @@ def synth_variant(d: int, variant: str = "standard", shift: int = 0) -> Netlist:
     cycling the OAM window {shift, ..., shift+d-1}.
 
     A simplified document stores the standard list (`device_for` folds
-    it); the simplified layout has no shifted window.
+    it); the simplified layout has no shifted window.  Raises ValueError
+    for an unknown variant or a shift that is not an int, or a bool.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if not _is_int(shift):
+        raise ValueError(f"shift must be an int, got {shift!r}")
     if variant == "simplified" and shift != 0:
         raise ValueError("the simplified variant does not support a shifted window")
     netlist = synth_arbitrary(d)

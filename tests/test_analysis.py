@@ -85,6 +85,10 @@ def test_verify_rejects_bad_arguments():
         verify_gate(5, "reversed")
     with pytest.raises(ValueError):
         verify_gate(5, "simplified", shift=2)
+    for shift in (True, 2.0, 0.0, False):
+        with pytest.raises(ValueError) as raised:
+            verify_gate(5, shift=shift)
+        assert str(raised.value) == f"shift must be an int, got {shift!r}"
     for lo, hi in ((0.5, 2), (True, 2), (0, 2.0)):
         with pytest.raises(TypeError, match="OAM value must be int"):
             discover_cycles(synth_arbitrary(3), lo, hi)
@@ -106,6 +110,28 @@ def test_verify_runs_the_packet_loop_once_per_batch(monkeypatch):
         assert verify_gate(d).passed
         assert len(runs) == math.ceil(d / simulation.PROBE_BATCH)
         assert sum(runs) == d
+
+
+@pytest.mark.parametrize("mode", ["strict", "physical"])
+def test_unit_probes_skip_the_general_readout(monkeypatch, mode):
+    # every probe of a correct gate lands as one packet of modulus exactly 1
+    # and is read off that packet: no pruning, norm check or rescale
+    runs, finished = [], []
+    propagate, finish = simulation._propagate, simulation._finish
+
+    def counting(graph, packets, norms, config):
+        runs.append(len(norms))
+        return propagate(graph, packets, norms, config)
+
+    monkeypatch.setattr(simulation, "_propagate", counting)
+    monkeypatch.setattr(simulation, "_finish", lambda *args: finished.append(args) or finish(*args))
+    config = SimulationConfig(mode=mode)
+    assert verify_gate(257, config=config).passed
+    gate = synth_arbitrary(257)
+    for device in (gate, simplify(gate)):
+        assert len(discover_cycles(device, -4 * 257, 4 * 257, config)) == 4
+    assert sum(runs) >= 257 + 2 * 4 * 257  # the window re-check and the cycle edges
+    assert finished == []
 
 
 def shift_the_packet_engine(monkeypatch):

@@ -147,6 +147,16 @@ def test_simulate_zero_state_rejected(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_zero_state_prints_no_normalization_note(tmp_path, capsys):
+    # the note follows a normalization that happened; a zero state has none
+    path = synth_file(tmp_path, 3)
+    capsys.readouterr()
+    assert main(["simulate", path, "--input", "0*|3>"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot normalize a state with no support\n"
+    assert captured.out == ""
+
+
 def test_simulate_missing_file(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "nope.json"), "--input", "|0>"]) == 2
     assert "error:" in capsys.readouterr().err

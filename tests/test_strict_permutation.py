@@ -3,10 +3,13 @@ must return, and raise, what probing the same window value by value does,
 in both modes.  So must `probe_permutation`, which sends the probes through
 the packet loop in batches."""
 
+import enum
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oamcycle import simulation
+from oamcycle.elements import z_phase
 from oamcycle.model import (
     Hologram,
     Netlist,
@@ -30,7 +33,7 @@ from oamcycle.simulation import (
     transform,
     window_permutation,
 )
-from oamcycle.synthesis import VARIANTS, device_for, synth_arbitrary, synth_variant
+from oamcycle.synthesis import VARIANTS, device_for, simplify, synth_arbitrary, synth_variant
 
 R0, R1 = r_path(0), r_path(1)
 PATHS = (r_path(0), r_path(1), r_path(2), s_path(0), s_path(1))
@@ -298,6 +301,83 @@ def test_probes_look_up_path_labels_once_per_call(monkeypatch):
     hashes, compares = lookups(500)
     assert hashes + compares <= 8
     assert lookups(37) == lookups(4096) == (hashes, compares)
+
+
+# --- the single-landing readout ----------------------------------------------------
+
+
+class Charge(enum.IntEnum):
+    LOW = -1
+    ZERO = 0
+    HIGH = 7
+
+
+def typed(mapping):
+    return [(type(k), k, type(v), v) for k, v in mapping.items()]
+
+
+def test_a_probe_off_unit_modulus_goes_through_the_general_readout(monkeypatch):
+    # the plate's phase for 1 (and 4) has modulus one ulp below 1, so that
+    # probe is pruned, checked and rescaled as before; 0 and 3 pick up the
+    # phase 1 exactly and are read off their one packet
+    plate = Netlist((ZPlate(R0, 3),), R0, R0, 3)
+    assert abs(z_phase(3, 1)) == 1.0 - 2.0**-53
+    finished = []
+    real = simulation._finish
+
+    def counting(out, norm_in, terminals=None):
+        finished.extend(ell for _, ell in out)
+        return real(out, norm_in, terminals)
+
+    monkeypatch.setattr(simulation, "_finish", counting)
+    for mode in MODES:
+        config = SimulationConfig(mode)
+        finished.clear()
+        assert probe_permutation(plate, [0, 1, 3, 4], config) == {0: 0, 1: 1, 3: 3, 4: 4}
+        assert finished == [1, 4]
+        assert probe_permutation(plate, [1], config) == by_value(plate, [1], config)
+
+
+def test_int_enum_values_are_probed_and_keyed_as_given():
+    # a batch of int subclasses fails the exact-type pass and is scanned
+    # value by value; none of them is rejected
+    ladder = synth_arbitrary(11)
+    # even values stay on x, unchanged; odd ones cross to the other terminal
+    plain = graph([OamBeamSplitter(1, R0, R1)], [~1, ~2, ~0, ~0], {R0: 0}, (None, R0, R1))
+    for device in (ladder, simplify(ladder), plain):
+        for domain in ([Charge.ZERO, 3, Charge.HIGH, Charge.LOW], list(Charge)):
+            for mode in MODES:
+                config = SimulationConfig(mode)
+                mapping = probe_permutation(device, domain, config)
+                assert typed(mapping) == typed(by_value(device, domain, config)), mode
+    assert typed(probe_permutation(ladder, list(Charge))) == [
+        (Charge, 0, int, 1), (Charge, 7, int, 8)
+    ]
+    assert typed(probe_permutation(plain, list(Charge))) == [(Charge, 0, Charge, 0)]
+
+
+def test_a_bool_is_rejected_where_it_stands(monkeypatch):
+    probed = []
+    real = simulation._propagate
+
+    def recording(graph, packets, norms, config):
+        probed.extend(ell for _, _, ell in packets)
+        return real(graph, packets, norms, config)
+
+    monkeypatch.setattr(simulation, "_propagate", recording)
+    gate = synth_arbitrary(5)
+    for mode in MODES:
+        config = SimulationConfig(mode)
+        for bad in (True, False):
+            probed.clear()
+            with pytest.raises(TypeError) as raised:
+                probe_permutation(gate, [0, Charge.HIGH, 2, bad, 3], config)
+            assert str(raised.value) == f"OAM value must be int, got {bad}"
+            assert probed == [0, Charge.HIGH, 2]
+            probed.clear()
+            with pytest.raises(TypeError):
+                probe_permutation(gate, [bad, 0], config)
+            assert probed == []
 
 
 def test_native_window_is_the_cyclic_shift():

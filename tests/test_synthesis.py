@@ -353,6 +353,16 @@ def test_synth_variant_builds_each_variant():
     assert synth_variant(10, "inverse", shift=2) == shifted_gate(invert(base), 2)
 
 
+def test_synth_variant_rejects_a_shift_that_is_not_an_int():
+    # each bad shift used to fail further in, with a message about a
+    # hologram charge or an OAM value, or a TypeError from range()
+    for shift in (True, False, 2.0, 0.0, "1", None):
+        for variant in ("standard", "inverse", "shifted"):
+            with pytest.raises(ValueError) as raised:
+                synth_variant(5, variant, shift)
+            assert str(raised.value) == f"shift must be an int, got {shift!r}"
+
+
 def test_variant_name_files_a_shifted_standard_gate_as_shifted():
     assert variant_name("standard", 0) == "standard"
     assert variant_name("standard", -3) == "shifted"
