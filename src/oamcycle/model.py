@@ -241,14 +241,10 @@ def extract_permutation(
     return mapping
 
 
-def _image(
-    out: ModeVector | Mapping[tuple, complex], output_path: PathLabel | int | None
-) -> int | None:
+def _image(out: ModeVector | Mapping[StateKey, complex], output_path: PathLabel) -> int | None:
     """The OAM value of *out* when it is a single basis state on
     *output_path* with unit magnitude (within ``PERMUTATION_AMPLITUDE_TOL``),
-    else None: the readout rule of every basis probe.  The path may be
-    named by its label or, in the engine's ``(t, ell)`` keys, by its
-    terminal index."""
+    else None: the readout rule of every basis probe."""
     if len(out) != 1:
         return None
     (path, image), amp = next(iter(out.items()))

@@ -31,8 +31,8 @@ with the output path's, so no probe hashes a label.  A probe that lands
 as one component of modulus exactly 1 (every strict probe, and every
 physical one at multiples of the splitter orders) is read straight off
 that component: there is no dust to prune, nothing to rescale, and its
-norm drifts by exactly 0.  Any other probe is read through the general
-pruning, norm check and rescale.
+norm drifts by exactly 0.  Any other probe's terminal sums are named by
+their labels and pruned, checked and rescaled as `transform`'s are.
 
 In strict mode splitters and holograms move basis states to basis
 states with no phase; a phase plate applies its phase in both modes.
@@ -45,13 +45,13 @@ relative phases.
 `window_permutation` is a second loop over the same int tables, for
 reading a permutation off a window of OAM values in either mode.  A
 splitter routes on ell mod 2m and a hologram adds a constant, so the
-window values of one residue class take one route together; the loop
-follows classes, not values, and its work grows with the number of
-distinct routes rather than with the window.  A class meets only
-multiples of each splitter's order, where both modes route it the same
-way; in physical mode the values no class carries to a terminal, which
-split at a non-multiple and may recombine, are handed to
-`probe_permutation`.
+window values of one residue class take one route together.  The loop
+follows classes, each held by its smallest window value and modulus, so
+routing grows with the number of distinct routes, not with the window;
+only filling in the map is linear in it.  A class meets only multiples
+of each splitter's order, where both modes route it the same way; in
+physical mode the values no class carries to a terminal, which split at
+a non-multiple and may recombine, are handed to `probe_permutation`.
 """
 
 from __future__ import annotations
@@ -220,23 +220,16 @@ def _propagate(
     return [out if error is None else error for out, error in zip(outs, errors)]
 
 
-def _finish(
-    out: dict[tuple, complex], norm_in: float, terminals: tuple | None = None
-) -> dict[tuple, complex] | Exception:
-    """One state's output *out*, pruned and rescaled to *norm_in*, or the
-    exception its norm check raises.  Keys are ``(path, ell)``, or
-    ``(t, ell)`` for the path ``terminals[t]``."""
-    norm_out = abs(next(iter(out.values()))) if len(out) == 1 else _norm(out.values())
+def _finish(out: dict[tuple, complex], norm_in: float) -> dict[tuple, complex] | Exception:
+    """One state's output *out*, keyed ``(path, ell)``, pruned and rescaled
+    to *norm_in*, or the exception its norm check raises."""
+    norm_out = _norm(out.values())
     if not math.isfinite(norm_out):
         path, ell = next(key for key, amp in out.items() if not cmath.isfinite(amp))
-        label = path if terminals is None else terminals[path]
-        return ValueError(f"non-finite amplitude for {label}|{ell}>")
-    if len(out) > 1:
-        result = _pruned(out)
-        if len(result) < len(out):
-            norm_out = _norm(result.values())
-    else:  # a lone entry is its own norm and is pruned only at zero
-        result = out if norm_out else {}
+        return ValueError(f"non-finite amplitude for {path}|{ell}>")
+    result = _pruned(out)
+    if len(result) < len(out):
+        norm_out = _norm(result.values())
     if abs(norm_out - norm_in) > NORM_TOLERANCE * norm_in:
         return NormDrift(f"terminal norm {norm_out!r} differs from input norm {norm_in!r}")
     if result and norm_in > 0.0 and norm_out != norm_in:
@@ -301,19 +294,19 @@ def window_permutation(
     graph = _graph(device)
     span = hi - lo
     entry = graph.entries.get(graph.input_path)
-    if span < 0 or entry is None:
-        same = graph.input_path == graph.output_path
-        return {ell: ell for ell in range(lo, hi + 1)} if same else {}
+    if span < 0 or entry is None:  # no class enters the window
+        return probe_permutation(graph, range(lo, hi + 1), config)
     nodes, wiring = graph.nodes, graph.wiring
     budget = HOPS_PER_NODE * max(1, len(nodes))
     images: list[int | None] = [None] * (span + 1)
     landed = bytearray(span + 1)  # 1 where the value's class reached a terminal
     failure: tuple[int, Exception] | None = None
-    # (in-slot, hops, offset, r, q): the window values ell0 = r (mod q), which
-    # reach in-slot after `hops` traversals carrying ell0 + offset
-    classes = [(entry, 0, 0, 0, 1)]
+    # (in-slot, hops, offset, first, q): the window values ell0 = first + k*q
+    # (k >= 0), which reach in-slot after `hops` traversals carrying
+    # ell0 + offset; first is the smallest, so first > hi leaves none
+    classes = [(entry, 0, 0, lo, 1)]
     while classes:
-        slot, hops, offset, r, q = classes.pop()
+        slot, hops, offset, first, q = classes.pop()
         error = None
         while slot >= 0:
             if hops >= budget:
@@ -324,37 +317,35 @@ def window_permutation(
             if kind is OamBeamSplitter:
                 m = element.m
                 g = math.gcd(q, m)
-                if (r + offset) % g:
+                if (first + offset) % g:
                     break  # no member is a multiple of m here
                 if g < m:  # keep the members that are: one class mod lcm(q, m)
                     step = m // g
-                    r += q * (-(r + offset) // g * pow(q // g, -1, step) % step)
+                    first += q * (-(first + offset) // g * pow(q // g, -1, step) % step)
                     q *= step
-                    if (r - lo) % q > span:
+                    if first > hi:
                         break
                 if q % (2 * m):  # ell / m alternates in parity: split the class
+                    if first + q <= hi:
+                        classes.append((slot, hops, offset, first + q, 2 * q))
                     q *= 2
-                    if (r + q // 2 - lo) % q <= span:
-                        classes.append((slot, hops, offset, r + q // 2, q))
-                    if (r - lo) % q > span:
-                        break
-                slot ^= (r + offset) // m & 1
+                slot ^= (first + offset) // m & 1
             elif kind is Hologram:
                 offset += -element.v if slot & BACKWARD else element.v
             hops += 1  # a plate routes nothing
             slot = wiring[slot]
         else:
-            first = (r - lo) % q
-            landed[first::q] = b"\1" * len(range(first, span + 1, q))
+            start = first - lo
+            landed[start::q] = b"\1" * ((hi - first) // q + 1)
             path = graph.terminals[~slot]
             if path is None:
                 error = ValueError("a packet left the device through an unwired port")
             elif path == graph.output_path:
-                images[first::q] = range(lo + first + offset, hi + 1 + offset, q)
-        if error is not None and (failure is None or (r - lo) % q < failure[0]):
-            failure = ((r - lo) % q, error)
+                images[start::q] = range(first + offset, hi + 1 + offset, q)
+        if error is not None and (failure is None or first < failure[0]):
+            failure = (first, error)
     if config.mode == PHYSICAL:
-        stop = span + 1 if failure is None else failure[0]
+        stop = span + 1 if failure is None else failure[0] - lo
         split = [lo + i for i in range(stop) if not landed[i]]
         for ell, image in probe_permutation(graph, split, config).items():
             images[ell - lo] = image
@@ -380,8 +371,8 @@ def probe_permutation(
     component's OAM value when it is on the output path, and is left out
     otherwise; its norm check compares a drift of 0 with
     ``NORM_TOLERANCE``.  Every other outcome (several components, a modulus
-    not exactly 1, a non-finite amplitude, an error) is pruned, checked and
-    rescaled before it is read, as `extract_permutation` reads it.
+    not exactly 1, a non-finite amplitude, an error) is keyed by terminal
+    label and read as ``extract_permutation(transform(...))`` reads it.
     """
     graph = _graph(device)
     source, target = graph.input_path, graph.output_path
@@ -399,7 +390,7 @@ def probe_permutation(
         if invalid is not None:  # probe the values before it, then raise
             error = TypeError(f"OAM value must be int, got {batch[invalid]!r}")
             del batch[invalid:]
-        if entry is None:  # each probe passes straight through, as in window_permutation
+        if entry is None:  # each probe passes straight through
             if through:
                 mapping.update(zip(batch, batch))
         else:
@@ -414,13 +405,13 @@ def probe_permutation(
                         if t == output:
                             mapping[ell] = image
                         continue
-                if not isinstance(out, Exception):
-                    out = _finish(out, 1.0, terminals)
+                if not isinstance(out, Exception):  # read as `transform` reads it
+                    out = _finish({(terminals[t], e): amp for (t, e), amp in out.items()}, 1.0)
                 if isinstance(out, Exception):
                     if isinstance(out, NonMultipleMode):
                         continue
                     raise out
-                image = _image(out, output)
+                image = _image(out, target)
                 if image is not None:
                     mapping[ell] = image
         if invalid is not None:

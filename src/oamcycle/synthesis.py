@@ -226,10 +226,7 @@ def simplify(netlist: Netlist) -> PortGraph:
     """
     if netlist.dimension < 2:
         raise NotSimplifiable("the d=1 identity netlist has nothing to fold")
-    try:
-        emitted = _emit(netlist.dimension)
-    except InvalidDimension as exc:
-        raise NotSimplifiable(str(exc)) from exc
+    emitted = _emit(netlist.dimension)
     if tuple([element for element, _ in emitted]) != netlist.elements:
         raise NotSimplifiable(f"netlist is not the standard d={netlist.dimension} layout")
     pairs = {i: mirrored for i, (_, mirrored) in enumerate(emitted) if mirrored is not None}

@@ -169,6 +169,17 @@ def test_verify_reports_failures_instead_of_raising(monkeypatch):
         assert report.violations[0].startswith("simulation failed: terminal norm")
 
 
+def test_verify_reports_a_splitter_count_off_the_formula_and_the_bound(monkeypatch):
+    # the permutation is still read and passes; only the tally is wrong
+    monkeypatch.setattr(analysis, "count_beamsplitters", lambda device: 10**6)
+    report = verify_gate(5)
+    assert report.permutation_ok and not report.passed
+    assert report.violations == (
+        "splitter count 1000000 != predicted 8",
+        "splitter count 1000000 exceeds bound 8.0",
+    )
+
+
 # --- discover_cycles ----------------------------------------------------------
 
 
@@ -379,6 +390,18 @@ def test_scaling_500():
     assert row.n_arb_actual == row.n_arb_predicted == 28
     assert row.n_s == 16
     assert row.naive == 998
+
+
+def test_scaling_asserts_each_row_against_the_formula_and_the_bound(monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(analysis, "count_beamsplitters", lambda device: 10**6)
+        with pytest.raises(AssertionError) as raised:
+            scaling_table(5, 5)
+        assert str(raised.value) == "d=5: tallied 1000000 splitters, formula 8"
+    monkeypatch.setattr(analysis, "predict_count", lambda d: (predict_count(d)[0], 0.5))
+    with pytest.raises(AssertionError) as raised:
+        scaling_table(5, 5)
+    assert str(raised.value) == "d=5: count 8 exceeds bound 0.5"
 
 
 def test_scaling_rejects_bad_range():

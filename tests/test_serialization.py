@@ -196,11 +196,20 @@ def test_parse_schema_version_mismatch():
         lambda t: _swap_first_hologram(t, '"kind": "ZPLATE", "d": 3.0, "paths": ["s0"]'),
         lambda t: _swap_first_hologram(t, '"kind": "ZPLATE", "d": -3, "paths": ["s0"]'),
         lambda t: _swap_first_hologram(t, '"kind": "PLATE", "d": 3, "paths": ["s0", "x"]'),
+        lambda t: t.replace('["r0", "s0"]', '[0, "r1"]', 1),
+        lambda t: t.replace('["r0", "s0"]', "[null]", 1),
     ],
 )
 def test_parse_rejects_mangled_documents(mangle):
     with pytest.raises(ParseError):
         parse(mangle(D3_DOC))
+
+
+@pytest.mark.parametrize("paths, got", [('[0, "r1"]', "0"), ("[null]", "None")])
+def test_parse_names_a_path_that_is_not_a_string(paths, got):
+    with pytest.raises(ParseError) as raised:
+        parse(D3_DOC.replace('["r0", "s0"]', paths, 1))
+    assert str(raised.value) == f"element 0 path 0 must be a path string, got {got}"
 
 
 def test_parse_rejects_non_object():

@@ -325,9 +325,9 @@ def test_a_probe_off_unit_modulus_goes_through_the_general_readout(monkeypatch):
     finished = []
     real = simulation._finish
 
-    def counting(out, norm_in, terminals=None):
+    def counting(out, norm_in):
         finished.extend(ell for _, ell in out)
-        return real(out, norm_in, terminals)
+        return real(out, norm_in)
 
     monkeypatch.setattr(simulation, "_finish", counting)
     for mode in MODES:
