@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import Element, Hologram, ModeVector, Netlist, OamBeamSplitter, PathLabel, ZPlate
-from .portgraph import BACKWARD, UNWIRED, PortGraph, netlist_to_portgraph
+from .portgraph import BACKWARD, PortGraph, netlist_to_portgraph
 from .synthesis import VARIANTS
 
 SCHEMA_VERSION = "1"
@@ -186,9 +186,11 @@ def export_dot(device: Netlist | PortGraph) -> str:
         form = _FORMS[type(element)]
         label = form.label.format(getattr(element, form.key))
         lines.append(f'  n{index} [shape=box, label="{label}"];')
-    # the terminals that out-slots or entries reach; UNWIRED draws no edge
-    targets = (*graph.wiring, *graph.entries.values())
-    terminal_labels = sorted({str(graph.terminals[~t]) for t in targets if t < UNWIRED})
+    # the labelled terminals that out-slots or entries reach; a slot on a
+    # terminal with no label (UNWIRED among them) draws no node and no edge
+    blank = {~t for t, path in enumerate(graph.terminals) if path is None}
+    targets = {*graph.wiring, *graph.entries.values()} - blank
+    terminal_labels = sorted({str(graph.terminals[~t]) for t in targets if t < 0})
     for label in terminal_labels:
         lines.append(f'  t_{label} [shape=doublecircle, label="{label}"];')
 
@@ -197,12 +199,12 @@ def export_dot(device: Netlist | PortGraph) -> str:
 
     for path in sorted(graph.entries):
         target = graph.entries[path]
-        if target != UNWIRED:
+        if target not in blank:
             lines.append(f'  in_{path} -> {endpoint_text(target)} [label="{path}"];')
     # per node, the backward out-slots first
     for source in sorted(range(len(graph.wiring)), key=lambda slot: slot ^ BACKWARD):
         target = graph.wiring[source]
-        if target == UNWIRED:
+        if target in blank:
             continue
         backward = source & BACKWARD or (target >= 0 and target & BACKWARD)
         style = ", style=dashed" if backward else ""

@@ -15,12 +15,12 @@ so a state behaves the same at every amplitude scale.  A netlist or
 port graph admits only the three element classes when it is built, so
 neither loop here checks an element's kind beyond dispatching on it.
 
-One run of the loop carries a batch of independent states, each packet
-tagged with its state; every state keeps its own prune cut, its own
-first error and its own norm check.  Dust is pruned at the head of each
-hop, where a packet whose state has failed is skipped too.  Inside the
-loop everything is an int: a packet is keyed (state, slot, ell) and
-lands on (terminal index, ell).  Path labels appear only at the
+One run of the loop carries a batch of independent states of one input
+norm, each packet tagged with its state; the states share the prune cut
+that norm sets, and each keeps its own first error and its own norm
+check.  Dust is pruned at the head of each hop.  Inside the loop
+everything is an int: a packet is keyed (state, slot, ell) and lands on
+(terminal index, ell).  Path labels appear only at the
 boundary: `transform` and `apply_*` resolve each component's path to
 its entry slot, run a batch of one, and name the terminal sums by
 their labels for the output `ModeVector`.  `probe_permutation` reads a
@@ -72,7 +72,6 @@ from .model import (
     Netlist,
     OamBeamSplitter,
     PathLabel,
-    ZPlate,
     _image,
     _is_int,
     _norm,
@@ -133,33 +132,31 @@ def _graph(device: Netlist | PortGraph) -> PortGraph:
 def _propagate(
     graph: PortGraph,
     packets: dict[tuple[int, int, int], complex],
-    norms: list[float],
+    states: int,
+    norm: float,
     config: SimulationConfig,
 ) -> list[dict[tuple[int, int], complex] | Exception]:
-    """The packet loop, run once for a batch of independent states.
+    """The packet loop, run once for *states* independent states.
 
     *packets* are keyed ``(state, slot, ell)``, each slot one of
     ``graph.entries``' values; an entry slot ``~t`` lands on
-    ``terminals[t]`` at once.  ``norms[state]`` is the state's input norm,
-    which sets its prune cut.  Returns, per state, its terminal sums keyed
+    ``terminals[t]`` at once.  *norm*, the input norm all states share,
+    sets the prune cut.  Returns, per state, its terminal sums keyed
     ``(t, ell)``, or the exception a run of that state alone raises: the
     first its own packets meet, else ValueError if one lands on a terminal
     with no label (an unwired port).  No path label is hashed or compared
     here; the callers turn terminal indices into labels.
 
-    At the hop budget only a state with a packet still above its cut
+    At the hop budget only a state with a packet still above the cut
     fails, so a run whose last packets are all dust ends normally.
     """
     nodes, wiring, terminals = graph.nodes, graph.wiring, graph.terminals
     strict = config.mode == STRICT
     budget = HOPS_PER_NODE * max(1, len(nodes))
-    errors: list[Exception | None] = [None] * len(norms)
-    # a packet is dropped at the head of a hop unless it clears its state's
-    # cut; a failed state's cut is infinite, so its packets stop where it
-    # failed.  `limits` are the cuts in force: none at the first hop, since
-    # the packets given are routed as they are, unpruned.
-    cuts = [PRUNE_THRESHOLD * norm for norm in norms]
-    limits = [-1.0] * len(norms)
+    errors: list[Exception | None] = [None] * states
+    # a packet is dropped at the head of a hop unless it clears `limit`: no
+    # cut at the first hop, since the packets given are routed as they are
+    cut, limit = PRUNE_THRESHOLD * norm, -1.0
     # landed: (state, ~terminal, ell), summed in the order packets arrive
     landed: dict[tuple[int, int, int], complex] = {}
     if min(graph.entries.values(), default=0) < 0:  # an entry on a terminal lands at once
@@ -170,14 +167,14 @@ def _propagate(
         hops += 1
         if hops > budget:
             for (s, _, _), amp in packets.items():
-                if abs(amp) > cuts[s]:
+                if abs(amp) > cut and errors[s] is None:
                     errors[s] = HopBudgetExceeded(
                         f"packets still in flight after {budget} node traversals"
                     )
             break
         staged: dict[tuple[int, int, int], complex] = {}
         for (s, slot, ell), amp in packets.items():
-            if not abs(amp) > limits[s]:
+            if not abs(amp) > limit:
                 continue
             element = nodes[slot >> 2]
             kind = type(element)
@@ -186,8 +183,8 @@ def _propagate(
                 if strict:  # the rule of splitter_route_strict, on slots
                     turns, rest = divmod(ell, k)
                     if rest:
-                        errors[s] = NonMultipleMode(ell, k)
-                        limits[s] = cuts[s] = math.inf
+                        if errors[s] is None:
+                            errors[s] = NonMultipleMode(ell, k)
                         continue
                     slot ^= turns & 1
                 else:
@@ -209,8 +206,8 @@ def _propagate(
             key = (s, dest, ell)
             into[key] = into.get(key, 0j) + amp
         packets = staged
-        limits = cuts
-    outs: list[dict[tuple[int, int], complex]] = [{} for _ in norms]
+        limit = cut
+    outs: list[dict[tuple[int, int], complex]] = [{} for _ in errors]
     for (s, dest, ell), amp in landed.items():
         if errors[s] is None:
             if terminals[~dest] is None:
@@ -220,18 +217,19 @@ def _propagate(
     return [out if error is None else error for out, error in zip(outs, errors)]
 
 
-def _finish(out: dict[tuple, complex], norm_in: float) -> dict[tuple, complex] | Exception:
+def _finish(out: dict[tuple, complex], norm_in: float) -> dict[tuple, complex]:
     """One state's output *out*, keyed ``(path, ell)``, pruned and rescaled
-    to *norm_in*, or the exception its norm check raises."""
+    to *norm_in*.  Raises ValueError for a non-finite amplitude, and
+    NormDrift if the norm misses *norm_in*."""
     norm_out = _norm(out.values())
     if not math.isfinite(norm_out):
         path, ell = next(key for key, amp in out.items() if not cmath.isfinite(amp))
-        return ValueError(f"non-finite amplitude for {path}|{ell}>")
+        raise ValueError(f"non-finite amplitude for {path}|{ell}>")
     result = _pruned(out)
     if len(result) < len(out):
         norm_out = _norm(result.values())
     if abs(norm_out - norm_in) > NORM_TOLERANCE * norm_in:
-        return NormDrift(f"terminal norm {norm_out!r} differs from input norm {norm_in!r}")
+        raise NormDrift(f"terminal norm {norm_out!r} differs from input norm {norm_in!r}")
     if result and norm_in > 0.0 and norm_out != norm_in:
         factor = norm_in / norm_out
         result = _pruned({key: amp * factor for key, amp in result.items()})
@@ -254,17 +252,14 @@ def _run(graph: PortGraph, state: ModeVector, config: SimulationConfig) -> ModeV
             key = (0, slot, ell)
             packets[key] = packets.get(key, 0j) + amp
     norm_in = state.norm()
-    (landed,) = _propagate(graph, packets, [norm_in], config)
+    (landed,) = _propagate(graph, packets, 1, norm_in, config)
     if isinstance(landed, Exception):
         raise landed
     terminals = graph.terminals
     for (t, ell), amp in landed.items():
         key = (terminals[t], ell)
         out[key] = out.get(key, 0j) + amp
-    result = _finish(out, norm_in)
-    if isinstance(result, Exception):
-        raise result
-    return ModeVector._trusted(result)
+    return ModeVector._trusted(_finish(out, norm_in))
 
 
 def window_permutation(
@@ -367,11 +362,12 @@ def probe_permutation(
     value that is not an int, or a bool, or the error its probe meets
     other than NonMultipleMode, which leaves the value out.
 
-    A probe that lands as one component of modulus exactly 1 maps to that
-    component's OAM value when it is on the output path, and is left out
-    otherwise; its norm check compares a drift of 0 with
-    ``NORM_TOLERANCE``.  Every other outcome (several components, a modulus
-    not exactly 1, a non-finite amplitude, an error) is keyed by terminal
+    Each probe is read in one order.  An error is raised, unless it is
+    NonMultipleMode.  A probe that lands as one component of modulus
+    exactly 1 maps to that component's OAM value when it is on the output
+    path, and is left out otherwise; its norm check compares a drift of 0
+    with ``NORM_TOLERANCE``.  Every other landing (several components, a
+    modulus not exactly 1, a non-finite amplitude) is keyed by terminal
     label and read as ``extract_permutation(transform(...))`` reads it.
     """
     graph = _graph(device)
@@ -395,9 +391,13 @@ def probe_permutation(
                 mapping.update(zip(batch, batch))
         else:
             packets = {(s, entry, ell): 1.0 + 0j for s, ell in enumerate(batch)}
-            outs = _propagate(graph, packets, [1.0] * len(batch), config)
+            outs = _propagate(graph, packets, len(batch), 1.0, config)
             for ell, out in zip(batch, outs):
-                if type(out) is dict and len(out) == 1:
+                if isinstance(out, Exception):
+                    if isinstance(out, NonMultipleMode):
+                        continue
+                    raise out
+                if len(out) == 1:
                     ((t, image), amp), = out.items()
                     # one unit landing: no dust to prune, nothing to rescale, and a
                     # drift of exactly 0, which fails only a negative tolerance
@@ -405,13 +405,9 @@ def probe_permutation(
                         if t == output:
                             mapping[ell] = image
                         continue
-                if not isinstance(out, Exception):  # read as `transform` reads it
-                    out = _finish({(terminals[t], e): amp for (t, e), amp in out.items()}, 1.0)
-                if isinstance(out, Exception):
-                    if isinstance(out, NonMultipleMode):
-                        continue
-                    raise out
-                image = _image(out, target)
+                # read as `transform` reads it
+                out = {(terminals[t], e): amp for (t, e), amp in out.items()}
+                image = _image(_finish(out, 1.0), target)
                 if image is not None:
                     mapping[ell] = image
         if invalid is not None:
@@ -463,7 +459,9 @@ def simulate_word(
 ) -> ModeVector:
     """Apply the gate word X^x_power followed by Z^z_power in dimension d.
 
-    X is the synthesized cyclic shift netlist; Z is the phase plate.  For
+    X is the synthesized cyclic shift netlist; Z^z_power multiplies each
+    component on its output path by the plate's phase for z_power * ell,
+    reduced mod d, so its error does not grow with z_power.  For
     d = 1 both gates are the identity.  Raises InvalidDimension unless d is
     an int >= 1, and ValueError unless both powers are ints >= 0.
     """
@@ -478,12 +476,10 @@ def simulate_word(
     out = state
     for _ in range(x_power):
         out = x_gate(out)
-    if z_power:
-        plate = Netlist(
-            (ZPlate(shift.output_path, d),) * z_power,
-            shift.output_path,
-            shift.output_path,
-            d,
+    if z_power:  # one phase per component, however large the power
+        path = shift.output_path
+        out = ModeVector(
+            (key, amp * z_phase(d, z_power * key[1]) if key[0] == path else amp)
+            for key, amp in out.items()
         )
-        out = transform(plate, config)(out)
     return out

@@ -100,9 +100,9 @@ def test_verify_runs_the_packet_loop_once_per_batch(monkeypatch):
     runs = []
     real = simulation._propagate
 
-    def counting(graph, packets, norms, config):
-        runs.append(len(norms))
-        return real(graph, packets, norms, config)
+    def counting(graph, packets, states, norm, config):
+        runs.append(states)
+        return real(graph, packets, states, norm, config)
 
     monkeypatch.setattr(simulation, "_propagate", counting)
     for d in (2, simulation.PROBE_BATCH, simulation.PROBE_BATCH + 1, 500):
@@ -119,9 +119,9 @@ def test_unit_probes_skip_the_general_readout(monkeypatch, mode):
     runs, finished = [], []
     propagate, finish = simulation._propagate, simulation._finish
 
-    def counting(graph, packets, norms, config):
-        runs.append(len(norms))
-        return propagate(graph, packets, norms, config)
+    def counting(graph, packets, states, norm, config):
+        runs.append(states)
+        return propagate(graph, packets, states, norm, config)
 
     monkeypatch.setattr(simulation, "_propagate", counting)
     monkeypatch.setattr(simulation, "_finish", lambda *args: finished.append(args) or finish(*args))

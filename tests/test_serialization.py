@@ -326,6 +326,28 @@ def test_dot_declares_each_terminal_an_entry_reaches():
     assert "in_s0 ->" not in dot and "None" not in dot
 
 
+def test_dot_draws_no_terminal_without_a_label():
+    # a None terminal past index 0 is unwired to the engine, so it draws
+    # no node and no edge, as UNWIRED does
+    graph = PortGraph(
+        nodes=(Hologram(R0, 1),),
+        wiring=(~1, ~0, ~0, ~0),
+        entries={R0: 0},
+        terminals=(None, None),
+        input_path=R0,
+        output_path=R0,
+        dimension=2,
+    )
+    assert export_dot(graph) == (
+        "digraph device {\n"
+        "  rankdir=LR;\n"
+        '  in_r0 [shape=point, xlabel="r0"];\n'
+        '  n0 [shape=box, label="Holog+1"];\n'
+        '  in_r0 -> n0 [label="r0"];\n'
+        "}\n"
+    )
+
+
 def test_dot_edge_labels_are_paths():
     dot = export_dot(synth_odd(3))
     assert 'label="s0"' in dot and 'label="r1"' in dot

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from reference_netlist import reference_apply_netlist
 
 from oamcycle import portgraph, simulation
-from oamcycle.elements import NonMultipleMode, splitter_amplitudes
+from oamcycle.elements import NonMultipleMode, splitter_amplitudes, z_phase
 from oamcycle.model import (
     PRUNE_THRESHOLD,
     Hologram,
@@ -516,6 +516,14 @@ def test_word_full_cycle_is_identity():
         for k in range(d):
             out = simulate_word(d, d, 0, ModeVector.basis(R0, k))
             assert abs(out.get((R0, k)) - 1.0) < 1e-12, (d, k)
+
+
+def test_word_z_power_is_one_exact_phase():
+    # Z^30000 is the identity at d = 3: applied as 30000 plates, each of
+    # modulus one ulp below 1, it drifted the norm past NORM_TOLERANCE
+    for z_power, phase in ((3 * 10**4, 1.0), (10**18, z_phase(3, 1))):
+        out = simulate_word(3, 0, z_power, ModeVector.basis(R0, 1))
+        assert list(out.items()) == [((R0, 1), phase)], z_power
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 8])

@@ -6,7 +6,7 @@ the packet loop in batches."""
 import enum
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oamcycle import simulation
 from oamcycle.elements import z_phase
@@ -205,19 +205,33 @@ def test_batched_probes_match_value_by_value_probes(device, domain):
 
 @st.composite
 def superpositions(draw):
-    """Entry dicts of up to six components near one centre, at one of many scales."""
+    """Entry dicts of up to six components near one centre."""
     centre = draw(st.integers(-60, 60))
-    scale = draw(st.sampled_from([1.0, 1e-200, 1e200, 1e-17]))
     keys = draw(
         st.lists(st.tuples(st.sampled_from(PATHS), st.integers(-20, 20)), unique=True, max_size=6)
     )
     amps = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
-    return {(path, centre + k): scale * draw(amps) for path, k in keys}
+    return {(path, centre + k): draw(amps) for path, k in keys}
+
+
+# strict failures beside healthy states: a state whose two packets both
+# fail, one whose other packet lands, and one whose other packet loops
+# until the hop budget; each keeps the error its first failing packet met
+SPLIT_R0 = Netlist((OamBeamSplitter(2, R0, R1),), R0, R0, 2)
+SPLIT_LOOP = graph([OamBeamSplitter(2, R0, R1)], [0, ~1, ~0, ~0], {R0: 0})
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(netlists(), folded_gates(), wired_graphs()), st.lists(superpositions(), max_size=6))
-def test_states_in_one_run_do_not_interact(device, states):
+@given(
+    st.one_of(netlists(), folded_gates(), wired_graphs()),
+    st.lists(superpositions(), max_size=6),
+    st.sampled_from([1.0, 1e-200, 1e200, 1e-17]),
+)
+@example(
+    SPLIT_R0, [{(R0, 1): 0.6, (R0, 3): 0.8}, {(R0, 0): 1.0}, {(R0, 5): 0.6, (R0, 4): 0.8}], 1e-17
+)
+@example(SPLIT_LOOP, [{(R0, 2): 1.0}, {(R0, 1): 0.6, (R0, 0): 0.8}], 1e200)
+def test_states_in_one_run_do_not_interact(device, states, norm):
     def shown(results):
         return [
             (type(r), str(r)) if isinstance(r, Exception) else list(r.items()) for r in results
@@ -234,14 +248,21 @@ def test_states_in_one_run_do_not_interact(device, states):
                     keyed[s, slot, ell] = keyed.get((s, slot, ell), 0j) + amp
         return keyed
 
+    def at_norm(state):
+        # a state with no norm stays as it is: zero amplitudes scale to zero
+        own = _norm(state.values())
+        return {key: amp / own * norm for key, amp in state.items()} if own else state
+
     graph_of_device = simulation._graph(device)
-    norms = [_norm(state.values()) for state in states]
+    states = [at_norm(state) for state in states]
     for mode in MODES:
         config = SimulationConfig(mode)
-        together = simulation._propagate(graph_of_device, packets(states), norms, config)
+        together = simulation._propagate(
+            graph_of_device, packets(states), len(states), norm, config
+        )
         alone = [
-            simulation._propagate(graph_of_device, packets([state]), [norm], config)[0]
-            for state, norm in zip(states, norms)
+            simulation._propagate(graph_of_device, packets([state]), 1, norm, config)[0]
+            for state in states
         ]
         assert shown(together) == shown(alone), mode
 
@@ -255,9 +276,9 @@ def test_first_failure_in_a_later_batch(monkeypatch):
     runs = []
     real = simulation._propagate
 
-    def counting(graph, packets, norms, config):
-        runs.append(len(norms))
-        return real(graph, packets, norms, config)
+    def counting(graph, packets, states, norm, config):
+        runs.append(states)
+        return real(graph, packets, states, norm, config)
 
     monkeypatch.setattr(simulation, "_propagate", counting)
     cases = (
@@ -360,9 +381,9 @@ def test_a_bool_is_rejected_where_it_stands(monkeypatch):
     probed = []
     real = simulation._propagate
 
-    def recording(graph, packets, norms, config):
+    def recording(graph, packets, states, norm, config):
         probed.extend(ell for _, _, ell in packets)
-        return real(graph, packets, norms, config)
+        return real(graph, packets, states, norm, config)
 
     monkeypatch.setattr(simulation, "_propagate", recording)
     gate = synth_arbitrary(5)
