@@ -8,7 +8,7 @@ against the closed-form predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection
 
 from .model import Netlist
 from .portgraph import PortGraph
@@ -130,38 +130,34 @@ def discover_cycles(
 
     The window is read with `window_permutation`; values that split,
     leak to another path, or leave the window break the orbit they were
-    part of.  Each window value is walked once, and a walk that comes
-    back to one of its own values closes a loop; the loops of length d
-    are returned from their minimum, in ascending order of it.  Every
-    edge of them is then simulated again on the packet engine, in one
-    pass, so the two engines check each other.
+    part of.  Each value is popped from the map as it is walked, and a
+    walk that ends on one of its own values closes a loop; the loops of
+    length d are returned from their minimum, in ascending order of it.
+    Each member is then probed again on the packet engine, in one pass,
+    against its successor on its cycle, so the two engines check each other.
     """
     d = device.dimension
     mapping = window_permutation(device, lo, hi, config)
     cycles: list[tuple[int, ...]] = []
-    walked = bytearray(max(0, hi - lo + 1))  # per window value: 1 on this walk, 2 walked
-    for start in mapping:
-        walk, current = [], start
-        while current in mapping and not walked[current - lo]:
-            walked[current - lo] = 1
-            walk.append(current)
-            current = mapping[current]
-        if lo <= current <= hi and walked[current - lo] == 1:  # back on its own walk
-            loop = walk[walk.index(current):]
-            if len(loop) == d:
-                first = loop.index(min(loop))
-                cycles.append(tuple(loop[first:] + loop[:first]))
-        for ell in walk:
-            walked[ell - lo] = 2
+    for start in range(lo, hi + 1):
+        walk, current = {}, start  # walk: each value on it -> its position
+        while current in mapping:  # a walked value has left the map
+            walk[current] = len(walk)
+            current = mapping.pop(current)
+        if current in walk and len(walk) - walk[current] == d:  # back on its own walk
+            loop = list(walk)[-d:]
+            first = loop.index(min(loop))
+            cycles.append(tuple(loop[first:] + loop[:first]))
+    del mapping  # emptied, but a dict keeps its table after pops
     cycles.sort()
-    domain = [ell for cycle in cycles for ell in cycle]
-    _resimulate(device, domain, {ell: mapping[ell] for ell in domain}, config)
+    successor = {ell: image for cycle in cycles for ell, image in zip(cycle, cycle[1:] + cycle[:1])}
+    _resimulate(device, successor, successor, config)
     return [CycleSet(cycle) for cycle in cycles]
 
 
 def _resimulate(
     device: Netlist | PortGraph,
-    domain: Sequence[int],
+    domain: Collection[int],
     mapping: dict[int, int],
     config: SimulationConfig,
 ) -> None:

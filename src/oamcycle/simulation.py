@@ -459,7 +459,12 @@ def simulate_word(
 ) -> ModeVector:
     """Apply the gate word X^x_power followed by Z^z_power in dimension d.
 
-    X is the synthesized cyclic shift netlist; Z^z_power multiplies each
+    X is the synthesized cyclic shift netlist.  On its window, a state
+    whose every component is on its input path with 0 <= ell < d, X has
+    period d in strict mode and 4d in physical mode (there every splitter
+    meets a multiple of its order, so X is a permutation times a diagonal
+    of powers of i), and x_power is reduced modulo that period.  Off the
+    window the gate runs x_power times.  Z^z_power multiplies each
     component on its output path by the plate's phase for z_power * ell,
     reduced mod d, so its error does not grow with z_power.  For
     d = 1 both gates are the identity.  Raises InvalidDimension unless d is
@@ -473,6 +478,8 @@ def simulate_word(
         return state
     shift = synth_arbitrary(d)
     x_gate = transform(shift, config)
+    if all(path == shift.input_path and 0 <= ell < d for path, ell in state.keys()):
+        x_power %= d if config.mode == STRICT else 4 * d
     out = state
     for _ in range(x_power):
         out = x_gate(out)

@@ -350,6 +350,10 @@ class CountedLookups(dict):
         self._looked_up()
         return super().get(key, default)
 
+    def pop(self, key, *default):
+        self._looked_up()
+        return super().pop(key, *default)
+
 
 def test_each_window_value_is_walked_once(monkeypatch):
     # a +1 chain through 20001 values: a walk of up to d steps from every

@@ -71,6 +71,13 @@ def test_worked_example_d8_superposition():
     assert equal_up_to_global_phase(out, expect, 1e-12)
 
 
+def test_states_print_as_the_library_example_shows():
+    # README's Library example prints this line; an empty state prints as 0
+    out = apply_netlist(synth_arbitrary(11), ModeVector({(R0, 1): 0.6, (R0, 10): 0.8}))
+    assert str(out) == "ModeVector[(0.8+0j)|0>@r0, (0.6+0j)|2>@r0]"
+    assert str(ModeVector()) == "ModeVector[0]"
+
+
 def test_superposition_strict_is_exact():
     net = synth_arbitrary(10)
     a, b = 1 / math.sqrt(3), math.sqrt(2 / 3) * 1j
@@ -516,6 +523,50 @@ def test_word_full_cycle_is_identity():
         for k in range(d):
             out = simulate_word(d, d, 0, ModeVector.basis(R0, k))
             assert abs(out.get((R0, k)) - 1.0) < 1e-12, (d, k)
+
+
+@pytest.mark.parametrize("mode", ["strict", "physical"])
+@pytest.mark.parametrize("d", [2, 5, 12])
+def test_word_x_power_is_reduced_on_the_gate_window(monkeypatch, d, mode):
+    # on 0..d-1 the gate is X (strict), or X times a diagonal of powers of i
+    # (physical), so X^period is the identity there: at d = 5, X^5 is -i*I
+    config = SimulationConfig(mode)
+    period = d if mode == "strict" else 4 * d
+    x_gate = simulation.transform(synth_arbitrary(d), config)
+    rng = random.Random(d)
+    mixed = ModeVector(
+        {(R0, k): complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(d)}
+    )
+    states = [mixed] + [ModeVector.basis(R0, k) for k in range(d)]
+    for r in (0, 1, d - 1):
+        for state in states:
+            looped = state
+            for _ in range(period + r):
+                looped = x_gate(looped)
+            reduced = simulate_word(d, r, 0, state, config)
+            if state is mixed:
+                assert (looped - reduced).norm() <= 1e-12 * state.norm(), r
+            else:
+                assert list(looped.items()) == list(reduced.items()), (r, state)
+    # a power of 10**18 takes fewer than `period` passes of the gate
+    real = simulation._run
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls > 4 * d:
+            raise AssertionError(f"more than {4 * d} passes of the gate")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "_run", counted)
+    for state in states:
+        calls = 0
+        got = simulate_word(d, 10**18, 0, state, config)
+        calls = 0
+        assert list(got.items()) == list(
+            simulate_word(d, 10**18 % period, 0, state, config).items()
+        )
 
 
 def test_word_z_power_is_one_exact_phase():

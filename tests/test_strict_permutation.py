@@ -131,8 +131,14 @@ def windows():
 # --- differential, in both modes --------------------------------------------------
 
 
+# odd values reach the order-4 splitter as a class mod 2, which holds no
+# multiple of 4, so the class loop drops it whole on the gcd test
+GCD_DROP = Netlist((OamBeamSplitter(1, R0, R1), OamBeamSplitter(4, R0, R1)), R0, R0, 2)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(netlists(), folded_gates(), wired_graphs()), windows())
+@example(GCD_DROP, (0, 9))
 def test_classes_match_value_by_value_probes(device, window):
     assert_engines_agree(device, *window)
 
@@ -158,11 +164,30 @@ def test_physical_interferometer_recombines_split_values():
     assert_engines_agree(interferometer, -3, 3)
 
 
-@pytest.mark.parametrize("m, split", [(1, []), (2, list(range(1, 1000, 2)))])
-def test_physical_read_probes_only_split_values(monkeypatch, m, split):
+def stay_then_add_2(m):
+    return Netlist((OamBeamSplitter(m, R0, R1), Hologram(R0, 2)), R0, R0, 2)
+
+
+@pytest.mark.parametrize(
+    "device, hi, images, split",
+    [
+        (stay_then_add_2(1), 999, {ell: ell + 2 for ell in range(0, 1000, 2)}, []),
+        (
+            stay_then_add_2(2),
+            999,
+            {ell: ell + 2 for ell in range(0, 1000, 4)},
+            list(range(1, 1000, 2)),
+        ),
+        # 4 crosses the order-4 splitter whole to r1; the odd values, dropped
+        # by the gcd test, and 2 and 6 split there
+        (GCD_DROP, 9, {0: 0, 8: 8}, [1, 2, 3, 5, 6, 7, 9]),
+    ],
+    ids=["1-split0", "2-split1", "gcd-drop"],
+)
+def test_physical_read_probes_only_split_values(monkeypatch, device, hi, images, split):
     # a class that reaches any terminal met only multiples, where both modes
     # route alike, so only the values split at a non-multiple are probed;
-    # here the multiples of m that cross leak to r1 and are not probed
+    # here the multiples that cross leak to r1 and are not probed
     probed = []
     real = simulation.probe_permutation
 
@@ -171,9 +196,8 @@ def test_physical_read_probes_only_split_values(monkeypatch, m, split):
         return real(device, domain, config)
 
     monkeypatch.setattr(simulation, "probe_permutation", recording)
-    device = Netlist((OamBeamSplitter(m, R0, R1), Hologram(R0, 2)), R0, R0, 2)
-    physical = window_permutation(device, 0, 999, SimulationConfig(PHYSICAL))
-    assert physical == window_permutation(device, 0, 999)
+    assert window_permutation(device, 0, hi) == images
+    assert window_permutation(device, 0, hi, SimulationConfig(PHYSICAL)) == images
     assert probed == split
 
 
