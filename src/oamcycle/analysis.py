@@ -8,7 +8,7 @@ against the closed-form predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection
+from typing import Iterable
 
 from .model import Netlist
 from .portgraph import PortGraph
@@ -17,7 +17,7 @@ from .simulation import (
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
-    probe_permutation,
+    _probes,
     window_permutation,
 )
 from .synthesis import (
@@ -89,7 +89,7 @@ def verify_gate(
     mapping: dict[int, int] = {}
     try:
         read = window_permutation(device, shift, shift + d - 1, config)
-        _resimulate(device, domain, read, config)
+        _resimulate(device, domain, map(read.get, domain), config)
         mapping = read
     except (NormDrift, HopBudgetExceeded) as exc:
         violations.append(f"simulation failed: {exc}")
@@ -150,26 +150,29 @@ def discover_cycles(
             cycles.append(tuple(loop[first:] + loop[:first]))
     del mapping  # emptied, but a dict keeps its table after pops
     cycles.sort()
-    successor = {ell: image for cycle in cycles for ell, image in zip(cycle, cycle[1:] + cycle[:1])}
-    _resimulate(device, successor, successor, config)
+    members = (ell for cycle in cycles for ell in cycle)
+    successors = (image for cycle in cycles for image in cycle[1:] + cycle[:1])
+    _resimulate(device, members, successors, config)
     return [CycleSet(cycle) for cycle in cycles]
 
 
 def _resimulate(
     device: Netlist | PortGraph,
-    domain: Collection[int],
-    mapping: dict[int, int],
+    domain: Iterable[int],
+    expected: Iterable[int | None],
     config: SimulationConfig,
 ) -> None:
-    """Probe every value of *domain* on the packet engine, in batches; raise
-    AssertionError at the first value whose image differs from *mapping*,
-    a map on *domain*."""
-    probed = probe_permutation(device, domain, config)
-    if probed != mapping:
-        bad = next(ell for ell in domain if probed.get(ell) != mapping.get(ell))
-        raise AssertionError(
-            f"|{bad}> -> {mapping.get(bad)} failed re-simulation (got {probed.get(bad)})"
-        )
+    """Probe each value of *domain* on the packet engine with `_probes`, and
+    raise AssertionError at the first whose image differs from its
+    *expected* one, given in the order of *domain*, None meaning left out.
+
+    Each batch is compared as it lands, so a differing value raises before
+    any later value is probed: the AssertionError wins over an engine error
+    at a later value, which a probe of the whole domain would have raised.
+    """
+    for (ell, image), want in zip(_probes(device, domain, config), expected, strict=True):
+        if image != want:
+            raise AssertionError(f"|{ell}> -> {want} failed re-simulation (got {image})")
 
 
 @dataclass(frozen=True)

@@ -190,10 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # a window like -44..44 looks like an option flag to argparse
+    # a window like -44..44, or a state like -|1>, looks like an option flag to argparse
     for i in range(len(argv) - 1):
-        if argv[i] == "--window" and _WINDOW_RE.match(argv[i + 1]):
-            argv[i : i + 2] = [f"--window={argv[i + 1]}"]
+        if argv[i] in ("--window", "--input") and argv[i + 1].startswith("-"):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
             break
     args = build_parser().parse_args(argv)
     try:

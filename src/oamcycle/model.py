@@ -100,7 +100,8 @@ class ModeVector:
 
     Entries with magnitude <= ``PRUNE_THRESHOLD`` times the state's norm
     are dropped on construction, so a state never stores numerical dust,
-    at any amplitude scale.  Instances are treated as immutable;
+    at any amplitude scale.  A non-finite amplitude, or a norm beyond the
+    float range, is a ValueError.  Instances are treated as immutable;
     all arithmetic returns new vectors.
     """
 
@@ -122,6 +123,12 @@ class ModeVector:
             if not (math.isfinite(a.real) and math.isfinite(a.imag)):
                 raise ValueError(f"non-finite amplitude for {path}|{ell}>")
             acc[key] = acc.get(key, 0j) + a
+        try:
+            norm = _norm(acc.values())
+        except OverflowError:  # abs() of one amplitude is past the float range
+            norm = math.inf
+        if norm == math.inf:
+            raise ValueError("state norm is beyond the float range")
         self._entries = _pruned(acc)
 
     @classmethod
@@ -177,7 +184,8 @@ class ModeVector:
         n = self.norm()
         if n == 0.0:
             raise ZeroState("cannot normalize a state with no support")
-        return self.scaled(1.0 / n)
+        # a quotient per amplitude: 1.0 / n overflows for a subnormal norm
+        return ModeVector({k: v / n for k, v in self._entries.items()})
 
     def __repr__(self) -> str:
         terms = ", ".join(

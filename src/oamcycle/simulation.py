@@ -23,9 +23,9 @@ everything is an int: a packet is keyed (state, slot, ell) and lands on
 (terminal index, ell).  Path labels appear only at the
 boundary: `transform` and `apply_*` resolve each component's path to
 its entry slot, run a batch of one, and name the terminal sums by
-their labels for the output `ModeVector`.  `probe_permutation` reads a
-permutation off basis probes, ``PROBE_BATCH`` of them per run, which
-spreads the loop's per-run cost over many probes (the batch bound keeps
+their labels for the output `ModeVector`.  `_probes` yields each basis
+probe's image in order as its run lands, ``PROBE_BATCH`` probes per run,
+which spreads the loop's per-run cost over many probes (the batch bound keeps
 the packets in flight few), and compares each probe's terminal index
 with the output path's, so no probe hashes a label.  A probe that lands
 as one component of modulus exactly 1 (every strict probe, and every
@@ -51,7 +51,7 @@ routing grows with the number of distinct routes, not with the window;
 only filling in the map is linear in it.  A class meets only multiples
 of each splitter's order, where both modes route it the same way; in
 physical mode the values no class carries to a terminal, which split at
-a non-multiple and may recombine, are handed to `probe_permutation`.
+a non-multiple and may recombine, are probed on the packet loop.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import portgraph
 from .elements import NonMultipleMode, splitter_amplitudes, z_phase
@@ -89,7 +89,7 @@ HOPS_PER_NODE = 10
 #: allowed drift of the terminal norm from the input norm, relative to it
 NORM_TOLERANCE = 1e-12
 
-#: basis probes `probe_permutation` sends through one run of the packet loop:
+#: basis probes `_probes` sends through one run of the packet loop:
 #: enough to share its per-run cost, few enough to bound the packets in flight
 PROBE_BATCH = 64
 
@@ -341,8 +341,8 @@ def window_permutation(
             failure = (first, error)
     if config.mode == PHYSICAL:
         stop = span + 1 if failure is None else failure[0] - lo
-        split = [lo + i for i in range(stop) if not landed[i]]
-        for ell, image in probe_permutation(graph, split, config).items():
+        split = (lo + i for i in range(stop) if not landed[i])
+        for ell, image in _probes(graph, split, config):
             images[ell - lo] = image
     if failure is not None:
         raise failure[1]
@@ -353,14 +353,26 @@ def probe_permutation(
     device: Netlist | PortGraph, domain: Iterable[int], config: SimulationConfig = DEFAULT_CONFIG
 ) -> dict[int, int]:
     """The map of the OAM values *domain* from the device's input path to
-    its output path under *config*, probed one basis state per value on
-    the packet loop, ``PROBE_BATCH`` probes per run of it.
+    its output path under *config*, probed one basis state per value by
+    `_probes`.
 
     Returns what ``extract_permutation(transform(device, config), domain,
     device.input_path, device.output_path)`` returns, and raises what it
     raises, at the first value of *domain* that fails: TypeError for a
     value that is not an int, or a bool, or the error its probe meets
     other than NonMultipleMode, which leaves the value out.
+    """
+    return {ell: image for ell, image in _probes(device, domain, config) if image is not None}
+
+
+def _probes(
+    device: Netlist | PortGraph, values: Iterable[int], config: SimulationConfig
+) -> Iterator[tuple[int, int | None]]:
+    """``(value, image or None)`` for each of *values*, in order: the map
+    `probe_permutation` returns, with None for each value it leaves out,
+    and its error raised where the failing value would be yielded.  Each
+    value is probed as one basis state on the packet loop,
+    ``PROBE_BATCH`` probes per run of it.
 
     Each probe is read in one order.  An error is raised, unless it is
     NonMultipleMode.  A probe that lands as one component of modulus
@@ -377,8 +389,7 @@ def probe_permutation(
     terminals = graph.terminals
     output = terminals.index(target) if target in terminals else None
     through = entry is None and source == target
-    mapping: dict[int, int] = {}
-    values = iter(domain)
+    values = iter(values)
     while batch := list(islice(values, PROBE_BATCH)):
         invalid = None
         if not all(type(ell) is int for ell in batch):  # find a bool or non-int, if any
@@ -387,14 +398,15 @@ def probe_permutation(
             error = TypeError(f"OAM value must be int, got {batch[invalid]!r}")
             del batch[invalid:]
         if entry is None:  # each probe passes straight through
-            if through:
-                mapping.update(zip(batch, batch))
+            for ell in batch:
+                yield ell, ell if through else None
         else:
             packets = {(s, entry, ell): 1.0 + 0j for s, ell in enumerate(batch)}
             outs = _propagate(graph, packets, len(batch), 1.0, config)
             for ell, out in zip(batch, outs):
                 if isinstance(out, Exception):
                     if isinstance(out, NonMultipleMode):
+                        yield ell, None
                         continue
                     raise out
                 if len(out) == 1:
@@ -402,17 +414,13 @@ def probe_permutation(
                     # one unit landing: no dust to prune, nothing to rescale, and a
                     # drift of exactly 0, which fails only a negative tolerance
                     if abs(amp) == 1.0 and not 0.0 > NORM_TOLERANCE:
-                        if t == output:
-                            mapping[ell] = image
+                        yield ell, image if t == output else None
                         continue
                 # read as `transform` reads it
                 out = {(terminals[t], e): amp for (t, e), amp in out.items()}
-                image = _image(_finish(out, 1.0), target)
-                if image is not None:
-                    mapping[ell] = image
+                yield ell, _image(_finish(out, 1.0), target)
         if invalid is not None:
             raise error
-    return mapping
 
 
 def transform(

@@ -135,17 +135,25 @@ def test_unit_probes_skip_the_general_readout(monkeypatch, mode):
 
 
 def shift_the_packet_engine(monkeypatch):
-    """Make every re-simulation in `analysis` add 1 to each output OAM value.
+    """Make the packet engine add 1 to the OAM value of every packet it lands,
+    and return the size of each of its runs, in a list that grows as it runs.
 
-    The window pass routes residue classes and never calls
-    `analysis.probe_permutation`, so only the re-check sees the change.
+    The window pass routes residue classes and, on a gate's own window, never
+    runs the packet engine, so only the re-check sees the change.
     """
-    real = analysis.probe_permutation
+    runs = []
+    real = simulation._propagate
 
-    def shifted(device, domain, config):
-        return {ell: image + 1 for ell, image in real(device, domain, config).items()}
+    def shifted(graph, packets, states, norm, config):
+        runs.append(states)
+        outs = real(graph, packets, states, norm, config)
+        return [
+            out if isinstance(out, Exception) else {(t, e + 1): amp for (t, e), amp in out.items()}
+            for out in outs
+        ]
 
-    monkeypatch.setattr(analysis, "probe_permutation", shifted)
+    monkeypatch.setattr(simulation, "_propagate", shifted)
+    return runs
 
 
 @pytest.mark.parametrize("mode", ["strict", "physical"])
@@ -155,6 +163,15 @@ def test_verify_recheck_catches_a_changed_gate(monkeypatch, mode):
     shift_the_packet_engine(monkeypatch)
     with pytest.raises(AssertionError, match="failed re-simulation"):
         verify_gate(11, config=SimulationConfig(mode=mode))
+
+
+def test_verify_recheck_stops_at_the_first_differing_batch(monkeypatch):
+    # each batch of probes is compared as it lands, so the first value that
+    # differs raises before the rest of the window is probed
+    runs = shift_the_packet_engine(monkeypatch)
+    with pytest.raises(AssertionError, match=r"^\|0> -> 1 failed re-simulation \(got 2\)$"):
+        verify_gate(500)
+    assert runs == [simulation.PROBE_BATCH]
 
 
 def test_verify_reports_failures_instead_of_raising(monkeypatch):
@@ -319,7 +336,11 @@ def test_cycles_match_the_stepwise_walk(mapping, d, bad):
     rechecks.clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analysis, "window_permutation", lambda device, lo, hi, config: mapping)
-        patch.setattr(analysis, "_resimulate", lambda device, domain, *images: recheck(domain))
+        patch.setattr(
+            analysis,
+            "_resimulate",
+            lambda device, domain, expected, config: recheck(list(domain)),
+        )
         got = outcome(lambda: discover_cycles(SimpleNamespace(dimension=d), -12, 12))
     assert got == expected
     # one re-check of every member, in the order the stepwise walk checks them

@@ -128,8 +128,8 @@ def test_simulate_non_multiple_mode_is_exit_one(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "state, image",
-    [("1e-16*|3>", "|4>"), ("1e-200*|1>", "|2>"), ("1e200*|1>", "|2>")],
-    ids=["1e-16", "1e-200", "1e200"],
+    [("1e-16*|3>", "|4>"), ("1e-200*|1>", "|2>"), ("1e200*|1>", "|2>"), ("1e-320*|1>", "|2>")],
+    ids=["1e-16", "1e-200", "1e200", "1e-320"],
 )
 def test_simulate_tiny_amplitude_normalizes(tmp_path, capsys, state, image):
     # dust is pruned relative to the state's norm and the norm neither
@@ -138,6 +138,25 @@ def test_simulate_tiny_amplitude_normalizes(tmp_path, capsys, state, image):
     capsys.readouterr()
     assert main(["simulate", path, "--input", state]) == 0
     assert capsys.readouterr().out.strip() == f"{image} @ r0"
+
+
+@pytest.mark.parametrize(
+    "state", ["1.7e308*|1> + 1.7e308*|2>", "(1.7e308+1.7e308i)*|1>"], ids=["norm", "modulus"]
+)
+def test_simulate_state_beyond_the_float_range_rejected(tmp_path, capsys, state):
+    path = synth_file(tmp_path, 5)
+    capsys.readouterr()
+    assert main(["simulate", path, "--input", state]) == 2
+    assert capsys.readouterr().err == "error: state norm is beyond the float range\n"
+
+
+@pytest.mark.parametrize("state", ["-|1>", "-0.5|1>"])
+def test_simulate_state_with_a_leading_minus(tmp_path, capsys, state):
+    # argparse would take the state for an option flag
+    path = synth_file(tmp_path, 5)
+    capsys.readouterr()
+    assert main(["simulate", path, "--input", state]) == 0
+    assert capsys.readouterr().out.strip() == "-|2> @ r0"
 
 
 def test_simulate_zero_state_rejected(tmp_path, capsys):

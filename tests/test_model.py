@@ -113,6 +113,23 @@ def test_normalize_examples():
     assert abs(state.get((R0, 0)) - 0.6) < 1e-15
     assert abs(state.get((R0, 1)) - 0.8) < 1e-15
     assert abs(state.norm() - 1.0) < 1e-15
+    # a subnormal norm, whose reciprocal overflows
+    assert normalize(ModeVector({(R0, 1): 1e-320})).get((R0, 1)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(R0, 1): 1.7e308, (R0, 2): 1.7e308},
+        {(R0, 1): 1.7e308 + 1.7e308j},
+        [((R0, 1), 1.7e308), ((R0, 1), 1.7e308)],
+    ],
+    ids=["norm", "modulus", "sum"],
+)
+def test_state_norm_beyond_the_float_range_rejected(entries):
+    # an infinite norm would make an infinite prune cut, dropping every entry
+    with pytest.raises(ValueError, match="state norm is beyond the float range"):
+        ModeVector(entries)
 
 
 def test_normalize_zero_state_raises():

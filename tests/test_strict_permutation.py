@@ -189,13 +189,14 @@ def test_physical_read_probes_only_split_values(monkeypatch, device, hi, images,
     # route alike, so only the values split at a non-multiple are probed;
     # here the multiples that cross leak to r1 and are not probed
     probed = []
-    real = simulation.probe_permutation
+    real = simulation._probes
 
-    def recording(device, domain, config):
-        probed.extend(domain)
-        return real(device, domain, config)
+    def recording(device, values, config):
+        values = list(values)
+        probed.extend(values)
+        return real(device, values, config)
 
-    monkeypatch.setattr(simulation, "probe_permutation", recording)
+    monkeypatch.setattr(simulation, "_probes", recording)
     assert window_permutation(device, 0, hi) == images
     assert window_permutation(device, 0, hi, SimulationConfig(PHYSICAL)) == images
     assert probed == split
