@@ -44,6 +44,7 @@ from .simulation import (
     apply_portgraph,
     probe_permutation,
     simulate_word,
+    strict_pieces,
     transform,
     window_permutation,
 )

@@ -7,17 +7,23 @@ against the closed-form predictions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import Netlist
-from .portgraph import PortGraph
+from . import simulation
+from .model import Hologram, Netlist, OamBeamSplitter, PathLabel
+from .portgraph import BACKWARD, PortGraph
 from .simulation import (
     DEFAULT_CONFIG,
+    STRICT,
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
+    _graph,
+    _images,
     _probes,
+    strict_pieces,
     window_permutation,
 )
 from .synthesis import (
@@ -68,14 +74,21 @@ def verify_gate(
 ) -> VerificationReport:
     """Synthesize the requested gate flavor and verify it end to end.
 
-    Reads the permutation of the d-value window with `window_permutation`
-    and checks it against modular arithmetic, after probing every window
-    value again on the packet engine, so the two engines check each
-    other; each expected image is computed where it is compared.  Also
-    checks the splitter tally against the count formula and (for d >= 3)
-    the logarithmic bound.  Every discrepancy lands in ``violations``;
-    simulation errors are recorded rather than raised.  An AssertionError
-    means the engines disagree.
+    In strict mode the window is first read as `strict_pieces`, and
+    `_proven` checks them: against the oracle, as two affine pieces
+    (``+step`` on the window and the one wrap value), and as a
+    certificate that every member of a piece takes its first member's
+    route; it then probes each piece's first and last member on the
+    packet engine, so the two engines check each other.  A gate the
+    pieces do not prove (a piece off the oracle, a dropped class, a
+    failure, an engine error in those probes) and every physical gate
+    are read value by value with `window_permutation`, each window value
+    probed again on the packet engine, and checked against modular
+    arithmetic, each expected image computed where it is compared.  Both
+    ways give the same report.  Also checks the splitter tally against
+    the count formula and (for d >= 3) the logarithmic bound.  Every
+    discrepancy lands in ``violations``; simulation errors are recorded
+    rather than raised.  An AssertionError means the engines disagree.
     """
     device = device_for(synth_variant(d, variant, shift), variant)
     step = -1 if variant == "inverse" else 1
@@ -86,17 +99,21 @@ def verify_gate(
 
     violations: list[str] = []
     domain = range(shift, shift + d)
-    mapping: dict[int, int] = {}
-    try:
-        read = window_permutation(device, shift, shift + d - 1, config)
-        _resimulate(device, domain, map(read.get, domain), config)
-        mapping = read
-    except (NormDrift, HopBudgetExceeded) as exc:
-        violations.append(f"simulation failed: {exc}")
-    for k in domain:
-        got, want = mapping.get(k), (k - shift + step) % d + shift
-        if got != want:
-            violations.append(f"|{k}> mapped to {got}, expected |{want}>")
+    mapping = None
+    if config.mode == STRICT:
+        mapping = _proven(device, shift, shift + d - 1, step, config)
+    if mapping is None:
+        mapping = {}
+        try:
+            read = window_permutation(device, shift, shift + d - 1, config)
+            _resimulate(device, domain, map(read.get, domain), config)
+            mapping = read
+        except (NormDrift, HopBudgetExceeded) as exc:
+            violations.append(f"simulation failed: {exc}")
+        for k in domain:
+            got, want = mapping.get(k), (k - shift + step) % d + shift
+            if got != want:
+                violations.append(f"|{k}> mapped to {got}, expected |{want}>")
     # the window read maps only window values, so no violation means equality
     permutation_ok = not violations
 
@@ -118,6 +135,85 @@ def verify_gate(
         bound=bound,
         violations=tuple(violations),
     )
+
+
+def _proven(
+    device: Netlist | PortGraph, lo: int, hi: int, step: int, config: SimulationConfig
+) -> dict[int, int] | None:
+    """The strict map of the gate window [lo, hi] that shifts by *step*
+    (+1 or -1) mod its size, if `strict_pieces` proves it, else None.
+
+    The pieces must all reach the output path, with nothing dropped or
+    failing, and each lie inside one of the oracle's two affine pieces
+    with its offset.  They are then certified: their member counts sum
+    to the window size, they are pairwise disjoint residue classes, and
+    the walk of each piece's first member along the wiring meets every
+    splitter of order m at a multiple, ``(first + offset) % m == 0``, with
+    ``q % (2*m) == 0`` unless the piece has one member, and ends on the
+    piece's path with its offset.  So every member ``first + j*q`` has the
+    parity of ``(first + offset) / m`` at each splitter, and takes the
+    first member's route: the map is the pieces'.  Last, the first and
+    last member of each piece are probed on the packet engine with
+    `_resimulate`, in ascending order; an AssertionError there is raised,
+    an engine error gives None.
+    """
+    graph = _graph(device)
+    pieces, dropped, failure = strict_pieces(graph, lo, hi)
+    if dropped or failure is not None:
+        return None
+    d = hi - lo + 1
+    # (lowest, highest, offset) of each affine piece of the oracle
+    if step == 1:
+        oracle = ((lo, hi - 1, 1), (hi, hi, 1 - d))
+    else:
+        oracle = ((lo + 1, hi, -1), (lo, lo, d - 1))
+    probes: dict[int, int] = {}
+    members = 0
+    for first, q, offset, path in pieces:
+        last = hi - (hi - first) % q
+        if path != graph.output_path or not any(
+            a <= first and last <= b and offset == off for a, b, off in oracle
+        ):
+            return None
+        members += (last - first) // q + 1
+        probes[first] = first + offset
+        probes[last] = last + offset
+    if members != d:
+        return None
+    for i, (a, qa, _, _) in enumerate(pieces):
+        if any((a - b) % math.gcd(qa, qb) == 0 for b, qb, _, _ in pieces[:i]):
+            return None
+    if not all(_routes(graph, piece, hi) for piece in pieces):
+        return None
+    domain = sorted(probes)
+    try:
+        _resimulate(graph, domain, map(probes.get, domain), config)
+    except (NormDrift, HopBudgetExceeded):
+        return None
+    return dict(zip(range(lo, hi + 1), _images(pieces, lo, hi, graph.output_path)))
+
+
+def _routes(graph: PortGraph, piece: tuple[int, int, int, PathLabel], hi: int) -> bool:
+    """True if the walk of the piece's first member along the wiring, within
+    the hop budget, takes every member of the piece along with it and
+    leaves on the piece's path with its offset."""
+    first, q, offset, path = piece
+    single = first + q > hi
+    nodes, wiring = graph.nodes, graph.wiring
+    slot, carried = graph.entries[graph.input_path], 0
+    for _ in range(simulation.HOPS_PER_NODE * max(1, len(nodes)) + 1):
+        if slot < 0:
+            return graph.terminals[~slot] == path and carried == offset
+        element = nodes[slot >> 2]
+        if type(element) is OamBeamSplitter:
+            m = element.m
+            if (first + carried) % m or not (single or q % (2 * m) == 0):
+                return False
+            slot ^= (first + carried) // m & 1
+        elif type(element) is Hologram:
+            carried += -element.v if slot & BACKWARD else element.v
+        slot = wiring[slot]
+    return False
 
 
 def discover_cycles(

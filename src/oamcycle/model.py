@@ -204,23 +204,25 @@ def equal_up_to_global_phase(a: ModeVector, b: ModeVector, tol: float = 1e-10) -
 
     The phase is read off the largest-magnitude entry the two states share,
     then the residual ``||a - exp(i*gamma)*b||`` is compared against *tol*
-    times the larger of the two norms, so the answer is the same at every
-    amplitude scale.  Below the smallest normal float, where amplitudes
-    keep only absolute precision, the scale is taken as that float.
+    times the larger of the two norms.  The residual is taken of both
+    states divided by that norm, so no difference overflows near the top
+    of the float range and the answer is the same at every amplitude
+    scale.  Below the smallest normal float, where amplitudes keep only
+    absolute precision, the scale is taken as that float.
     """
     if not a and not b:
         return True
     norm = max(a.norm(), b.norm())
-    limit = tol * max(norm, sys.float_info.min)
+    scale = max(norm, sys.float_info.min)
     shared = a.keys() & b.keys()
     if not shared:
-        return norm <= limit
+        return norm <= tol * scale
     key = max(shared, key=lambda k: abs(a.get(k)) + abs(b.get(k)))
     ka, kb = a.get(key), b.get(key)
     # the phase of ka / kb, without forming the ratio, which can overflow
     phase = ka / abs(ka) * (kb / abs(kb)).conjugate()
-    diff = a - b.scaled(phase)
-    return diff.norm() <= limit
+    residual = _norm([a.get(k) / scale - b.get(k) / scale * phase for k in a.keys() | b.keys()])
+    return residual <= tol
 
 
 def extract_permutation(

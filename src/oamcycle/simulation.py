@@ -42,16 +42,20 @@ of the order, but with an extra value-dependent phase, so superpositions
 generally agree with strict mode only componentwise, not in their
 relative phases.
 
-`window_permutation` is a second loop over the same int tables, for
-reading a permutation off a window of OAM values in either mode.  A
-splitter routes on ell mod 2m and a hologram adds a constant, so the
-window values of one residue class take one route together.  The loop
-follows classes, each held by its smallest window value and modulus, so
-routing grows with the number of distinct routes, not with the window;
-only filling in the map is linear in it.  A class meets only multiples
-of each splitter's order, where both modes route it the same way; in
-physical mode the values no class carries to a terminal, which split at
-a non-multiple and may recombine, are probed on the packet loop.
+`strict_pieces` is a second loop over the same int tables, for reading
+a window of OAM values.  A splitter routes on ell mod 2m and a hologram
+adds a constant, so the window values of one residue class take one
+route together.  The loop follows classes, each held by its smallest
+window value and modulus, so its work grows with the number of distinct
+routes, not with the window: the classes that reach a terminal are the
+window's pieces, each an affine map ``ell -> ell + offset`` on its
+members (O(log d) of them for a synthesized gate, at any d), and it also
+returns the classes it dropped at non-multiples and the first failure.
+`window_permutation` expands the pieces into the map of the window, in
+either mode; only that expansion is linear in the window.  A piece meets
+only multiples of each splitter's order, where both modes route it the
+same way; in physical mode the values no piece holds, which split at a
+non-multiple and may recombine, are probed on the packet loop.
 """
 
 from __future__ import annotations
@@ -262,40 +266,45 @@ def _run(graph: PortGraph, state: ModeVector, config: SimulationConfig) -> ModeV
     return ModeVector._trusted(_finish(out, norm_in))
 
 
-def window_permutation(
-    device: Netlist | PortGraph, lo: int, hi: int, config: SimulationConfig = DEFAULT_CONFIG
-) -> dict[int, int]:
-    """The map of the OAM window [lo, hi] from the device's input path to
-    its output path under *config*, routed one residue class at a time.
+def strict_pieces(
+    device: Netlist | PortGraph, lo: int, hi: int
+) -> tuple[
+    list[tuple[int, int, int, PathLabel]],
+    list[tuple[int, int, int, int]],
+    tuple[int, Exception] | None,
+]:
+    """The OAM window [lo, hi] of the device's input path, routed one
+    residue class at a time: ``(pieces, dropped, failure)``.
 
-    Returns what ``extract_permutation(transform(device, config),
-    range(lo, hi + 1), device.input_path, device.output_path)`` returns,
-    and raises what it raises: HopBudgetExceeded, or ValueError for an
-    unwired port, or (from a physical probe) NormDrift, whichever the
-    smallest failing window value meets.  Element kinds were checked when
-    the device was built, so no window value meets an unknown one.
-
-    A value the classes map meets only multiples of each splitter's
-    order, where the physical amplitudes are exactly a power of i on one
-    port, and plates have unit modulus, so both modes route it as one
-    unit component.  In physical mode light split at a non-multiple may
-    recombine, so the window values below the first failing value that
-    no class carries to a terminal are probed on the packet loop, in
-    ascending order.
+    Each piece ``(first, q, offset, terminal)`` is a class of window
+    values ``first + k*q <= hi`` (k >= 0, *first* its smallest) that
+    leaves the device on the path *terminal* as ``ell + offset``, every
+    member by one route, meeting only multiples of each splitter's order;
+    it has ``(hi - first) // q + 1`` members.  Pieces come in the order
+    the loop ends them, and are pairwise disjoint residue classes.  Each
+    of *dropped*, ``(first, q, offset, slot)``, is a class as it met the
+    splitter at in-slot *slot*, where those of its members whose value
+    ``ell + offset`` there is not a multiple of the order left it.
+    *failure* is ``(first, error)`` for the class with the smallest
+    first member that fails: HopBudgetExceeded, or ValueError for an
+    unwired port.  A failing class is no piece.  With no entry for its
+    input path the whole window passes through, as one piece on that
+    path.  Raises TypeError unless *lo* and *hi* are ints.
     """
     for bound in (lo, hi):
         if not _is_int(bound):
             raise TypeError(f"OAM value must be int, got {bound!r}")
     graph = _graph(device)
-    span = hi - lo
-    entry = graph.entries.get(graph.input_path)
-    if span < 0 or entry is None:  # no class enters the window
-        return probe_permutation(graph, range(lo, hi + 1), config)
-    nodes, wiring = graph.nodes, graph.wiring
-    budget = HOPS_PER_NODE * max(1, len(nodes))
-    images: list[int | None] = [None] * (span + 1)
-    landed = bytearray(span + 1)  # 1 where the value's class reached a terminal
+    pieces: list[tuple[int, int, int, PathLabel]] = []
+    dropped: list[tuple[int, int, int, int]] = []
     failure: tuple[int, Exception] | None = None
+    entry = graph.entries.get(graph.input_path)
+    if hi < lo:
+        return pieces, dropped, failure
+    if entry is None:
+        return [(lo, 1, 0, graph.input_path)], dropped, failure
+    nodes, wiring, terminals = graph.nodes, graph.wiring, graph.terminals
+    budget = HOPS_PER_NODE * max(1, len(nodes))
     # (in-slot, hops, offset, first, q): the window values ell0 = first + k*q
     # (k >= 0), which reach in-slot after `hops` traversals carrying
     # ell0 + offset; first is the smallest, so first > hi leaves none
@@ -312,11 +321,15 @@ def window_permutation(
             if kind is OamBeamSplitter:
                 m = element.m
                 g = math.gcd(q, m)
-                if (first + offset) % g:
-                    break  # no member is a multiple of m here
+                if (first + offset) % g:  # no member is a multiple of m here
+                    dropped.append((first, q, offset, slot))
+                    break
                 if g < m:  # keep the members that are: one class mod lcm(q, m)
                     step = m // g
-                    first += q * (-(first + offset) // g * pow(q // g, -1, step) % step)
+                    skip = -(first + offset) // g * pow(q // g, -1, step) % step
+                    if skip or first + q <= hi:  # some member is not
+                        dropped.append((first, q, offset, slot))
+                    first += q * skip
                     q *= step
                     if first > hi:
                         break
@@ -330,23 +343,63 @@ def window_permutation(
             hops += 1  # a plate routes nothing
             slot = wiring[slot]
         else:
-            start = first - lo
-            landed[start::q] = b"\1" * ((hi - first) // q + 1)
-            path = graph.terminals[~slot]
-            if path is None:
-                error = ValueError("a packet left the device through an unwired port")
-            elif path == graph.output_path:
-                images[start::q] = range(first + offset, hi + 1 + offset, q)
+            path = terminals[~slot]
+            if path is not None:
+                pieces.append((first, q, offset, path))
+                continue
+            error = ValueError("a packet left the device through an unwired port")
         if error is not None and (failure is None or first < failure[0]):
             failure = (first, error)
+    return pieces, dropped, failure
+
+
+def window_permutation(
+    device: Netlist | PortGraph, lo: int, hi: int, config: SimulationConfig = DEFAULT_CONFIG
+) -> dict[int, int]:
+    """The map of the OAM window [lo, hi] from the device's input path to
+    its output path under *config*: the pieces `strict_pieces` routes,
+    expanded value by value.
+
+    Returns what ``extract_permutation(transform(device, config),
+    range(lo, hi + 1), device.input_path, device.output_path)`` returns,
+    and raises what it raises: HopBudgetExceeded, or ValueError for an
+    unwired port, or (from a physical probe) NormDrift, whichever the
+    smallest failing window value meets.  Element kinds were checked when
+    the device was built, so no window value meets an unknown one.
+
+    A piece's members meet only multiples of each splitter's order, where
+    the physical amplitudes are exactly a power of i on one port, and
+    plates have unit modulus, so both modes route them as one unit
+    component.  In physical mode light split at a non-multiple may
+    recombine, so the window values below the first failing value that
+    no piece holds are probed on the packet loop, in ascending order.
+    """
+    graph = _graph(device)
+    pieces, _, failure = strict_pieces(graph, lo, hi)
+    images = _images(pieces, lo, hi, graph.output_path)
     if config.mode == PHYSICAL:
-        stop = span + 1 if failure is None else failure[0] - lo
+        landed = bytearray(len(images))  # 1 where a piece holds the value
+        for first, q, _, _ in pieces:
+            landed[first - lo :: q] = b"\1" * ((hi - first) // q + 1)
+        stop = len(images) if failure is None else failure[0] - lo
         split = (lo + i for i in range(stop) if not landed[i])
         for ell, image in _probes(graph, split, config):
             images[ell - lo] = image
     if failure is not None:
         raise failure[1]
     return {ell: image for ell, image in zip(range(lo, hi + 1), images) if image is not None}
+
+
+def _images(
+    pieces: list[tuple[int, int, int, PathLabel]], lo: int, hi: int, output: PathLabel
+) -> list[int | None]:
+    """The image of each value of the window [lo, hi] that one of *pieces*
+    carries to the path *output*, in order, with None for every other value."""
+    images: list[int | None] = [None] * (hi - lo + 1)
+    for first, q, offset, path in pieces:
+        if path == output:
+            images[first - lo :: q] = range(first + offset, hi + 1 + offset, q)
+    return images
 
 
 def probe_permutation(

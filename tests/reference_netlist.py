@@ -7,12 +7,17 @@ port-graph packet loop of `oamcycle.simulation`, so the tests can
 cross-check the engine against it; it shares only the element functions
 (`splitter_route_strict`, `splitter_unitary`, `z_phase`) and the norm
 tolerance.
+
+`check_certificate` checks the pieces `oamcycle.simulation.strict_pieces`
+returns for a gate window as a proof of the gate's strict map, with the
+strict splitter rule and the graph's wiring alone.
 """
 
 import math
 
-from oamcycle.elements import splitter_route_strict, splitter_unitary, z_phase
+from oamcycle.elements import PORT_X, PORT_Y, splitter_route_strict, splitter_unitary, z_phase
 from oamcycle.model import PRUNE_THRESHOLD, Hologram, ModeVector, OamBeamSplitter, ZPlate
+from oamcycle.portgraph import BACKWARD, netlist_to_portgraph
 from oamcycle.simulation import NORM_TOLERANCE, STRICT, NormDrift
 
 
@@ -71,3 +76,53 @@ def reference_apply_netlist(netlist, state, config):
     if result and norm_in > 0.0:
         result = result.scaled(norm_in / result.norm())
     return result
+
+
+def check_certificate(device, result, lo, hi, step):
+    """Assert that *result*, ``(pieces, dropped, failure)`` for the window
+    [lo, hi] of *device*, proves that the device maps each window value
+    ell to ``lo + (ell - lo + step) % d`` on its output path, d = hi - lo + 1.
+
+    Nothing is dropped or failing; the pieces are pairwise disjoint residue
+    classes (no common member by the Chinese remainder theorem) whose
+    member counts sum to d.  The first member of each piece is walked along
+    the wiring with `splitter_route_strict`: at each splitter of order m the
+    piece's modulus is a multiple of 2m, unless it has one member, so every
+    member leaves on the same port; its offset is the signed sum of the
+    hologram charges met, and the walk ends on the piece's path.  The
+    first and last member of each piece meet the oracle with that offset,
+    and an affine piece whose two ends do lies on one side of the wrap.
+    """
+    graph = device if hasattr(device, "wiring") else netlist_to_portgraph(device)
+    pieces, dropped, failure = result
+    assert not dropped and failure is None, (dropped, failure)
+    d = hi - lo + 1
+    members = 0
+    for i, (first, q, offset, path) in enumerate(pieces):
+        assert lo <= first <= hi and q >= 1
+        for other, modulus, _, _ in pieces[:i]:
+            assert (first - other) % math.gcd(q, modulus), (first, q, other, modulus)
+        count = (hi - first) // q + 1
+        members += count
+        last = first + (count - 1) * q
+        for ell in (first, last):
+            assert ell + offset == lo + (ell - lo + step) % d, (ell, offset)
+        assert path == graph.output_path
+        slot, charge, hops = graph.entries[graph.input_path], 0, 0
+        while slot >= 0:
+            hops += 1
+            assert hops <= len(graph.wiring), "the route revisits a port"
+            element = graph.nodes[slot >> 2]
+            if isinstance(element, OamBeamSplitter):
+                m = element.m
+                assert count == 1 or q % (2 * m) == 0, (first, q, m)
+                port = PORT_Y if slot & 1 else PORT_X
+                out = splitter_route_strict(m, port, first + charge)
+                assert splitter_route_strict(m, port, last + charge) == out
+                slot = slot & ~1 | (out == PORT_Y)
+            elif isinstance(element, Hologram):
+                charge += -element.v if slot & BACKWARD else element.v
+            slot = graph.wiring[slot]
+        assert graph.terminals[~slot] == path
+        assert charge == offset, (first, charge, offset)
+    assert members == d

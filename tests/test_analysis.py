@@ -95,8 +95,10 @@ def test_verify_rejects_bad_arguments():
 
 
 def test_verify_runs_the_packet_loop_once_per_batch(monkeypatch):
-    # the strict window read routes classes; the re-check probes all d
-    # window values, PROBE_BATCH to a run of the packet loop
+    # the strict window read routes classes into pieces; the re-check probes
+    # the first and last member of each piece, PROBE_BATCH to a run of the
+    # packet loop: 2, 7, 13 and 15 pieces, of which 2, 2, 5 and 3 have one
+    # member, so 2, 12, 21 and 27 values, one run each
     runs = []
     real = simulation._propagate
 
@@ -105,11 +107,14 @@ def test_verify_runs_the_packet_loop_once_per_batch(monkeypatch):
         return real(graph, packets, states, norm, config)
 
     monkeypatch.setattr(simulation, "_propagate", counting)
-    for d in (2, simulation.PROBE_BATCH, simulation.PROBE_BATCH + 1, 500):
+    batch = simulation.PROBE_BATCH
+    for d, probes in ((2, 2), (batch, 12), (batch + 1, 21), (500, 27)):
         runs.clear()
         assert verify_gate(d).passed
-        assert len(runs) == math.ceil(d / simulation.PROBE_BATCH)
-        assert sum(runs) == d
+        assert runs == [probes]
+        pieces, _, _ = simulation.strict_pieces(synth_arbitrary(d), 0, d - 1)
+        ends = {end for first, q, _, _ in pieces for end in (first, d - 1 - (d - 1 - first) % q)}
+        assert len(ends) == probes
 
 
 @pytest.mark.parametrize("mode", ["strict", "physical"])
@@ -130,7 +135,9 @@ def test_unit_probes_skip_the_general_readout(monkeypatch, mode):
     gate = synth_arbitrary(257)
     for device in (gate, simplify(gate)):
         assert len(discover_cycles(device, -4 * 257, 4 * 257, config)) == 4
-    assert sum(runs) >= 257 + 2 * 4 * 257  # the window re-check and the cycle edges
+    # the window re-check, which probes the ends of the 17 pieces in strict
+    # mode and every window value in physical mode, and the cycle edges
+    assert sum(runs) == (29 if mode == "strict" else 257) + 2 * 4 * 257
     assert finished == []
 
 
@@ -166,12 +173,13 @@ def test_verify_recheck_catches_a_changed_gate(monkeypatch, mode):
 
 
 def test_verify_recheck_stops_at_the_first_differing_batch(monkeypatch):
-    # each batch of probes is compared as it lands, so the first value that
-    # differs raises before the rest of the window is probed
+    # the strict re-check probes the 27 ends of the 15 pieces in ascending
+    # order, in one batch; it is compared as it lands, so the first value
+    # that differs raises, and no value-by-value read follows
     runs = shift_the_packet_engine(monkeypatch)
     with pytest.raises(AssertionError, match=r"^\|0> -> 1 failed re-simulation \(got 2\)$"):
         verify_gate(500)
-    assert runs == [simulation.PROBE_BATCH]
+    assert runs == [27]
 
 
 def test_verify_reports_failures_instead_of_raising(monkeypatch):

@@ -188,6 +188,19 @@ def test_equal_up_to_global_phase_when_the_amplitude_ratio_overflows():
     assert not equal_up_to_global_phase(tiny, big)
 
 
+def test_equal_up_to_global_phase_near_the_top_of_the_float_range():
+    # a - b here holds 1.6e308, and the difference of the states has a norm
+    # beyond the float range; the residual is taken of the scaled states
+    a = ModeVector({(R0, 1): 1e308, (R0, 2): 0.8e308, (R0, 3): 0.8e308})
+    b = ModeVector({(R0, 1): 1e308, (R0, 2): -0.8e308, (R0, 3): -0.8e308})
+    assert not equal_up_to_global_phase(a, b)
+    assert not equal_up_to_global_phase(b, a)
+    assert equal_up_to_global_phase(a, a.scaled(-1.0))
+    small = a.scaled(1e-300)
+    assert not equal_up_to_global_phase(small, b.scaled(1e-300))
+    assert equal_up_to_global_phase(small, small.scaled(1j))
+
+
 _paths = st.builds(PathLabel, st.sampled_from("rs"), st.integers(0, 3))
 _amps = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 _states = st.dictionaries(

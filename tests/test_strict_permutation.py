@@ -30,6 +30,7 @@ from oamcycle.simulation import (
     NormDrift,
     SimulationConfig,
     probe_permutation,
+    strict_pieces,
     transform,
     window_permutation,
 )
@@ -141,6 +142,27 @@ GCD_DROP = Netlist((OamBeamSplitter(1, R0, R1), OamBeamSplitter(4, R0, R1)), R0,
 @example(GCD_DROP, (0, 9))
 def test_classes_match_value_by_value_probes(device, window):
     assert_engines_agree(device, *window)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(netlists(), folded_gates(), wired_graphs()), windows())
+@example(GCD_DROP, (0, 9))
+def test_pieces_and_drops_account_for_every_window_value(device, window):
+    # with no failure, each window value is a member of one piece, or of a
+    # dropped class that it left as a non-multiple of the splitter's order
+    lo, hi = window
+    pieces, dropped, failure = strict_pieces(device, lo, hi)
+    if failure is not None:
+        return
+    graph = simulation._graph(device)
+    for ell in range(lo, hi + 1):
+        held = [p for p in pieces if ell >= p[0] and (ell - p[0]) % p[1] == 0]
+        left = [
+            (first, q, offset, slot) for first, q, offset, slot in dropped
+            if ell >= first and (ell - first) % q == 0
+            and (ell + offset) % graph.nodes[slot >> 2].m
+        ]
+        assert len(held) + bool(left) == 1, (ell, held, left)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

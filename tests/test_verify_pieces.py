@@ -1,0 +1,194 @@
+"""Strict `verify_gate` proves a gate from its residue-class pieces; these
+tests hold its reports to the value-by-value read and re-check it replaced,
+and check the pieces with the certificate checker of `reference_netlist`.
+
+`check_dimension` is the differential for one d, run here for every d in
+2..300 and by ``tools/verify_differential.py`` up to any bound.
+"""
+
+import dataclasses
+import random
+from unittest import mock
+
+import pytest
+
+from oamcycle import analysis
+from oamcycle.analysis import _resimulate, verify_gate
+from oamcycle.model import Hologram, Netlist, OamBeamSplitter, r_path
+from oamcycle.simulation import (
+    HopBudgetExceeded,
+    NormDrift,
+    SimulationConfig,
+    strict_pieces,
+    window_permutation,
+)
+from oamcycle.synthesis import (
+    VARIANTS,
+    count_beamsplitters,
+    device_for,
+    predict_count,
+    predict_simplified_count,
+    synth_variant,
+)
+from reference_netlist import check_certificate
+
+#: large dimensions and the number of pieces of each variant's window
+LARGE = {2**61 - 1: 121, 2**64 + 13: 129, 3**60: 191}
+
+
+def reference_verify_gate(d, variant, shift, config, device):
+    """The report `verify_gate` gave before pieces, for *device*: the window
+    read value by value with `window_permutation`, every value probed again
+    on the packet engine, and each compared with modular arithmetic."""
+    step = -1 if variant == "inverse" else 1
+    count_predicted, bound = predict_count(d)
+    if variant == "simplified":
+        count_predicted = predict_simplified_count(d)
+    count_actual = count_beamsplitters(device)
+    violations = []
+    domain = range(shift, shift + d)
+    mapping = {}
+    try:
+        read = window_permutation(device, shift, shift + d - 1, config)
+        _resimulate(device, domain, map(read.get, domain), config)
+        mapping = read
+    except (NormDrift, HopBudgetExceeded) as exc:
+        violations.append(f"simulation failed: {exc}")
+    for k in domain:
+        got, want = mapping.get(k), (k - shift + step) % d + shift
+        if got != want:
+            violations.append(f"|{k}> mapped to {got}, expected |{want}>")
+    permutation_ok = not violations
+    if count_actual != count_predicted:
+        violations.append(f"splitter count {count_actual} != predicted {count_predicted}")
+    if bound is not None and count_actual > bound:
+        violations.append(f"splitter count {count_actual} exceeds bound {bound}")
+    return analysis.VerificationReport(
+        d, variant, shift, permutation_ok, mapping, count_actual, count_predicted, bound,
+        tuple(violations),
+    )
+
+
+def with_one_charge_flipped(device, rng):
+    """*device* with the charge of one of its holograms, drawn by *rng*, negated."""
+    field = "nodes" if hasattr(device, "nodes") else "elements"
+    elements = list(getattr(device, field))
+    i = rng.choice([i for i, el in enumerate(elements) if type(el) is Hologram])
+    elements[i] = Hologram(elements[i].path, -elements[i].v)
+    return dataclasses.replace(device, **{field: tuple(elements)})
+
+
+def gates(d):
+    """``(variant, shift, device)`` for every variant at dimension d, each
+    shift drawn from ``random.Random(d)``, then one of them, drawn too,
+    with one hologram charge flipped."""
+    rng = random.Random(d)
+    made = []
+    for variant in VARIANTS:
+        shift = 0 if variant == "simplified" else rng.randint(-(10**6), 10**6)
+        made.append((variant, shift, device_for(synth_variant(d, variant, shift), variant)))
+    variant, shift, device = rng.choice(made)
+    return made + [(variant, shift, with_one_charge_flipped(device, rng))]
+
+
+def check_dimension(d):
+    """Assert that strict `verify_gate` reports what `reference_verify_gate`
+    does, for every gate `gates` makes at dimension d, mapping order and
+    all, and that `check_certificate` accepts the pieces of each unbroken
+    gate; return the number of gates that pass."""
+    config = SimulationConfig()
+    passed = 0
+    made = gates(d)
+    for variant, shift, device in made[:-1]:
+        window = (shift, shift + d - 1)
+        step = -1 if variant == "inverse" else 1
+        check_certificate(device, strict_pieces(device, *window), *window, step)
+    for variant, shift, device in made:
+        with mock.patch.object(analysis, "device_for", lambda netlist, name: device):
+            report = verify_gate(d, variant, shift, config)
+        want = reference_verify_gate(d, variant, shift, config, device)
+        assert report == want, (d, variant, shift)
+        assert list(report.mapping.items()) == list(want.mapping.items()), (d, variant, shift)
+        passed += report.passed
+    return passed
+
+
+def test_pieces_report_what_the_value_by_value_read_reports():
+    for d in range(2, 301):
+        # the four unbroken gates pass, and the broken one fails
+        assert check_dimension(d) == 4, d
+
+
+def tampered(pieces, hi):
+    """Each way of changing the pieces of a gate window ending at *hi* so
+    that they prove nothing: one left out, one twice, one with another
+    offset, one on another path, and one in place of another of as many
+    members and the same offset, which leaves the count right."""
+    (first, q, offset, path), *rest = pieces
+    yield rest
+    yield pieces + pieces[:1]
+    yield [(first, q, offset + 1, path), *rest]
+    yield [(first, q, offset, r_path(7)), *rest]
+    alike = {}
+    for i, (first, q, offset, _) in enumerate(pieces):
+        j = alike.setdefault(((hi - first) // q, offset), i)
+        if j != i:
+            yield pieces[:i] + [pieces[j]] + pieces[i + 1 :]
+            break
+
+
+@pytest.mark.parametrize("d", [2, 12, 500])
+def test_verify_reads_tampered_pieces_value_by_value(monkeypatch, d):
+    device = synth_variant(d)
+    want = reference_verify_gate(d, "standard", 0, SimulationConfig(), device)
+    pieces, dropped, failure = strict_pieces(device, 0, d - 1)
+    for changed in tampered(pieces, d - 1):
+        monkeypatch.setattr(analysis, "strict_pieces", lambda *args: (changed, dropped, failure))
+        assert analysis._proven(device, 0, d - 1, 1, SimulationConfig()) is None
+        assert verify_gate(d) == want
+    # a dropped class or a failure proves nothing either, whatever the pieces
+    for rest in (([(0, 1, 0, 0)], None), ([], (0, ValueError()))):
+        monkeypatch.setattr(analysis, "strict_pieces", lambda *args: (pieces, *rest))
+        assert analysis._proven(device, 0, d - 1, 1, SimulationConfig()) is None
+
+
+def test_a_piece_is_proven_only_if_each_member_takes_its_route():
+    # even values stay on r0 and odd ones cross to r1; each gains 1 and
+    # crosses the second order-1 splitter onto r1, so the two classes mod 2
+    # take two routes to one offset, and their union mod 1 is not one route
+    r0, r1 = r_path(0), r_path(1)
+    splitter = OamBeamSplitter(1, r0, r1)
+    device = analysis._graph(
+        Netlist((splitter, Hologram(r0, 1), Hologram(r1, 1), splitter), r0, r1, 2)
+    )
+    assert strict_pieces(device, 0, 3) == ([(0, 2, 1, r1), (1, 2, 1, r1)], [], None)
+    assert analysis._routes(device, (0, 2, 1, r1), 3)
+    assert analysis._routes(device, (1, 2, 1, r1), 3)
+    assert not analysis._routes(device, (0, 1, 1, r1), 3)
+    assert analysis._routes(device, (0, 1, 1, r1), 0)  # one member
+    assert not analysis._routes(device, (0, 2, 2, r1), 3)
+    assert not analysis._routes(device, (0, 2, 1, r0), 3)
+
+
+@pytest.mark.parametrize("d", [2, 12, 500])
+def test_certificate_checker_rejects_what_proves_nothing(d):
+    device = synth_variant(d)
+    pieces, dropped, failure = strict_pieces(device, 0, d - 1)
+    for changed in tampered(pieces, d - 1):
+        with pytest.raises(AssertionError):
+            check_certificate(device, (changed, dropped, failure), 0, d - 1, 1)
+    if d > 2:  # at d = 2 the shifts by +1 and -1 are one map
+        with pytest.raises(AssertionError):
+            check_certificate(device, (pieces, dropped, failure), 0, d - 1, -1)
+    broken = with_one_charge_flipped(device, random.Random(d))
+    with pytest.raises(AssertionError):
+        check_certificate(broken, strict_pieces(broken, 0, d - 1), 0, d - 1, 1)
+
+
+@pytest.mark.parametrize("d", LARGE)
+@pytest.mark.parametrize("variant", ["standard", "simplified", "inverse"])
+def test_certificate_checker_accepts_the_pieces_of_large_gates(d, variant):
+    device = device_for(synth_variant(d, variant), variant)
+    result = strict_pieces(device, 0, d - 1)
+    check_certificate(device, result, 0, d - 1, -1 if variant == "inverse" else 1)
+    assert len(result[0]) == LARGE[d]

@@ -1,0 +1,49 @@
+"""Hold strict `verify_gate` to the value-by-value read for every d up to a bound.
+
+Usage::
+
+    PYTHONPATH=src python tools/verify_differential.py MAX_D
+
+For every d in 2..MAX_D this runs ``check_dimension`` of
+``tests/test_verify_pieces.py``: every gate variant on a shift drawn from
+``random.Random(d)``, and one of them with one hologram charge flipped, each
+reported by `verify_gate` from its pieces and by the value-by-value reference;
+the reports must be equal, mapping order included, and the pieces of every
+unbroken gate must pass the certificate checker of
+``tests/reference_netlist.py``.  Tier-1 runs the same check up to d = 300.
+Prints one line per 256 dimensions and exits 1 at the first d that differs.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from test_verify_pieces import check_dimension  # noqa: E402
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or not argv[0].isdigit() or int(argv[0]) < 2:
+        print(__doc__.strip().splitlines()[0], "\nusage: verify_differential.py MAX_D (>= 2)")
+        return 2
+    max_d = int(argv[0])
+    start = time.perf_counter()
+    for d in range(2, max_d + 1):
+        try:
+            passed = check_dimension(d)
+        except AssertionError as exc:
+            print(f"d={d}: FAIL {exc!r}")
+            return 1
+        if passed != 4:
+            print(f"d={d}: FAIL {passed} gates passed, want the 4 unbroken ones")
+            return 1
+        if d % 256 == 0 or d == max_d:
+            print(f"d=2..{d}: same reports ({time.perf_counter() - start:.1f} s)", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
