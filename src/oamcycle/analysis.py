@@ -20,11 +20,10 @@ from .simulation import (
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
+    _expand,
     _graph,
-    _images,
     _probes,
     strict_pieces,
-    window_permutation,
 )
 from .synthesis import (
     count_beamsplitters,
@@ -74,18 +73,18 @@ def verify_gate(
 ) -> VerificationReport:
     """Synthesize the requested gate flavor and verify it end to end.
 
-    In strict mode the window is first read as `strict_pieces`, and
-    `_proven` checks them: against the oracle, as two affine pieces
-    (``+step`` on the window and the one wrap value), and as a
-    certificate that every member of a piece takes its first member's
-    route; it then probes each piece's first and last member on the
-    packet engine, so the two engines check each other.  A gate the
-    pieces do not prove (a piece off the oracle, a dropped class, a
-    failure, an engine error in those probes) and every physical gate
-    are read value by value with `window_permutation`, each window value
-    probed again on the packet engine, and checked against modular
-    arithmetic, each expected image computed where it is compared.  Both
-    ways give the same report.  Also checks the splitter tally against
+    The window is read once, as `strict_pieces`.  In strict mode `_proven`
+    checks the pieces against the oracle, as two affine pieces (``+step``
+    on the window and the one wrap value), and `_certified` proves that
+    every member of a piece takes its first member's route and probes
+    each piece's first and last member on the packet engine, so the two
+    engines check each other.  A gate the pieces do not prove (a piece
+    off the oracle, a dropped class, a failure, an engine error in those
+    probes) and every physical gate are read value by value from the same
+    pieces, as `window_permutation` reads them, each window value probed
+    again on the packet engine, and checked against modular arithmetic,
+    each expected image computed where it is compared.  Both ways give
+    the same report.  Also checks the splitter tally against
     the count formula and (for d >= 3) the logarithmic bound.  Every
     discrepancy lands in ``violations``; simulation errors are recorded
     rather than raised.  An AssertionError means the engines disagree.
@@ -98,15 +97,17 @@ def verify_gate(
     count_actual = count_beamsplitters(device)
 
     violations: list[str] = []
-    domain = range(shift, shift + d)
-    mapping = None
-    if config.mode == STRICT:
-        mapping = _proven(device, shift, shift + d - 1, step, config)
-    if mapping is None:
+    graph = _graph(device)
+    lo, hi = shift, shift + d - 1
+    routed = strict_pieces(graph, lo, hi)
+    if config.mode == STRICT and _proven(graph, routed, lo, hi, step, config):
+        mapping = _expand(graph, routed, lo, hi, config)
+    else:
+        domain = range(lo, hi + 1)
         mapping = {}
         try:
-            read = window_permutation(device, shift, shift + d - 1, config)
-            _resimulate(device, domain, map(read.get, domain), config)
+            read = _expand(graph, routed, lo, hi, config)
+            _resimulate(graph, domain, map(read.get, domain), config)
             mapping = read
         except (NormDrift, HopBudgetExceeded) as exc:
             violations.append(f"simulation failed: {exc}")
@@ -138,59 +139,80 @@ def verify_gate(
 
 
 def _proven(
-    device: Netlist | PortGraph, lo: int, hi: int, step: int, config: SimulationConfig
-) -> dict[int, int] | None:
-    """The strict map of the gate window [lo, hi] that shifts by *step*
-    (+1 or -1) mod its size, if `strict_pieces` proves it, else None.
-
-    The pieces must all reach the output path, with nothing dropped or
-    failing, and each lie inside one of the oracle's two affine pieces
-    with its offset.  They are then certified: their member counts sum
-    to the window size, they are pairwise disjoint residue classes, and
-    the walk of each piece's first member along the wiring meets every
-    splitter of order m at a multiple, ``(first + offset) % m == 0``, with
-    ``q % (2*m) == 0`` unless the piece has one member, and ends on the
-    piece's path with its offset.  So every member ``first + j*q`` has the
-    parity of ``(first + offset) / m`` at each splitter, and takes the
-    first member's route: the map is the pieces'.  Last, the first and
-    last member of each piece are probed on the packet engine with
-    `_resimulate`, in ascending order; an AssertionError there is raised,
-    an engine error gives None.
+    graph: PortGraph,
+    routed: tuple[list, list, tuple[int, Exception] | None],
+    lo: int,
+    hi: int,
+    step: int,
+    config: SimulationConfig,
+) -> bool:
+    """True if *routed*, what `strict_pieces` returns for the gate window
+    [lo, hi] of *graph*, proves that the window shifts by *step* (+1 or
+    -1) mod its size: every piece reaches the output path and lies inside
+    one of the oracle's two affine pieces with its offset, and
+    `_certified` proves the pieces.
     """
-    graph = _graph(device)
-    pieces, dropped, failure = strict_pieces(graph, lo, hi)
-    if dropped or failure is not None:
-        return None
     d = hi - lo + 1
     # (lowest, highest, offset) of each affine piece of the oracle
     if step == 1:
         oracle = ((lo, hi - 1, 1), (hi, hi, 1 - d))
     else:
         oracle = ((lo + 1, hi, -1), (lo, lo, d - 1))
-    probes: dict[int, int] = {}
-    members = 0
-    for first, q, offset, path in pieces:
+    for first, q, offset, path in routed[0]:
         last = hi - (hi - first) % q
         if path != graph.output_path or not any(
             a <= first and last <= b and offset == off for a, b, off in oracle
         ):
-            return None
+            return False
+    return _certified(graph, routed, lo, hi, config)
+
+
+def _certified(
+    graph: PortGraph,
+    routed: tuple[list, list, tuple[int, Exception] | None],
+    lo: int,
+    hi: int,
+    config: SimulationConfig,
+) -> bool:
+    """True if *routed*, what `strict_pieces` returns for the window
+    [lo, hi] of *graph*, is a certificate of the window's strict map,
+    checked on the packet engine at the ends of its pieces.
+
+    The input path must have an entry, and nothing be dropped or failing.
+    The member counts of the pieces sum to the window size and the pieces
+    are pairwise disjoint residue classes, so each window value is in
+    exactly one; `_routes` re-walks each piece's route along the wiring,
+    on whatever terminal path it ends, so every member ``first + j*q``
+    takes the first member's route: the map is the pieces'.  Last, the
+    first and last member of each piece are probed on the packet engine
+    with `_resimulate`, in ascending order, each expected at ``ell +
+    offset`` if its piece is on the output path and left out otherwise;
+    an AssertionError there is raised, an engine error gives False.
+    """
+    pieces, dropped, failure = routed
+    if dropped or failure is not None or graph.input_path not in graph.entries:
+        return False
+    output = graph.output_path
+    probes: dict[int, int | None] = {}
+    members = 0
+    for first, q, offset, path in pieces:
+        last = hi - (hi - first) % q
         members += (last - first) // q + 1
-        probes[first] = first + offset
-        probes[last] = last + offset
-    if members != d:
-        return None
+        for end in (first, last):
+            probes[end] = end + offset if path == output else None
+    if members != hi - lo + 1:
+        return False
     for i, (a, qa, _, _) in enumerate(pieces):
         if any((a - b) % math.gcd(qa, qb) == 0 for b, qb, _, _ in pieces[:i]):
-            return None
+            return False
     if not all(_routes(graph, piece, hi) for piece in pieces):
-        return None
+        return False
     domain = sorted(probes)
     try:
         _resimulate(graph, domain, map(probes.get, domain), config)
     except (NormDrift, HopBudgetExceeded):
-        return None
-    return dict(zip(range(lo, hi + 1), _images(pieces, lo, hi, graph.output_path)))
+        return False
+    return True
 
 
 def _routes(graph: PortGraph, piece: tuple[int, int, int, PathLabel], hi: int) -> bool:
@@ -224,16 +246,25 @@ def discover_cycles(
 ) -> list[CycleSet]:
     """Find every closed length-d orbit inside the OAM window [lo, hi].
 
-    The window is read with `window_permutation`; values that split,
-    leak to another path, or leave the window break the orbit they were
-    part of.  Each value is popped from the map as it is walked, and a
-    walk that ends on one of its own values closes a loop; the loops of
-    length d are returned from their minimum, in ascending order of it.
-    Each member is then probed again on the packet engine, in one pass,
-    against its successor on its cycle, so the two engines check each other.
+    The window is routed once, as `strict_pieces`, and expanded into its
+    map as `window_permutation` expands it; values that split, leak to
+    another path, or leave the window break the orbit they were part of.
+    Each value is popped from the map as it is walked, and a walk that
+    ends on one of its own values closes a loop; the loops of length d
+    are returned from their minimum, in ascending order of it.  The two
+    engines then check each other.  In strict mode, pieces that
+    `_certified` proves are probed on the packet engine at their first
+    and last member only, before the walk, whether they reach the output
+    path or leak.  Otherwise (an input path with no entry, a dropped
+    class, a failure, an engine error in those probes, and every
+    physical read) each cycle member is probed again, in one pass after
+    the walk, against its successor on its cycle.
     """
     d = device.dimension
-    mapping = window_permutation(device, lo, hi, config)
+    graph = _graph(device)
+    routed = strict_pieces(graph, lo, hi)
+    proven = config.mode == STRICT and _certified(graph, routed, lo, hi, config)
+    mapping = _expand(graph, routed, lo, hi, config)
     cycles: list[tuple[int, ...]] = []
     for start in range(lo, hi + 1):
         walk, current = {}, start  # walk: each value on it -> its position
@@ -246,9 +277,10 @@ def discover_cycles(
             cycles.append(tuple(loop[first:] + loop[:first]))
     del mapping  # emptied, but a dict keeps its table after pops
     cycles.sort()
-    members = (ell for cycle in cycles for ell in cycle)
-    successors = (image for cycle in cycles for image in cycle[1:] + cycle[:1])
-    _resimulate(device, members, successors, config)
+    if not proven:
+        members = (ell for cycle in cycles for ell in cycle)
+        successors = (image for cycle in cycles for image in cycle[1:] + cycle[:1])
+        _resimulate(graph, members, successors, config)
     return [CycleSet(cycle) for cycle in cycles]
 
 

@@ -375,7 +375,21 @@ def window_permutation(
     no piece holds are probed on the packet loop, in ascending order.
     """
     graph = _graph(device)
-    pieces, _, failure = strict_pieces(graph, lo, hi)
+    return _expand(graph, strict_pieces(graph, lo, hi), lo, hi, config)
+
+
+def _expand(
+    graph: PortGraph,
+    routed: tuple[list, list, tuple[int, Exception] | None],
+    lo: int,
+    hi: int,
+    config: SimulationConfig,
+) -> dict[int, int]:
+    """`window_permutation`'s map of the window [lo, hi] of *graph* from
+    *routed*, what `strict_pieces` returns for that window: the pieces
+    expanded, the physical hand-off probed, and the failure raised.  A
+    caller that has routed the window already hands its pieces here."""
+    pieces, _, failure = routed
     images = _images(pieces, lo, hi, graph.output_path)
     if config.mode == PHYSICAL:
         landed = bytearray(len(images))  # 1 where a piece holds the value

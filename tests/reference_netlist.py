@@ -8,9 +8,10 @@ cross-check the engine against it; it shares only the element functions
 (`splitter_route_strict`, `splitter_unitary`, `z_phase`) and the norm
 tolerance.
 
-`check_certificate` checks the pieces `oamcycle.simulation.strict_pieces`
-returns for a gate window as a proof of the gate's strict map, with the
-strict splitter rule and the graph's wiring alone.
+`check_window_certificate` checks the pieces `oamcycle.simulation.strict_pieces`
+returns for any window as a proof of the device's strict map there, with
+the strict splitter rule and the graph's wiring alone; `check_certificate`
+adds the gate oracle for a gate window.
 """
 
 import math
@@ -78,25 +79,25 @@ def reference_apply_netlist(netlist, state, config):
     return result
 
 
-def check_certificate(device, result, lo, hi, step):
+def check_window_certificate(device, result, lo, hi):
     """Assert that *result*, ``(pieces, dropped, failure)`` for the window
-    [lo, hi] of *device*, proves that the device maps each window value
-    ell to ``lo + (ell - lo + step) % d`` on its output path, d = hi - lo + 1.
+    [lo, hi] of *device*, proves the device's strict map of the window:
+    each piece's members all leave on its path with its offset.
 
-    Nothing is dropped or failing; the pieces are pairwise disjoint residue
-    classes (no common member by the Chinese remainder theorem) whose
-    member counts sum to d.  The first member of each piece is walked along
-    the wiring with `splitter_route_strict`: at each splitter of order m the
-    piece's modulus is a multiple of 2m, unless it has one member, so every
-    member leaves on the same port; its offset is the signed sum of the
-    hologram charges met, and the walk ends on the piece's path.  The
-    first and last member of each piece meet the oracle with that offset,
-    and an affine piece whose two ends do lies on one side of the wrap.
+    The input path has an entry, and nothing is dropped or failing; the
+    pieces are pairwise disjoint residue classes (no common member by the
+    Chinese remainder theorem) whose member counts sum to the window size.
+    The first member of each piece is walked along the wiring with
+    `splitter_route_strict`: at each splitter of order m the piece's
+    modulus is a multiple of 2m, unless it has one member, so every member
+    leaves on the same port as the first and the last; its offset is the
+    signed sum of the hologram charges met, and the walk ends on the
+    piece's path, the output path or any other.
     """
     graph = device if hasattr(device, "wiring") else netlist_to_portgraph(device)
     pieces, dropped, failure = result
     assert not dropped and failure is None, (dropped, failure)
-    d = hi - lo + 1
+    assert graph.input_path in graph.entries
     members = 0
     for i, (first, q, offset, path) in enumerate(pieces):
         assert lo <= first <= hi and q >= 1
@@ -105,9 +106,6 @@ def check_certificate(device, result, lo, hi, step):
         count = (hi - first) // q + 1
         members += count
         last = first + (count - 1) * q
-        for ell in (first, last):
-            assert ell + offset == lo + (ell - lo + step) % d, (ell, offset)
-        assert path == graph.output_path
         slot, charge, hops = graph.entries[graph.input_path], 0, 0
         while slot >= 0:
             hops += 1
@@ -125,4 +123,23 @@ def check_certificate(device, result, lo, hi, step):
             slot = graph.wiring[slot]
         assert graph.terminals[~slot] == path
         assert charge == offset, (first, charge, offset)
-    assert members == d
+    assert members == hi - lo + 1
+
+
+def check_certificate(device, result, lo, hi, step):
+    """Assert that *result*, ``(pieces, dropped, failure)`` for the window
+    [lo, hi] of *device*, proves that the device maps each window value
+    ell to ``lo + (ell - lo + step) % d`` on its output path, d = hi - lo + 1.
+
+    The pieces are a window certificate (`check_window_certificate`), each
+    on the output path, and the first and last member of each meet the
+    oracle with its offset; an affine piece whose two ends do lies on one
+    side of the wrap.
+    """
+    check_window_certificate(device, result, lo, hi)
+    graph = device if hasattr(device, "wiring") else netlist_to_portgraph(device)
+    d = hi - lo + 1
+    for first, q, offset, path in result[0]:
+        assert path == graph.output_path
+        for ell in (first, hi - (hi - first) % q):
+            assert ell + offset == lo + (ell - lo + step) % d, (ell, offset)

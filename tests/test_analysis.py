@@ -94,6 +94,13 @@ def test_verify_rejects_bad_arguments():
             discover_cycles(synth_arbitrary(3), lo, hi)
 
 
+def piece_ends(device, lo, hi):
+    """The first and last member of each piece `strict_pieces` routes in the
+    window [lo, hi] of *device*: the values a proven window read probes."""
+    pieces, _, _ = simulation.strict_pieces(device, lo, hi)
+    return {end for first, q, _, _ in pieces for end in (first, hi - (hi - first) % q)}
+
+
 def test_verify_runs_the_packet_loop_once_per_batch(monkeypatch):
     # the strict window read routes classes into pieces; the re-check probes
     # the first and last member of each piece, PROBE_BATCH to a run of the
@@ -112,9 +119,7 @@ def test_verify_runs_the_packet_loop_once_per_batch(monkeypatch):
         runs.clear()
         assert verify_gate(d).passed
         assert runs == [probes]
-        pieces, _, _ = simulation.strict_pieces(synth_arbitrary(d), 0, d - 1)
-        ends = {end for first, q, _, _ in pieces for end in (first, d - 1 - (d - 1 - first) % q)}
-        assert len(ends) == probes
+        assert len(piece_ends(synth_arbitrary(d), 0, d - 1)) == probes
 
 
 @pytest.mark.parametrize("mode", ["strict", "physical"])
@@ -133,11 +138,18 @@ def test_unit_probes_skip_the_general_readout(monkeypatch, mode):
     config = SimulationConfig(mode=mode)
     assert verify_gate(257, config=config).passed
     gate = synth_arbitrary(257)
-    for device in (gate, simplify(gate)):
+    devices = (gate, simplify(gate))
+    for device in devices:
         assert len(discover_cycles(device, -4 * 257, 4 * 257, config)) == 4
-    # the window re-check, which probes the ends of the 17 pieces in strict
-    # mode and every window value in physical mode, and the cycle edges
-    assert sum(runs) == (29 if mode == "strict" else 257) + 2 * 4 * 257
+    # strict: the ends of the 17 pieces of the gate window, then the ends of
+    # the pieces of each cycle window (leaking ones too), one run each;
+    # physical: every gate window value, then every edge of the 4 cycles
+    if mode == "strict":
+        assert runs == [29, 36, 36]
+        for device in devices:
+            assert len(piece_ends(device, -4 * 257, 4 * 257)) == 36
+    else:
+        assert sum(runs) == 257 + 2 * 4 * 257
     assert finished == []
 
 
@@ -221,6 +233,28 @@ def test_d11_wide_window_has_five_cycles():
     # each extra cycle is eleven consecutive values
     for c in cycles:
         assert c.modes == tuple(range(c.modes[0], c.modes[0] + 11))
+
+
+def test_proven_cycle_search_probes_only_piece_ends(monkeypatch):
+    # the window of every netlist cycle search below is proven from its
+    # pieces, so the packet engine sees their ends and no cycle edge; a
+    # leaking piece's ends are probed too, expected to leave on another path
+    probed = []
+    real = analysis._resimulate
+
+    def recording(device, domain, expected, config):
+        domain = list(domain)
+        probed.append(domain)
+        return real(device, domain, expected, config)
+
+    monkeypatch.setattr(analysis, "_resimulate", recording)
+    gate = synth_arbitrary(11)
+    for lo, hi in ((0, 10), (-44, 44), (11, 15), (0, 9)):
+        probed.clear()
+        discover_cycles(gate, lo, hi)
+        assert probed == [sorted(piece_ends(gate, lo, hi))]
+    pieces, _, _ = simulation.strict_pieces(gate, -44, 44)
+    assert any(path != gate.output_path for _, _, _, path in pieces)
 
 
 def test_cycle_recheck_catches_a_changed_gate(monkeypatch):
@@ -341,18 +375,26 @@ def test_cycles_match_the_stepwise_walk(mapping, d, bad):
     cycles = stepwise_cycles(mapping, d, lambda orbit: None)
     members = [ell for cycle in cycles for ell in cycle.modes]
     expected = outcome(lambda: stepwise_cycles(mapping, d, recheck))
-    rechecks.clear()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "window_permutation", lambda device, lo, hi, config: mapping)
-        patch.setattr(
-            analysis,
-            "_resimulate",
-            lambda device, domain, expected, config: recheck(list(domain)),
-        )
-        got = outcome(lambda: discover_cycles(SimpleNamespace(dimension=d), -12, 12))
-    assert got == expected
-    # one re-check of every member, in the order the stepwise walk checks them
-    assert rechecks == [members]
+    for proven in (False, True):
+        rechecks.clear()
+        walked = dict(mapping)  # the walk pops what it walks
+        with pytest.MonkeyPatch.context() as patch:
+            # the window read as the map given, proven from pieces or not
+            patch.setattr(analysis, "strict_pieces", lambda graph, lo, hi: None)
+            patch.setattr(analysis, "_certified", lambda *args: proven)
+            patch.setattr(analysis, "_expand", lambda graph, routed, lo, hi, config: walked)
+            patch.setattr(
+                analysis,
+                "_resimulate",
+                lambda device, domain, expected, config: recheck(list(domain)),
+            )
+            got = outcome(lambda: discover_cycles(SimpleNamespace(dimension=d), -12, 12))
+        if proven:  # the ends of the pieces were probed: no member is again
+            assert got == cycles and rechecks == []
+        else:
+            assert got == expected
+            # one re-check of every member, in the order the stepwise walk checks them
+            assert rechecks == [members]
 
 
 class CountedLookups(dict):
@@ -388,16 +430,17 @@ def test_each_window_value_is_walked_once(monkeypatch):
     # a +1 chain through 20001 values: a walk of up to d steps from every
     # value would make about 2 * 10^8 lookups
     chain = Netlist((Hologram(r_path(0), 1),), r_path(0), r_path(0), 10**6)
-    real = analysis.window_permutation
+    real = analysis._expand
     counted = []
 
-    def counting(device, lo, hi, config):
-        counted.append(CountedLookups(real(device, lo, hi, config), 4 * (hi - lo + 1)))
+    def counting(graph, routed, lo, hi, config):
+        counted.append(CountedLookups(real(graph, routed, lo, hi, config), 4 * (hi - lo + 1)))
         return counted[-1]
 
-    monkeypatch.setattr(analysis, "window_permutation", counting)
+    monkeypatch.setattr(analysis, "_expand", counting)
+    # the map walked is the one expanded from the window's one proven piece
     assert discover_cycles(chain, 0, 20000) == []
-    assert 0 < counted[0].count <= 4 * 20001
+    assert len(counted) == 1 and 0 < counted[0].count <= 4 * 20001
 
 
 # --- scaling table ---------------------------------------------------------------

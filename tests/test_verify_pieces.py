@@ -140,16 +140,18 @@ def tampered(pieces, hi):
 @pytest.mark.parametrize("d", [2, 12, 500])
 def test_verify_reads_tampered_pieces_value_by_value(monkeypatch, d):
     device = synth_variant(d)
-    want = reference_verify_gate(d, "standard", 0, SimulationConfig(), device)
+    graph = analysis._graph(device)
+    config = SimulationConfig()
     pieces, dropped, failure = strict_pieces(device, 0, d - 1)
+    assert analysis._proven(graph, (pieces, dropped, failure), 0, d - 1, 1, config)
     for changed in tampered(pieces, d - 1):
-        monkeypatch.setattr(analysis, "strict_pieces", lambda *args: (changed, dropped, failure))
-        assert analysis._proven(device, 0, d - 1, 1, SimulationConfig()) is None
-        assert verify_gate(d) == want
+        assert not analysis._proven(graph, (changed, dropped, failure), 0, d - 1, 1, config)
     # a dropped class or a failure proves nothing either, whatever the pieces
     for rest in (([(0, 1, 0, 0)], None), ([], (0, ValueError()))):
-        monkeypatch.setattr(analysis, "strict_pieces", lambda *args: (pieces, *rest))
-        assert analysis._proven(device, 0, d - 1, 1, SimulationConfig()) is None
+        assert not analysis._proven(graph, (pieces, *rest), 0, d - 1, 1, config)
+    # and a gate its pieces do not prove is read value by value
+    monkeypatch.setattr(analysis, "_proven", lambda *args: False)
+    assert verify_gate(d) == reference_verify_gate(d, "standard", 0, config, device)
 
 
 def test_a_piece_is_proven_only_if_each_member_takes_its_route():

@@ -1,16 +1,23 @@
-"""Hold strict `verify_gate` to the value-by-value read for every d up to a bound.
+"""Hold strict `verify_gate` or `discover_cycles` to the value-by-value read for every d up to a bound.
 
 Usage::
 
     PYTHONPATH=src python tools/verify_differential.py MAX_D
+    PYTHONPATH=src python tools/verify_differential.py cycles MAX_D
 
-For every d in 2..MAX_D this runs ``check_dimension`` of
+For every d in 2..MAX_D the first form runs ``check_dimension`` of
 ``tests/test_verify_pieces.py``: every gate variant on a shift drawn from
 ``random.Random(d)``, and one of them with one hologram charge flipped, each
 reported by `verify_gate` from its pieces and by the value-by-value reference;
 the reports must be equal, mapping order included, and the pieces of every
 unbroken gate must pass the certificate checker of
-``tests/reference_netlist.py``.  Tier-1 runs the same check up to d = 300.
+``tests/reference_netlist.py``.  The ``cycles`` form runs
+``check_cycle_dimension`` of ``tests/test_cycle_pieces.py``: `discover_cycles`
+over -4d..4d on the standard netlist, its folded graph, and each variant with
+one hologram charge flipped, against the reference that reads the window value
+by value and probes every cycle edge; the results or the errors raised must
+be equal, and the pieces of the two unbroken windows must pass the window
+certificate checker.  Tier-1 runs both checks up to d = 300.
 Prints one line per 256 dimensions and exits 1 at the first d that differs.
 """
 
@@ -22,26 +29,34 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
+from test_cycle_pieces import check_cycle_dimension  # noqa: E402
 from test_verify_pieces import check_dimension  # noqa: E402
 
 
+def check_gates(d: int) -> None:
+    """The verify differential at d, which also counts the passing gates."""
+    passed = check_dimension(d)
+    assert passed == 4, f"{passed} gates passed, want the 4 unbroken ones"
+
+
 def main(argv: list[str]) -> int:
+    check, what = check_gates, "same reports"
+    if argv[:1] == ["cycles"]:
+        check, what = check_cycle_dimension, "same cycles"
+        argv = argv[1:]
     if len(argv) != 1 or not argv[0].isdigit() or int(argv[0]) < 2:
-        print(__doc__.strip().splitlines()[0], "\nusage: verify_differential.py MAX_D (>= 2)")
+        print(__doc__.strip().splitlines()[0], "\nusage: verify_differential.py [cycles] MAX_D (>= 2)")
         return 2
     max_d = int(argv[0])
     start = time.perf_counter()
     for d in range(2, max_d + 1):
         try:
-            passed = check_dimension(d)
+            check(d)
         except AssertionError as exc:
             print(f"d={d}: FAIL {exc!r}")
             return 1
-        if passed != 4:
-            print(f"d={d}: FAIL {passed} gates passed, want the 4 unbroken ones")
-            return 1
         if d % 256 == 0 or d == max_d:
-            print(f"d=2..{d}: same reports ({time.perf_counter() - start:.1f} s)", flush=True)
+            print(f"d=2..{d}: {what} ({time.perf_counter() - start:.1f} s)", flush=True)
     return 0
 
 
