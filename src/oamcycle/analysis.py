@@ -16,7 +16,6 @@ from .model import Hologram, Netlist, OamBeamSplitter, PathLabel
 from .portgraph import BACKWARD, PortGraph
 from .simulation import (
     DEFAULT_CONFIG,
-    STRICT,
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
@@ -73,21 +72,19 @@ def verify_gate(
 ) -> VerificationReport:
     """Synthesize the requested gate flavor and verify it end to end.
 
-    The window is read once, as `strict_pieces`.  In strict mode `_proven`
-    checks the pieces against the oracle, as two affine pieces (``+step``
-    on the window and the one wrap value), and `_certified` proves that
-    every member of a piece takes its first member's route and probes
-    each piece's first and last member on the packet engine, so the two
-    engines check each other.  A gate the pieces do not prove (a piece
-    off the oracle, a dropped class, a failure, an engine error in those
-    probes) and every physical gate are read value by value from the same
-    pieces, as `window_permutation` reads them, each window value probed
-    again on the packet engine, and checked against modular arithmetic,
-    each expected image computed where it is compared.  Both ways give
-    the same report.  Also checks the splitter tally against
-    the count formula and (for d >= 3) the logarithmic bound.  Every
-    discrepancy lands in ``violations``; simulation errors are recorded
-    rather than raised.  An AssertionError means the engines disagree.
+    The window is read one way in both modes: routed into residue-class
+    pieces by `strict_pieces`, expanded into its map by `_expand`, and
+    proven by `_certified`, which probes each piece's first and last
+    member on the packet engine, so the two engines check each other.  A
+    window it does not prove (a dropped class, a failure, an engine error
+    in those probes) has every value probed again.  A proven map is then
+    compared with the oracle piece by piece (`_on_oracle`); a map with a
+    piece off the oracle, or not proven, value by value with modular
+    arithmetic, each expected image computed where it is compared.  Also
+    checks the splitter tally against the count formula and (for d >= 3)
+    the logarithmic bound.  Every discrepancy lands in ``violations``;
+    simulation errors are recorded rather than raised.  An AssertionError
+    means the engines disagree.
     """
     device = device_for(synth_variant(d, variant, shift), variant)
     step = -1 if variant == "inverse" else 1
@@ -99,18 +96,19 @@ def verify_gate(
     violations: list[str] = []
     graph = _graph(device)
     lo, hi = shift, shift + d - 1
+    domain = range(lo, hi + 1)
     routed = strict_pieces(graph, lo, hi)
-    if config.mode == STRICT and _proven(graph, routed, lo, hi, step, config):
-        mapping = _expand(graph, routed, lo, hi, config)
-    else:
-        domain = range(lo, hi + 1)
-        mapping = {}
-        try:
-            read = _expand(graph, routed, lo, hi, config)
+    mapping: dict[int, int] = {}
+    proven = False
+    try:
+        read = _expand(graph, routed, lo, hi, config)
+        proven = _certified(graph, routed, lo, hi, config)
+        if not proven:
             _resimulate(graph, domain, map(read.get, domain), config)
-            mapping = read
-        except (NormDrift, HopBudgetExceeded) as exc:
-            violations.append(f"simulation failed: {exc}")
+        mapping = read
+    except (NormDrift, HopBudgetExceeded) as exc:
+        violations.append(f"simulation failed: {exc}")
+    if not (proven and _on_oracle(graph, routed[0], lo, hi, step)):
         for k in domain:
             got, want = mapping.get(k), (k - shift + step) % d + shift
             if got != want:
@@ -138,33 +136,31 @@ def verify_gate(
     )
 
 
-def _proven(
+def _on_oracle(
     graph: PortGraph,
-    routed: tuple[list, list, tuple[int, Exception] | None],
+    pieces: list[tuple[int, int, int, PathLabel]],
     lo: int,
     hi: int,
     step: int,
-    config: SimulationConfig,
 ) -> bool:
-    """True if *routed*, what `strict_pieces` returns for the gate window
-    [lo, hi] of *graph*, proves that the window shifts by *step* (+1 or
-    -1) mod its size: every piece reaches the output path and lies inside
-    one of the oracle's two affine pieces with its offset, and
-    `_certified` proves the pieces.
-    """
+    """True if each of *pieces*, of the gate window [lo, hi] of *graph*,
+    reaches the output path and lies inside one of the oracle's two affine
+    pieces (``+step`` on the window and the one wrap value) with its
+    offset: pieces that `_certified` proves then shift the window by
+    *step* (+1 or -1) mod its size."""
     d = hi - lo + 1
     # (lowest, highest, offset) of each affine piece of the oracle
     if step == 1:
         oracle = ((lo, hi - 1, 1), (hi, hi, 1 - d))
     else:
         oracle = ((lo + 1, hi, -1), (lo, lo, d - 1))
-    for first, q, offset, path in routed[0]:
+    for first, q, offset, path in pieces:
         last = hi - (hi - first) % q
         if path != graph.output_path or not any(
             a <= first and last <= b and offset == off for a, b, off in oracle
         ):
             return False
-    return _certified(graph, routed, lo, hi, config)
+    return True
 
 
 def _certified(
@@ -175,19 +171,23 @@ def _certified(
     config: SimulationConfig,
 ) -> bool:
     """True if *routed*, what `strict_pieces` returns for the window
-    [lo, hi] of *graph*, is a certificate of the window's strict map,
-    checked on the packet engine at the ends of its pieces.
+    [lo, hi] of *graph*, is a certificate of the window's map in either
+    mode, checked on the packet engine under *config* at the ends of its
+    pieces.
 
     The input path must have an entry, and nothing be dropped or failing.
     The member counts of the pieces sum to the window size and the pieces
     are pairwise disjoint residue classes, so each window value is in
     exactly one; `_routes` re-walks each piece's route along the wiring,
     on whatever terminal path it ends, so every member ``first + j*q``
-    takes the first member's route: the map is the pieces'.  Last, the
-    first and last member of each piece are probed on the packet engine
-    with `_resimulate`, in ascending order, each expected at ``ell +
-    offset`` if its piece is on the output path and left out otherwise;
-    an AssertionError there is raised, an engine error gives False.
+    takes the first member's route: the map is the pieces'.  In physical
+    mode too: the route meets each splitter at a multiple of its order,
+    where `splitter_amplitudes` is exactly one of its quarter turns, all
+    the amplitude on the strict port times a power of i, and a plate only
+    adds a phase.  Last, the ends of each piece are probed with
+    `_resimulate`, in ascending order, each expected at ``ell + offset``
+    if its piece is on the output path and left out otherwise; an
+    AssertionError there is raised, an engine error gives False.
     """
     pieces, dropped, failure = routed
     if dropped or failure is not None or graph.input_path not in graph.entries:
@@ -246,25 +246,23 @@ def discover_cycles(
 ) -> list[CycleSet]:
     """Find every closed length-d orbit inside the OAM window [lo, hi].
 
-    The window is routed once, as `strict_pieces`, and expanded into its
-    map as `window_permutation` expands it; values that split, leak to
-    another path, or leave the window break the orbit they were part of.
-    Each value is popped from the map as it is walked, and a walk that
-    ends on one of its own values closes a loop; the loops of length d
-    are returned from their minimum, in ascending order of it.  The two
-    engines then check each other.  In strict mode, pieces that
-    `_certified` proves are probed on the packet engine at their first
-    and last member only, before the walk, whether they reach the output
-    path or leak.  Otherwise (an input path with no entry, a dropped
-    class, a failure, an engine error in those probes, and every
-    physical read) each cycle member is probed again, in one pass after
-    the walk, against its successor on its cycle.
+    The window is read as `verify_gate` reads it, in both modes, and
+    `_certified` probes the ends of its pieces whether they reach the
+    output path or leak.  Values that split, leak to another path, or
+    leave the window break the orbit they were part of.  Each value is
+    popped from the map as it is walked, and a walk that ends on one of
+    its own values closes a loop; the loops of length d are returned from
+    their minimum, in ascending order of it.  A window not proven (an
+    input path with no entry, a dropped class, a failure, an engine error
+    in the end probes) has each cycle member probed again after the walk,
+    in one pass, against its successor on its cycle, so the two engines
+    check each other either way.
     """
     d = device.dimension
     graph = _graph(device)
     routed = strict_pieces(graph, lo, hi)
-    proven = config.mode == STRICT and _certified(graph, routed, lo, hi, config)
     mapping = _expand(graph, routed, lo, hi, config)
+    proven = _certified(graph, routed, lo, hi, config)
     cycles: list[tuple[int, ...]] = []
     for start in range(lo, hi + 1):
         walk, current = {}, start  # walk: each value on it -> its position

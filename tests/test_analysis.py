@@ -96,7 +96,8 @@ def test_verify_rejects_bad_arguments():
 
 def piece_ends(device, lo, hi):
     """The first and last member of each piece `strict_pieces` routes in the
-    window [lo, hi] of *device*: the values a proven window read probes."""
+    window [lo, hi] of *device*: the values a proven window read probes, in
+    either mode."""
     pieces, _, _ = simulation.strict_pieces(device, lo, hi)
     return {end for first, q, _, _ in pieces for end in (first, hi - (hi - first) % q)}
 
@@ -141,15 +142,12 @@ def test_unit_probes_skip_the_general_readout(monkeypatch, mode):
     devices = (gate, simplify(gate))
     for device in devices:
         assert len(discover_cycles(device, -4 * 257, 4 * 257, config)) == 4
-    # strict: the ends of the 17 pieces of the gate window, then the ends of
-    # the pieces of each cycle window (leaking ones too), one run each;
-    # physical: every gate window value, then every edge of the 4 cycles
-    if mode == "strict":
-        assert runs == [29, 36, 36]
-        for device in devices:
-            assert len(piece_ends(device, -4 * 257, 4 * 257)) == 36
-    else:
-        assert sum(runs) == 257 + 2 * 4 * 257
+    # in both modes: the ends of the 17 pieces of the gate window, then the
+    # ends of the pieces of each cycle window (leaking ones too), one run each
+    assert runs == [29, 36, 36]
+    assert len(piece_ends(gate, 0, 256)) == 29
+    for device in devices:
+        assert len(piece_ends(device, -4 * 257, 4 * 257)) == 36
     assert finished == []
 
 

@@ -1,10 +1,12 @@
-"""Strict `discover_cycles` proves its window from residue-class pieces and
-probes only the ends of each piece; these tests hold its results to the
-value-by-value read and per-edge re-check it replaced, and check the pieces
-of each cycle-search window with the window certificate of `reference_netlist`.
+"""`discover_cycles` proves its window from residue-class pieces and probes
+only the ends of each piece, in both modes; these tests hold its results to
+the value-by-value read and per-edge re-check it replaced, and check the
+pieces of each cycle-search window with the window certificate of
+`reference_netlist`.
 
-`check_cycle_dimension` is the differential for one d, run here for every d
-in 2..300 and by ``tools/verify_differential.py cycles`` up to any bound.
+`check_cycle_dimension` is the differential for one d, in both modes, run here
+for every d in 2..300 and by ``tools/verify_differential.py cycles`` up to any
+bound.
 """
 
 import random
@@ -89,16 +91,18 @@ def cycle_devices(d):
 
 
 def check_cycle_dimension(d):
-    """Assert that strict `discover_cycles` over the window -4d..4d returns or
-    raises what `reference_discover_cycles` does, for every device
-    `cycle_devices` makes at dimension d, and that `check_window_certificate`
-    accepts the pieces of the netlist's and the folded graph's window, which
-    hold the canonical cycle."""
+    """Assert that `discover_cycles` over the window -4d..4d returns or raises
+    what `reference_discover_cycles` does, in each mode of `MODES`, for every
+    device `cycle_devices` makes at dimension d, and that
+    `check_window_certificate` accepts the pieces of the netlist's and the
+    folded graph's window, which hold the canonical cycle in each mode."""
     for name, device in cycle_devices(d):
-        cycles = assert_same_cycles(device, -4 * d, 4 * d)
-        if not name.endswith("flipped"):
+        unbroken = not name.endswith("flipped")
+        if unbroken:
             check_window_certificate(device, strict_pieces(device, -4 * d, 4 * d), -4 * d, 4 * d)
-            assert CycleSet(tuple(range(d))) in cycles, (d, name)
+        for mode in MODES:
+            cycles = assert_same_cycles(device, -4 * d, 4 * d, SimulationConfig(mode))
+            assert not unbroken or CycleSet(tuple(range(d))) in cycles, (d, name, mode)
 
 
 def test_pieces_find_the_cycles_the_value_by_value_read_finds():
@@ -192,11 +196,13 @@ def test_windows_with_dropped_classes_are_read_value_by_value(monkeypatch):
     assert probed == [[-8, -6, -4, -2, 0, 2, 4, 6]]
 
 
-def test_an_engine_error_in_the_end_probes_takes_the_old_path(monkeypatch):
+@pytest.mark.parametrize("mode", MODES)
+def test_an_engine_error_in_the_end_probes_takes_the_old_path(monkeypatch, mode):
     # every probe fails its norm check: the end probes prove nothing, and the
     # per-edge re-check raises the error, or finds no cycle to re-check
     monkeypatch.setattr(simulation, "NORM_TOLERANCE", -1.0)
+    config = SimulationConfig(mode)
     for lo, hi in ((0, 10), (11, 15)):
-        assert_same_cycles(synth_arbitrary(11), lo, hi)
+        assert_same_cycles(synth_arbitrary(11), lo, hi, config)
     with pytest.raises(simulation.NormDrift):
-        discover_cycles(synth_arbitrary(11), 0, 10)
+        discover_cycles(synth_arbitrary(11), 0, 10, config)

@@ -1,9 +1,10 @@
-"""Strict `verify_gate` proves a gate from its residue-class pieces; these
-tests hold its reports to the value-by-value read and re-check it replaced,
-and check the pieces with the certificate checker of `reference_netlist`.
+"""`verify_gate` proves a gate from its residue-class pieces, in both modes;
+these tests hold its reports to the value-by-value read and re-check it
+replaced, and check the pieces with the certificate checker of
+`reference_netlist`.
 
-`check_dimension` is the differential for one d, run here for every d in
-2..300 and by ``tools/verify_differential.py`` up to any bound.
+`check_dimension` is the differential for one d, in both modes, run here for
+every d in 2..300 and by ``tools/verify_differential.py`` up to any bound.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ from unittest import mock
 
 import pytest
 
-from oamcycle import analysis
+from oamcycle import analysis, simulation
 from oamcycle.analysis import _resimulate, verify_gate
 from oamcycle.model import Hologram, Netlist, OamBeamSplitter, r_path
 from oamcycle.simulation import (
@@ -31,6 +32,8 @@ from oamcycle.synthesis import (
     synth_variant,
 )
 from reference_netlist import check_certificate
+from test_analysis import piece_ends
+from test_strict_permutation import MODES
 
 #: large dimensions and the number of pieces of each variant's window
 LARGE = {2**61 - 1: 121, 2**64 + 13: 129, 3**60: 191}
@@ -92,31 +95,39 @@ def gates(d):
 
 
 def check_dimension(d):
-    """Assert that strict `verify_gate` reports what `reference_verify_gate`
-    does, for every gate `gates` makes at dimension d, mapping order and
-    all, and that `check_certificate` accepts the pieces of each unbroken
-    gate; return the number of gates that pass."""
-    config = SimulationConfig()
-    passed = 0
+    """Assert that `verify_gate` reports what `reference_verify_gate` does,
+    in each mode of `MODES`, for every gate `gates` makes at dimension d,
+    mapping order and all, and that `check_certificate` accepts the pieces
+    of each unbroken gate; return the number of gates that pass in each
+    mode, in the order of `MODES`."""
     made = gates(d)
     for variant, shift, device in made[:-1]:
         window = (shift, shift + d - 1)
         step = -1 if variant == "inverse" else 1
         check_certificate(device, strict_pieces(device, *window), *window, step)
-    for variant, shift, device in made:
-        with mock.patch.object(analysis, "device_for", lambda netlist, name: device):
-            report = verify_gate(d, variant, shift, config)
-        want = reference_verify_gate(d, variant, shift, config, device)
-        assert report == want, (d, variant, shift)
-        assert list(report.mapping.items()) == list(want.mapping.items()), (d, variant, shift)
-        passed += report.passed
+    passed = []
+    for mode in MODES:
+        config = SimulationConfig(mode)
+        passed.append(0)
+        for variant, shift, device in made:
+            report = verify_with(device, d, variant, shift, config)
+            want = reference_verify_gate(d, variant, shift, config, device)
+            assert report == want, (d, variant, shift, mode)
+            assert list(report.mapping.items()) == list(want.mapping.items()), (d, variant, mode)
+            passed[-1] += report.passed
     return passed
+
+
+def verify_with(device, d, variant, shift, config):
+    """`verify_gate`'s report on *device* in place of the gate it synthesizes."""
+    with mock.patch.object(analysis, "device_for", lambda netlist, name: device):
+        return verify_gate(d, variant, shift, config)
 
 
 def test_pieces_report_what_the_value_by_value_read_reports():
     for d in range(2, 301):
-        # the four unbroken gates pass, and the broken one fails
-        assert check_dimension(d) == 4, d
+        # in each mode the four unbroken gates pass, and the broken one fails
+        assert check_dimension(d) == [4, 4], d
 
 
 def tampered(pieces, hi):
@@ -143,15 +154,60 @@ def test_verify_reads_tampered_pieces_value_by_value(monkeypatch, d):
     graph = analysis._graph(device)
     config = SimulationConfig()
     pieces, dropped, failure = strict_pieces(device, 0, d - 1)
-    assert analysis._proven(graph, (pieces, dropped, failure), 0, d - 1, 1, config)
+    assert analysis._certified(graph, (pieces, dropped, failure), 0, d - 1, config)
+    assert analysis._on_oracle(graph, pieces, 0, d - 1, 1)
     for changed in tampered(pieces, d - 1):
-        assert not analysis._proven(graph, (changed, dropped, failure), 0, d - 1, 1, config)
+        assert not analysis._certified(graph, (changed, dropped, failure), 0, d - 1, config)
     # a dropped class or a failure proves nothing either, whatever the pieces
     for rest in (([(0, 1, 0, 0)], None), ([], (0, ValueError()))):
-        assert not analysis._proven(graph, (pieces, *rest), 0, d - 1, 1, config)
+        assert not analysis._certified(graph, (pieces, *rest), 0, d - 1, config)
+    # a certified window is off the oracle of the other step, except at d = 2,
+    # where the shifts by +1 and -1 are one map
+    assert analysis._on_oracle(graph, pieces, 0, d - 1, -1) == (d == 2)
     # and a gate its pieces do not prove is read value by value
-    monkeypatch.setattr(analysis, "_proven", lambda *args: False)
+    monkeypatch.setattr(analysis, "_certified", lambda *args: False)
     assert verify_gate(d) == reference_verify_gate(d, "standard", 0, config, device)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("d", [12, 257, 500])
+def test_a_certified_broken_gate_is_not_probed_again(monkeypatch, mode, d):
+    # the broken gate of the differential is certified and off the oracle: its
+    # report is read from the map its pieces prove, so the packet engine sees
+    # the ends of its pieces, in one run, and no window value again
+    variant, shift, device = gates(d)[-1]
+    config = SimulationConfig(mode)
+    runs = []
+    propagate = simulation._propagate
+
+    def recording(graph, packets, states, norm, config):
+        runs.append(sorted(ell for _, _, ell in packets))
+        return propagate(graph, packets, states, norm, config)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulation, "_propagate", recording)
+        report = verify_with(device, d, variant, shift, config)
+    assert runs == [sorted(piece_ends(device, shift, shift + d - 1))]
+    assert report == reference_verify_gate(d, variant, shift, config, device)
+    assert not report.passed and not report.permutation_ok
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_window_with_a_dropped_class_is_compared_value_by_value(mode):
+    # a gate of dimension 4 with one charge changed drops the class 1 mod 2 at
+    # a splitter, while its one piece lies on the oracle: the map is not
+    # proven, so the values the piece does not hold are compared one by one
+    gate = synth_variant(4)
+    elements = list(gate.elements)
+    elements[1] = Hologram(elements[1].path, elements[1].v - 1)
+    device = dataclasses.replace(gate, elements=tuple(elements))
+    pieces, dropped, failure = strict_pieces(device, 0, 3)
+    assert dropped and failure is None
+    assert analysis._on_oracle(analysis._graph(device), pieces, 0, 3, 1)
+    config = SimulationConfig(mode)
+    report = verify_with(device, 4, "standard", 0, config)
+    assert report == reference_verify_gate(4, "standard", 0, config, device)
+    assert not report.permutation_ok
 
 
 def test_a_piece_is_proven_only_if_each_member_takes_its_route():

@@ -1,4 +1,4 @@
-"""Hold strict `verify_gate` or `discover_cycles` to the value-by-value read for every d up to a bound.
+"""Hold `verify_gate` or `discover_cycles` to the value-by-value read, in both modes, for every d up to a bound.
 
 Usage::
 
@@ -8,16 +8,17 @@ Usage::
 For every d in 2..MAX_D the first form runs ``check_dimension`` of
 ``tests/test_verify_pieces.py``: every gate variant on a shift drawn from
 ``random.Random(d)``, and one of them with one hologram charge flipped, each
-reported by `verify_gate` from its pieces and by the value-by-value reference;
-the reports must be equal, mapping order included, and the pieces of every
-unbroken gate must pass the certificate checker of
+reported by `verify_gate` from its pieces and by the value-by-value reference,
+in strict and in physical mode; the reports must be equal, mapping order
+included, the four unbroken gates must pass in each mode, and the pieces of
+every unbroken gate must pass the certificate checker of
 ``tests/reference_netlist.py``.  The ``cycles`` form runs
 ``check_cycle_dimension`` of ``tests/test_cycle_pieces.py``: `discover_cycles`
 over -4d..4d on the standard netlist, its folded graph, and each variant with
 one hologram charge flipped, against the reference that reads the window value
-by value and probes every cycle edge; the results or the errors raised must
-be equal, and the pieces of the two unbroken windows must pass the window
-certificate checker.  Tier-1 runs both checks up to d = 300.
+by value and probes every cycle edge, in both modes; the results or the errors
+raised must be equal, and the pieces of the two unbroken windows must pass the
+window certificate checker.  Tier-1 runs both checks up to d = 300.
 Prints one line per 256 dimensions and exits 1 at the first d that differs.
 """
 
@@ -36,7 +37,7 @@ from test_verify_pieces import check_dimension  # noqa: E402
 def check_gates(d: int) -> None:
     """The verify differential at d, which also counts the passing gates."""
     passed = check_dimension(d)
-    assert passed == 4, f"{passed} gates passed, want the 4 unbroken ones"
+    assert passed == [4, 4], f"{passed} gates passed per mode, want the 4 unbroken ones in each"
 
 
 def main(argv: list[str]) -> int:
