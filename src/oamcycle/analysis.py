@@ -8,6 +8,7 @@ against the closed-form predictions.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -16,11 +17,13 @@ from .model import Hologram, Netlist, OamBeamSplitter, PathLabel
 from .portgraph import BACKWARD, PortGraph
 from .simulation import (
     DEFAULT_CONFIG,
+    MAX_WINDOW,
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
     _expand,
     _graph,
+    _PieceMap,
     _probes,
     strict_pieces,
 )
@@ -37,13 +40,21 @@ from .synthesis import (
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of checking one synthesized gate against its oracle."""
+    """Outcome of checking one synthesized gate against its oracle.
+
+    ``mapping`` is the gate's map of its window [shift, shift + d - 1].
+    For a window its pieces prove it is a read-only mapping backed by
+    those pieces, never expanded, so it costs O(#pieces) at any d.  For
+    a window they do not prove it is the dict read value by value, empty
+    if the simulation failed, or for a window of more than ``MAX_WINDOW``
+    values, which is not read value by value.
+    """
 
     d: int
     variant: str
     shift: int
     permutation_ok: bool
-    mapping: dict[int, int]
+    mapping: Mapping[int, int]
     count_actual: int
     count_predicted: int
     bound: float | None
@@ -73,18 +84,22 @@ def verify_gate(
     """Synthesize the requested gate flavor and verify it end to end.
 
     The window is read one way in both modes: routed into residue-class
-    pieces by `strict_pieces`, expanded into its map by `_expand`, and
-    proven by `_certified`, which probes each piece's first and last
-    member on the packet engine, so the two engines check each other.  A
-    window it does not prove (a dropped class, a failure, an engine error
-    in those probes) has every value probed again.  A proven map is then
-    compared with the oracle piece by piece (`_on_oracle`); a map with a
-    piece off the oracle, or not proven, value by value with modular
-    arithmetic, each expected image computed where it is compared.  Also
-    checks the splitter tally against the count formula and (for d >= 3)
-    the logarithmic bound.  Every discrepancy lands in ``violations``;
-    simulation errors are recorded rather than raised.  An AssertionError
-    means the engines disagree.
+    pieces by `strict_pieces`, and proven by `_certified`, which probes
+    each piece's first and last member on the packet engine, so the two
+    engines check each other.  A proven window's map is read off its
+    pieces, never expanded, and compared with the oracle piece by piece
+    (`_off_oracle`), so a gate that passes costs O(#pieces) at any d.
+
+    Only a window with a piece off the oracle, or not proven (a dropped
+    class, a failure, an engine error in the end probes), is read value
+    by value, and only up to ``MAX_WINDOW`` values: expanded, every value
+    probed again if it is not proven, and each compared with modular
+    arithmetic.  Above that bound the violations are the pieces off the
+    oracle, or why the window is not proven.  Also checks the splitter
+    tally against the count formula and (for d >= 3) the logarithmic
+    bound.  Every discrepancy lands in ``violations``; simulation errors
+    are recorded rather than raised.  An AssertionError means the engines
+    disagree.
     """
     device = device_for(synth_variant(d, variant, shift), variant)
     step = -1 if variant == "inverse" else 1
@@ -96,23 +111,24 @@ def verify_gate(
     violations: list[str] = []
     graph = _graph(device)
     lo, hi = shift, shift + d - 1
-    domain = range(lo, hi + 1)
     routed = strict_pieces(graph, lo, hi)
-    mapping: dict[int, int] = {}
-    proven = False
-    try:
-        read = _expand(graph, routed, lo, hi, config)
-        proven = _certified(graph, routed, lo, hi, config)
-        if not proven:
+    mapping: Mapping[int, int] = {}
+    if _certified(graph, routed, lo, hi, config):
+        mapping = _PieceMap(routed[0], lo, hi, graph.output_path)
+        violations = _off_oracle(graph, routed[0], lo, hi, step)
+        if violations and d <= MAX_WINDOW:
+            violations = _misses(_expand(graph, routed, lo, hi, config), lo, hi, step)
+    elif d <= MAX_WINDOW:
+        domain = range(lo, hi + 1)
+        try:
+            read = _expand(graph, routed, lo, hi, config)
             _resimulate(graph, domain, map(read.get, domain), config)
-        mapping = read
-    except (NormDrift, HopBudgetExceeded) as exc:
-        violations.append(f"simulation failed: {exc}")
-    if not (proven and _on_oracle(graph, routed[0], lo, hi, step)):
-        for k in domain:
-            got, want = mapping.get(k), (k - shift + step) % d + shift
-            if got != want:
-                violations.append(f"|{k}> mapped to {got}, expected |{want}>")
+            mapping = read
+        except (NormDrift, HopBudgetExceeded) as exc:
+            violations.append(f"simulation failed: {exc}")
+        violations += _misses(mapping, lo, hi, step)
+    else:
+        violations.append(_unproven(routed, lo, hi))
     # the window read maps only window values, so no violation means equality
     permutation_ok = not violations
 
@@ -136,31 +152,64 @@ def verify_gate(
     )
 
 
-def _on_oracle(
+def _off_oracle(
     graph: PortGraph,
     pieces: list[tuple[int, int, int, PathLabel]],
     lo: int,
     hi: int,
     step: int,
-) -> bool:
-    """True if each of *pieces*, of the gate window [lo, hi] of *graph*,
-    reaches the output path and lies inside one of the oracle's two affine
-    pieces (``+step`` on the window and the one wrap value) with its
-    offset: pieces that `_certified` proves then shift the window by
-    *step* (+1 or -1) mod its size."""
+) -> list[str]:
+    """A violation for each of *pieces*, of the gate window [lo, hi] of
+    *graph*, that does not reach the output path, or does not lie inside
+    one of the oracle's two affine pieces (``+step`` on the window and
+    the one wrap value) with its offset: its residue class, its member
+    count, and its offset against the oracle's.  With none, pieces that
+    `_certified` proves shift the window by *step* (+1 or -1) mod its
+    size."""
     d = hi - lo + 1
-    # (lowest, highest, offset) of each affine piece of the oracle
-    if step == 1:
-        oracle = ((lo, hi - 1, 1), (hi, hi, 1 - d))
-    else:
-        oracle = ((lo + 1, hi, -1), (lo, lo, d - 1))
+    # the wrap value and the oracle's offset there
+    wrap, back = (hi, 1 - d) if step == 1 else (lo, d - 1)
+    violations = []
     for first, q, offset, path in pieces:
-        last = hi - (hi - first) % q
-        if path != graph.output_path or not any(
-            a <= first and last <= b and offset == off for a, b, off in oracle
-        ):
-            return False
-    return True
+        members = (hi - first) // q + 1
+        piece = f"piece {first} mod {q} (members: {members})"
+        if path != graph.output_path:
+            violations.append(f"{piece}: leaves on {path}, expected {graph.output_path}")
+            continue
+        if wrap < first or (wrap - first) % q:  # the wrap value is no member
+            on, want = offset == step, f"{step:+d}"
+        elif members == 1:
+            on, want = offset == back, f"{back:+d}"
+        else:
+            on, want = False, f"{step:+d}, and {back:+d} at |{wrap}>"
+        if not on:
+            violations.append(f"{piece}: shifted by {offset:+d}, expected {want}")
+    return violations
+
+
+def _misses(read: Mapping[int, int], lo: int, hi: int, step: int) -> list[str]:
+    """A violation for each value of the gate window [lo, hi] that *read*
+    does not map as the oracle, a shift by *step* mod the window's size,
+    does, each expected image computed where it is compared."""
+    d = hi - lo + 1
+    return [
+        f"|{k}> mapped to {got}, expected |{want}>"
+        for k in range(lo, hi + 1)
+        if (got := read.get(k)) != (want := (k - lo + step) % d + lo)
+    ]
+
+
+def _unproven(
+    routed: tuple[list, list, tuple[int, Exception] | None], lo: int, hi: int
+) -> str:
+    """Why *routed*, what `strict_pieces` returns for the window [lo, hi],
+    proves nothing, as a violation: its failure, else its dropped classes,
+    else its pieces, which `_certified` rejected."""
+    pieces, dropped, failure = routed
+    if failure is not None:
+        return f"simulation failed: {failure[1]}"
+    because = f", {len(dropped)} classes dropped at splitters" if dropped else ""
+    return f"window [{lo}, {hi}] not proven from its {len(pieces)} pieces{because}"
 
 
 def _certified(

@@ -27,7 +27,7 @@ from .serialization import (
     parse_state,
     serialize,
 )
-from .simulation import HopBudgetExceeded, NormDrift, SimulationConfig, transform
+from .simulation import MAX_WINDOW, HopBudgetExceeded, NormDrift, SimulationConfig, transform
 from .synthesis import (
     VARIANTS,
     InvalidDimension,
@@ -39,9 +39,10 @@ from .synthesis import (
 
 _WINDOW_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
-#: most OAM values `cycles` or `verify` will probe, each one a full
-#: simulation, and most dimensions `scaling` will synthesize
-MAX_WINDOW = 2**20
+#: most bits of `verify`'s dimension and shift: its window splits into
+#: O(log d) residue-class pieces, so a d of 256 bits is proven in under a
+#: second; `cycles` and `scaling` are bounded by ``MAX_WINDOW`` values
+_MAX_BITS = 256
 
 
 def _load_document(path_text: str) -> NetlistDocument:
@@ -74,14 +75,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.d > MAX_WINDOW:
-        raise ValueError(f"dimension {args.d} is more than {MAX_WINDOW}")
+    for name, value in (("dimension", args.d), ("shift", args.shift)):
+        if value.bit_length() > _MAX_BITS:
+            raise ValueError(f"{name} {value} has more than {_MAX_BITS} bits")
     report = verify_gate(args.d, variant=variant_name(args.variant, args.shift), shift=args.shift)
     window = f" shift={report.shift}" if report.shift else ""
     print(f"d={report.d} variant={report.variant}{window}")
-    print(f"permutation: {len(report.mapping)}/{report.d} values correct"
+    # a correct map holds every window value; len() raises past sys.maxsize
+    print(f"permutation: {report.d}/{report.d} values correct"
           if report.permutation_ok
-          else f"permutation: FAILED ({len(report.mapping)}/{report.d} values mapped)")
+          else f"permutation: FAILED ({report.mapping.__len__()}/{report.d} values mapped)")
     print(f"splitters: {report.count_actual} (predicted {report.count_predicted})")
     if report.bound is not None:
         print(f"bound: {report.bound:.6g}")
@@ -162,9 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="check a synthesized gate against its oracle")
-    p.add_argument("d", type=int, help=f"gate dimension, 2..{MAX_WINDOW}")
+    p.add_argument("d", type=int, help=f"gate dimension, from 2 to {_MAX_BITS} bits")
     p.add_argument("--variant", choices=VARIANTS, default="standard")
-    p.add_argument("--shift", type=int, default=0, metavar="M")
+    p.add_argument("--shift", type=int, default=0, metavar="M",
+                   help=f"operate on the OAM window starting at M; at most {_MAX_BITS} bits")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("scaling", help="splitter counts over a dimension range")

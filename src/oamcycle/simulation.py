@@ -52,7 +52,9 @@ window's pieces, each an affine map ``ell -> ell + offset`` on its
 members (O(log d) of them for a synthesized gate, at any d), and it also
 returns the classes it dropped at non-multiples and the first failure.
 `window_permutation` expands the pieces into the map of the window, in
-either mode; only that expansion is linear in the window.  A piece meets
+either mode; only that expansion is linear in the window.  `_PieceMap`
+is the map of pieces that cover the window, read off them and never
+expanded, so its lookups and length cost O(#pieces).  A piece meets
 only multiples of each splitter's order, where both modes route it the
 same way; in physical mode the values no piece holds, which split at a
 non-multiple and may recombine, are probed on the packet loop.
@@ -62,9 +64,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import compress, islice, repeat
+from operator import eq, is_not, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from . import portgraph
@@ -92,6 +96,11 @@ HOPS_PER_NODE = 10
 
 #: allowed drift of the terminal norm from the input norm, relative to it
 NORM_TOLERANCE = 1e-12
+
+#: most OAM values read one by one: the window of ``oamcycle cycles``, the
+#: dimensions ``oamcycle scaling`` synthesizes, and a `verify_gate` window
+#: read value by value or printed as a dict
+MAX_WINDOW = 2**20
 
 #: basis probes `_probes` sends through one run of the packet loop:
 #: enough to share its per-run cost, few enough to bound the packets in flight
@@ -407,13 +416,119 @@ def _expand(
 def _images(
     pieces: list[tuple[int, int, int, PathLabel]], lo: int, hi: int, output: PathLabel
 ) -> list[int | None]:
-    """The image of each value of the window [lo, hi] that one of *pieces*
-    carries to the path *output*, in order, with None for every other value."""
+    """The image of each value of [lo, hi] that one of *pieces* carries to
+    the path *output*, in order, with None for every other value.  A piece
+    may start below *lo*: its members from *lo* on are read."""
     images: list[int | None] = [None] * (hi - lo + 1)
     for first, q, offset, path in pieces:
         if path == output:
+            first = max(first, lo + (first - lo) % q)  # its first member from lo on
             images[first - lo :: q] = range(first + offset, hi + 1 + offset, q)
     return images
+
+
+class _PieceMap(Mapping):
+    """The map of the window [lo, hi] that *pieces*, as `strict_pieces`
+    returns them, carry to the path *output*, read off the pieces and
+    never expanded whole.
+
+    ``map[ell]``, ``get`` and ``in`` cost O(#pieces); ``len`` is the sum
+    of the member counts, so ``len()`` raises OverflowError past
+    ``sys.maxsize``, as it does for a range.  Iteration yields keys in
+    ascending order, expanding at most ``MAX_WINDOW`` values at a time.
+    The map equals the dict `window_permutation` builds from the same
+    pieces, item order too, and its repr is that dict's for a window of
+    at most ``MAX_WINDOW`` values, a one-line summary above.
+    """
+
+    __slots__ = ("_pieces", "_lo", "_hi", "_output", "_size")
+
+    def __init__(
+        self, pieces: list[tuple[int, int, int, PathLabel]], lo: int, hi: int, output: PathLabel
+    ):
+        self._pieces = [piece for piece in pieces if piece[3] == output]
+        self._lo, self._hi, self._output = lo, hi, output
+        self._size = sum((hi - first) // q + 1 for first, q, _, _ in self._pieces)
+
+    def __getitem__(self, ell: int) -> int:
+        key = ell
+        if not isinstance(key, int):  # a dict finds 3 under 3.0, as under 3
+            try:
+                key = int(ell)
+            except (TypeError, ValueError, OverflowError):
+                raise KeyError(ell) from None
+            if key != ell:
+                raise KeyError(ell)
+        if key <= self._hi:
+            for first, q, offset, _ in self._pieces:
+                if first <= key and (key - first) % q == 0:
+                    return key + offset
+        raise KeyError(ell)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[int]:
+        return map(itemgetter(0), self._items())
+
+    def items(self) -> ItemsView[int, int]:
+        return _PieceItems(self)
+
+    def values(self) -> ValuesView[int]:
+        return _PieceValues(self)
+
+    def _items(self) -> Iterator[tuple[int, int]]:
+        # blocks of 1, 2, 4, ... values, then MAX_WINDOW: the first items
+        # cost O(#pieces) at any d, and a whole window about its expansion
+        lo, size = self._lo, 1
+        while lo <= self._hi:
+            hi = min(lo + size - 1, self._hi)
+            images = _images(self._pieces, lo, hi, self._output)
+            yield from compress(zip(range(lo, hi + 1), images), map(is_not, images, repeat(None)))
+            lo, size = hi + 1, min(2 * size, MAX_WINDOW)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        if isinstance(other, _PieceMap):
+            if (other._pieces, other._hi) == (self._pieces, self._hi):
+                return True
+            size = other._size
+        else:
+            size = len(other)
+        end = self._hi + 1
+        return size == self._size and all(
+            all(map(eq, map(other.get, range(first, end, q)), range(first + o, end + o, q)))
+            for first, q, o, _ in self._pieces
+        )
+
+    def __repr__(self) -> str:
+        if self._hi - self._lo < MAX_WINDOW:
+            return repr(dict(self._items()))
+        return (
+            f"<map of {self._size} values of the window [{self._lo}, {self._hi}] "
+            f"from {len(self._pieces)} pieces>"
+        )
+
+
+class _PieceItems(ItemsView):
+    """The items of a `_PieceMap`, in ascending order of key, each image
+    read off its piece rather than looked up."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return self._mapping._items()
+
+
+class _PieceValues(ValuesView):
+    """The values of a `_PieceMap`, in ascending order of key, each read
+    off its piece rather than looked up."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[int]:
+        return map(itemgetter(1), self._mapping._items())
 
 
 def probe_permutation(

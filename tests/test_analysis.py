@@ -175,8 +175,9 @@ def shift_the_packet_engine(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["strict", "physical"])
 def test_verify_recheck_catches_a_changed_gate(monkeypatch, mode):
-    # every window value is probed again on the packet engine; a packet
-    # engine that disagrees with the window read is an error, not a report
+    # the first and last member of each piece is probed on the packet engine,
+    # in both modes; a packet engine that disagrees with the pieces at those
+    # ends is an error, not a report
     shift_the_packet_engine(monkeypatch)
     with pytest.raises(AssertionError, match="failed re-simulation"):
         verify_gate(11, config=SimulationConfig(mode=mode))

@@ -211,8 +211,8 @@ def test_verify_inverse(capsys):
     assert capsys.readouterr().out.strip().endswith("PASS")
 
 
-def test_verify_reports_a_failing_gate(monkeypatch, capsys):
-    # the first hologram's charge flipped: 16 of the 32 values go wrong
+def flip_first_charge(monkeypatch):
+    """Make `verify_gate` check its gate with the first hologram's charge flipped."""
     real = analysis.synth_variant
 
     def broken(d, variant="standard", shift=0):
@@ -223,6 +223,11 @@ def test_verify_reports_a_failing_gate(monkeypatch, capsys):
         return dataclasses.replace(netlist, elements=tuple(elements))
 
     monkeypatch.setattr(analysis, "synth_variant", broken)
+
+
+def test_verify_reports_a_failing_gate(monkeypatch, capsys):
+    # the first hologram's charge flipped: 16 of the 32 values go wrong
+    flip_first_charge(monkeypatch)
     assert main(["verify", "32"]) == 1
     out = capsys.readouterr().out
     assert "permutation: FAILED (32/32 values mapped)" in out
@@ -235,12 +240,47 @@ def test_verify_bad_dimension(capsys):
     assert main(["verify", "0"]) == 2
 
 
-def test_verify_rejects_oversized_dimension(capsys):
-    # refused before synthesis: every one of the d values is a simulation
-    assert main(["verify", "1048577"]) == 2
-    captured = capsys.readouterr()
-    assert "error:" in captured.err and "more than 1048576" in captured.err
-    assert captured.out == ""
+def test_verify_rejects_a_dimension_or_shift_past_the_bit_bound(monkeypatch, capsys):
+    # refused before synthesis: the proof grows with the bits of d and shift
+    synthesized = []
+    real = analysis.synth_variant
+    monkeypatch.setattr(
+        analysis, "synth_variant", lambda *args: synthesized.append(args) or real(*args)
+    )
+    for argv in (["verify", str(2**256)], ["verify", "3", "--shift", str(-(2**256))]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "more than 256 bits" in captured.err
+        assert captured.out == ""
+    assert synthesized == []
+    # a shift of 256 bits is accepted, and so is a d of 256 bits
+    assert main(["verify", "3", "--shift", str(-(2**256 - 1))]) == 0
+    assert synthesized == [(3, "shifted", -(2**256 - 1))]
+    assert capsys.readouterr().out.endswith("PASS\n")
+    report, checked = analysis.verify_gate(2), []
+    monkeypatch.setattr(cli, "verify_gate", lambda d, **kw: checked.append(d) or report)
+    assert main(["verify", str(2**256 - 1)]) == 0
+    assert checked == [2**256 - 1]
+
+
+def test_verify_a_dimension_past_sys_maxsize(monkeypatch, capsys):
+    # len() of the map raises OverflowError past sys.maxsize, so neither
+    # count line may take it
+    d = 2**64 + 13
+    assert d > sys.maxsize
+    assert main(["verify", str(d)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == [f"permutation: {d}/{d} values correct", "splitters: 256 (predicted 256)"]
+    assert lines[-1] == "PASS"
+    # with one charge flipped the gate leaks one value and shifts the rest
+    # wrongly: its pieces are listed, not its values
+    flip_first_charge(monkeypatch)
+    assert main(["verify", str(d)]) == 1
+    out = capsys.readouterr().out
+    assert f"permutation: FAILED ({d - 1}/{d} values mapped)" in out
+    assert f"violation: piece 1 mod {2**65} (members: 1): leaves on s0, expected r0" in out
+    assert len(re.findall(r"^violation: piece \d+ mod \d+ \(members: \d+\): ", out, re.M)) == 10
+    assert out.strip().endswith("FAIL")
 
 
 # -- scaling ------------------------------------------------------------

@@ -5,10 +5,17 @@ replaced, and check the pieces with the certificate checker of
 
 `check_dimension` is the differential for one d, in both modes, run here for
 every d in 2..300 and by ``tools/verify_differential.py`` up to any bound.
+Past any window that could be expanded, at the dimensions of `LARGE`, the
+reports are checked against modular arithmetic at sampled values.
 """
 
 import dataclasses
 import random
+import re
+import sys
+import time
+from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -97,9 +104,9 @@ def gates(d):
 def check_dimension(d):
     """Assert that `verify_gate` reports what `reference_verify_gate` does,
     in each mode of `MODES`, for every gate `gates` makes at dimension d,
-    mapping order and all, and that `check_certificate` accepts the pieces
-    of each unbroken gate; return the number of gates that pass in each
-    mode, in the order of `MODES`."""
+    mapping order and repr and all, and that `check_certificate` accepts
+    the pieces of each unbroken gate; return the number of gates that pass
+    in each mode, in the order of `MODES`."""
     made = gates(d)
     for variant, shift, device in made[:-1]:
         window = (shift, shift + d - 1)
@@ -114,6 +121,7 @@ def check_dimension(d):
             want = reference_verify_gate(d, variant, shift, config, device)
             assert report == want, (d, variant, shift, mode)
             assert list(report.mapping.items()) == list(want.mapping.items()), (d, variant, mode)
+            assert repr(report) == repr(want), (d, variant, mode)
             passed[-1] += report.passed
     return passed
 
@@ -155,7 +163,7 @@ def test_verify_reads_tampered_pieces_value_by_value(monkeypatch, d):
     config = SimulationConfig()
     pieces, dropped, failure = strict_pieces(device, 0, d - 1)
     assert analysis._certified(graph, (pieces, dropped, failure), 0, d - 1, config)
-    assert analysis._on_oracle(graph, pieces, 0, d - 1, 1)
+    assert not analysis._off_oracle(graph, pieces, 0, d - 1, 1)
     for changed in tampered(pieces, d - 1):
         assert not analysis._certified(graph, (changed, dropped, failure), 0, d - 1, config)
     # a dropped class or a failure proves nothing either, whatever the pieces
@@ -163,7 +171,7 @@ def test_verify_reads_tampered_pieces_value_by_value(monkeypatch, d):
         assert not analysis._certified(graph, (pieces, *rest), 0, d - 1, config)
     # a certified window is off the oracle of the other step, except at d = 2,
     # where the shifts by +1 and -1 are one map
-    assert analysis._on_oracle(graph, pieces, 0, d - 1, -1) == (d == 2)
+    assert (not analysis._off_oracle(graph, pieces, 0, d - 1, -1)) == (d == 2)
     # and a gate its pieces do not prove is read value by value
     monkeypatch.setattr(analysis, "_certified", lambda *args: False)
     assert verify_gate(d) == reference_verify_gate(d, "standard", 0, config, device)
@@ -203,7 +211,7 @@ def test_a_window_with_a_dropped_class_is_compared_value_by_value(mode):
     device = dataclasses.replace(gate, elements=tuple(elements))
     pieces, dropped, failure = strict_pieces(device, 0, 3)
     assert dropped and failure is None
-    assert analysis._on_oracle(analysis._graph(device), pieces, 0, 3, 1)
+    assert not analysis._off_oracle(analysis._graph(device), pieces, 0, 3, 1)
     config = SimulationConfig(mode)
     report = verify_with(device, 4, "standard", 0, config)
     assert report == reference_verify_gate(4, "standard", 0, config, device)
@@ -250,3 +258,88 @@ def test_certificate_checker_accepts_the_pieces_of_large_gates(d, variant):
     result = strict_pieces(device, 0, d - 1)
     check_certificate(device, result, 0, d - 1, -1 if variant == "inverse" else 1)
     assert len(result[0]) == LARGE[d]
+
+
+def test_a_piece_map_reads_as_the_dict_it_stands_for(monkeypatch):
+    device = synth_variant(12)
+    graph = analysis._graph(device)
+    read = simulation._PieceMap(strict_pieces(graph, 0, 11)[0], 0, 11, graph.output_path)
+    want = window_permutation(device, 0, 11)
+    assert read == want and want == read and not read != want
+    assert list(read.items()) == list(want.items())
+    assert list(read) == list(want) and list(read.values()) == list(want.values())
+    assert len(read) == 12 and repr(read) == repr(want)
+    assert read.get(11) == 0 and 12 not in read and -1 not in read
+    # keys equal to an int are found, as in a dict
+    for key in (True, 1.0, Fraction(1), 1.5, "1", None, float("nan"), float("inf")):
+        assert read.get(key) == want.get(key) and (key in read) == (key in want), key
+    changed = {**want, 3: 5}, {k: v for k, v in want.items() if k != 3}, {**want, 12: 0}
+    assert all(read != other for other in changed)
+    assert read != list(want.items())
+    # other pieces of the same map are equal; the same pieces on another window are not
+    out = graph.output_path
+    whole = simulation._PieceMap([(0, 1, 1, out)], 0, 3, out)
+    assert whole == simulation._PieceMap([(1, 2, 1, out), (0, 2, 1, out)], 0, 3, out)
+    assert whole != simulation._PieceMap([(0, 1, 1, out)], 0, 4, out)
+    # the repr is the dict's up to MAX_WINDOW values, a summary above
+    monkeypatch.setattr(simulation, "MAX_WINDOW", 4)
+    assert repr(whole) == "{0: 1, 1: 2, 2: 3, 3: 4}"
+    wide = simulation._PieceMap([(0, 1, 1, out)], 0, 4, out)
+    assert repr(wide) == "<map of 5 values of the window [0, 4] from 1 pieces>"
+
+
+def large_gates():
+    """``(d, variant, shift)`` for each of `LARGE`'s dimensions and four
+    variants, the shifted one on a shift drawn from ``random.Random(d)``."""
+    for d in LARGE:
+        for variant in ("standard", "simplified", "inverse", "shifted"):
+            shift = random.Random(d).randint(-d, d) if variant == "shifted" else 0
+            yield d, variant, shift
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("d, variant, shift", large_gates())
+def test_large_gates_are_proven_from_their_pieces(mode, d, variant, shift):
+    report = verify_gate(d, variant, shift, SimulationConfig(mode))
+    predicted = predict_simplified_count(d) if variant == "simplified" else predict_count(d)[0]
+    assert report.passed and report.count_actual == predicted
+    step = -1 if variant == "inverse" else 1
+    lo, hi = shift, shift + d - 1
+    rng = random.Random(d)
+    for k in [lo, lo + 1, hi - 1, hi, *(rng.randint(lo, hi) for _ in range(50))]:
+        assert report.mapping[k] == (k - shift + step) % d + shift
+    assert lo - 1 not in report.mapping and report.mapping.get(hi + 1) is None
+    assert list(islice(report.mapping.items(), 3)) == [
+        (k, (k - shift + step) % d + shift) for k in range(lo, lo + 3)
+    ]
+    assert report.mapping.__len__() == d
+    if d > sys.maxsize:  # as for a range
+        with pytest.raises(OverflowError):
+            len(report.mapping)
+    assert len(repr(report.mapping)) < 200
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_an_unproven_large_gate_fails_with_few_violations(monkeypatch, mode):
+    d = 2**64 + 13
+    config = SimulationConfig(mode)
+    # a certified gate off the oracle: one violation per piece off it
+    variant, shift, device = gates(d)[-1]
+    graph = analysis._graph(device)
+    routed = strict_pieces(graph, shift, shift + d - 1)
+    assert analysis._certified(graph, routed, shift, shift + d - 1, config)
+    start = time.perf_counter()
+    report = verify_with(device, d, variant, shift, config)
+    assert time.perf_counter() - start < 1.0
+    assert not report.passed and not report.permutation_ok
+    assert 0 < len(report.violations) <= len(routed[0])
+    piece = re.compile(r"piece -?\d+ mod \d+ \(members: \d+\): .*")
+    assert all(map(piece.fullmatch, report.violations))
+    assert len(repr(report.mapping)) < 200
+    # a window its pieces do not prove: one violation, and no value read
+    monkeypatch.setattr(analysis, "_certified", lambda *args: False)
+    start = time.perf_counter()
+    report = verify_gate(d, config=config)
+    assert time.perf_counter() - start < 1.0
+    assert report.violations == (f"window [0, {d - 1}] not proven from its 129 pieces",)
+    assert report.mapping == {} and not report.permutation_ok

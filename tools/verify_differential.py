@@ -10,7 +10,7 @@ For every d in 2..MAX_D the first form runs ``check_dimension`` of
 ``random.Random(d)``, and one of them with one hologram charge flipped, each
 reported by `verify_gate` from its pieces and by the value-by-value reference,
 in strict and in physical mode; the reports must be equal, mapping order
-included, the four unbroken gates must pass in each mode, and the pieces of
+and repr included, the four unbroken gates must pass in each mode, and the pieces of
 every unbroken gate must pass the certificate checker of
 ``tests/reference_netlist.py``.  The ``cycles`` form runs
 ``check_cycle_dimension`` of ``tests/test_cycle_pieces.py``: `discover_cycles`
