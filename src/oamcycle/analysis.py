@@ -8,6 +8,7 @@ against the closed-form predictions.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable
@@ -25,6 +26,7 @@ from .simulation import (
     _graph,
     _PieceMap,
     _probes,
+    _steps,
     strict_pieces,
 )
 from .synthesis import (
@@ -298,31 +300,40 @@ def discover_cycles(
     The window is read as `verify_gate` reads it, in both modes, and
     `_certified` probes the ends of its pieces whether they reach the
     output path or leak.  Values that split, leak to another path, or
-    leave the window break the orbit they were part of.  Each value is
-    popped from the map as it is walked, and a walk that ends on one of
-    its own values closes a loop; the loops of length d are returned from
-    their minimum, in ascending order of it.  A window not proven (an
-    input path with no entry, a dropped class, a failure, an engine error
-    in the end probes) has each cycle member probed again after the walk,
+    leave the window break the orbit they were part of.  The map is
+    walked as the list of steps `_steps` fills from the pieces, one shared
+    offset per piece: each value's step is marked None as it is walked,
+    so no value is walked twice, and a walk that stops on the value it
+    took d steps before closes a loop of length d, the last d values of
+    the walk, which is all it keeps.  The loops are returned from their
+    minimum, in ascending order of it.  A window not proven (an input
+    path with no entry, a dropped class, a failure, an engine error in
+    the end probes) has each cycle member probed again after the walk,
     in one pass, against its successor on its cycle, so the two engines
     check each other either way.
     """
     d = device.dimension
     graph = _graph(device)
     routed = strict_pieces(graph, lo, hi)
-    mapping = _expand(graph, routed, lo, hi, config)
+    steps = _steps(graph, routed, lo, hi, config)
     proven = _certified(graph, routed, lo, hi, config)
     cycles: list[tuple[int, ...]] = []
-    for start in range(lo, hi + 1):
-        walk, current = {}, start  # walk: each value on it -> its position
-        while current in mapping:  # a walked value has left the map
-            walk[current] = len(walk)
-            current = mapping.pop(current)
-        if current in walk and len(walk) - walk[current] == d:  # back on its own walk
-            loop = list(walk)[-d:]
+    # the last d values of a walk, as indices into steps; no loop is longer than the window
+    last = deque(maxlen=min(d, len(steps)))
+    for start, step in enumerate(steps):
+        if step is None:  # no image in the window, or walked already
+            continue
+        i = start
+        while (step := steps[i]) is not None:
+            steps[i] = None
+            last.append(i)
+            i += step
+        if len(last) == d and last[0] == i:  # back where it was d steps before
+            loop = [lo + j for j in last]
             first = loop.index(min(loop))
             cycles.append(tuple(loop[first:] + loop[:first]))
-    del mapping  # emptied, but a dict keeps its table after pops
+        last.clear()
+    del steps  # every entry None by now, but still a pointer each
     cycles.sort()
     if not proven:
         members = (ell for cycle in cycles for ell in cycle)

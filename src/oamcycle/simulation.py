@@ -23,7 +23,11 @@ everything is an int: a packet is keyed (state, slot, ell) and lands on
 (terminal index, ell).  Path labels appear only at the
 boundary: `transform` and `apply_*` resolve each component's path to
 its entry slot, run a batch of one, and name the terminal sums by
-their labels for the output `ModeVector`.  `_probes` yields each basis
+their labels for the output `ModeVector`.  A run of one packet a state
+(every probe batch, and a state of one component) is walked packet by
+packet along the int tables, with no dict per hop, and returns what the
+loop does, bit for bit; a packet that splits hands its state to the loop.
+`_probes` yields each basis
 probe's image in order as its run lands, ``PROBE_BATCH`` probes per run,
 which spreads the loop's per-run cost over many probes (the batch bound keeps
 the packets in flight few), and compares each probe's terminal index
@@ -52,7 +56,9 @@ window's pieces, each an affine map ``ell -> ell + offset`` on its
 members (O(log d) of them for a synthesized gate, at any d), and it also
 returns the classes it dropped at non-multiples and the first failure.
 `window_permutation` expands the pieces into the map of the window, in
-either mode; only that expansion is linear in the window.  `_PieceMap`
+either mode; only that expansion is linear in the window.  `_steps` fills
+the same map in as a list of steps, one shared offset per piece, which
+`analysis.discover_cycles` walks.  `_PieceMap`
 is the map of pieces that cover the window, read off them and never
 expanded, so its lookups and length cost O(#pieces).  A piece meets
 only multiples of each splitter's order, where both modes route it the
@@ -162,14 +168,83 @@ def _propagate(
 
     At the hop budget only a state with a packet still above the cut
     fails, so a run whose last packets are all dust ends normally.
+
+    A run with as many packets as states, one packet each (every probe
+    batch, and a state of one component), walks each packet along the
+    int tables alone, with no dict per hop.  Each hop of the walk keeps
+    the loop's steps: its prune check, its hop budget, and the sum from
+    0j its packet lands in, so the walk returns what the loop does, bit
+    for bit.  A packet that splits, at a non-multiple in physical mode,
+    leaves its state, as given, to the breadth-first loop below; so does
+    every state of a run in which one state turns out to hold two.
     """
     nodes, wiring, terminals = graph.nodes, graph.wiring, graph.terminals
     strict = config.mode == STRICT
     budget = HOPS_PER_NODE * max(1, len(nodes))
+    cut = PRUNE_THRESHOLD * norm
+    walked: list[dict[tuple[int, int], complex] | Exception | None] | None = None
+    if len(packets) == states:  # one packet a state, unless one has two and another none
+        walked, split = [None] * states, {}
+        for key, amp in packets.items():
+            s, slot, ell = key
+            if walked[s] is not None:  # a second packet of one state: the loop runs all
+                walked = None
+                break
+            out: dict[tuple[int, int], complex] | Exception = {}
+            hops, limit = 0, -1.0
+            while slot >= 0:
+                hops += 1
+                if hops > budget:
+                    if abs(amp) > cut:
+                        out = HopBudgetExceeded(
+                            f"packets still in flight after {budget} node traversals"
+                        )
+                    break
+                if not abs(amp) > limit:
+                    break
+                limit = cut
+                element = nodes[slot >> 2]
+                kind = type(element)
+                if kind is OamBeamSplitter:
+                    k = element.m
+                    if strict:
+                        turns, rest = divmod(ell, k)
+                        if rest:
+                            out = NonMultipleMode(ell, k)
+                            break
+                        slot ^= turns & 1
+                    else:
+                        stay, cross = splitter_amplitudes(k, ell)
+                        if cross:
+                            if stay:  # it splits: the loop runs its state
+                                split[key] = packets[key]
+                                break
+                            slot ^= 1
+                            amp = cross * amp
+                        elif stay:
+                            amp *= stay
+                        else:  # no port: dropped, as the loop drops it
+                            break
+                elif kind is Hologram:
+                    ell = ell - element.v if slot & BACKWARD else ell + element.v
+                else:
+                    amp *= z_phase(element.d, ell)
+                slot = wiring[slot]
+                amp = 0j + amp  # the loop sums each packet it stages or lands from 0j
+            else:
+                if terminals[~slot] is None:
+                    out = ValueError("a packet left the device through an unwired port")
+                else:
+                    out = {(~slot, ell): amp}
+            walked[s] = out
+        else:
+            if not split:
+                return walked
+            packets = split
     errors: list[Exception | None] = [None] * states
     # a packet is dropped at the head of a hop unless it clears `limit`: no
     # cut at the first hop, since the packets given are routed as they are
-    cut, limit = PRUNE_THRESHOLD * norm, -1.0
+    limit = -1.0
     # landed: (state, ~terminal, ell), summed in the order packets arrive
     landed: dict[tuple[int, int, int], complex] = {}
     if min(graph.entries.values(), default=0) < 0:  # an entry on a terminal lands at once
@@ -227,7 +302,12 @@ def _propagate(
                 errors[s] = ValueError("a packet left the device through an unwired port")
             else:
                 outs[s][~dest, ell] = amp
-    return [out if error is None else error for out, error in zip(outs, errors)]
+    looped = [out if error is None else error for out, error in zip(outs, errors)]
+    if walked is None:
+        return looped
+    for s, _, _ in split:
+        walked[s] = looped[s]
+    return walked
 
 
 def _finish(out: dict[tuple, complex], norm_in: float) -> dict[tuple, complex]:
@@ -400,17 +480,65 @@ def _expand(
     caller that has routed the window already hands its pieces here."""
     pieces, _, failure = routed
     images = _images(pieces, lo, hi, graph.output_path)
-    if config.mode == PHYSICAL:
-        landed = bytearray(len(images))  # 1 where a piece holds the value
-        for first, q, _, _ in pieces:
-            landed[first - lo :: q] = b"\1" * ((hi - first) // q + 1)
-        stop = len(images) if failure is None else failure[0] - lo
-        split = (lo + i for i in range(stop) if not landed[i])
-        for ell, image in _probes(graph, split, config):
-            images[ell - lo] = image
+    for ell, image in _handoff(graph, routed, lo, hi, config):
+        images[ell - lo] = image
     if failure is not None:
         raise failure[1]
     return {ell: image for ell, image in zip(range(lo, hi + 1), images) if image is not None}
+
+
+def _steps(
+    graph: PortGraph,
+    routed: tuple[list, list, tuple[int, Exception] | None],
+    lo: int,
+    hi: int,
+    config: SimulationConfig,
+) -> list[int | None]:
+    """The map `_expand` returns, as a list of steps: entry ``ell - lo``
+    is ``image - ell`` where ell's image lies in the window [lo, hi], and
+    None where ell has no image or one outside the window.  So each step
+    that is not None leads to another entry.
+
+    A piece's members share one int, its offset, filled in by one slice
+    assignment, so the list costs one pointer per window value; each
+    value of the physical hand-off fills its own entry.  Raises what
+    `_expand` raises, after the same probes."""
+    pieces, _, failure = routed
+    steps: list[int | None] = [None] * (hi - lo + 1)
+    for first, q, offset, path in pieces:
+        if path == graph.output_path:
+            # the members whose image lies in the window
+            low, high = max(lo, lo - offset), min(hi, hi - offset)
+            first = max(first, low + (first - low) % q)
+            if first <= high:
+                steps[first - lo : high - lo + 1 : q] = [offset] * ((high - first) // q + 1)
+    for ell, image in _handoff(graph, routed, lo, hi, config):
+        if image is not None and lo <= image <= hi:
+            steps[ell - lo] = image - ell
+    if failure is not None:
+        raise failure[1]
+    return steps
+
+
+def _handoff(
+    graph: PortGraph,
+    routed: tuple[list, list, tuple[int, Exception] | None],
+    lo: int,
+    hi: int,
+    config: SimulationConfig,
+) -> Iterator[tuple[int, int | None]]:
+    """In physical mode, `_probes` of the values of the window [lo, hi]
+    that no piece of *routed* holds, below its failing value if it has
+    one, in ascending order: light split at a non-multiple may recombine.
+    Nothing in strict mode."""
+    if config.mode != PHYSICAL:
+        return iter(())
+    pieces, _, failure = routed
+    landed = bytearray(hi - lo + 1)  # 1 where a piece holds the value
+    for first, q, _, _ in pieces:
+        landed[first - lo :: q] = b"\1" * ((hi - first) // q + 1)
+    stop = len(landed) if failure is None else failure[0] - lo
+    return _probes(graph, (lo + i for i in range(stop) if not landed[i]), config)
 
 
 def _images(

@@ -8,6 +8,11 @@ cross-check the engine against it; it shares only the element functions
 (`splitter_route_strict`, `splitter_unitary`, `z_phase`) and the norm
 tolerance.
 
+`reference_propagate` is the breadth-first packet loop the engine runs on
+states of several packets, kept whole here for every run: each hop stages
+every packet in flight in one dict, so it holds the engine's walk of
+one-packet runs to the loop, bit for bit.
+
 `check_window_certificate` checks the pieces `oamcycle.simulation.strict_pieces`
 returns for any window as a proof of the device's strict map there, with
 the strict splitter rule and the graph's wiring alone; `check_certificate`
@@ -16,10 +21,19 @@ adds the gate oracle for a gate window.
 
 import math
 
-from oamcycle.elements import PORT_X, PORT_Y, splitter_route_strict, splitter_unitary, z_phase
+from oamcycle.elements import (
+    PORT_X,
+    PORT_Y,
+    NonMultipleMode,
+    splitter_amplitudes,
+    splitter_route_strict,
+    splitter_unitary,
+    z_phase,
+)
 from oamcycle.model import PRUNE_THRESHOLD, Hologram, ModeVector, OamBeamSplitter, ZPlate
+from oamcycle import simulation
 from oamcycle.portgraph import BACKWARD, netlist_to_portgraph
-from oamcycle.simulation import NORM_TOLERANCE, STRICT, NormDrift
+from oamcycle.simulation import NORM_TOLERANCE, STRICT, HopBudgetExceeded, NormDrift
 
 
 def _splitter_step(el, entries, mode):
@@ -77,6 +91,76 @@ def reference_apply_netlist(netlist, state, config):
     if result and norm_in > 0.0:
         result = result.scaled(norm_in / result.norm())
     return result
+
+
+def reference_propagate(graph, packets, states, norm, config):
+    """What `oamcycle.simulation._propagate` returns for the same arguments,
+    by the breadth-first loop alone: per state its terminal sums keyed
+    ``(t, ell)``, or the first error its packets meet.  The hop budget is
+    read at call time, as the engine reads it."""
+    nodes, wiring, terminals = graph.nodes, graph.wiring, graph.terminals
+    strict = config.mode == STRICT
+    budget = simulation.HOPS_PER_NODE * max(1, len(nodes))
+    errors = [None] * states
+    # no cut at the first hop, since the packets given are routed as they are
+    cut, limit = PRUNE_THRESHOLD * norm, -1.0
+    landed = {}  # (state, ~terminal, ell), summed in the order packets arrive
+    if min(graph.entries.values(), default=0) < 0:  # an entry on a terminal lands at once
+        landed = {key: amp for key, amp in packets.items() if key[1] < 0}
+        packets = {key: amp for key, amp in packets.items() if key[1] >= 0}
+    hops = 0
+    while packets:
+        hops += 1
+        if hops > budget:
+            for (s, _, _), amp in packets.items():
+                if abs(amp) > cut and errors[s] is None:
+                    errors[s] = HopBudgetExceeded(
+                        f"packets still in flight after {budget} node traversals"
+                    )
+            break
+        staged = {}
+        for (s, slot, ell), amp in packets.items():
+            if not abs(amp) > limit:
+                continue
+            element = nodes[slot >> 2]
+            kind = type(element)
+            if kind is OamBeamSplitter:
+                k = element.m
+                if strict:
+                    turns, rest = divmod(ell, k)
+                    if rest:
+                        if errors[s] is None:
+                            errors[s] = NonMultipleMode(ell, k)
+                        continue
+                    slot ^= turns & 1
+                else:
+                    stay, cross = splitter_amplitudes(k, ell)
+                    if cross:
+                        dest = wiring[slot ^ 1]
+                        into = staged if dest >= 0 else landed
+                        key = (s, dest, ell)
+                        into[key] = into.get(key, 0j) + cross * amp
+                    if not stay:
+                        continue
+                    amp *= stay
+            elif kind is Hologram:
+                ell = ell - element.v if slot & BACKWARD else ell + element.v
+            else:
+                amp *= z_phase(element.d, ell)
+            dest = wiring[slot]
+            into = staged if dest >= 0 else landed
+            key = (s, dest, ell)
+            into[key] = into.get(key, 0j) + amp
+        packets = staged
+        limit = cut
+    outs = [{} for _ in errors]
+    for (s, dest, ell), amp in landed.items():
+        if errors[s] is None:
+            if terminals[~dest] is None:
+                errors[s] = ValueError("a packet left the device through an unwired port")
+            else:
+                outs[s][~dest, ell] = amp
+    return [out if error is None else error for out, error in zip(outs, errors)]
 
 
 def check_window_certificate(device, result, lo, hi):

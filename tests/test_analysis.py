@@ -1,6 +1,7 @@
 """Verification reports, orbit discovery, scaling tables."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -341,6 +342,16 @@ def stepwise_cycles(mapping, d, recheck):
     return cycles
 
 
+def steps_of(mapping, lo, hi):
+    """*mapping* as the step list `_steps` returns for the window [lo, hi]:
+    ``image - ell`` at ``ell - lo`` for each image in the window, else None."""
+    steps = [None] * (hi - lo + 1)
+    for ell, image in mapping.items():
+        if lo <= image <= hi:
+            steps[ell - lo] = image - ell
+    return steps
+
+
 @st.composite
 def partial_maps(draw):
     """Maps of up to 25 values in -12..12: permutations of their keys, rich
@@ -376,12 +387,13 @@ def test_cycles_match_the_stepwise_walk(mapping, d, bad):
     expected = outcome(lambda: stepwise_cycles(mapping, d, recheck))
     for proven in (False, True):
         rechecks.clear()
-        walked = dict(mapping)  # the walk pops what it walks
         with pytest.MonkeyPatch.context() as patch:
             # the window read as the map given, proven from pieces or not
             patch.setattr(analysis, "strict_pieces", lambda graph, lo, hi: None)
             patch.setattr(analysis, "_certified", lambda *args: proven)
-            patch.setattr(analysis, "_expand", lambda graph, routed, lo, hi, config: walked)
+            patch.setattr(
+                analysis, "_steps", lambda graph, routed, lo, hi, config: steps_of(mapping, lo, hi)
+            )
             patch.setattr(
                 analysis,
                 "_resimulate",
@@ -396,50 +408,67 @@ def test_cycles_match_the_stepwise_walk(mapping, d, bad):
             assert rechecks == [members]
 
 
-class CountedLookups(dict):
-    """A window map that counts its lookups and stops a walk past *limit*."""
+class CountedReads(list):
+    """A step list that counts the reads of its entries, one by index or in
+    iteration, and stops a walk past *limit* of them."""
 
-    def __init__(self, mapping, limit):
-        super().__init__(mapping)
+    def __init__(self, steps, limit):
+        super().__init__(steps)
         self.count, self.limit = 0, limit
 
-    def _looked_up(self):
+    def _read(self):
         self.count += 1
         if self.count > self.limit:
-            raise AssertionError(f"more than {self.limit} lookups")
+            raise AssertionError(f"more than {self.limit} reads")
 
-    def __contains__(self, key):
-        self._looked_up()
-        return super().__contains__(key)
+    def __getitem__(self, index):
+        self._read()
+        return super().__getitem__(index)
 
-    def __getitem__(self, key):
-        self._looked_up()
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self._looked_up()
-        return super().get(key, default)
-
-    def pop(self, key, *default):
-        self._looked_up()
-        return super().pop(key, *default)
+    def __iter__(self):
+        for index in range(len(self)):
+            yield self[index]
 
 
 def test_each_window_value_is_walked_once(monkeypatch):
     # a +1 chain through 20001 values: a walk of up to d steps from every
-    # value would make about 2 * 10^8 lookups
+    # value would make about 2 * 10^8 reads
     chain = Netlist((Hologram(r_path(0), 1),), r_path(0), r_path(0), 10**6)
-    real = analysis._expand
+    real = analysis._steps
     counted = []
 
     def counting(graph, routed, lo, hi, config):
-        counted.append(CountedLookups(real(graph, routed, lo, hi, config), 4 * (hi - lo + 1)))
+        counted.append(CountedReads(real(graph, routed, lo, hi, config), 4 * (hi - lo + 1)))
         return counted[-1]
 
-    monkeypatch.setattr(analysis, "_expand", counting)
-    # the map walked is the one expanded from the window's one proven piece
+    monkeypatch.setattr(analysis, "_steps", counting)
+    # the list walked is the one filled from the window's one proven piece
     assert discover_cycles(chain, 0, 20000) == []
     assert len(counted) == 1 and 0 < counted[0].count <= 4 * 20001
+
+
+@pytest.mark.parametrize(
+    "device, lo, hi, found",
+    [
+        (synth_arbitrary(2**13), -(2**15), 2**15 - 1, 8),
+        (Netlist((Hologram(r_path(0), 1),), r_path(0), r_path(0), 2**16), 0, 2**16 - 1, 0),
+    ],
+    ids=["gate", "chain"],
+)
+def test_cycle_search_memory_per_window_value(device, lo, hi, found):
+    # the step list costs one pointer a value and a walk keeps its last d
+    # values, so the cycles found are most of the peak (40 bytes a value
+    # here); a window dict of int pairs and a position dict per walk took
+    # 121 bytes a value on this gate window and 161 on the chain
+    discover_cycles(device, 0, 0)  # the netlist's port graph is kept on it
+    tracemalloc.start()
+    try:
+        cycles = discover_cycles(device, lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cycles) == found
+    assert peak / (hi - lo + 1) < 72
 
 
 # --- scaling table ---------------------------------------------------------------

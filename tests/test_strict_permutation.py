@@ -1,12 +1,16 @@
 """The residue-class engine against the packet engine: `window_permutation`
 must return, and raise, what probing the same window value by value does,
 in both modes.  So must `probe_permutation`, which sends the probes through
-the packet loop in batches."""
+the packet loop in batches, and the packet engine's walk of one-packet runs
+must return what the breadth-first loop of `reference_netlist` does, bit for
+bit."""
 
 import enum
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from reference_netlist import reference_propagate
 
 from oamcycle import simulation
 from oamcycle.elements import z_phase
@@ -312,6 +316,88 @@ def test_states_in_one_run_do_not_interact(device, states, norm):
             for state in states
         ]
         assert shown(together) == shown(alone), mode
+
+
+def exact(results):
+    """Per state, the type and message of its error, or each terminal sum in
+    order with its parts as float hex, so that signed zeros and NaNs count."""
+    return [
+        (type(r), str(r)) if isinstance(r, Exception)
+        else [(key, amp.real.hex(), amp.imag.hex()) for key, amp in r.items()]
+        for r in results
+    ]
+
+
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.6, -0.8, 5e-324, 1e-300, math.inf, math.nan]),
+    st.floats(-2.0, 2.0),
+)
+
+
+@st.composite
+def packet_runs(draw):
+    """``(graph, packets, states, norm, hops per node)`` for `_propagate`:
+    mostly one packet a state, at any entry slot (a terminal too), else 0 to
+    3 a state, with signed zeros, dust, infinities and NaNs among the
+    amplitude parts, and hop budgets that short routes reach."""
+    graph = simulation._graph(draw(st.one_of(netlists(), folded_gates(), wired_graphs())))
+    slots = st.sampled_from(sorted(graph.entries.values()))
+    ells = st.one_of(st.integers(-40, 40), st.sampled_from([10**17, -(10**17), 2**60 + 3]))
+    sizes = draw(st.one_of(st.lists(st.just(1), max_size=8), st.lists(st.integers(0, 3), max_size=6)))
+    packets = {}
+    for s, size in enumerate(sizes):
+        for _ in range(size):
+            packets[s, draw(slots), draw(ells)] = complex(draw(PARTS), draw(PARTS))
+    norm = draw(st.sampled_from([1.0, 0.0, 1e-17, 1e-200, 1e200]))
+    return graph, packets, len(sizes), norm, draw(st.sampled_from([1, 2, simulation.HOPS_PER_NODE]))
+
+
+def run_of(device, packets, norm=1.0, per_node=simulation.HOPS_PER_NODE):
+    states = 1 + max((s for s, _, _ in packets), default=-1)
+    return simulation._graph(device), packets, states, norm, per_node
+
+
+@settings(max_examples=400, deadline=None)
+@given(packet_runs())
+# physical: 1 splits at the order-2 splitter and goes to the loop, beside a walk
+@example(run_of(SPLIT_R0, {(0, 0, 1): 1 + 0j, (1, 0, 2): complex(-0.0, 1.0)}))
+# 0 loops on the splitter until the hop budget, above the cut and below it
+@example(run_of(SPLIT_LOOP, {(0, 0, 0): 0.6 + 0j, (1, 0, 2): -0.8 + 0j}))
+@example(run_of(SPLIT_LOOP, {(0, 0, 0): 1e-18 + 0j, (1, 0, 2): -0.0j}, 1e-17, 1))
+# 3 is no multiple of 2; the entry on a terminal lands at once, as given
+@example(run_of(SPLIT_R0, {(0, 0, 3): 1 + 0j}))
+@example(run_of(graph([Hologram(R0, 1)], [~1, ~0, ~0, ~0], {R0: ~1}), {(0, ~1, 5): -0.0 - 0.0j}))
+# at one hop a node, a route of two hops through one node overruns the budget
+@example(run_of(graph([Hologram(R0, 1)], [2, ~0, ~1, ~0], {R0: 0}), {(0, 0, 0): 1 + 0j}, 1.0, 1))
+# physical: 0 reaches the splitter as 1 at the second hop and splits, and its
+# crossing half overruns the budget of 3 at its fourth hop, counted from the
+# entry, not from the split
+@example(
+    run_of(
+        graph(
+            [Hologram(R0, 1), OamBeamSplitter(2, R0, R1), Hologram(R1, 1)],
+            [4, ~0, ~0, ~0, ~1, 8, ~0, ~0, 10, ~0, ~2, ~0],
+            {R0: 0},
+            (None, R0, R1),
+        ),
+        {(0, 0, 0): 1 + 0j},
+        1.0,
+        1,
+    )
+)
+# as many packets as states, but two in state 0 and none in state 1
+@example(
+    (simulation._graph(SPLIT_R0), {(0, 0, 2): 0.6 + 0j, (0, 0, 4): 0.8 + 0j}, 2, 1.0, 10)
+)
+def test_one_packet_runs_match_the_breadth_first_loop(run):
+    graph_of_device, packets, states, norm, per_node = run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "HOPS_PER_NODE", per_node)
+        for mode in MODES:
+            config = SimulationConfig(mode)
+            want = reference_propagate(graph_of_device, dict(packets), states, norm, config)
+            got = simulation._propagate(graph_of_device, dict(packets), states, norm, config)
+            assert exact(got) == exact(want), mode
 
 
 def test_first_failure_in_a_later_batch(monkeypatch):
