@@ -352,9 +352,10 @@ def _resimulate(
     raise AssertionError at the first whose image differs from its
     *expected* one, given in the order of *domain*, None meaning left out.
 
-    Each batch is compared as it lands, so a differing value raises before
-    any later value is probed: the AssertionError wins over an engine error
-    at a later value, which a probe of the whole domain would have raised.
+    Each value is compared as it is probed, so a differing value raises
+    before any later value is probed: the AssertionError wins over an
+    engine error at a later value, which a probe of the whole domain would
+    have raised.
     """
     for (ell, image), want in zip(_probes(device, domain, config), expected, strict=True):
         if image != want:

@@ -13,30 +13,24 @@ in-flight norm momentarily non-conserved under interference.  Both the
 pruning of dust and the norm tolerance are relative to the input norm,
 so a state behaves the same at every amplitude scale.  A netlist or
 port graph admits only the three element classes when it is built, so
-neither loop here checks an element's kind beyond dispatching on it.
+no loop here checks an element's kind beyond dispatching on it.
 
-One run of the loop carries a batch of independent states of one input
-norm, each packet tagged with its state; the states share the prune cut
-that norm sets, and each keeps its own first error and its own norm
-check.  Dust is pruned at the head of each hop.  Inside the loop
-everything is an int: a packet is keyed (state, slot, ell) and lands on
-(terminal index, ell).  Path labels appear only at the
-boundary: `transform` and `apply_*` resolve each component's path to
-its entry slot, run a batch of one, and name the terminal sums by
-their labels for the output `ModeVector`.  A run of one packet a state
-(every probe batch, and a state of one component) is walked packet by
-packet along the int tables, with no dict per hop, and returns what the
-loop does, bit for bit; a packet that splits hands its state to the loop.
-`_probes` yields each basis
-probe's image in order as its run lands, ``PROBE_BATCH`` probes per run,
-which spreads the loop's per-run cost over many probes (the batch bound keeps
-the packets in flight few), and compares each probe's terminal index
-with the output path's, so no probe hashes a label.  A probe that lands
-as one component of modulus exactly 1 (every strict probe, and every
-physical one at multiples of the splitter orders) is read straight off
-that component: there is no dust to prune, nothing to rescale, and its
-norm drifts by exactly 0.  Any other probe's terminal sums are named by
-their labels and pruned, checked and rescaled as `transform`'s are.
+One run of the loop carries one state, and its input norm sets the prune
+cut; dust is pruned at the head of each hop.  Inside the loop everything
+is an int: a packet is keyed (slot, ell) and lands on (terminal index,
+ell).  Path labels appear only at the boundary: `transform` and
+`apply_*` resolve each component's path to its entry slot, run the loop,
+and name the terminal sums by their labels for the output `ModeVector`.
+`_probes` yields each basis probe's image in order.  It walks the probe's
+one packet along the int tables itself, with no dict per hop, and gets
+what the loop does, bit for bit; a probe that splits is run alone on the
+loop.  It compares each probe's terminal index with the output path's,
+so no probe hashes a label.  A probe that lands as one component of
+modulus exactly 1 (every strict probe, and every physical one at
+multiples of the splitter orders) is read straight off that component:
+there is no dust to prune, nothing to rescale, and its norm drifts by
+exactly 0.  Any other probe's terminal sums are named by their labels
+and pruned, checked and rescaled as `transform`'s are.
 
 In strict mode splitters and holograms move basis states to basis
 states with no phase; a phase plate applies its phase in both modes.
@@ -73,7 +67,7 @@ import math
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from operator import eq, is_not, itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -107,11 +101,6 @@ NORM_TOLERANCE = 1e-12
 #: dimensions ``oamcycle scaling`` synthesizes, and a `verify_gate` window
 #: read value by value or printed as a dict
 MAX_WINDOW = 2**20
-
-#: basis probes `_probes` sends through one run of the packet loop:
-#: enough to share its per-run cost, few enough to bound the packets in flight
-PROBE_BATCH = 64
-
 
 class NormDrift(Exception):
     """Simulation lost or gained probability beyond `NORM_TOLERANCE`."""
@@ -150,118 +139,45 @@ def _graph(device: Netlist | PortGraph) -> PortGraph:
 
 def _propagate(
     graph: PortGraph,
-    packets: dict[tuple[int, int, int], complex],
-    states: int,
+    packets: dict[tuple[int, int], complex],
     norm: float,
     config: SimulationConfig,
-) -> list[dict[tuple[int, int], complex] | Exception]:
-    """The packet loop, run once for *states* independent states.
+) -> dict[tuple[int, int], complex]:
+    """The packet loop, run once for one state.
 
-    *packets* are keyed ``(state, slot, ell)``, each slot one of
+    *packets* are keyed ``(slot, ell)``, each slot one of
     ``graph.entries``' values; an entry slot ``~t`` lands on
-    ``terminals[t]`` at once.  *norm*, the input norm all states share,
-    sets the prune cut.  Returns, per state, its terminal sums keyed
-    ``(t, ell)``, or the exception a run of that state alone raises: the
-    first its own packets meet, else ValueError if one lands on a terminal
+    ``terminals[t]`` at once.  *norm*, the state's input norm, sets the
+    prune cut.  Returns the terminal sums keyed ``(t, ell)``, or raises
+    the first error the packets meet: NonMultipleMode (strict mode),
+    HopBudgetExceeded, else ValueError if a packet lands on a terminal
     with no label (an unwired port).  No path label is hashed or compared
     here; the callers turn terminal indices into labels.
 
-    At the hop budget only a state with a packet still above the cut
-    fails, so a run whose last packets are all dust ends normally.
-
-    A run with as many packets as states, one packet each (every probe
-    batch, and a state of one component), walks each packet along the
-    int tables alone, with no dict per hop.  Each hop of the walk keeps
-    the loop's steps: its prune check, its hop budget, and the sum from
-    0j its packet lands in, so the walk returns what the loop does, bit
-    for bit.  A packet that splits, at a non-multiple in physical mode,
-    leaves its state, as given, to the breadth-first loop below; so does
-    every state of a run in which one state turns out to hold two.
+    At the hop budget the run fails only with a packet still above the
+    cut, so a run whose last packets are all dust ends normally.
     """
     nodes, wiring, terminals = graph.nodes, graph.wiring, graph.terminals
     strict = config.mode == STRICT
     budget = HOPS_PER_NODE * max(1, len(nodes))
     cut = PRUNE_THRESHOLD * norm
-    walked: list[dict[tuple[int, int], complex] | Exception | None] | None = None
-    if len(packets) == states:  # one packet a state, unless one has two and another none
-        walked, split = [None] * states, {}
-        for key, amp in packets.items():
-            s, slot, ell = key
-            if walked[s] is not None:  # a second packet of one state: the loop runs all
-                walked = None
-                break
-            out: dict[tuple[int, int], complex] | Exception = {}
-            hops, limit = 0, -1.0
-            while slot >= 0:
-                hops += 1
-                if hops > budget:
-                    if abs(amp) > cut:
-                        out = HopBudgetExceeded(
-                            f"packets still in flight after {budget} node traversals"
-                        )
-                    break
-                if not abs(amp) > limit:
-                    break
-                limit = cut
-                element = nodes[slot >> 2]
-                kind = type(element)
-                if kind is OamBeamSplitter:
-                    k = element.m
-                    if strict:
-                        turns, rest = divmod(ell, k)
-                        if rest:
-                            out = NonMultipleMode(ell, k)
-                            break
-                        slot ^= turns & 1
-                    else:
-                        stay, cross = splitter_amplitudes(k, ell)
-                        if cross:
-                            if stay:  # it splits: the loop runs its state
-                                split[key] = packets[key]
-                                break
-                            slot ^= 1
-                            amp = cross * amp
-                        elif stay:
-                            amp *= stay
-                        else:  # no port: dropped, as the loop drops it
-                            break
-                elif kind is Hologram:
-                    ell = ell - element.v if slot & BACKWARD else ell + element.v
-                else:
-                    amp *= z_phase(element.d, ell)
-                slot = wiring[slot]
-                amp = 0j + amp  # the loop sums each packet it stages or lands from 0j
-            else:
-                if terminals[~slot] is None:
-                    out = ValueError("a packet left the device through an unwired port")
-                else:
-                    out = {(~slot, ell): amp}
-            walked[s] = out
-        else:
-            if not split:
-                return walked
-            packets = split
-    errors: list[Exception | None] = [None] * states
     # a packet is dropped at the head of a hop unless it clears `limit`: no
     # cut at the first hop, since the packets given are routed as they are
     limit = -1.0
-    # landed: (state, ~terminal, ell), summed in the order packets arrive
-    landed: dict[tuple[int, int, int], complex] = {}
+    # landed: (~terminal, ell), summed in the order packets arrive
+    landed: dict[tuple[int, int], complex] = {}
     if min(graph.entries.values(), default=0) < 0:  # an entry on a terminal lands at once
-        landed = {key: amp for key, amp in packets.items() if key[1] < 0}
-        packets = {key: amp for key, amp in packets.items() if key[1] >= 0}
+        landed = {key: amp for key, amp in packets.items() if key[0] < 0}
+        packets = {key: amp for key, amp in packets.items() if key[0] >= 0}
     hops = 0
     while packets:
         hops += 1
         if hops > budget:
-            for (s, _, _), amp in packets.items():
-                if abs(amp) > cut and errors[s] is None:
-                    errors[s] = HopBudgetExceeded(
-                        f"packets still in flight after {budget} node traversals"
-                    )
+            if any(abs(amp) > cut for amp in packets.values()):
+                raise HopBudgetExceeded(f"packets still in flight after {budget} node traversals")
             break
-        staged: dict[tuple[int, int, int], complex] = {}
-        for (s, slot, ell), amp in packets.items():
+        staged: dict[tuple[int, int], complex] = {}
+        for (slot, ell), amp in packets.items():
             if not abs(amp) > limit:
                 continue
             element = nodes[slot >> 2]
@@ -271,16 +187,14 @@ def _propagate(
                 if strict:  # the rule of splitter_route_strict, on slots
                     turns, rest = divmod(ell, k)
                     if rest:
-                        if errors[s] is None:
-                            errors[s] = NonMultipleMode(ell, k)
-                        continue
+                        raise NonMultipleMode(ell, k)
                     slot ^= turns & 1
                 else:
                     stay, cross = splitter_amplitudes(k, ell)
                     if cross:
                         dest = wiring[slot ^ 1]
                         into = staged if dest >= 0 else landed
-                        key = (s, dest, ell)
+                        key = (dest, ell)
                         into[key] = into.get(key, 0j) + cross * amp
                     if not stay:
                         continue
@@ -291,23 +205,16 @@ def _propagate(
                 amp *= z_phase(element.d, ell)
             dest = wiring[slot]
             into = staged if dest >= 0 else landed
-            key = (s, dest, ell)
+            key = (dest, ell)
             into[key] = into.get(key, 0j) + amp
         packets = staged
         limit = cut
-    outs: list[dict[tuple[int, int], complex]] = [{} for _ in errors]
-    for (s, dest, ell), amp in landed.items():
-        if errors[s] is None:
-            if terminals[~dest] is None:
-                errors[s] = ValueError("a packet left the device through an unwired port")
-            else:
-                outs[s][~dest, ell] = amp
-    looped = [out if error is None else error for out, error in zip(outs, errors)]
-    if walked is None:
-        return looped
-    for s, _, _ in split:
-        walked[s] = looped[s]
-    return walked
+    out: dict[tuple[int, int], complex] = {}
+    for (dest, ell), amp in landed.items():
+        if terminals[~dest] is None:
+            raise ValueError("a packet left the device through an unwired port")
+        out[~dest, ell] = amp
+    return out
 
 
 def _finish(out: dict[tuple, complex], norm_in: float) -> dict[tuple, complex]:
@@ -330,26 +237,23 @@ def _finish(out: dict[tuple, complex], norm_in: float) -> dict[tuple, complex]:
 
 
 def _run(graph: PortGraph, state: ModeVector, config: SimulationConfig) -> ModeVector:
-    """*state* through the packet loop as a batch of one, with path labels
-    only at its ends: each component's path is resolved to its entry slot,
-    a component on a path with no entry passes through (it comes first in
-    its key's sum), and each terminal sum is added under its label."""
+    """*state* through the packet loop, with path labels only at its ends:
+    each component's path is resolved to its entry slot, a component on a
+    path with no entry passes through (it comes first in its key's sum),
+    and each terminal sum is added under its label."""
     entries = graph.entries
     out: dict[tuple[PathLabel, int], complex] = {}
-    packets: dict[tuple[int, int, int], complex] = {}
+    packets: dict[tuple[int, int], complex] = {}
     for (path, ell), amp in state.items():
         slot = entries.get(path)
         if slot is None:  # summed from 0j, like every output amplitude
             out[path, ell] = 0j + amp
         else:
-            key = (0, slot, ell)
+            key = (slot, ell)
             packets[key] = packets.get(key, 0j) + amp
     norm_in = state.norm()
-    (landed,) = _propagate(graph, packets, 1, norm_in, config)
-    if isinstance(landed, Exception):
-        raise landed
     terminals = graph.terminals
-    for (t, ell), amp in landed.items():
+    for (t, ell), amp in _propagate(graph, packets, norm_in, config).items():
         key = (terminals[t], ell)
         out[key] = out.get(key, 0j) + amp
     return ModeVector._trusted(_finish(out, norm_in))
@@ -681,56 +585,99 @@ def _probes(
     """``(value, image or None)`` for each of *values*, in order: the map
     `probe_permutation` returns, with None for each value it leaves out,
     and its error raised where the failing value would be yielded.  Each
-    value is probed as one basis state on the packet loop,
-    ``PROBE_BATCH`` probes per run of it.
+    value is probed as one basis state of amplitude 1.
+
+    A probe is one packet, walked along the int tables with no dict per
+    hop.  Each hop keeps the packet loop's steps: its prune check (no cut
+    at the first hop), its hop budget, and the sum from 0j its packet
+    lands in, so the walk returns what `_propagate` does, bit for bit.  A
+    probe that splits, at a non-multiple in physical mode, is run alone
+    on the packet loop.
 
     Each probe is read in one order.  An error is raised, unless it is
-    NonMultipleMode.  A probe that lands as one component of modulus
-    exactly 1 maps to that component's OAM value when it is on the output
-    path, and is left out otherwise; its norm check compares a drift of 0
-    with ``NORM_TOLERANCE``.  Every other landing (several components, a
-    modulus not exactly 1, a non-finite amplitude) is keyed by terminal
-    label and read as ``extract_permutation(transform(...))`` reads it.
+    NonMultipleMode, which leaves the value out.  A probe that lands as
+    one component of modulus exactly 1 maps to that component's OAM value
+    when it is on the output path, and is left out otherwise; its norm
+    check compares a drift of 0 with ``NORM_TOLERANCE``.  Every other
+    landing (several components, a modulus not exactly 1, a non-finite
+    amplitude, none) is keyed by terminal label and read as
+    ``extract_permutation(transform(...))`` reads it.
     """
     graph = _graph(device)
     source, target = graph.input_path, graph.output_path
     # labels are looked up once: each probe is read by terminal index
     entry = graph.entries.get(source)
-    terminals = graph.terminals
+    nodes, wiring, terminals = graph.nodes, graph.wiring, graph.terminals
     output = terminals.index(target) if target in terminals else None
     through = entry is None and source == target
-    values = iter(values)
-    while batch := list(islice(values, PROBE_BATCH)):
-        invalid = None
-        if not all(type(ell) is int for ell in batch):  # find a bool or non-int, if any
-            invalid = next((i for i, ell in enumerate(batch) if not _is_int(ell)), None)
-        if invalid is not None:  # probe the values before it, then raise
-            error = TypeError(f"OAM value must be int, got {batch[invalid]!r}")
-            del batch[invalid:]
-        if entry is None:  # each probe passes straight through
-            for ell in batch:
-                yield ell, ell if through else None
+    strict = config.mode == STRICT
+    budget = HOPS_PER_NODE * max(1, len(nodes))
+    cut = PRUNE_THRESHOLD  # times the norm of a probe, 1
+    for ell in values:
+        if type(ell) is not int and not _is_int(ell):
+            raise TypeError(f"OAM value must be int, got {ell!r}")
+        if entry is None:  # the probe passes straight through
+            yield ell, ell if through else None
+            continue
+        slot, image, amp = entry, ell, 1.0 + 0j
+        out: dict[tuple[int, int], complex] | None = {}  # None: NonMultipleMode
+        hops, limit = 0, -1.0
+        while slot >= 0:
+            hops += 1
+            if hops > budget:
+                if abs(amp) > cut:
+                    raise HopBudgetExceeded(
+                        f"packets still in flight after {budget} node traversals"
+                    )
+                break
+            if not abs(amp) > limit:
+                break
+            limit = cut
+            element = nodes[slot >> 2]
+            kind = type(element)
+            if kind is OamBeamSplitter:
+                k = element.m
+                if strict:
+                    turns, rest = divmod(image, k)
+                    if rest:
+                        out = None
+                        break
+                    slot ^= turns & 1
+                else:
+                    stay, cross = splitter_amplitudes(k, image)
+                    if cross:
+                        if stay:  # it splits: the loop runs the probe
+                            out = _propagate(graph, {(entry, ell): 1.0 + 0j}, 1.0, config)
+                            break
+                        slot ^= 1
+                        amp = cross * amp
+                    elif stay:
+                        amp *= stay
+                    else:  # no port: dropped, as the loop drops it
+                        break
+            elif kind is Hologram:
+                image = image - element.v if slot & BACKWARD else image + element.v
+            else:
+                amp *= z_phase(element.d, image)
+            slot = wiring[slot]
+            amp = 0j + amp  # the loop sums each packet it stages or lands from 0j
         else:
-            packets = {(s, entry, ell): 1.0 + 0j for s, ell in enumerate(batch)}
-            outs = _propagate(graph, packets, len(batch), 1.0, config)
-            for ell, out in zip(batch, outs):
-                if isinstance(out, Exception):
-                    if isinstance(out, NonMultipleMode):
-                        yield ell, None
-                        continue
-                    raise out
-                if len(out) == 1:
-                    ((t, image), amp), = out.items()
-                    # one unit landing: no dust to prune, nothing to rescale, and a
-                    # drift of exactly 0, which fails only a negative tolerance
-                    if abs(amp) == 1.0 and not 0.0 > NORM_TOLERANCE:
-                        yield ell, image if t == output else None
-                        continue
-                # read as `transform` reads it
-                out = {(terminals[t], e): amp for (t, e), amp in out.items()}
-                yield ell, _image(_finish(out, 1.0), target)
-        if invalid is not None:
-            raise error
+            if terminals[~slot] is None:
+                raise ValueError("a packet left the device through an unwired port")
+            out = {(~slot, image): amp}
+        if out is None:
+            yield ell, None
+            continue
+        if len(out) == 1:
+            ((t, image), amp), = out.items()
+            # one unit landing: no dust to prune, nothing to rescale, and a
+            # drift of exactly 0, which fails only a negative tolerance
+            if abs(amp) == 1.0 and not 0.0 > NORM_TOLERANCE:
+                yield ell, image if t == output else None
+                continue
+        # read as `transform` reads it
+        named = {(terminals[t], e): amp for (t, e), amp in out.items()}
+        yield ell, _image(_finish(named, 1.0), target)
 
 
 def transform(

@@ -8,10 +8,11 @@ cross-check the engine against it; it shares only the element functions
 (`splitter_route_strict`, `splitter_unitary`, `z_phase`) and the norm
 tolerance.
 
-`reference_propagate` is the breadth-first packet loop the engine runs on
-states of several packets, kept whole here for every run: each hop stages
-every packet in flight in one dict, so it holds the engine's walk of
-one-packet runs to the loop, bit for bit.
+`reference_propagate` is the engine's breadth-first packet loop for one
+state, kept whole here for every run: each hop stages every packet in
+flight in one dict.  It is the reference for the engine's loop on states
+of several packets, and, read value by value, for the engine's walk of
+basis probes, bit for bit.
 
 `check_window_certificate` checks the pieces `oamcycle.simulation.strict_pieces`
 returns for any window as a proof of the device's strict map there, with
@@ -93,33 +94,31 @@ def reference_apply_netlist(netlist, state, config):
     return result
 
 
-def reference_propagate(graph, packets, states, norm, config):
+def reference_propagate(graph, packets, norm, config):
     """What `oamcycle.simulation._propagate` returns for the same arguments,
-    by the breadth-first loop alone: per state its terminal sums keyed
-    ``(t, ell)``, or the first error its packets meet.  The hop budget is
-    read at call time, as the engine reads it."""
+    by the breadth-first loop alone: the terminal sums of one state, keyed
+    ``(t, ell)``, or the first error its packets meet, raised.  The hop
+    budget and the prune threshold are read from `oamcycle.simulation` at
+    call time, as the engine reads them."""
     nodes, wiring, terminals = graph.nodes, graph.wiring, graph.terminals
     strict = config.mode == STRICT
     budget = simulation.HOPS_PER_NODE * max(1, len(nodes))
-    errors = [None] * states
+    error = None
     # no cut at the first hop, since the packets given are routed as they are
-    cut, limit = PRUNE_THRESHOLD * norm, -1.0
-    landed = {}  # (state, ~terminal, ell), summed in the order packets arrive
+    cut, limit = simulation.PRUNE_THRESHOLD * norm, -1.0
+    landed = {}  # (~terminal, ell), summed in the order packets arrive
     if min(graph.entries.values(), default=0) < 0:  # an entry on a terminal lands at once
-        landed = {key: amp for key, amp in packets.items() if key[1] < 0}
-        packets = {key: amp for key, amp in packets.items() if key[1] >= 0}
+        landed = {key: amp for key, amp in packets.items() if key[0] < 0}
+        packets = {key: amp for key, amp in packets.items() if key[0] >= 0}
     hops = 0
     while packets:
         hops += 1
         if hops > budget:
-            for (s, _, _), amp in packets.items():
-                if abs(amp) > cut and errors[s] is None:
-                    errors[s] = HopBudgetExceeded(
-                        f"packets still in flight after {budget} node traversals"
-                    )
+            if error is None and any(abs(amp) > cut for amp in packets.values()):
+                error = HopBudgetExceeded(f"packets still in flight after {budget} node traversals")
             break
         staged = {}
-        for (s, slot, ell), amp in packets.items():
+        for (slot, ell), amp in packets.items():
             if not abs(amp) > limit:
                 continue
             element = nodes[slot >> 2]
@@ -129,8 +128,8 @@ def reference_propagate(graph, packets, states, norm, config):
                 if strict:
                     turns, rest = divmod(ell, k)
                     if rest:
-                        if errors[s] is None:
-                            errors[s] = NonMultipleMode(ell, k)
+                        if error is None:
+                            error = NonMultipleMode(ell, k)
                         continue
                     slot ^= turns & 1
                 else:
@@ -138,7 +137,7 @@ def reference_propagate(graph, packets, states, norm, config):
                     if cross:
                         dest = wiring[slot ^ 1]
                         into = staged if dest >= 0 else landed
-                        key = (s, dest, ell)
+                        key = (dest, ell)
                         into[key] = into.get(key, 0j) + cross * amp
                     if not stay:
                         continue
@@ -149,18 +148,18 @@ def reference_propagate(graph, packets, states, norm, config):
                 amp *= z_phase(element.d, ell)
             dest = wiring[slot]
             into = staged if dest >= 0 else landed
-            key = (s, dest, ell)
+            key = (dest, ell)
             into[key] = into.get(key, 0j) + amp
         packets = staged
         limit = cut
-    outs = [{} for _ in errors]
-    for (s, dest, ell), amp in landed.items():
-        if errors[s] is None:
-            if terminals[~dest] is None:
-                errors[s] = ValueError("a packet left the device through an unwired port")
-            else:
-                outs[s][~dest, ell] = amp
-    return [out if error is None else error for out, error in zip(outs, errors)]
+    out = {}
+    for (dest, ell), amp in landed.items():
+        if error is None and terminals[~dest] is None:
+            error = ValueError("a packet left the device through an unwired port")
+        out[~dest, ell] = amp
+    if error is not None:
+        raise error
+    return out
 
 
 def check_window_certificate(device, result, lo, hi):

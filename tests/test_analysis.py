@@ -103,39 +103,49 @@ def piece_ends(device, lo, hi):
     return {end for first, q, _, _ in pieces for end in (first, hi - (hi - first) % q)}
 
 
-def test_verify_runs_the_packet_loop_once_per_batch(monkeypatch):
+def record_probes(monkeypatch, image=lambda image: image):
+    """Record, per call of `_probes` by the re-check, the values it draws
+    from its domain, each as it is drawn, and return the list of calls.
+    Each image the packet engine yields is passed through *image*."""
+    calls = []
+    real = analysis._probes
+
+    def drawn(values, into):
+        for ell in values:
+            into.append(ell)
+            yield ell
+
+    def recording(device, values, config):
+        calls.append([])
+        for ell, got in real(device, drawn(values, calls[-1]), config):
+            yield ell, image(got)
+
+    monkeypatch.setattr(analysis, "_probes", recording)
+    return calls
+
+
+def test_verify_probes_each_piece_end_once(monkeypatch):
     # the strict window read routes classes into pieces; the re-check probes
-    # the first and last member of each piece, PROBE_BATCH to a run of the
-    # packet loop: 2, 7, 13 and 15 pieces, of which 2, 2, 5 and 3 have one
-    # member, so 2, 12, 21 and 27 values, one run each
-    runs = []
-    real = simulation._propagate
-
-    def counting(graph, packets, states, norm, config):
-        runs.append(states)
-        return real(graph, packets, states, norm, config)
-
-    monkeypatch.setattr(simulation, "_propagate", counting)
-    batch = simulation.PROBE_BATCH
-    for d, probes in ((2, 2), (batch, 12), (batch + 1, 21), (500, 27)):
-        runs.clear()
+    # the first and last member of each piece, in ascending order, in one
+    # call: 2, 7, 13 and 15 pieces, of which 2, 2, 5 and 3 have one member,
+    # so 2, 12, 21 and 27 values
+    calls = record_probes(monkeypatch)
+    for d, probes in ((2, 2), (64, 12), (65, 21), (500, 27)):
+        calls.clear()
         assert verify_gate(d).passed
-        assert runs == [probes]
-        assert len(piece_ends(synth_arbitrary(d), 0, d - 1)) == probes
+        assert calls == [sorted(piece_ends(synth_arbitrary(d), 0, d - 1))]
+        assert len(calls[0]) == probes
 
 
 @pytest.mark.parametrize("mode", ["strict", "physical"])
 def test_unit_probes_skip_the_general_readout(monkeypatch, mode):
-    # every probe of a correct gate lands as one packet of modulus exactly 1
-    # and is read off that packet: no pruning, norm check or rescale
-    runs, finished = [], []
-    propagate, finish = simulation._propagate, simulation._finish
-
-    def counting(graph, packets, states, norm, config):
-        runs.append(states)
-        return propagate(graph, packets, states, norm, config)
-
-    monkeypatch.setattr(simulation, "_propagate", counting)
+    # every probe of a correct gate is walked as one packet, never split onto
+    # the packet loop, and lands with modulus exactly 1; it is read off that
+    # packet: no pruning, norm check or rescale
+    loops, finished = [], []
+    finish = simulation._finish
+    calls = record_probes(monkeypatch)
+    monkeypatch.setattr(simulation, "_propagate", lambda *args: loops.append(args))
     monkeypatch.setattr(simulation, "_finish", lambda *args: finished.append(args) or finish(*args))
     config = SimulationConfig(mode=mode)
     assert verify_gate(257, config=config).passed
@@ -144,34 +154,23 @@ def test_unit_probes_skip_the_general_readout(monkeypatch, mode):
     for device in devices:
         assert len(discover_cycles(device, -4 * 257, 4 * 257, config)) == 4
     # in both modes: the ends of the 17 pieces of the gate window, then the
-    # ends of the pieces of each cycle window (leaking ones too), one run each
-    assert runs == [29, 36, 36]
+    # ends of the pieces of each cycle window (leaking ones too), one call each
+    assert [len(values) for values in calls] == [29, 36, 36]
     assert len(piece_ends(gate, 0, 256)) == 29
     for device in devices:
         assert len(piece_ends(device, -4 * 257, 4 * 257)) == 36
-    assert finished == []
+    assert loops == finished == []
 
 
 def shift_the_packet_engine(monkeypatch):
-    """Make the packet engine add 1 to the OAM value of every packet it lands,
-    and return the size of each of its runs, in a list that grows as it runs.
+    """Make the packet engine add 1 to the OAM value of every probe the
+    re-check reads on the output path, and return the values the re-check
+    probes, per call, in lists that grow as it probes.
 
     The window pass routes residue classes and, on a gate's own window, never
     runs the packet engine, so only the re-check sees the change.
     """
-    runs = []
-    real = simulation._propagate
-
-    def shifted(graph, packets, states, norm, config):
-        runs.append(states)
-        outs = real(graph, packets, states, norm, config)
-        return [
-            out if isinstance(out, Exception) else {(t, e + 1): amp for (t, e), amp in out.items()}
-            for out in outs
-        ]
-
-    monkeypatch.setattr(simulation, "_propagate", shifted)
-    return runs
+    return record_probes(monkeypatch, lambda image: None if image is None else image + 1)
 
 
 @pytest.mark.parametrize("mode", ["strict", "physical"])
@@ -184,14 +183,15 @@ def test_verify_recheck_catches_a_changed_gate(monkeypatch, mode):
         verify_gate(11, config=SimulationConfig(mode=mode))
 
 
-def test_verify_recheck_stops_at_the_first_differing_batch(monkeypatch):
+def test_verify_recheck_stops_at_the_first_differing_value(monkeypatch):
     # the strict re-check probes the 27 ends of the 15 pieces in ascending
-    # order, in one batch; it is compared as it lands, so the first value
-    # that differs raises, and no value-by-value read follows
-    runs = shift_the_packet_engine(monkeypatch)
+    # order; each is compared as it is probed, so the first value that
+    # differs raises, no value after it is probed, and no value-by-value
+    # read follows
+    calls = shift_the_packet_engine(monkeypatch)
     with pytest.raises(AssertionError, match=r"^\|0> -> 1 failed re-simulation \(got 2\)$"):
         verify_gate(500)
-    assert runs == [27]
+    assert calls == [[0]]
 
 
 def test_verify_reports_failures_instead_of_raising(monkeypatch):

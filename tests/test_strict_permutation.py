@@ -1,9 +1,9 @@
 """The residue-class engine against the packet engine: `window_permutation`
 must return, and raise, what probing the same window value by value does,
-in both modes.  So must `probe_permutation`, which sends the probes through
-the packet loop in batches, and the packet engine's walk of one-packet runs
-must return what the breadth-first loop of `reference_netlist` does, bit for
-bit."""
+in both modes.  So must `probe_permutation`, whose `_probes` walks each
+basis probe as one packet; that walk must read what the breadth-first loop
+of `reference_netlist` does, value by value and bit for bit, and the
+engine's loop must return what that reference loop does on any state."""
 
 import enum
 import math
@@ -13,14 +13,15 @@ from hypothesis import example, given, settings, strategies as st
 from reference_netlist import reference_propagate
 
 from oamcycle import simulation
-from oamcycle.elements import z_phase
+from oamcycle.elements import NonMultipleMode, z_phase
 from oamcycle.model import (
+    PRUNE_THRESHOLD,
     Hologram,
     Netlist,
     OamBeamSplitter,
     PathLabel,
     ZPlate,
-    _norm,
+    _image,
     extract_permutation,
     r_path,
     s_path,
@@ -28,7 +29,6 @@ from oamcycle.model import (
 from oamcycle.portgraph import PortGraph
 from oamcycle.simulation import (
     PHYSICAL,
-    PROBE_BATCH,
     STRICT,
     HopBudgetExceeded,
     NormDrift,
@@ -228,18 +228,17 @@ def test_physical_read_probes_only_split_values(monkeypatch, device, hi, images,
     assert probed == split
 
 
-# --- batched probes ------------------------------------------------------------------
+# --- probes ---------------------------------------------------------------------
 
 
 def domains():
-    """Windows up to three batches long, and value lists in any order, with repeats."""
+    """Windows of up to 192 values, and lists of up to 128 values in any
+    order, with repeats."""
     centre = st.one_of(
         st.integers(-120, 120), st.sampled_from([10**17, -(10**17), 2**60 + 3])
     )
-    window = st.tuples(centre, st.integers(0, 3 * PROBE_BATCH)).map(
-        lambda t: range(t[0], t[0] + t[1])
-    )
-    values = st.tuples(centre, st.lists(st.integers(-40, 40), max_size=2 * PROBE_BATCH)).map(
+    window = st.tuples(centre, st.integers(0, 192)).map(lambda t: range(t[0], t[0] + t[1]))
+    values = st.tuples(centre, st.lists(st.integers(-40, 40), max_size=128)).map(
         lambda t: [t[0] + k for k in t[1]]
     )
     return st.one_of(window, values)
@@ -247,186 +246,211 @@ def domains():
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(netlists(), folded_gates(), wired_graphs()), domains())
-def test_batched_probes_match_value_by_value_probes(device, domain):
+def test_probes_match_value_by_value_probes(device, domain):
     for mode in MODES:
         config = SimulationConfig(mode)
-        batched = outcome(lambda: probe_permutation(device, iter(domain), config))
-        assert batched == by_value(device, domain, config), mode
-
-
-@st.composite
-def superpositions(draw):
-    """Entry dicts of up to six components near one centre."""
-    centre = draw(st.integers(-60, 60))
-    keys = draw(
-        st.lists(st.tuples(st.sampled_from(PATHS), st.integers(-20, 20)), unique=True, max_size=6)
-    )
-    amps = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
-    return {(path, centre + k): draw(amps) for path, k in keys}
-
-
-# strict failures beside healthy states: a state whose two packets both
-# fail, one whose other packet lands, and one whose other packet loops
-# until the hop budget; each keeps the error its first failing packet met
-SPLIT_R0 = Netlist((OamBeamSplitter(2, R0, R1),), R0, R0, 2)
-SPLIT_LOOP = graph([OamBeamSplitter(2, R0, R1)], [0, ~1, ~0, ~0], {R0: 0})
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.one_of(netlists(), folded_gates(), wired_graphs()),
-    st.lists(superpositions(), max_size=6),
-    st.sampled_from([1.0, 1e-200, 1e200, 1e-17]),
-)
-@example(
-    SPLIT_R0, [{(R0, 1): 0.6, (R0, 3): 0.8}, {(R0, 0): 1.0}, {(R0, 5): 0.6, (R0, 4): 0.8}], 1e-17
-)
-@example(SPLIT_LOOP, [{(R0, 2): 1.0}, {(R0, 1): 0.6, (R0, 0): 0.8}], 1e200)
-def test_states_in_one_run_do_not_interact(device, states, norm):
-    def shown(results):
-        return [
-            (type(r), str(r)) if isinstance(r, Exception) else list(r.items()) for r in results
-        ]
-
-    def packets(batch):
-        # each component at its path's entry slot, tagged with its state;
-        # components on paths with no entry pass through outside the loop
-        keyed = {}
-        for s, state in enumerate(batch):
-            for (path, ell), amp in state.items():
-                slot = graph_of_device.entries.get(path)
-                if slot is not None:
-                    keyed[s, slot, ell] = keyed.get((s, slot, ell), 0j) + amp
-        return keyed
-
-    def at_norm(state):
-        # a state with no norm stays as it is: zero amplitudes scale to zero
-        own = _norm(state.values())
-        return {key: amp / own * norm for key, amp in state.items()} if own else state
-
-    graph_of_device = simulation._graph(device)
-    states = [at_norm(state) for state in states]
-    for mode in MODES:
-        config = SimulationConfig(mode)
-        together = simulation._propagate(
-            graph_of_device, packets(states), len(states), norm, config
-        )
-        alone = [
-            simulation._propagate(graph_of_device, packets([state]), 1, norm, config)[0]
-            for state in states
-        ]
-        assert shown(together) == shown(alone), mode
-
-
-def exact(results):
-    """Per state, the type and message of its error, or each terminal sum in
-    order with its parts as float hex, so that signed zeros and NaNs count."""
-    return [
-        (type(r), str(r)) if isinstance(r, Exception)
-        else [(key, amp.real.hex(), amp.imag.hex()) for key, amp in r.items()]
-        for r in results
-    ]
+        probed = outcome(lambda: probe_permutation(device, iter(domain), config))
+        assert probed == by_value(device, domain, config), mode
 
 
 PARTS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.6, -0.8, 5e-324, 1e-300, math.inf, math.nan]),
     st.floats(-2.0, 2.0),
 )
+ELLS = st.one_of(st.integers(-40, 40), st.sampled_from([10**17, -(10**17), 2**60 + 3]))
+DEVICES = st.one_of(netlists(), folded_gates(), wired_graphs())
+PER_NODE = st.sampled_from([1, 2, simulation.HOPS_PER_NODE])
+
+
+def landed(run):
+    """The terminal sums *run* returns, in order, with their parts as float
+    hex, so that signed zeros and NaNs count; or the type and message of the
+    error it raises."""
+    try:
+        out = run()
+    except (NonMultipleMode, *ERRORS) as exc:
+        return type(exc), str(exc)
+    return [(key, amp.real.hex(), amp.imag.hex()) for key, amp in out.items()]
 
 
 @st.composite
 def packet_runs(draw):
-    """``(graph, packets, states, norm, hops per node)`` for `_propagate`:
-    mostly one packet a state, at any entry slot (a terminal too), else 0 to
-    3 a state, with signed zeros, dust, infinities and NaNs among the
-    amplitude parts, and hop budgets that short routes reach."""
-    graph = simulation._graph(draw(st.one_of(netlists(), folded_gates(), wired_graphs())))
+    """``(graph, packets, norm, hops per node)`` for `_propagate`: one state
+    of up to six packets, at any entry slot (a terminal too), with signed
+    zeros, dust, infinities and NaNs among the amplitude parts, at norms that
+    make its packets dust or not, and hop budgets that short routes reach."""
+    graph = simulation._graph(draw(DEVICES))
     slots = st.sampled_from(sorted(graph.entries.values()))
-    ells = st.one_of(st.integers(-40, 40), st.sampled_from([10**17, -(10**17), 2**60 + 3]))
-    sizes = draw(st.one_of(st.lists(st.just(1), max_size=8), st.lists(st.integers(0, 3), max_size=6)))
     packets = {}
-    for s, size in enumerate(sizes):
-        for _ in range(size):
-            packets[s, draw(slots), draw(ells)] = complex(draw(PARTS), draw(PARTS))
+    for _ in range(draw(st.integers(0, 6))):
+        packets[draw(slots), draw(ELLS)] = complex(draw(PARTS), draw(PARTS))
     norm = draw(st.sampled_from([1.0, 0.0, 1e-17, 1e-200, 1e200]))
-    return graph, packets, len(sizes), norm, draw(st.sampled_from([1, 2, simulation.HOPS_PER_NODE]))
+    return graph, packets, norm, draw(PER_NODE)
 
 
-def run_of(device, packets, norm=1.0, per_node=simulation.HOPS_PER_NODE):
-    states = 1 + max((s for s, _, _ in packets), default=-1)
-    return simulation._graph(device), packets, states, norm, per_node
+# strict failures beside healthy packets: a state whose two packets both
+# fail, one whose other packet lands, and one whose other packet loops
+# until the hop budget; each raises the error its first failing packet met
+SPLIT_R0 = Netlist((OamBeamSplitter(2, R0, R1),), R0, R0, 2)
+SPLIT_LOOP = graph([OamBeamSplitter(2, R0, R1)], [0, ~1, ~0, ~0], {R0: 0})
+
+
+@settings(max_examples=300, deadline=None)
+@given(packet_runs())
+@example((simulation._graph(SPLIT_R0), {(0, 1): 0.6 + 0j, (0, 3): 0.8 + 0j}, 1e-17, 10))
+@example((simulation._graph(SPLIT_R0), {(0, 5): 0.6 + 0j, (0, 4): 0.8 + 0j}, 1.0, 10))
+@example((SPLIT_LOOP, {(0, 1): 0.6 + 0j, (0, 0): 0.8 + 0j}, 1e200, 10))
+@example((SPLIT_LOOP, {(0, 1): 0.6 + 0j, (0, 0): 0.8 + 0j}, 1.0, 10))
+@example((simulation._graph(SPLIT_R0), {(0, 2): 0.6 + 0j, (0, 4): 0.8 + 0j}, 1.0, 10))
+def test_the_packet_loop_matches_the_reference_loop(run):
+    graph_of_device, packets, norm, per_node = run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "HOPS_PER_NODE", per_node)
+        for mode in MODES:
+            config = SimulationConfig(mode)
+            want = landed(lambda: reference_propagate(graph_of_device, dict(packets), norm, config))
+            got = landed(lambda: simulation._propagate(graph_of_device, packets, norm, config))
+            assert got == want, mode
+
+
+def reference_probes(graph_of_device, values, config):
+    """What `simulation._probes` yields for *values*, read value by value:
+    each probe run alone by `reference_propagate`, its terminal sums named
+    by their labels and read through `simulation._finish`."""
+    source, target = graph_of_device.input_path, graph_of_device.output_path
+    entry = graph_of_device.entries.get(source)
+    for ell in values:
+        if entry is None:
+            yield ell, ell if source == target else None
+            continue
+        try:
+            out = reference_propagate(graph_of_device, {(entry, ell): 1.0 + 0j}, 1.0, config)
+        except NonMultipleMode:
+            yield ell, None
+            continue
+        named = {(graph_of_device.terminals[t], e): amp for (t, e), amp in out.items()}
+        yield ell, _image(simulation._finish(named, 1.0), target)
+
+
+@st.composite
+def probe_runs(draw):
+    """``(graph, values, hops per node, prune threshold)`` for `_probes`: up
+    to eight values, hop budgets that short routes reach, and prune
+    thresholds at which a probe's own packet, or one a plate scales by an
+    ulp, is dust."""
+    graph_of_device = simulation._graph(draw(DEVICES))
+    values = draw(st.lists(ELLS, max_size=8))
+    prune = draw(st.sampled_from([PRUNE_THRESHOLD, 1.0 - 2.0**-53, 1.0, 2.0]))
+    return graph_of_device, values, draw(PER_NODE), prune
+
+
+def probe_run(device, values, per_node=simulation.HOPS_PER_NODE, prune=PRUNE_THRESHOLD):
+    return simulation._graph(device), values, per_node, prune
 
 
 @settings(max_examples=400, deadline=None)
-@given(packet_runs())
-# physical: 1 splits at the order-2 splitter and goes to the loop, beside a walk
-@example(run_of(SPLIT_R0, {(0, 0, 1): 1 + 0j, (1, 0, 2): complex(-0.0, 1.0)}))
+@given(probe_runs())
+# physical: 1 splits at the order-2 splitter and goes to the loop, after a walk
+@example(probe_run(SPLIT_R0, [2, 1, 0]))
 # 0 loops on the splitter until the hop budget, above the cut and below it
-@example(run_of(SPLIT_LOOP, {(0, 0, 0): 0.6 + 0j, (1, 0, 2): -0.8 + 0j}))
-@example(run_of(SPLIT_LOOP, {(0, 0, 0): 1e-18 + 0j, (1, 0, 2): -0.0j}, 1e-17, 1))
+@example(probe_run(SPLIT_LOOP, [2, 0]))
+@example(probe_run(SPLIT_LOOP, [2, 0], 1, 2.0))
 # 3 is no multiple of 2; the entry on a terminal lands at once, as given
-@example(run_of(SPLIT_R0, {(0, 0, 3): 1 + 0j}))
-@example(run_of(graph([Hologram(R0, 1)], [~1, ~0, ~0, ~0], {R0: ~1}), {(0, ~1, 5): -0.0 - 0.0j}))
+@example(probe_run(SPLIT_R0, [3, 4]))
+@example(probe_run(graph([Hologram(R0, 1)], [~1, ~0, ~0, ~0], {R0: ~1}), [5], 1, 2.0))
+# no cut at the first hop: a probe lands after one hop above any threshold,
+# and is dust at the second
+@example(probe_run(Netlist((Hologram(R0, 1),), R0, R0, 2), [0], 10, 2.0))
+@example(probe_run(Netlist((Hologram(R0, 1), Hologram(R0, 1)), R0, R0, 2), [0], 10, 2.0))
+# physical: 2 crosses two order-1 splitters, and only each hop's sum from 0j
+# clears the signed zero the second crossing leaves
+@example(probe_run(Netlist((OamBeamSplitter(1, R0, R1),) * 2, R0, R0, 2), [2]))
+# a plate scales the packet to an ulp under 1, at or below one threshold
+@example(probe_run(Netlist((ZPlate(R0, 3), Hologram(R0, 1)), R0, R0, 3), [1], 10, 1.0 - 2.0**-53))
 # at one hop a node, a route of two hops through one node overruns the budget
-@example(run_of(graph([Hologram(R0, 1)], [2, ~0, ~1, ~0], {R0: 0}), {(0, 0, 0): 1 + 0j}, 1.0, 1))
+@example(probe_run(graph([Hologram(R0, 1)], [2, ~0, ~1, ~0], {R0: 0}), [0], 1))
+# an unwired exit
+@example(probe_run(graph([OamBeamSplitter(1, R0, R1)], [~1, ~0, ~0, ~0], {R0: 0}), [0, 1, 2]))
 # physical: 0 reaches the splitter as 1 at the second hop and splits, and its
 # crossing half overruns the budget of 3 at its fourth hop, counted from the
 # entry, not from the split
 @example(
-    run_of(
+    probe_run(
         graph(
             [Hologram(R0, 1), OamBeamSplitter(2, R0, R1), Hologram(R1, 1)],
             [4, ~0, ~0, ~0, ~1, 8, ~0, ~0, 10, ~0, ~2, ~0],
             {R0: 0},
             (None, R0, R1),
         ),
-        {(0, 0, 0): 1 + 0j},
-        1.0,
+        [0],
         1,
     )
 )
-# as many packets as states, but two in state 0 and none in state 1
-@example(
-    (simulation._graph(SPLIT_R0), {(0, 0, 2): 0.6 + 0j, (0, 0, 4): 0.8 + 0j}, 2, 1.0, 10)
-)
-def test_one_packet_runs_match_the_breadth_first_loop(run):
-    graph_of_device, packets, states, norm, per_node = run
+def test_walked_probes_match_the_breadth_first_loop(run):
+    graph_of_device, values, per_node, prune = run
+    finished = []
+    finish = simulation._finish
+
+    def recording(out, norm_in):
+        finished.append([(key, amp.real.hex(), amp.imag.hex()) for key, amp in out.items()])
+        return finish(out, norm_in)
+
+    def read(probes):
+        # the pairs yielded up to the error raised, if any, and each landing
+        # `_finish` read meanwhile, its parts as float hex
+        finished.clear()
+        yielded = []
+        try:
+            yielded.extend(probes)
+        except ERRORS as exc:
+            return yielded, (type(exc), str(exc)), finished[:]
+        return yielded, None, finished[:]
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulation, "HOPS_PER_NODE", per_node)
+        patch.setattr(simulation, "PRUNE_THRESHOLD", prune)
+        patch.setattr(simulation, "_finish", recording)
         for mode in MODES:
             config = SimulationConfig(mode)
-            want = reference_propagate(graph_of_device, dict(packets), states, norm, config)
-            got = simulation._propagate(graph_of_device, dict(packets), states, norm, config)
-            assert exact(got) == exact(want), mode
+            got = read(simulation._probes(graph_of_device, values, config))[:2]
+            assert got == read(reference_probes(graph_of_device, values, config))[:2], mode
+        # below a zero tolerance no landing is read off its packet: each goes
+        # through `_finish`, which shows its terminal sums bit for bit
+        patch.setattr(simulation, "NORM_TOLERANCE", -1.0)
+        for mode in MODES:
+            config = SimulationConfig(mode)
+            for ell in values:
+                got = read(simulation._probes(graph_of_device, [ell], config))
+                assert got == read(reference_probes(graph_of_device, [ell], config)), (mode, ell)
 
 
-def test_first_failure_in_a_later_batch(monkeypatch):
+def drawing(values, drawn):
+    """*values*, each appended to *drawn* as it is drawn."""
+    for ell in values:
+        drawn.append(ell)
+        yield ell
+
+
+def test_probing_stops_at_the_first_failure():
     # even values stay on x and map to themselves; odd ones cross to the y
-    # port, which feeds nothing.  The first batch maps whole, and the
-    # second run of the packet loop meets the failing value
+    # port, which feeds nothing.  The values before the failing one map
+    # whole, and no value after it is drawn
     open_y = graph([OamBeamSplitter(1, R0, R1)], [~1, ~0, ~0, ~0], {R0: 0})
-    evens = list(range(0, 2 * PROBE_BATCH, 2))
-    runs = []
-    real = simulation._propagate
-
-    def counting(graph, packets, states, norm, config):
-        runs.append(states)
-        return real(graph, packets, states, norm, config)
-
-    monkeypatch.setattr(simulation, "_propagate", counting)
+    evens = list(range(0, 128, 2))
+    drawn = []
     cases = (
-        ([1000, 1001, 1002], ValueError, 3),  # 1001 crosses to the unwired port
-        ([1000, True, 1001], TypeError, 1),  # 1000 is probed, True is no OAM value
-        ([1001, True], ValueError, 1),  # the earlier value decides
+        ([1000, 1001, 1002], ValueError, [1000, 1001]),  # 1001 crosses to the unwired port
+        ([1000, True, 1001], TypeError, [1000, True]),  # 1000 is probed, True is no OAM value
+        ([1001, True], ValueError, [1001]),  # the earlier value decides
     )
     for mode in MODES:
         config = SimulationConfig(mode)
         assert probe_permutation(open_y, evens, config) == {ell: ell for ell in evens}
         for tail, error, probed in cases:
-            runs.clear()
+            drawn.clear()
             with pytest.raises(error):
-                probe_permutation(open_y, evens + tail, config)
-            assert runs == [PROBE_BATCH, probed]
+                probe_permutation(open_y, drawing(evens + tail, drawn), config)
+            assert drawn == evens + probed
             assert outcome(lambda: probe_permutation(open_y, evens + tail, config)) == by_value(
                 open_y, evens + tail, config
             )
@@ -510,28 +534,24 @@ def test_int_enum_values_are_probed_and_keyed_as_given():
     assert typed(probe_permutation(plain, list(Charge))) == [(Charge, 0, Charge, 0)]
 
 
-def test_a_bool_is_rejected_where_it_stands(monkeypatch):
-    probed = []
-    real = simulation._propagate
-
-    def recording(graph, packets, states, norm, config):
-        probed.extend(ell for _, _, ell in packets)
-        return real(graph, packets, states, norm, config)
-
-    monkeypatch.setattr(simulation, "_propagate", recording)
+def test_a_bool_is_rejected_where_it_stands():
+    # the values before it are probed and yielded; no value after it is drawn
     gate = synth_arbitrary(5)
     for mode in MODES:
         config = SimulationConfig(mode)
         for bad in (True, False):
-            probed.clear()
+            yielded, drawn = [], []
             with pytest.raises(TypeError) as raised:
-                probe_permutation(gate, [0, Charge.HIGH, 2, bad, 3], config)
+                yielded.extend(
+                    simulation._probes(gate, drawing([0, Charge.HIGH, 2, bad, 3], drawn), config)
+                )
             assert str(raised.value) == f"OAM value must be int, got {bad}"
-            assert probed == [0, Charge.HIGH, 2]
-            probed.clear()
+            assert [ell for ell, _ in yielded] == [0, Charge.HIGH, 2]
+            assert drawn == [0, Charge.HIGH, 2, bad]
+            yielded, drawn = [], []
             with pytest.raises(TypeError):
-                probe_permutation(gate, [bad, 0], config)
-            assert probed == []
+                yielded.extend(simulation._probes(gate, drawing([bad, 0], drawn), config))
+            assert yielded == [] and drawn == [bad]
 
 
 def test_native_window_is_the_cyclic_shift():

@@ -39,7 +39,7 @@ from oamcycle.synthesis import (
     synth_variant,
 )
 from reference_netlist import check_certificate
-from test_analysis import piece_ends
+from test_analysis import piece_ends, record_probes
 from test_strict_permutation import MODES
 
 #: large dimensions and the number of pieces of each variant's window
@@ -182,20 +182,14 @@ def test_verify_reads_tampered_pieces_value_by_value(monkeypatch, d):
 def test_a_certified_broken_gate_is_not_probed_again(monkeypatch, mode, d):
     # the broken gate of the differential is certified and off the oracle: its
     # report is read from the map its pieces prove, so the packet engine sees
-    # the ends of its pieces, in one run, and no window value again
+    # the ends of its pieces, in ascending order, in one call, and no window
+    # value again
     variant, shift, device = gates(d)[-1]
     config = SimulationConfig(mode)
-    runs = []
-    propagate = simulation._propagate
-
-    def recording(graph, packets, states, norm, config):
-        runs.append(sorted(ell for _, _, ell in packets))
-        return propagate(graph, packets, states, norm, config)
-
     with monkeypatch.context() as patch:
-        patch.setattr(simulation, "_propagate", recording)
+        calls = record_probes(patch)
         report = verify_with(device, d, variant, shift, config)
-    assert runs == [sorted(piece_ends(device, shift, shift + d - 1))]
+    assert calls == [sorted(piece_ends(device, shift, shift + d - 1))]
     assert report == reference_verify_gate(d, variant, shift, config, device)
     assert not report.passed and not report.permutation_ok
 
