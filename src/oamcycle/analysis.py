@@ -11,7 +11,7 @@ import math
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import simulation
 from .model import Hologram, Netlist, OamBeamSplitter, PathLabel
@@ -372,6 +372,27 @@ class ScalingRow:
     bound: float | None
 
 
+def scaling_rows(d_min: int, d_max: int) -> Iterator[ScalingRow]:
+    """The rows of `scaling_table`, each made as it is drawn.
+
+    The range is checked at once; a row that breaks the tally/formula
+    identity or the bound raises when it is drawn.
+    """
+    if d_min < 2 or d_max < d_min:
+        raise ValueError(f"need 2 <= d_min <= d_max, got [{d_min}, {d_max}]")
+    return map(_scaling_row, range(d_min, d_max + 1))
+
+
+def _scaling_row(d: int) -> ScalingRow:
+    actual = count_beamsplitters(synth_arbitrary(d))
+    predicted, bound = predict_count(d)
+    if actual != predicted:
+        raise AssertionError(f"d={d}: tallied {actual} splitters, formula {predicted}")
+    if bound is not None and actual > bound:
+        raise AssertionError(f"d={d}: count {actual} exceeds bound {bound}")
+    return ScalingRow(d, actual, predicted, predict_simplified_count(d), naive_count(d), bound)
+
+
 def scaling_table(d_min: int, d_max: int) -> list[ScalingRow]:
     """Tally-vs-formula splitter counts for every dimension in [d_min, d_max].
 
@@ -379,28 +400,18 @@ def scaling_table(d_min: int, d_max: int) -> list[ScalingRow]:
     log bound; the tally/formula identity and the bound are asserted
     row by row.
     """
-    if d_min < 2 or d_max < d_min:
-        raise ValueError(f"need 2 <= d_min <= d_max, got [{d_min}, {d_max}]")
-    rows = []
-    for d in range(d_min, d_max + 1):
-        actual = count_beamsplitters(synth_arbitrary(d))
-        predicted, bound = predict_count(d)
-        if actual != predicted:
-            raise AssertionError(f"d={d}: tallied {actual} splitters, formula {predicted}")
-        if bound is not None and actual > bound:
-            raise AssertionError(f"d={d}: count {actual} exceeds bound {bound}")
-        rows.append(
-            ScalingRow(d, actual, predicted, predict_simplified_count(d), naive_count(d), bound)
-        )
-    return rows
+    return list(scaling_rows(d_min, d_max))
+
+
+def scaling_csv_lines(rows: Iterable[ScalingRow]) -> Iterator[str]:
+    """The lines of `scaling_csv`, newline included, the header first and
+    then one per row as it is drawn."""
+    yield "d,n_arb_actual,n_arb_predicted,n_s,naive,bound\n"
+    for row in rows:
+        bound = repr(row.bound) if row.bound is not None else ""
+        yield f"{row.d},{row.n_arb_actual},{row.n_arb_predicted},{row.n_s},{row.naive},{bound}\n"
 
 
 def scaling_csv(rows: list[ScalingRow]) -> str:
     """Render scaling rows as CSV, bounds written with full float precision."""
-    lines = ["d,n_arb_actual,n_arb_predicted,n_s,naive,bound"]
-    for row in rows:
-        bound = repr(row.bound) if row.bound is not None else ""
-        lines.append(
-            f"{row.d},{row.n_arb_actual},{row.n_arb_predicted},{row.n_s},{row.naive},{bound}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(scaling_csv_lines(rows))

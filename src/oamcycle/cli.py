@@ -14,7 +14,7 @@ import re
 import sys
 from pathlib import Path
 
-from .analysis import discover_cycles, scaling_csv, scaling_table, verify_gate
+from .analysis import discover_cycles, scaling_csv_lines, scaling_rows, verify_gate
 from .elements import NonMultipleMode
 from .model import ZeroState, normalize
 from .serialization import (
@@ -102,13 +102,14 @@ def _cmd_scaling(args) -> int:
             f"range [{args.min}, {args.max}] holds {args.max - args.min + 1} dimensions, "
             f"more than {MAX_WINDOW}"
         )
-    rows = scaling_table(args.min, args.max)
-    text = scaling_csv(rows)
+    # each row is written as it is made, so memory stays flat over the range
+    lines = scaling_csv_lines(scaling_rows(args.min, args.max))
     if args.csv:
-        Path(args.csv).write_text(text, encoding="utf-8")
-        print(f"wrote {len(rows)} rows to {args.csv}")
+        with open(args.csv, "w", encoding="utf-8") as out:
+            out.writelines(lines)
+        print(f"wrote {args.max - args.min + 1} rows to {args.csv}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Union, get_args
 
 from .elements import NonMultipleMode
@@ -23,7 +23,8 @@ PRUNE_THRESHOLD = 1e-15
 #: tolerance on |amplitude| - 1 when reading a permutation off a state
 PERMUTATION_AMPLITUDE_TOL = 1e-9
 
-_PATH_RE = re.compile(r"^([rs])([0-9]+)$")
+#: one spelling per label: no sign, no leading zero, nothing after the digits
+_PATH_RE = re.compile(r"([rs])(0|[1-9][0-9]*)")
 
 
 def _is_int(value) -> bool:
@@ -38,20 +39,34 @@ class ZeroState(Exception):
 
 @dataclass(frozen=True, order=True)
 class PathLabel:
-    """A beam path: family ``r`` (main rail) or ``s`` (side rail) plus index."""
+    """A beam path: family ``r`` (main rail) or ``s`` (side rail) plus index.
+
+    The hash is computed once, when the label is built, from ints only
+    (the index, and the family as 0/1), and stored.  A pickled or copied
+    label restores it from its stored state, which is valid in any
+    process, since no ``str`` hash (seeded per process) goes into it.
+    The engines hash labels at every dict lookup; synthesis hands each
+    device one shared object per label, so those lookups also match by
+    identity, though equality never depends on it.
+    """
 
     family: str
     index: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in ("r", "s"):
             raise ValueError(f"path family must be 'r' or 's', got {self.family!r}")
         if not _is_int(self.index) or self.index < 0:
             raise ValueError(f"path index must be a non-negative int, got {self.index!r}")
+        object.__setattr__(self, "_hash", hash((self.index, self.family == "s")))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def parse(cls, text: str) -> "PathLabel":
-        m = _PATH_RE.match(text)
+        m = _PATH_RE.fullmatch(text)
         if m is None:
             raise ValueError(f"invalid path label {text!r} (expected e.g. 'r0', 's2')")
         return cls(m.group(1), int(m.group(2)))

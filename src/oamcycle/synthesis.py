@@ -19,6 +19,12 @@ number of physical splitters.  The result is a port graph rather than a
 netlist, since the element sequence no longer describes the traversal
 order.
 
+Every device takes its path labels from one private table, one shared
+`PathLabel` object per path, each hashed once when it is made: threading
+and folding look labels up in dicts, and a shared label matches by
+identity there before any equality test runs.  Correctness never depends
+on it; a device of fresh equal labels behaves the same.
+
 The gate variants are decided here and nowhere else: `synth_variant`
 builds the element list a variant's document stores, and `device_for`
 turns a stored list into the device the variant names.
@@ -29,11 +35,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Element, Hologram, Netlist, OamBeamSplitter, ZPlate, _is_int, r_path, s_path
+from .model import Element, Hologram, Netlist, OamBeamSplitter, PathLabel, ZPlate, _is_int
 from .portgraph import PortGraph, contract_mirrors, netlist_to_portgraph
 
 #: the gate variants a document can name (see `synth_variant`)
 VARIANTS = ("standard", "simplified", "inverse", "shifted")
+
+
+#: the one label object per path that every synthesized device holds, one
+#: dict per family; it grows to the largest device's M + N rails, and a
+#: device holds more elements than that
+_LABELS: dict[str, dict[int, PathLabel]] = {"r": {}, "s": {}}
+
+
+def _shared(family: str, count: int) -> list[PathLabel]:
+    """The labels of *family* with indices 0..count-1, from `_LABELS`.
+
+    Two threads can at worst each make an equal label; `setdefault` keeps
+    one of them.
+    """
+    table = _LABELS[family]
+    return [table.get(i) or table.setdefault(i, PathLabel(family, i)) for i in range(count)]
 
 
 class InvalidDimension(Exception):
@@ -83,6 +105,7 @@ def _emit(d: int) -> list[tuple[Element, int | None]]:
     emitted, or with None when it mirrors none."""
     p = decompose(d)
     M, N, bits, prev = p.two_exp, p.nbits, p.bits, p.prev_one
+    r, s = _shared("r", M + N), _shared("s", N - 1)
     out: list[tuple[Element, int | None]] = []
     opened: list[int] = []  # forward elements whose mirror is still to come
     OPENS, CLOSES = 1, -1
@@ -94,42 +117,43 @@ def _emit(d: int) -> list[tuple[Element, int | None]]:
         out.append((element, opened.pop() if pair == CLOSES else None))
 
     for t in range(M):  # purple ladder, forward: the factor 2^M
-        emit(OamBeamSplitter(2**t, r_path(t), r_path(t + 1)), OPENS)
-        emit(Hologram(r_path(t + 1), -(2**t)), OPENS)
+        emit(OamBeamSplitter(2**t, r[t], r[t + 1]), OPENS)
+        emit(Hologram(r[t + 1], -(2**t)), OPENS)
     if N == 1:
-        emit(Hologram(r_path(M), -(2**M)))  # centre
+        emit(Hologram(r[M], -(2**M)))  # centre
     else:
         top = N - 1 + M  # the rung of both apexes
-        emit(OamBeamSplitter(2**M, r_path(M), s_path(0)))  # stage 0
-        emit(Hologram(s_path(0), 2**M), OPENS)
+        emit(OamBeamSplitter(2**M, r[M], s[0]))  # stage 0
+        emit(Hologram(s[0], 2**M), OPENS)
         for t in range(1, N - 1):  # blue ladder, forward: the digits of Q
-            emit(OamBeamSplitter(2 ** (t + M), r_path(prev[t] + M), r_path(t + M)), OPENS)
+            emit(OamBeamSplitter(2 ** (t + M), r[prev[t] + M], r[t + M]), OPENS)
             if bits[t]:
-                emit(Hologram(r_path(t + M), -(2 ** (t + M))), OPENS)
-        emit(OamBeamSplitter(2**top, r_path(prev[N - 1] + M), r_path(top)))  # blue apex
-        emit(Hologram(r_path(top), -(2**top)))
+                emit(Hologram(r[t + M], -(2 ** (t + M))), OPENS)
+        emit(OamBeamSplitter(2**top, r[prev[N - 1] + M], r[top]))  # blue apex
+        emit(Hologram(r[top], -(2**top)))
         for t in range(N - 2, 0, -1):  # blue ladder, backward
             if bits[t]:
-                emit(Hologram(r_path(t + M), 2 ** (t + M)), CLOSES)
-            emit(OamBeamSplitter(2 ** (t + M), r_path(prev[t] + M), r_path(t + M)), CLOSES)
+                emit(Hologram(r[t + M], 2 ** (t + M)), CLOSES)
+            emit(OamBeamSplitter(2 ** (t + M), r[prev[t] + M], r[t + M]), CLOSES)
         for t in range(1, N - 1):  # green ladder, forward
-            emit(OamBeamSplitter(2 ** (t + M), s_path(0), s_path(t)), OPENS)
-        emit(OamBeamSplitter(2**top, r_path(top), s_path(0)))  # green apex
+            emit(OamBeamSplitter(2 ** (t + M), s[0], s[t]), OPENS)
+        emit(OamBeamSplitter(2**top, r[top], s[0]))  # green apex
         for t in range(N - 2, 0, -1):  # green ladder, backward
-            emit(OamBeamSplitter(2 ** (t + M), r_path(top), s_path(t)), CLOSES)
-        emit(Hologram(r_path(top), -(2**M)), CLOSES)  # closing: mirrors stage 0's hologram
-        emit(OamBeamSplitter(2**M, r_path(M), r_path(top)))  # merger
+            emit(OamBeamSplitter(2 ** (t + M), r[top], s[t]), CLOSES)
+        emit(Hologram(r[top], -(2**M)), CLOSES)  # closing: mirrors stage 0's hologram
+        emit(OamBeamSplitter(2**M, r[M], r[top]))  # merger
     for t in range(M - 1, -1, -1):  # purple ladder, backward
-        emit(Hologram(r_path(t + 1), 2**t), CLOSES)
-        emit(OamBeamSplitter(2**t, r_path(t), r_path(t + 1)), CLOSES)
-    emit(Hologram(r_path(0), 1))
+        emit(Hologram(r[t + 1], 2**t), CLOSES)
+        emit(OamBeamSplitter(2**t, r[t], r[t + 1]), CLOSES)
+    emit(Hologram(r[0], 1))
     return out
 
 
 def synth_arbitrary(d: int) -> Netlist:
     """Netlist cycling OAM values 0..d-1 by +1 (mod d) on path r0."""
     elements = tuple([element for element, _ in _emit(d)])
-    return Netlist(elements, r_path(0), r_path(0), d)
+    r0 = _shared("r", 1)[0]
+    return Netlist(elements, r0, r0, d)
 
 
 def synth_odd(d: int) -> Netlist:

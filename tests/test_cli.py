@@ -314,7 +314,7 @@ def test_scaling_rejects_oversized_range(capsys, monkeypatch):
     assert "error:" in captured.err and "more than 1048576" in captured.err
     assert captured.out == ""
     # a range of exactly 2**20 dimensions is accepted
-    monkeypatch.setattr(cli, "scaling_table", lambda lo, hi: [])
+    monkeypatch.setattr(cli, "scaling_rows", lambda lo, hi: [])
     assert main(["scaling", "--min", "3", "--max", str(2 + 2**20)]) == 0
     assert main(["scaling", "--min", "3", "--max", str(3 + 2**20)]) == 2
 

@@ -1,11 +1,18 @@
 """Sparse states, path labels, netlist invariants, permutation extraction."""
 
 import cmath
+import copy
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import oamcycle
 from oamcycle.model import (
     Hologram,
     ModeVector,
@@ -34,7 +41,9 @@ def test_path_parse_roundtrip(text):
     assert str(PathLabel.parse(text)) == text
 
 
-@pytest.mark.parametrize("text", ["q0", "R0", "r-1", "r", "0", "", "r0x", "rr1"])
+@pytest.mark.parametrize(
+    "text", ["q0", "R0", "r-1", "r", "0", "", "r0x", "rr1", "r01", "s00", "r0\n"]
+)
 def test_path_parse_rejects(text):
     with pytest.raises(ValueError):
         PathLabel.parse(text)
@@ -52,6 +61,58 @@ def test_path_family_validation():
 
 def test_paths_sort_r_before_s():
     assert sorted([S0, R1, R0]) == [R0, R1, S0]
+
+
+@pytest.mark.parametrize("family, index", [("r", 0), ("s", 7), ("r", 2**70 + 1)])
+def test_equal_labels_hash_alike_however_made(family, index):
+    make = r_path if family == "r" else s_path
+    label = PathLabel(family, index)
+    made = [
+        make(index),
+        PathLabel.parse(f"{family}{index}"),
+        copy.deepcopy(label),
+        pickle.loads(pickle.dumps(label)),
+    ]
+    table, members = {label: "found"}, {label}
+    for other in made:
+        assert other == label and hash(other) == hash(label)
+        assert table[other] == "found" and other in members
+        assert {other: 1} == {label: 1}
+    assert repr(label) == f"PathLabel(family={family!r}, index={index})"
+
+
+def test_no_subclass_tuple_or_str_equals_a_label():
+    class Sub(PathLabel):
+        pass
+
+    for other in (Sub("s", 7), ("s", 7), "s7"):
+        assert S0 != other and s_path(7) != other and other != s_path(7)
+
+
+#: a child process prints a pickled label and the hash of a str
+PICKLE_A_LABEL = (
+    "import pickle; from oamcycle.model import s_path; "
+    "print(pickle.dumps(s_path(7)).hex(), hash('s7'))"
+)
+
+
+def test_a_label_pickled_under_another_hash_seed_finds_its_key():
+    # the stored hash is restored as pickled, so a hash seeded per process
+    # (any str hash) would be the child's, and miss this process's key
+    src = str(Path(oamcycle.__file__).parents[1])
+    table = {s_path(7): "found"}
+    seeded_apart = 0
+    for seed in ("1", "2"):  # one of the two, at least, is not this process's seed
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", PICKLE_A_LABEL], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        data, str_hash = done.stdout.split()
+        label = pickle.loads(bytes.fromhex(data))
+        assert table[label] == "found" and label in set(table)
+        seeded_apart += int(str_hash) != hash("s7")
+    assert seeded_apart
 
 
 # --- mode vectors -----------------------------------------------------------

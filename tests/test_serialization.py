@@ -198,6 +198,9 @@ def test_parse_schema_version_mismatch():
         lambda t: _swap_first_hologram(t, '"kind": "PLATE", "d": 3, "paths": ["s0", "x"]'),
         lambda t: t.replace('["r0", "s0"]', '[0, "r1"]', 1),
         lambda t: t.replace('["r0", "s0"]', "[null]", 1),
+        # each label has one spelling: no leading zero, no trailing newline
+        lambda t: t.replace('"input_path": "r0"', '"input_path": "r00"'),
+        lambda t: t.replace('["r0", "s0"]', '["r0", "s0\\n"]', 1),
     ],
 )
 def test_parse_rejects_mangled_documents(mangle):

@@ -1,11 +1,16 @@
 """Netlist construction, count formulas, shift/invert/fold transforms."""
 
 import math
+from unittest import mock
 
 import pytest
 
-from oamcycle.model import Hologram, Netlist, OamBeamSplitter, ZPlate, r_path, s_path
+from oamcycle import analysis
+from oamcycle.analysis import verify_gate
+from oamcycle.model import Hologram, Netlist, OamBeamSplitter, ZPlate, element_paths, r_path, s_path
 from oamcycle.portgraph import PortGraph
+from oamcycle.serialization import parse, serialize
+from oamcycle.simulation import _graph
 from oamcycle.synthesis import (
     VARIANTS,
     InvalidDimension,
@@ -379,3 +384,42 @@ def test_device_for_folds_only_the_simplified_variant():
             assert device == simplify(net)
         else:
             assert device is net
+
+
+# --- shared path labels ----------------------------------------------------------------
+
+
+def _labels(device):
+    """Every label *device* holds: its element ports, its input and output
+    path, and for a port graph its entries and terminals."""
+    nodes = device.nodes if isinstance(device, PortGraph) else device.elements
+    labels = [path for element in nodes for path in element_paths(element)]
+    labels += [device.input_path, device.output_path]
+    if isinstance(device, PortGraph):
+        labels += [*device.entries, *device.terminals[1:]]
+    return labels
+
+
+@pytest.mark.parametrize("d", [2, 3, 12, 4096, 2**64 + 13])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_device_holds_one_object_per_label(variant, d):
+    shift = -5 if variant == "shifted" else 0
+    netlist = synth_variant(d, variant, shift)
+    device = device_for(netlist, variant)
+    graph = _graph(device)
+    shared = {}
+    for label in _labels(device) + _labels(graph):
+        assert shared.setdefault(label, label) is label, label
+    # and one object per label across devices
+    assert shared[R(0)] is synth_arbitrary(5).input_path
+    # a device rebuilt from fresh equal labels threads and verifies alike
+    fresh = parse(serialize(netlist, variant_name(variant, shift))).netlist
+    assert fresh == netlist
+    assert not set(map(id, _labels(fresh))) & set(map(id, shared.values()))
+    rebuilt = _graph(device_for(fresh, variant))
+    assert rebuilt.wiring == graph.wiring
+    assert list(rebuilt.entries.items()) == list(graph.entries.items())
+    assert rebuilt.terminals == graph.terminals
+    with mock.patch.object(analysis, "synth_variant", lambda *args: fresh):
+        report = verify_gate(d, variant, shift)
+    assert report == verify_gate(d, variant, shift) and report.passed
