@@ -84,6 +84,23 @@ def _check_paths(what: str, paths: Iterable) -> None:
             raise ValueError(f"{what} must be PathLabel, got {path!r}")
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass *cls* holding *fields* as given.
+
+    ``__post_init__`` does not run, so nothing is checked or copied.  Give
+    every field of *cls*, each valid by construction: an element
+    `synthesis` emits, or a `Netlist` or `PortGraph` the engine builds
+    from a device already checked.  Public constructors keep every check.
+    """
+    instance = object.__new__(cls)
+    # one field at a time, as the dataclass's own __init__ sets them: filled
+    # through ``__dict__`` at once, an element's fields read about a sixth
+    # slower on CPython 3.11, and the engines' hop loops read them per hop
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    return instance
+
+
 def r_path(index: int) -> PathLabel:
     return PathLabel("r", index)
 

@@ -19,7 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import Element, Netlist, PathLabel, _check_kinds, _check_paths, _is_int, element_paths
+from .model import (
+    Element,
+    Netlist,
+    PathLabel,
+    _check_kinds,
+    _check_paths,
+    _is_int,
+    _unchecked,
+    element_paths,
+)
 
 #: slot bit of the ports that traverse an element backwards; bit 0 is the side
 BACKWARD = 2
@@ -42,6 +51,11 @@ class PortGraph:
     copies of the tables it is given.  Raises TypeError for a
     node that is not one of the three element classes, and ValueError for
     tables the engines cannot index or a path that is not a PathLabel.
+
+    The engine's own builders, `netlist_to_portgraph` and
+    `contract_mirrors`, skip these checks and copies: they write fresh
+    tables from a netlist or graph that was checked when it was built,
+    and every slot they write is in range by construction.
     """
 
     nodes: tuple[Element, ...]
@@ -109,8 +123,9 @@ def netlist_to_portgraph(netlist: Netlist) -> PortGraph:
             open_out[path] = slot
     for t, source in enumerate(open_out.values(), start=1):
         wiring[source] = ~t
-    return PortGraph(
-        nodes=tuple(netlist.elements),
+    return _unchecked(
+        PortGraph,
+        nodes=netlist.elements,
         wiring=tuple(wiring),
         entries=entries,
         terminals=(None, *open_out),
@@ -145,7 +160,8 @@ def contract_mirrors(graph: PortGraph, pairs: Mapping[int, int]) -> PortGraph:
     for source, target in enumerate(graph.wiring):
         if target != UNWIRED:
             wiring[move(source)] = move(target)
-    return PortGraph(
+    return _unchecked(
+        PortGraph,
         nodes=tuple([graph.nodes[i] for i in kept]),
         wiring=tuple(wiring),
         entries={path: move(slot) for path, slot in graph.entries.items()},

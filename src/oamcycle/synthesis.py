@@ -17,7 +17,19 @@ and `simplify` folds each such pair onto its forward partner, re-routing
 the light backwards through the kept element, which roughly halves the
 number of physical splitters.  The result is a port graph rather than a
 netlist, since the element sequence no longer describes the traversal
-order.
+order.  `synth_arbitrary` keeps the pairs its emitter recorded on the
+netlist it returns, beside the fields, so folding that netlist emits
+nothing again; any other netlist is compared with the emitted layout
+first.
+
+Synthesis builds its own elements and netlists unchecked (`_unchecked`),
+since each field is valid by construction and the public constructors'
+checks would only repeat what the builder knows: the elements `_emit`
+places, and the netlists `synth_arbitrary`, `invert` and `shifted_gate`
+return, each made of elements already checked or emitted.  A value a
+caller chose still meets a public constructor: `shifted_gate`'s two
+holograms carry the caller's shift, and `invert` negates the charges of
+the caller's holograms.
 
 Every device takes its path labels from one private table, one shared
 `PathLabel` object per path, each hashed once when it is made: threading
@@ -35,7 +47,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Element, Hologram, Netlist, OamBeamSplitter, PathLabel, ZPlate, _is_int
+from .model import (
+    Element,
+    Hologram,
+    Netlist,
+    OamBeamSplitter,
+    PathLabel,
+    ZPlate,
+    _is_int,
+    _unchecked,
+)
 from .portgraph import PortGraph, contract_mirrors, netlist_to_portgraph
 
 #: the gate variants a document can name (see `synth_variant`)
@@ -99,6 +120,18 @@ def decompose(d: int) -> SynthesisParams:
     return SynthesisParams(d, two_exp, odd, nbits, bits, prev_one)
 
 
+def _splitter(m: int, port_x: PathLabel, port_y: PathLabel) -> OamBeamSplitter:
+    """A splitter `_emit` places, built unchecked: its order is a power of
+    two, its ports are shared labels, and no rung joins a rail to itself."""
+    return _unchecked(OamBeamSplitter, m=m, port_x=port_x, port_y=port_y)
+
+
+def _hologram(path: PathLabel, v: int) -> Hologram:
+    """A hologram `_emit` places, built unchecked: its charge is an int and
+    its path a shared label."""
+    return _unchecked(Hologram, path=path, v=v)
+
+
 def _emit(d: int) -> list[tuple[Element, int | None]]:
     """Element sequence for dimension d, each element paired with the index
     of the forward element it mirrors, recorded as the backward element is
@@ -117,43 +150,58 @@ def _emit(d: int) -> list[tuple[Element, int | None]]:
         out.append((element, opened.pop() if pair == CLOSES else None))
 
     for t in range(M):  # purple ladder, forward: the factor 2^M
-        emit(OamBeamSplitter(2**t, r[t], r[t + 1]), OPENS)
-        emit(Hologram(r[t + 1], -(2**t)), OPENS)
+        emit(_splitter(2**t, r[t], r[t + 1]), OPENS)
+        emit(_hologram(r[t + 1], -(2**t)), OPENS)
     if N == 1:
-        emit(Hologram(r[M], -(2**M)))  # centre
+        emit(_hologram(r[M], -(2**M)))  # centre
     else:
         top = N - 1 + M  # the rung of both apexes
-        emit(OamBeamSplitter(2**M, r[M], s[0]))  # stage 0
-        emit(Hologram(s[0], 2**M), OPENS)
+        emit(_splitter(2**M, r[M], s[0]))  # stage 0
+        emit(_hologram(s[0], 2**M), OPENS)
         for t in range(1, N - 1):  # blue ladder, forward: the digits of Q
-            emit(OamBeamSplitter(2 ** (t + M), r[prev[t] + M], r[t + M]), OPENS)
+            emit(_splitter(2 ** (t + M), r[prev[t] + M], r[t + M]), OPENS)
             if bits[t]:
-                emit(Hologram(r[t + M], -(2 ** (t + M))), OPENS)
-        emit(OamBeamSplitter(2**top, r[prev[N - 1] + M], r[top]))  # blue apex
-        emit(Hologram(r[top], -(2**top)))
+                emit(_hologram(r[t + M], -(2 ** (t + M))), OPENS)
+        emit(_splitter(2**top, r[prev[N - 1] + M], r[top]))  # blue apex
+        emit(_hologram(r[top], -(2**top)))
         for t in range(N - 2, 0, -1):  # blue ladder, backward
             if bits[t]:
-                emit(Hologram(r[t + M], 2 ** (t + M)), CLOSES)
-            emit(OamBeamSplitter(2 ** (t + M), r[prev[t] + M], r[t + M]), CLOSES)
+                emit(_hologram(r[t + M], 2 ** (t + M)), CLOSES)
+            emit(_splitter(2 ** (t + M), r[prev[t] + M], r[t + M]), CLOSES)
         for t in range(1, N - 1):  # green ladder, forward
-            emit(OamBeamSplitter(2 ** (t + M), s[0], s[t]), OPENS)
-        emit(OamBeamSplitter(2**top, r[top], s[0]))  # green apex
+            emit(_splitter(2 ** (t + M), s[0], s[t]), OPENS)
+        emit(_splitter(2**top, r[top], s[0]))  # green apex
         for t in range(N - 2, 0, -1):  # green ladder, backward
-            emit(OamBeamSplitter(2 ** (t + M), r[top], s[t]), CLOSES)
-        emit(Hologram(r[top], -(2**M)), CLOSES)  # closing: mirrors stage 0's hologram
-        emit(OamBeamSplitter(2**M, r[M], r[top]))  # merger
+            emit(_splitter(2 ** (t + M), r[top], s[t]), CLOSES)
+        emit(_hologram(r[top], -(2**M)), CLOSES)  # closing: mirrors stage 0's hologram
+        emit(_splitter(2**M, r[M], r[top]))  # merger
     for t in range(M - 1, -1, -1):  # purple ladder, backward
-        emit(Hologram(r[t + 1], 2**t), CLOSES)
-        emit(OamBeamSplitter(2**t, r[t], r[t + 1]), CLOSES)
-    emit(Hologram(r[0], 1))
+        emit(_hologram(r[t + 1], 2**t), CLOSES)
+        emit(_splitter(2**t, r[t], r[t + 1]), CLOSES)
+    emit(_hologram(r[0], 1))
     return out
+
+
+def _pairs(emitted: list[tuple[Element, int | None]]) -> dict[int, int]:
+    """The mirror pairs of an `_emit` list, as `contract_mirrors` takes them."""
+    return {i: mirrored for i, (_, mirrored) in enumerate(emitted) if mirrored is not None}
 
 
 def synth_arbitrary(d: int) -> Netlist:
     """Netlist cycling OAM values 0..d-1 by +1 (mod d) on path r0."""
-    elements = tuple([element for element, _ in _emit(d)])
+    emitted = _emit(d)
     r0 = _shared("r", 1)[0]
-    return Netlist(elements, r0, r0, d)
+    netlist = _unchecked(
+        Netlist,
+        elements=tuple([element for element, _ in emitted]),
+        input_path=r0,
+        output_path=r0,
+        dimension=d,
+    )
+    # kept beside the fields, as `simulation._graph` keeps the port graph,
+    # so that `simplify` folds this netlist without emitting it again
+    object.__setattr__(netlist, "_mirror_pairs", _pairs(emitted))
+    return netlist
 
 
 def synth_odd(d: int) -> Netlist:
@@ -210,12 +258,19 @@ def shifted_gate(netlist: Netlist, m: int) -> Netlist:
     """
     if m == 0:
         return netlist
+    # the public constructor checks the charge, which the caller chose
     elements = (
         (Hologram(netlist.input_path, -m),)
         + netlist.elements
         + (Hologram(netlist.output_path, m),)
     )
-    return Netlist(elements, netlist.input_path, netlist.output_path, netlist.dimension)
+    return _unchecked(
+        Netlist,
+        elements=elements,
+        input_path=netlist.input_path,
+        output_path=netlist.output_path,
+        dimension=netlist.dimension,
+    )
 
 
 def invert(netlist: Netlist) -> Netlist:
@@ -233,8 +288,12 @@ def invert(netlist: Netlist) -> Netlist:
             raise ValueError("cannot invert a netlist containing phase plates")
         else:
             inverted.append(element)
-    return Netlist(
-        tuple(inverted), netlist.output_path, netlist.input_path, netlist.dimension
+    return _unchecked(
+        Netlist,
+        elements=tuple(inverted),
+        input_path=netlist.output_path,
+        output_path=netlist.input_path,
+        dimension=netlist.dimension,
     )
 
 
@@ -247,13 +306,21 @@ def simplify(netlist: Netlist) -> PortGraph:
     as it emits each backward element, so only netlists that are element-
     for-element the standard layout for their dimension can be folded;
     anything else (shifted, inverted, hand-edited) raises NotSimplifiable.
+
+    A netlist from `synth_arbitrary` carries the pairs its emitter
+    recorded, and is folded by them at once.  Any other netlist, a parsed
+    document among them, is compared element by element with the layout
+    `_emit` writes for its dimension, and folded by that layout's pairs.
+    Both routes give equal graphs.
     """
-    if netlist.dimension < 2:
-        raise NotSimplifiable("the d=1 identity netlist has nothing to fold")
-    emitted = _emit(netlist.dimension)
-    if tuple([element for element, _ in emitted]) != netlist.elements:
-        raise NotSimplifiable(f"netlist is not the standard d={netlist.dimension} layout")
-    pairs = {i: mirrored for i, (_, mirrored) in enumerate(emitted) if mirrored is not None}
+    pairs = netlist.__dict__.get("_mirror_pairs")
+    if pairs is None:
+        if netlist.dimension < 2:
+            raise NotSimplifiable("the d=1 identity netlist has nothing to fold")
+        emitted = _emit(netlist.dimension)
+        if tuple([element for element, _ in emitted]) != netlist.elements:
+            raise NotSimplifiable(f"netlist is not the standard d={netlist.dimension} layout")
+        pairs = _pairs(emitted)
     return contract_mirrors(netlist_to_portgraph(netlist), pairs)
 
 

@@ -1,11 +1,13 @@
 """Netlist construction, count formulas, shift/invert/fold transforms."""
 
+import json
 import math
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 
-from oamcycle import analysis
+from oamcycle import analysis, synthesis
 from oamcycle.analysis import verify_gate
 from oamcycle.model import Hologram, Netlist, OamBeamSplitter, ZPlate, element_paths, r_path, s_path
 from oamcycle.portgraph import PortGraph
@@ -245,6 +247,16 @@ def test_shifted_gate_negative():
     assert shifted.elements[0].v == 4 and shifted.elements[-1].v == -4
 
 
+def test_shifted_gate_checks_the_charges_it_is_given():
+    # the holograms a shift adds meet the public constructor: -1.5 fails
+    # on the input side, and True (whose negation is the int -1) on the output
+    net = synth_arbitrary(7)
+    for m, text in ((1.5, "got -1.5"), (True, "got True"), (-2.5, "got 2.5")):
+        with pytest.raises(ValueError) as raised:
+            shifted_gate(net, m)
+        assert str(raised.value) == f"hologram charge must be an int, {text}"
+
+
 # --- inversion ---------------------------------------------------------------------
 
 
@@ -302,6 +314,57 @@ def test_simplify_rejects_non_standard_layouts():
     hand_rolled = Netlist((H(R(0), 1),), R(0), R(0), 2)
     with pytest.raises(NotSimplifiable):
         simplify(hand_rolled)
+    # parsed documents carry no mirror pairs, so each is compared with the
+    # standard layout: one charge flipped, one element gone, another dimension
+    doc = json.loads(serialize(synth_arbitrary(10)))
+    holograms = [i for i, el in enumerate(doc["elements"]) if el["kind"] == "HOLOG"]
+    flipped, removed, redimensioned = (json.loads(json.dumps(doc)) for _ in range(3))
+    flipped["elements"][holograms[1]]["v"] *= -1
+    del removed["elements"][1]
+    redimensioned["dimension"] = 12
+    for edited in (flipped, removed, redimensioned):
+        netlist = parse(json.dumps(edited)).netlist
+        with pytest.raises(NotSimplifiable):
+            simplify(netlist)
+
+
+def rebuilt(device):
+    """*device* built again through the public constructors, each element
+    too, so that every check runs on every field it holds."""
+    if isinstance(device, PortGraph):
+        return replace(device, nodes=tuple(map(replace, device.nodes)))
+    return replace(device, elements=tuple(map(replace, device.elements)))
+
+
+def check_devices(d, shift):
+    """Assert that each variant's netlist at d, its device and the port graph
+    the engines run, all built unchecked, equal their checked rebuilds, the
+    shifted variant on the window starting at *shift*."""
+    for variant in VARIANTS:
+        netlist = synth_variant(d, variant, shift if variant == "shifted" else 0)
+        device = device_for(netlist, variant)
+        for built in (netlist, device, _graph(device)):
+            assert rebuilt(built) == built, (d, variant, type(built).__name__)
+
+
+def test_unchecked_devices_equal_their_checked_rebuilds():
+    for d in (*range(2, 301), 2**64 + 13, 2**256 - 1):
+        check_devices(d, -d - 3)
+        # the stored pairs fold as the comparison with the emitted layout does
+        net = synth_arbitrary(d)
+        parsed = parse(serialize(net)).netlist
+        assert "_mirror_pairs" not in vars(parsed)
+        assert simplify(net) == simplify(parsed), d
+
+
+def test_simplify_of_a_synthesized_netlist_emits_nothing():
+    net = synth_arbitrary(500)
+    parsed = parse(serialize(net)).netlist
+    with mock.patch.object(synthesis, "_emit", side_effect=AssertionError("emitted")):
+        graph = simplify(net)
+        with pytest.raises(AssertionError, match="emitted"):
+            simplify(parsed)
+    assert graph == simplify(parsed)
 
 
 def test_simplify_folds_have_backward_wires():
