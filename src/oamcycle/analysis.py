@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import simulation
-from .model import Hologram, Netlist, OamBeamSplitter, PathLabel
+from .model import Hologram, Netlist, OamBeamSplitter
 from .portgraph import BACKWARD, PortGraph
 from .simulation import (
     DEFAULT_CONFIG,
@@ -27,6 +27,7 @@ from .simulation import (
     _PieceMap,
     _probes,
     _steps,
+    _Window,
     strict_pieces,
 )
 from .synthesis import (
@@ -113,24 +114,24 @@ def verify_gate(
     violations: list[str] = []
     graph = _graph(device)
     lo, hi = shift, shift + d - 1
-    routed = strict_pieces(graph, lo, hi)
+    window = _Window(lo, hi, *strict_pieces(graph, lo, hi))
     mapping: Mapping[int, int] = {}
-    if _certified(graph, routed, lo, hi, config):
-        mapping = _PieceMap(routed[0], lo, hi, graph.output_path)
-        violations = _off_oracle(graph, routed[0], lo, hi, step)
+    if _certified(graph, window, config):
+        mapping = _PieceMap(window, graph.output_path)
+        violations = _off_oracle(graph, window, step)
         if violations and d <= MAX_WINDOW:
-            violations = _misses(_expand(graph, routed, lo, hi, config), lo, hi, step)
+            violations = _misses(_expand(graph, window, config), lo, hi, step)
     elif d <= MAX_WINDOW:
         domain = range(lo, hi + 1)
         try:
-            read = _expand(graph, routed, lo, hi, config)
+            read = _expand(graph, window, config)
             _resimulate(graph, domain, map(read.get, domain), config)
             mapping = read
         except (NormDrift, HopBudgetExceeded) as exc:
             violations.append(f"simulation failed: {exc}")
         violations += _misses(mapping, lo, hi, step)
     else:
-        violations.append(_unproven(routed, lo, hi))
+        violations.append(_unproven(window))
     # the window read maps only window values, so no violation means equality
     permutation_ok = not violations
 
@@ -154,29 +155,24 @@ def verify_gate(
     )
 
 
-def _off_oracle(
-    graph: PortGraph,
-    pieces: list[tuple[int, int, int, PathLabel]],
-    lo: int,
-    hi: int,
-    step: int,
-) -> list[str]:
-    """A violation for each of *pieces*, of the gate window [lo, hi] of
-    *graph*, that does not reach the output path, or does not lie inside
-    one of the oracle's two affine pieces (``+step`` on the window and
-    the one wrap value) with its offset: its residue class, its member
-    count, and its offset against the oracle's.  With none, pieces that
-    `_certified` proves shift the window by *step* (+1 or -1) mod its
-    size."""
+def _off_oracle(graph: PortGraph, window: _Window, step: int) -> list[str]:
+    """A violation for each piece of the gate *window* of *graph* that does
+    not reach the output path, or does not lie inside one of the oracle's
+    two affine pieces (``+step`` on the window and the one wrap value) with
+    its offset: its residue class, its member count, and its offset
+    against the oracle's.  With none, a window that `_certified` proves
+    is shifted by *step* (+1 or -1) mod its size."""
+    lo, hi = window.lo, window.hi
     d = hi - lo + 1
     # the wrap value and the oracle's offset there
     wrap, back = (hi, 1 - d) if step == 1 else (lo, d - 1)
     violations = []
-    for first, q, offset, path in pieces:
-        members = (hi - first) // q + 1
-        piece = f"piece {first} mod {q} (members: {members})"
+    for piece in window.pieces:
+        first, q, offset, path = piece
+        members = window.count(piece)
+        name = f"piece {first} mod {q} (members: {members})"
         if path != graph.output_path:
-            violations.append(f"{piece}: leaves on {path}, expected {graph.output_path}")
+            violations.append(f"{name}: leaves on {path}, expected {graph.output_path}")
             continue
         if wrap < first or (wrap - first) % q:  # the wrap value is no member
             on, want = offset == step, f"{step:+d}"
@@ -185,7 +181,7 @@ def _off_oracle(
         else:
             on, want = False, f"{step:+d}, and {back:+d} at |{wrap}>"
         if not on:
-            violations.append(f"{piece}: shifted by {offset:+d}, expected {want}")
+            violations.append(f"{name}: shifted by {offset:+d}, expected {want}")
     return violations
 
 
@@ -201,62 +197,50 @@ def _misses(read: Mapping[int, int], lo: int, hi: int, step: int) -> list[str]:
     ]
 
 
-def _unproven(
-    routed: tuple[list, list, tuple[int, Exception] | None], lo: int, hi: int
-) -> str:
-    """Why *routed*, what `strict_pieces` returns for the window [lo, hi],
-    proves nothing, as a violation: its failure, else its dropped classes,
-    else its pieces, which `_certified` rejected."""
-    pieces, dropped, failure = routed
-    if failure is not None:
-        return f"simulation failed: {failure[1]}"
-    because = f", {len(dropped)} classes dropped at splitters" if dropped else ""
-    return f"window [{lo}, {hi}] not proven from its {len(pieces)} pieces{because}"
+def _unproven(window: _Window) -> str:
+    """Why *window* proves nothing, as a violation: its failure, else its
+    dropped classes, else its pieces, which `_certified` rejected."""
+    if window.failure is not None:
+        return f"simulation failed: {window.failure[1]}"
+    dropped, pieces = len(window.dropped), len(window.pieces)
+    because = f", {dropped} classes dropped at splitters" if dropped else ""
+    return f"window [{window.lo}, {window.hi}] not proven from its {pieces} pieces{because}"
 
 
-def _certified(
-    graph: PortGraph,
-    routed: tuple[list, list, tuple[int, Exception] | None],
-    lo: int,
-    hi: int,
-    config: SimulationConfig,
-) -> bool:
-    """True if *routed*, what `strict_pieces` returns for the window
-    [lo, hi] of *graph*, is a certificate of the window's map in either
-    mode, checked on the packet engine under *config* at the ends of its
-    pieces.
+def _certified(graph: PortGraph, window: _Window, config: SimulationConfig) -> bool:
+    """True if *window* of *graph*, as `strict_pieces` routes it, is a
+    certificate of the window's map in either mode, checked on the packet
+    engine under *config* at the ends of its pieces.
 
     The input path must have an entry, and nothing be dropped or failing.
-    The member counts of the pieces sum to the window size and the pieces
-    are pairwise disjoint residue classes, so each window value is in
-    exactly one; `_routes` re-walks each piece's route along the wiring,
-    on whatever terminal path it ends, so every member ``first + j*q``
-    takes the first member's route: the map is the pieces'.  In physical
-    mode too: the route meets each splitter at a multiple of its order,
-    where `splitter_amplitudes` is exactly one of its quarter turns, all
-    the amplitude on the strict port times a power of i, and a plate only
-    adds a phase.  Last, the ends of each piece are probed with
-    `_resimulate`, in ascending order, each expected at ``ell + offset``
-    if its piece is on the output path and left out otherwise; an
-    AssertionError there is raised, an engine error gives False.
+    The member counts the window reads off its pieces sum to its size, and
+    the pieces are pairwise disjoint residue classes, so each window value
+    is in exactly one; `_routes` re-walks each piece's route along the
+    wiring, on whatever terminal path it ends, so every member
+    ``first + j*q`` takes the first member's route: the map is the
+    pieces'.  In physical mode too: the route meets each splitter at a
+    multiple of its order, where `splitter_amplitudes` is exactly one of
+    its quarter turns, all the amplitude on the strict port times a power
+    of i, and a plate only adds a phase.  Last, the ends of each piece are
+    probed with `_resimulate`, in ascending order, each expected at
+    ``ell + offset`` if its piece is on the output path and left out
+    otherwise; an AssertionError there is raised, an engine error gives
+    False.
     """
-    pieces, dropped, failure = routed
-    if dropped or failure is not None or graph.input_path not in graph.entries:
+    pieces = window.pieces
+    if window.dropped or window.failure is not None or graph.input_path not in graph.entries:
         return False
     output = graph.output_path
     probes: dict[int, int | None] = {}
-    members = 0
-    for first, q, offset, path in pieces:
-        last = hi - (hi - first) % q
-        members += (last - first) // q + 1
-        for end in (first, last):
-            probes[end] = end + offset if path == output else None
-    if members != hi - lo + 1:
+    for piece in pieces:
+        for end in (piece[0], window.last(piece)):
+            probes[end] = end + piece[2] if piece[3] == output else None
+    if sum(map(window.count, pieces)) != window.hi - window.lo + 1:
         return False
     for i, (a, qa, _, _) in enumerate(pieces):
         if any((a - b) % math.gcd(qa, qb) == 0 for b, qb, _, _ in pieces[:i]):
             return False
-    if not all(_routes(graph, piece, hi) for piece in pieces):
+    if not all(_routes(graph, window, piece) for piece in pieces):
         return False
     domain = sorted(probes)
     try:
@@ -266,12 +250,11 @@ def _certified(
     return True
 
 
-def _routes(graph: PortGraph, piece: tuple[int, int, int, PathLabel], hi: int) -> bool:
-    """True if the walk of the piece's first member along the wiring, within
-    the hop budget, takes every member of the piece along with it and
-    leaves on the piece's path with its offset."""
+def _routes(graph: PortGraph, window: _Window, piece: tuple) -> bool:
+    """True if the walk of the first member of *piece*, of *window*, along
+    the wiring, within the hop budget, takes every member of the piece
+    along with it and leaves on the piece's path with its offset."""
     first, q, offset, path = piece
-    single = first + q > hi
     nodes, wiring = graph.nodes, graph.wiring
     slot, carried = graph.entries[graph.input_path], 0
     for _ in range(simulation.HOPS_PER_NODE * max(1, len(nodes)) + 1):
@@ -280,7 +263,7 @@ def _routes(graph: PortGraph, piece: tuple[int, int, int, PathLabel], hi: int) -
         element = nodes[slot >> 2]
         if type(element) is OamBeamSplitter:
             m = element.m
-            if (first + carried) % m or not (single or q % (2 * m) == 0):
+            if (first + carried) % m or not (q % (2 * m) == 0 or window.count(piece) == 1):
                 return False
             slot ^= (first + carried) // m & 1
         elif type(element) is Hologram:
@@ -314,9 +297,9 @@ def discover_cycles(
     """
     d = device.dimension
     graph = _graph(device)
-    routed = strict_pieces(graph, lo, hi)
-    steps = _steps(graph, routed, lo, hi, config)
-    proven = _certified(graph, routed, lo, hi, config)
+    window = _Window(lo, hi, *strict_pieces(graph, lo, hi))
+    steps = _steps(graph, window, config)
+    proven = _certified(graph, window, config)
     cycles: list[tuple[int, ...]] = []
     # the last d values of a walk, as indices into steps; no loop is longer than the window
     last = deque(maxlen=min(d, len(steps)))

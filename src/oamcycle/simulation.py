@@ -49,14 +49,16 @@ routes, not with the window: the classes that reach a terminal are the
 window's pieces, each an affine map ``ell -> ell + offset`` on its
 members (O(log d) of them for a synthesized gate, at any d), and it also
 returns the classes it dropped at non-multiples and the first failure.
-`window_permutation` expands the pieces into the map of the window, in
-either mode; only that expansion is linear in the window.  `_steps` fills
-the same map in as a list of steps, one shared offset per piece, which
-`analysis.discover_cycles` walks.  `_PieceMap`
-is the map of pieces that cover the window, read off them and never
-expanded, so its lookups and length cost O(#pieces).  A piece meets
-only multiples of each splitter's order, where both modes route it the
-same way; in physical mode the values no piece holds, which split at a
+A routed window travels as one `_Window`, the one reader of a piece's
+member count, last member and members in a part of the window, and every
+reader of pieces takes it.  `_expand` (`window_permutation`) expands the
+pieces into the map of the window, in either mode; only that expansion
+is linear in the window.  `_steps` fills the same map in as a list of
+steps, one shared offset per piece, which `analysis.discover_cycles`
+walks.  `_PieceMap` is the map of the pieces, read off them and never
+expanded, so its lookups and length cost O(#pieces).  A piece meets only
+multiples of each splitter's order, where both modes route it the same
+way; in physical mode the values no piece holds, which split at a
 non-multiple and may recombine, are probed on the packet loop.
 """
 
@@ -368,38 +370,51 @@ def window_permutation(
     no piece holds are probed on the packet loop, in ascending order.
     """
     graph = _graph(device)
-    return _expand(graph, strict_pieces(graph, lo, hi), lo, hi, config)
+    return _expand(graph, _Window(lo, hi, *strict_pieces(graph, lo, hi)), config)
 
 
-def _expand(
-    graph: PortGraph,
-    routed: tuple[list, list, tuple[int, Exception] | None],
-    lo: int,
-    hi: int,
-    config: SimulationConfig,
-) -> dict[int, int]:
-    """`window_permutation`'s map of the window [lo, hi] of *graph* from
-    *routed*, what `strict_pieces` returns for that window: the pieces
-    expanded, the physical hand-off probed, and the failure raised.  A
-    caller that has routed the window already hands its pieces here."""
-    pieces, _, failure = routed
-    images = _images(pieces, lo, hi, graph.output_path)
-    for ell, image in _handoff(graph, routed, lo, hi, config):
+@dataclass(frozen=True, slots=True)
+class _Window:
+    """The window [lo, hi] and what `strict_pieces` returns for it, the
+    one reader of a piece ``(first, q, offset, terminal)``, whose members
+    are ``first + k*q <= hi`` (k >= 0)."""
+
+    lo: int
+    hi: int
+    pieces: list[tuple[int, int, int, PathLabel]]
+    dropped: list[tuple[int, int, int, int]]
+    failure: tuple[int, Exception] | None
+
+    def count(self, piece: tuple) -> int:
+        """The number of members of *piece*, an int at any window size."""
+        return (self.hi - piece[0]) // piece[1] + 1
+
+    def last(self, piece: tuple) -> int:
+        """The last member of *piece*."""
+        return self.hi - (self.hi - piece[0]) % piece[1]
+
+    def members(self, piece: tuple, lo: int, hi: int) -> range:
+        """The members of *piece* in [lo, hi], a part of the window or not."""
+        first, q = piece[0], piece[1]
+        return range(max(first, lo + (first - lo) % q), min(hi, self.hi) + 1, q)
+
+
+def _expand(graph: PortGraph, window: _Window, config: SimulationConfig) -> dict[int, int]:
+    """`window_permutation`'s map of *window* of *graph* under *config*:
+    its pieces expanded, the physical hand-off probed, and its failure
+    raised.  A caller that has routed the window already hands it here."""
+    lo, hi = window.lo, window.hi
+    images = _images(window, lo, hi, graph.output_path)
+    for ell, image in _handoff(graph, window, config):
         images[ell - lo] = image
-    if failure is not None:
-        raise failure[1]
+    if window.failure is not None:
+        raise window.failure[1]
     return {ell: image for ell, image in zip(range(lo, hi + 1), images) if image is not None}
 
 
-def _steps(
-    graph: PortGraph,
-    routed: tuple[list, list, tuple[int, Exception] | None],
-    lo: int,
-    hi: int,
-    config: SimulationConfig,
-) -> list[int | None]:
+def _steps(graph: PortGraph, window: _Window, config: SimulationConfig) -> list[int | None]:
     """The map `_expand` returns, as a list of steps: entry ``ell - lo``
-    is ``image - ell`` where ell's image lies in the window [lo, hi], and
+    is ``image - ell`` where ell's image lies in *window* [lo, hi], and
     None where ell has no image or one outside the window.  So each step
     that is not None leads to another entry.
 
@@ -407,80 +422,72 @@ def _steps(
     assignment, so the list costs one pointer per window value; each
     value of the physical hand-off fills its own entry.  Raises what
     `_expand` raises, after the same probes."""
-    pieces, _, failure = routed
+    lo, hi = window.lo, window.hi
     steps: list[int | None] = [None] * (hi - lo + 1)
-    for first, q, offset, path in pieces:
-        if path == graph.output_path:
-            # the members whose image lies in the window
-            low, high = max(lo, lo - offset), min(hi, hi - offset)
-            first = max(first, low + (first - low) % q)
-            if first <= high:
-                steps[first - lo : high - lo + 1 : q] = [offset] * ((high - first) // q + 1)
-    for ell, image in _handoff(graph, routed, lo, hi, config):
+    for piece in window.pieces:
+        if piece[3] == graph.output_path:
+            offset = piece[2]
+            members = window.members(piece, lo - offset, hi - offset)
+            if members:  # else its slice stop may lie below the list
+                steps[members.start - lo : members.stop - lo : piece[1]] = [offset] * len(members)
+    for ell, image in _handoff(graph, window, config):
         if image is not None and lo <= image <= hi:
             steps[ell - lo] = image - ell
-    if failure is not None:
-        raise failure[1]
+    if window.failure is not None:
+        raise window.failure[1]
     return steps
 
 
 def _handoff(
-    graph: PortGraph,
-    routed: tuple[list, list, tuple[int, Exception] | None],
-    lo: int,
-    hi: int,
-    config: SimulationConfig,
+    graph: PortGraph, window: _Window, config: SimulationConfig
 ) -> Iterator[tuple[int, int | None]]:
-    """In physical mode, `_probes` of the values of the window [lo, hi]
-    that no piece of *routed* holds, below its failing value if it has
-    one, in ascending order: light split at a non-multiple may recombine.
-    Nothing in strict mode."""
+    """In physical mode, `_probes` of the values of *window* that none of
+    its pieces holds, below its failing value if it has one, in ascending
+    order: light split at a non-multiple may recombine.  Nothing in
+    strict mode."""
     if config.mode != PHYSICAL:
         return iter(())
-    pieces, _, failure = routed
-    landed = bytearray(hi - lo + 1)  # 1 where a piece holds the value
-    for first, q, _, _ in pieces:
-        landed[first - lo :: q] = b"\1" * ((hi - first) // q + 1)
+    lo, failure = window.lo, window.failure
+    landed = bytearray(window.hi - lo + 1)  # 1 where a piece holds the value
+    for piece in window.pieces:
+        landed[piece[0] - lo :: piece[1]] = b"\1" * window.count(piece)
     stop = len(landed) if failure is None else failure[0] - lo
     return _probes(graph, (lo + i for i in range(stop) if not landed[i]), config)
 
 
-def _images(
-    pieces: list[tuple[int, int, int, PathLabel]], lo: int, hi: int, output: PathLabel
-) -> list[int | None]:
-    """The image of each value of [lo, hi] that one of *pieces* carries to
-    the path *output*, in order, with None for every other value.  A piece
-    may start below *lo*: its members from *lo* on are read."""
+def _images(window: _Window, lo: int, hi: int, output: PathLabel) -> list[int | None]:
+    """The image of each value of [lo, hi], a part of *window*, that one of
+    its pieces carries to the path *output*, in order, with None for every
+    other value."""
     images: list[int | None] = [None] * (hi - lo + 1)
-    for first, q, offset, path in pieces:
-        if path == output:
-            first = max(first, lo + (first - lo) % q)  # its first member from lo on
-            images[first - lo :: q] = range(first + offset, hi + 1 + offset, q)
+    for piece in window.pieces:
+        if piece[3] == output:
+            members, offset = window.members(piece, lo, hi), piece[2]
+            images[members.start - lo : members.stop - lo : piece[1]] = range(
+                members.start + offset, members.stop + offset, piece[1]
+            )
     return images
 
 
 class _PieceMap(Mapping):
-    """The map of the window [lo, hi] that *pieces*, as `strict_pieces`
-    returns them, carry to the path *output*, read off the pieces and
-    never expanded whole.
+    """The map of *window* that its pieces carry to the path *output*, read
+    off the pieces and never expanded whole.
 
     ``map[ell]``, ``get`` and ``in`` cost O(#pieces); ``len`` is the sum
     of the member counts, so ``len()`` raises OverflowError past
     ``sys.maxsize``, as it does for a range.  Iteration yields keys in
     ascending order, expanding at most ``MAX_WINDOW`` values at a time.
     The map equals the dict `window_permutation` builds from the same
-    pieces, item order too, and its repr is that dict's for a window of
+    window, item order too, and its repr is that dict's for a window of
     at most ``MAX_WINDOW`` values, a one-line summary above.
     """
 
-    __slots__ = ("_pieces", "_lo", "_hi", "_output", "_size")
+    __slots__ = ("_window", "_pieces", "_output", "_size")
 
-    def __init__(
-        self, pieces: list[tuple[int, int, int, PathLabel]], lo: int, hi: int, output: PathLabel
-    ):
-        self._pieces = [piece for piece in pieces if piece[3] == output]
-        self._lo, self._hi, self._output = lo, hi, output
-        self._size = sum((hi - first) // q + 1 for first, q, _, _ in self._pieces)
+    def __init__(self, window: _Window, output: PathLabel):
+        self._window, self._output = window, output
+        self._pieces = [piece for piece in window.pieces if piece[3] == output]
+        self._size = sum(map(window.count, self._pieces))
 
     def __getitem__(self, ell: int) -> int:
         key = ell
@@ -491,7 +498,7 @@ class _PieceMap(Mapping):
                 raise KeyError(ell) from None
             if key != ell:
                 raise KeyError(ell)
-        if key <= self._hi:
+        if key <= self._window.hi:
             for first, q, offset, _ in self._pieces:
                 if first <= key and (key - first) % q == 0:
                     return key + offset
@@ -512,33 +519,37 @@ class _PieceMap(Mapping):
     def _items(self) -> Iterator[tuple[int, int]]:
         # blocks of 1, 2, 4, ... values, then MAX_WINDOW: the first items
         # cost O(#pieces) at any d, and a whole window about its expansion
-        lo, size = self._lo, 1
-        while lo <= self._hi:
-            hi = min(lo + size - 1, self._hi)
-            images = _images(self._pieces, lo, hi, self._output)
+        window, lo, size = self._window, self._window.lo, 1
+        while lo <= window.hi:
+            hi = min(lo + size - 1, window.hi)
+            images = _images(window, lo, hi, self._output)
             yield from compress(zip(range(lo, hi + 1), images), map(is_not, images, repeat(None)))
             lo, size = hi + 1, min(2 * size, MAX_WINDOW)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mapping):
             return NotImplemented
+        window = self._window
         if isinstance(other, _PieceMap):
-            if (other._pieces, other._hi) == (self._pieces, self._hi):
+            if (other._pieces, other._window.hi) == (self._pieces, window.hi):
                 return True
             size = other._size
         else:
             size = len(other)
-        end = self._hi + 1
-        return size == self._size and all(
-            all(map(eq, map(other.get, range(first, end, q)), range(first + o, end + o, q)))
-            for first, q, o, _ in self._pieces
-        )
+        if size != self._size:
+            return False
+        for piece in self._pieces:
+            members, offset = window.members(piece, window.lo, window.hi), piece[2]
+            if not all(map(eq, map(other.get, members), map(offset.__add__, members))):
+                return False
+        return True
 
     def __repr__(self) -> str:
-        if self._hi - self._lo < MAX_WINDOW:
+        lo, hi = self._window.lo, self._window.hi
+        if hi - lo < MAX_WINDOW:
             return repr(dict(self._items()))
         return (
-            f"<map of {self._size} values of the window [{self._lo}, {self._hi}] "
+            f"<map of {self._size} values of the window [{lo}, {hi}] "
             f"from {len(self._pieces)} pieces>"
         )
 

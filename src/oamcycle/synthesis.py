@@ -254,11 +254,12 @@ def shifted_gate(netlist: Netlist, m: int) -> Netlist:
 
     A hologram of charge -m maps the window onto the gate's native range
     and a +m hologram maps it back, so |k> -> |((k-m+1) mod d) + m| for a
-    cyclic shift netlist.
+    cyclic shift netlist.  A shift that is no int, or a bool, raises ValueError.
     """
+    if not _is_int(m):
+        raise ValueError(f"shift must be an int, got {m!r}")
     if m == 0:
         return netlist
-    # the public constructor checks the charge, which the caller chose
     elements = (
         (Hologram(netlist.input_path, -m),)
         + netlist.elements

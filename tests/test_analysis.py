@@ -389,10 +389,12 @@ def test_cycles_match_the_stepwise_walk(mapping, d, bad):
         rechecks.clear()
         with pytest.MonkeyPatch.context() as patch:
             # the window read as the map given, proven from pieces or not
-            patch.setattr(analysis, "strict_pieces", lambda graph, lo, hi: None)
+            patch.setattr(analysis, "strict_pieces", lambda graph, lo, hi: ([], [], None))
             patch.setattr(analysis, "_certified", lambda *args: proven)
             patch.setattr(
-                analysis, "_steps", lambda graph, routed, lo, hi, config: steps_of(mapping, lo, hi)
+                analysis,
+                "_steps",
+                lambda graph, window, config: steps_of(mapping, window.lo, window.hi),
             )
             patch.setattr(
                 analysis,
@@ -437,8 +439,9 @@ def test_each_window_value_is_walked_once(monkeypatch):
     real = analysis._steps
     counted = []
 
-    def counting(graph, routed, lo, hi, config):
-        counted.append(CountedReads(real(graph, routed, lo, hi, config), 4 * (hi - lo + 1)))
+    def counting(graph, window, config):
+        size = window.hi - window.lo + 1
+        counted.append(CountedReads(real(graph, window, config), 4 * size))
         return counted[-1]
 
     monkeypatch.setattr(analysis, "_steps", counting)

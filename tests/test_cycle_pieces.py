@@ -113,9 +113,11 @@ def test_pieces_find_the_cycles_the_value_by_value_read_finds():
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(netlists(), folded_gates(), wired_graphs()), windows())
 @example(GCD_DROP, (0, 9))
+@example(Netlist((OamBeamSplitter(1, R0, R1), Hologram(R0, 15)), R0, R0, 2), (0, 9))
 def test_drawn_devices_and_windows_match_the_reference(device, window):
     # loops, unwired and leaking exits, entries on terminals, drops, and
-    # windows empty (hi = lo - 1) or narrower than a cycle
+    # windows empty (hi = lo - 1) or narrower than a cycle; in the second
+    # example the even values leave at +15, every image above the window
     for mode in MODES:
         assert_same_cycles(device, *window, SimulationConfig(mode))
 

@@ -27,6 +27,7 @@ from oamcycle.simulation import (
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
+    _Window,
     strict_pieces,
     window_permutation,
 )
@@ -161,17 +162,18 @@ def test_verify_reads_tampered_pieces_value_by_value(monkeypatch, d):
     device = synth_variant(d)
     graph = analysis._graph(device)
     config = SimulationConfig()
-    pieces, dropped, failure = strict_pieces(device, 0, d - 1)
-    assert analysis._certified(graph, (pieces, dropped, failure), 0, d - 1, config)
-    assert not analysis._off_oracle(graph, pieces, 0, d - 1, 1)
+    window = _Window(0, d - 1, *strict_pieces(device, 0, d - 1))
+    pieces, dropped, failure = window.pieces, window.dropped, window.failure
+    assert analysis._certified(graph, window, config)
+    assert not analysis._off_oracle(graph, window, 1)
     for changed in tampered(pieces, d - 1):
-        assert not analysis._certified(graph, (changed, dropped, failure), 0, d - 1, config)
+        assert not analysis._certified(graph, _Window(0, d - 1, changed, dropped, failure), config)
     # a dropped class or a failure proves nothing either, whatever the pieces
     for rest in (([(0, 1, 0, 0)], None), ([], (0, ValueError()))):
-        assert not analysis._certified(graph, (pieces, *rest), 0, d - 1, config)
+        assert not analysis._certified(graph, _Window(0, d - 1, pieces, *rest), config)
     # a certified window is off the oracle of the other step, except at d = 2,
     # where the shifts by +1 and -1 are one map
-    assert (not analysis._off_oracle(graph, pieces, 0, d - 1, -1)) == (d == 2)
+    assert (not analysis._off_oracle(graph, window, -1)) == (d == 2)
     # and a gate its pieces do not prove is read value by value
     monkeypatch.setattr(analysis, "_certified", lambda *args: False)
     assert verify_gate(d) == reference_verify_gate(d, "standard", 0, config, device)
@@ -203,9 +205,9 @@ def test_a_window_with_a_dropped_class_is_compared_value_by_value(mode):
     elements = list(gate.elements)
     elements[1] = Hologram(elements[1].path, elements[1].v - 1)
     device = dataclasses.replace(gate, elements=tuple(elements))
-    pieces, dropped, failure = strict_pieces(device, 0, 3)
-    assert dropped and failure is None
-    assert not analysis._off_oracle(analysis._graph(device), pieces, 0, 3, 1)
+    window = _Window(0, 3, *strict_pieces(device, 0, 3))
+    assert window.dropped and window.failure is None
+    assert not analysis._off_oracle(analysis._graph(device), window, 1)
     config = SimulationConfig(mode)
     report = verify_with(device, 4, "standard", 0, config)
     assert report == reference_verify_gate(4, "standard", 0, config, device)
@@ -222,12 +224,13 @@ def test_a_piece_is_proven_only_if_each_member_takes_its_route():
         Netlist((splitter, Hologram(r0, 1), Hologram(r1, 1), splitter), r0, r1, 2)
     )
     assert strict_pieces(device, 0, 3) == ([(0, 2, 1, r1), (1, 2, 1, r1)], [], None)
-    assert analysis._routes(device, (0, 2, 1, r1), 3)
-    assert analysis._routes(device, (1, 2, 1, r1), 3)
-    assert not analysis._routes(device, (0, 1, 1, r1), 3)
-    assert analysis._routes(device, (0, 1, 1, r1), 0)  # one member
-    assert not analysis._routes(device, (0, 2, 2, r1), 3)
-    assert not analysis._routes(device, (0, 2, 1, r0), 3)
+    window = _Window(0, 3, [], [], None)
+    assert analysis._routes(device, window, (0, 2, 1, r1))
+    assert analysis._routes(device, window, (1, 2, 1, r1))
+    assert not analysis._routes(device, window, (0, 1, 1, r1))
+    assert analysis._routes(device, _Window(0, 0, [], [], None), (0, 1, 1, r1))  # one member
+    assert not analysis._routes(device, window, (0, 2, 2, r1))
+    assert not analysis._routes(device, window, (0, 2, 1, r0))
 
 
 @pytest.mark.parametrize("d", [2, 12, 500])
@@ -257,7 +260,7 @@ def test_certificate_checker_accepts_the_pieces_of_large_gates(d, variant):
 def test_a_piece_map_reads_as_the_dict_it_stands_for(monkeypatch):
     device = synth_variant(12)
     graph = analysis._graph(device)
-    read = simulation._PieceMap(strict_pieces(graph, 0, 11)[0], 0, 11, graph.output_path)
+    read = simulation._PieceMap(_Window(0, 11, *strict_pieces(graph, 0, 11)), graph.output_path)
     want = window_permutation(device, 0, 11)
     assert read == want and want == read and not read != want
     assert list(read.items()) == list(want.items())
@@ -272,13 +275,17 @@ def test_a_piece_map_reads_as_the_dict_it_stands_for(monkeypatch):
     assert read != list(want.items())
     # other pieces of the same map are equal; the same pieces on another window are not
     out = graph.output_path
-    whole = simulation._PieceMap([(0, 1, 1, out)], 0, 3, out)
-    assert whole == simulation._PieceMap([(1, 2, 1, out), (0, 2, 1, out)], 0, 3, out)
-    assert whole != simulation._PieceMap([(0, 1, 1, out)], 0, 4, out)
+
+    def piece_map(pieces, lo, hi):
+        return simulation._PieceMap(_Window(lo, hi, pieces, [], None), out)
+
+    whole = piece_map([(0, 1, 1, out)], 0, 3)
+    assert whole == piece_map([(1, 2, 1, out), (0, 2, 1, out)], 0, 3)
+    assert whole != piece_map([(0, 1, 1, out)], 0, 4)
     # the repr is the dict's up to MAX_WINDOW values, a summary above
     monkeypatch.setattr(simulation, "MAX_WINDOW", 4)
     assert repr(whole) == "{0: 1, 1: 2, 2: 3, 3: 4}"
-    wide = simulation._PieceMap([(0, 1, 1, out)], 0, 4, out)
+    wide = piece_map([(0, 1, 1, out)], 0, 4)
     assert repr(wide) == "<map of 5 values of the window [0, 4] from 1 pieces>"
 
 
@@ -320,13 +327,13 @@ def test_an_unproven_large_gate_fails_with_few_violations(monkeypatch, mode):
     # a certified gate off the oracle: one violation per piece off it
     variant, shift, device = gates(d)[-1]
     graph = analysis._graph(device)
-    routed = strict_pieces(graph, shift, shift + d - 1)
-    assert analysis._certified(graph, routed, shift, shift + d - 1, config)
+    window = _Window(shift, shift + d - 1, *strict_pieces(graph, shift, shift + d - 1))
+    assert analysis._certified(graph, window, config)
     start = time.perf_counter()
     report = verify_with(device, d, variant, shift, config)
     assert time.perf_counter() - start < 1.0
     assert not report.passed and not report.permutation_ok
-    assert 0 < len(report.violations) <= len(routed[0])
+    assert 0 < len(report.violations) <= len(window.pieces)
     piece = re.compile(r"piece -?\d+ mod \d+ \(members: \d+\): .*")
     assert all(map(piece.fullmatch, report.violations))
     assert len(repr(report.mapping)) < 200
