@@ -7,7 +7,6 @@ against the closed-form predictions.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -213,35 +212,34 @@ def _certified(graph: PortGraph, window: _Window, config: SimulationConfig) -> b
     engine under *config* at the ends of its pieces.
 
     The input path must have an entry, and nothing be dropped or failing.
-    The member counts the window reads off its pieces sum to its size, and
-    the pieces are pairwise disjoint residue classes, so each window value
-    is in exactly one; `_routes` re-walks each piece's route along the
-    wiring, on whatever terminal path it ends, so every member
-    ``first + j*q`` takes the first member's route: the map is the
-    pieces'.  In physical mode too: the route meets each splitter at a
-    multiple of its order, where `splitter_amplitudes` is exactly one of
-    its quarter turns, all the amplitude on the strict port times a power
-    of i, and a plate only adds a phase.  Last, the ends of each piece are
-    probed with `_resimulate`, in ascending order, each expected at
-    ``ell + offset`` if its piece is on the output path and left out
-    otherwise; an AssertionError there is raised, an engine error gives
-    False.
+    `_routes` proves that every member ``first + j*q`` of a piece takes
+    its first member's port at every splitter and leaves on its path with
+    its offset.  A value's walk from the input entry is fixed by the ports
+    it takes, so a value in two pieces gives them one route: distinct
+    routes mean disjoint pieces.  Every piece starts in the window (the
+    classes of `strict_pieces` start at lo and only move up) and the member
+    counts sum to its size, so the pieces partition it.  In physical mode
+    too: a route meets each splitter at a multiple of its order, where
+    `splitter_amplitudes` is one of its quarter turns, all the amplitude
+    on the strict port times a power of i; a plate only adds a phase.
+    Last, each piece's ends are probed with `_resimulate`, ascending, at
+    ``ell + offset`` on the output path and left out otherwise; an
+    AssertionError there is raised, an engine error gives False.
     """
-    pieces = window.pieces
     if window.dropped or window.failure is not None or graph.input_path not in graph.entries:
         return False
+    if sum(map(window.count, window.pieces)) != window.hi - window.lo + 1:
+        return False
     output = graph.output_path
+    routes: set[int] = set()
     probes: dict[int, int | None] = {}
-    for piece in pieces:
+    for piece in window.pieces:
+        route = _routes(graph, window, piece)
+        if route is None or route in routes:
+            return False
+        routes.add(route)
         for end in (piece[0], window.last(piece)):
             probes[end] = end + piece[2] if piece[3] == output else None
-    if sum(map(window.count, pieces)) != window.hi - window.lo + 1:
-        return False
-    for i, (a, qa, _, _) in enumerate(pieces):
-        if any((a - b) % math.gcd(qa, qb) == 0 for b, qb, _, _ in pieces[:i]):
-            return False
-    if not all(_routes(graph, window, piece) for piece in pieces):
-        return False
     domain = sorted(probes)
     try:
         _resimulate(graph, domain, map(probes.get, domain), config)
@@ -250,26 +248,28 @@ def _certified(graph: PortGraph, window: _Window, config: SimulationConfig) -> b
     return True
 
 
-def _routes(graph: PortGraph, window: _Window, piece: tuple) -> bool:
-    """True if the walk of the first member of *piece*, of *window*, along
-    the wiring, within the hop budget, takes every member of the piece
-    along with it and leaves on the piece's path with its offset."""
+def _routes(graph: PortGraph, window: _Window, piece: tuple) -> int | None:
+    """The route of *piece*, of *window*: the port its first member takes
+    at each splitter, as the bits of an int below a leading 1, if that walk
+    within the hop budget takes every member along and leaves on the
+    piece's path with its offset; else None."""
     first, q, offset, path = piece
     nodes, wiring = graph.nodes, graph.wiring
-    slot, carried = graph.entries[graph.input_path], 0
+    slot, carried, route = graph.entries[graph.input_path], 0, 1
     for _ in range(simulation.HOPS_PER_NODE * max(1, len(nodes)) + 1):
         if slot < 0:
-            return graph.terminals[~slot] == path and carried == offset
+            return route if graph.terminals[~slot] == path and carried == offset else None
         element = nodes[slot >> 2]
         if type(element) is OamBeamSplitter:
             m = element.m
             if (first + carried) % m or not (q % (2 * m) == 0 or window.count(piece) == 1):
-                return False
+                return None
             slot ^= (first + carried) // m & 1
+            route = route << 1 | slot & 1
         elif type(element) is Hologram:
             carried += -element.v if slot & BACKWARD else element.v
         slot = wiring[slot]
-    return False
+    return None
 
 
 def discover_cycles(

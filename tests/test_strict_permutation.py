@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from reference_netlist import reference_propagate
 
-from oamcycle import simulation
+from oamcycle import analysis, simulation
 from oamcycle.elements import NonMultipleMode, z_phase
 from oamcycle.model import (
     PRUNE_THRESHOLD,
@@ -33,6 +33,7 @@ from oamcycle.simulation import (
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
+    _Window,
     probe_permutation,
     strict_pieces,
     transform,
@@ -167,6 +168,23 @@ def test_pieces_and_drops_account_for_every_window_value(device, window):
             and (ell + offset) % graph.nodes[slot >> 2].m
         ]
         assert len(held) + bool(left) == 1, (ell, held, left)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(netlists(), folded_gates(), wired_graphs()), windows())
+@example(synth_variant(500), (0, 499))
+def test_sibling_pieces_take_different_routes(device, window):
+    # where a class splits at a splitter its two halves leave on different
+    # ports, so with nothing dropped or failing every piece has a route and
+    # no two share one: the certificate loses no window to its route check
+    lo, hi = window
+    graph = simulation._graph(device)
+    window = _Window(lo, hi, *strict_pieces(graph, lo, hi))
+    if window.dropped or window.failure is not None or graph.input_path not in graph.entries:
+        return
+    routes = [analysis._routes(graph, window, piece) for piece in window.pieces]
+    assert all(type(route) is int for route in routes), (window.pieces, routes)
+    assert len(set(routes)) == len(routes), (window.pieces, routes)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -227,6 +227,8 @@ def test_a_piece_is_proven_only_if_each_member_takes_its_route():
     window = _Window(0, 3, [], [], None)
     assert analysis._routes(device, window, (0, 2, 1, r1))
     assert analysis._routes(device, window, (1, 2, 1, r1))
+    routes = [analysis._routes(device, window, (first, 2, 1, r1)) for first in (0, 1)]
+    assert all(type(route) is int for route in routes) and routes[0] != routes[1]
     assert not analysis._routes(device, window, (0, 1, 1, r1))
     assert analysis._routes(device, _Window(0, 0, [], [], None), (0, 1, 1, r1))  # one member
     assert not analysis._routes(device, window, (0, 2, 2, r1))

@@ -10,15 +10,17 @@ synthesized gates of every variant for d in 2..300 (the simplified variant
 folded, the others as netlists, on shifted windows); and port graphs with
 arbitrary wiring, which have loops, unwired exits and entries on
 terminals.  For each device, in strict and in physical mode, the dump
-holds `strict_pieces`, `window_permutation`, `probe_permutation` and
+holds `strict_pieces`, the verdict of the certificate `_certified` on
+those pieces, `window_permutation`, `probe_permutation` and
 `discover_cycles` on a window near 0 and on one near +-10**17 or
 2**60 + 3, `transform` of a random superposition at the scales 1, 1e200,
 1e-200 and 1e-17 (amplitudes as float hex), and one `verify_gate` report
-for d in 2..129.  The `strict_pieces` lines draw nothing from the random
-source, so every other line is what the dump wrote without them.  One
-device in twenty is run with ``simulation.NORM_TOLERANCE = -1``, which
-fails every norm check.  Each line gives the result with its types, or the
-type and message of the error raised.
+for d in 2..129.  The `strict_pieces` and `certified` lines draw nothing
+from the random source, so every other line is what the dump wrote
+without them.  One device in twenty is run with
+``simulation.NORM_TOLERANCE = -1``, which fails every norm check.  Each
+line gives the result with its types, or the type and message of the
+error raised.
 
 Two checkouts that write the same bytes for the same SEED and COUNT agree
 on every result the dump covers, so a change meant to keep outputs
@@ -33,7 +35,7 @@ import random
 import sys
 
 from oamcycle import simulation
-from oamcycle.analysis import discover_cycles, verify_gate
+from oamcycle.analysis import _certified, discover_cycles, verify_gate
 from oamcycle.model import (
     Hologram,
     ModeVector,
@@ -49,6 +51,7 @@ from oamcycle.simulation import (
     PHYSICAL,
     STRICT,
     SimulationConfig,
+    _Window,
     probe_permutation,
     strict_pieces,
     transform,
@@ -169,6 +172,13 @@ def superposition(rng: random.Random, lo: int, scale: float) -> ModeVector:
     )
 
 
+def certified(device, lo: int, hi: int, config: SimulationConfig) -> bool:
+    """The certificate's verdict on the window [lo, hi] of *device*, as
+    `strict_pieces` routes it."""
+    graph = simulation._graph(device)
+    return _certified(graph, _Window(lo, hi, *strict_pieces(graph, lo, hi)), config)
+
+
 def dump(seed: int, count: int, out) -> None:
     rng = random.Random(seed)
     tolerance = simulation.NORM_TOLERANCE
@@ -183,6 +193,8 @@ def dump(seed: int, count: int, out) -> None:
                 for lo, hi in windows(rng, device):
                     out.write(f"{line} pieces {lo}..{hi}: ")
                     out.write(outcome(lambda: strict_pieces(device, lo, hi)) + "\n")
+                    out.write(f"{line} certified {lo}..{hi}: ")
+                    out.write(outcome(lambda: certified(device, lo, hi, config)) + "\n")
                     out.write(f"{line} window {lo}..{hi}: ")
                     out.write(outcome(lambda: window_permutation(device, lo, hi, config)) + "\n")
                     values = probes(rng, lo)
