@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import simulation
-from .model import Hologram, Netlist, OamBeamSplitter
-from .portgraph import BACKWARD, PortGraph
+from .model import Netlist
+from .portgraph import PortGraph, _tables
 from .simulation import (
     DEFAULT_CONFIG,
     MAX_WINDOW,
@@ -254,20 +254,20 @@ def _routes(graph: PortGraph, window: _Window, piece: tuple) -> int | None:
     within the hop budget takes every member along and leaves on the
     piece's path with its offset; else None."""
     first, q, offset, path = piece
-    nodes, wiring = graph.nodes, graph.wiring
+    wiring = graph.wiring
+    orders, kicks = _tables(graph)
     slot, carried, route = graph.entries[graph.input_path], 0, 1
-    for _ in range(simulation.HOPS_PER_NODE * max(1, len(nodes)) + 1):
+    for _ in range(simulation.HOPS_PER_NODE * max(1, len(graph.nodes)) + 1):
         if slot < 0:
             return route if graph.terminals[~slot] == path and carried == offset else None
-        element = nodes[slot >> 2]
-        if type(element) is OamBeamSplitter:
-            m = element.m
+        m = orders[slot]
+        if m > 0:
             if (first + carried) % m or not (q % (2 * m) == 0 or window.count(piece) == 1):
                 return None
             slot ^= (first + carried) // m & 1
             route = route << 1 | slot & 1
-        elif type(element) is Hologram:
-            carried += -element.v if slot & BACKWARD else element.v
+        else:  # a hologram, or a plate, which kicks by 0
+            carried += kicks[slot]
         slot = wiring[slot]
     return None
 

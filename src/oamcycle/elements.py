@@ -6,8 +6,10 @@ Two models of that behavior are provided.
 
 * The strict router (`splitter_route_strict`) moves the whole amplitude
   to a single port and is defined only when ell is a multiple of m.  It
-  is phase-free and exact.  The engines apply its rule on port slots;
-  the test reference and the benchmark tracer call it.
+  is phase-free and exact.  The engines apply its rule on port slots,
+  reading each splitter's order from the per-slot tables of
+  `portgraph._tables`; the test reference and the benchmark tracer call
+  it.
 * The physical model (`splitter_amplitudes`; `splitter_unitary` as a 2x2
   matrix of rows) is the two-port interferometer with internal phase
   phi = pi*ell/m, defined for every ell.  At multiples of m it puts all

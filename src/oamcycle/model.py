@@ -95,7 +95,8 @@ def _unchecked(cls, **fields):
     instance = object.__new__(cls)
     # one field at a time, as the dataclass's own __init__ sets them: filled
     # through ``__dict__`` at once, an element's fields read about a sixth
-    # slower on CPython 3.11, and the engines' hop loops read them per hop
+    # slower on CPython 3.11 (the engines' walks read none per hop, only
+    # `portgraph._tables` once per graph)
     for name, value in fields.items():
         object.__setattr__(instance, name, value)
     return instance

@@ -11,7 +11,10 @@ alike for in and out.  ``side`` is 0 for a splitter's x port and for the
 one port of a single-path element, 1 for a splitter's y port; the
 backward bit marks light entering against the element's orientation and
 leaving on the matching backward out port.  This module is the one place
-that writes the encoding.
+that writes the encoding, and the one where the engines learn what an
+element does on a slot: `_tables` gives each graph a splitter order and
+a hologram kick per slot, with the hologram's charge negated on its
+backward slots, and the engines walk those ints instead of the elements.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from typing import Mapping
 
 from .model import (
     Element,
+    Hologram,
     Netlist,
+    OamBeamSplitter,
     PathLabel,
     _check_kinds,
     _check_paths,
@@ -108,6 +113,40 @@ def _check_slots(field: str, values, slots: int, terminals: int) -> None:
         raise ValueError(f"{field} must hold slots < {slots} or ~t, t < {terminals}, got {bad!r}")
 
 
+def _tables(graph: PortGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(orders, kicks)``, what the element of each slot of *graph* does to
+    a packet there, built once and kept on the graph.
+
+    ``orders[slot]`` is a splitter's order, minus a plate's dimension, or 0
+    for a hologram; ``kicks[slot]`` is what a hologram adds to ell entering
+    on that slot, its charge, negated on a backward slot, and 0 for the
+    other kinds.  So a walk reads two ints per hop and no element.
+    """
+    tables = graph.__dict__.get("_tables")
+    if tables is None:
+        orders: list[int] = []
+        kicks: list[int] = []
+        zeros = (0, 0, 0, 0)
+        for element in graph.nodes:
+            kind = type(element)
+            if kind is OamBeamSplitter:
+                m = element.m
+                orders += (m, m, m, m)
+                kicks += zeros
+            elif kind is Hologram:
+                v = element.v
+                orders += zeros
+                # the slots with the BACKWARD bit, 2 and 3, run it in reverse
+                kicks += (v, v, -v, -v)
+            else:  # a ZPlate: the graph admits only the three kinds
+                k = -element.d
+                orders += (k, k, k, k)
+                kicks += zeros
+        tables = (tuple(orders), tuple(kicks))
+        object.__setattr__(graph, "_tables", tables)
+    return tables
+
+
 def netlist_to_portgraph(netlist: Netlist) -> PortGraph:
     """Thread every path through the element sequence."""
     wiring = [UNWIRED] * (4 * len(netlist.elements))
@@ -116,10 +155,11 @@ def netlist_to_portgraph(netlist: Netlist) -> PortGraph:
     for index, element in enumerate(netlist.elements):
         for side, path in enumerate(element_paths(element)):
             slot = 4 * index + side
-            if path in open_out:
-                wiring[open_out[path]] = slot
-            else:
+            source = open_out.get(path)
+            if source is None:
                 entries[path] = slot
+            else:
+                wiring[source] = slot
             open_out[path] = slot
     for t, source in enumerate(open_out.values(), start=1):
         wiring[source] = ~t

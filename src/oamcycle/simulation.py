@@ -11,9 +11,10 @@ light backwards through an element.  Norm is checked once against the
 terminal sum, since packets taking paths of different lengths make the
 in-flight norm momentarily non-conserved under interference.  Both the
 pruning of dust and the norm tolerance are relative to the input norm,
-so a state behaves the same at every amplitude scale.  A netlist or
-port graph admits only the three element classes when it is built, so
-no loop here checks an element's kind beyond dispatching on it.
+so a state behaves the same at every amplitude scale.  No loop here
+reads an element: each walks the graph's per-slot int tables
+(`portgraph._tables`), a splitter's order or a plate's dimension and a
+hologram's kick, which is its charge, negated on a backward slot.
 
 One run of the loop carries one state, and its input norm sets the prune
 cut; dust is pruned at the head of each hop.  Inside the loop everything
@@ -23,14 +24,15 @@ ell).  Path labels appear only at the boundary: `transform` and
 and name the terminal sums by their labels for the output `ModeVector`.
 `_probes` yields each basis probe's image in order.  It walks the probe's
 one packet along the int tables itself, with no dict per hop, and gets
-what the loop does, bit for bit; a probe that splits is run alone on the
-loop.  It compares each probe's terminal index with the output path's,
-so no probe hashes a label.  A probe that lands as one component of
-modulus exactly 1 (every strict probe, and every physical one at
-multiples of the splitter orders) is read straight off that component:
-there is no dust to prune, nothing to rescale, and its norm drifts by
-exactly 0.  Any other probe's terminal sums are named by their labels
-and pruned, checked and rescaled as `transform`'s are.
+what the loop does, bit for bit, though it touches the amplitude only at
+a physical splitter or a plate, where it can change; a probe that splits
+is run alone on the loop.  It compares each probe's terminal index with
+the output path's, so no probe hashes a label.  A probe that lands as
+one component of modulus exactly 1 (every strict probe, and every
+physical one at multiples of the splitter orders) is read straight off
+that component: there is no dust to prune, nothing to rescale, and its
+norm drifts by exactly 0.  Any other probe's terminal sums are named by
+their labels and pruned, checked and rescaled as `transform`'s are.
 
 In strict mode splitters and holograms move basis states to basis
 states with no phase; a phase plate applies its phase in both modes.
@@ -77,17 +79,15 @@ from . import portgraph
 from .elements import NonMultipleMode, splitter_amplitudes, z_phase
 from .model import (
     PRUNE_THRESHOLD,
-    Hologram,
     ModeVector,
     Netlist,
-    OamBeamSplitter,
     PathLabel,
     _image,
     _is_int,
     _norm,
     _pruned,
 )
-from .portgraph import BACKWARD, PortGraph
+from .portgraph import PortGraph, _tables
 from .synthesis import InvalidDimension, synth_arbitrary
 
 STRICT = "strict"
@@ -159,9 +159,10 @@ def _propagate(
     At the hop budget the run fails only with a packet still above the
     cut, so a run whose last packets are all dust ends normally.
     """
-    nodes, wiring, terminals = graph.nodes, graph.wiring, graph.terminals
+    wiring, terminals = graph.wiring, graph.terminals
+    orders, kicks = _tables(graph)
     strict = config.mode == STRICT
-    budget = HOPS_PER_NODE * max(1, len(nodes))
+    budget = HOPS_PER_NODE * max(1, len(graph.nodes))
     cut = PRUNE_THRESHOLD * norm
     # a packet is dropped at the head of a hop unless it clears `limit`: no
     # cut at the first hop, since the packets given are routed as they are
@@ -182,10 +183,8 @@ def _propagate(
         for (slot, ell), amp in packets.items():
             if not abs(amp) > limit:
                 continue
-            element = nodes[slot >> 2]
-            kind = type(element)
-            if kind is OamBeamSplitter:
-                k = element.m
+            k = orders[slot]
+            if k > 0:  # a splitter of order k
                 if strict:  # the rule of splitter_route_strict, on slots
                     turns, rest = divmod(ell, k)
                     if rest:
@@ -201,10 +200,10 @@ def _propagate(
                     if not stay:
                         continue
                     amp *= stay
-            elif kind is Hologram:
-                ell = ell - element.v if slot & BACKWARD else ell + element.v
-            else:  # a ZPlate: the graph admits only the three kinds
-                amp *= z_phase(element.d, ell)
+            elif k:  # a plate of dimension -k
+                amp *= z_phase(-k, ell)
+            else:
+                ell += kicks[slot]
             dest = wiring[slot]
             into = staged if dest >= 0 else landed
             key = (dest, ell)
@@ -298,8 +297,9 @@ def strict_pieces(
         return pieces, dropped, failure
     if entry is None:
         return [(lo, 1, 0, graph.input_path)], dropped, failure
-    nodes, wiring, terminals = graph.nodes, graph.wiring, graph.terminals
-    budget = HOPS_PER_NODE * max(1, len(nodes))
+    wiring, terminals = graph.wiring, graph.terminals
+    orders, kicks = _tables(graph)
+    budget = HOPS_PER_NODE * max(1, len(graph.nodes))
     # (in-slot, hops, offset, first, q): the window values ell0 = first + k*q
     # (k >= 0), which reach in-slot after `hops` traversals carrying
     # ell0 + offset; first is the smallest, so first > hi leaves none
@@ -311,10 +311,8 @@ def strict_pieces(
             if hops >= budget:
                 error = HopBudgetExceeded(f"packets still in flight after {budget} node traversals")
                 break
-            element = nodes[slot >> 2]
-            kind = type(element)
-            if kind is OamBeamSplitter:
-                m = element.m
+            m = orders[slot]
+            if m > 0:
                 g = math.gcd(q, m)
                 if (first + offset) % g:  # no member is a multiple of m here
                     dropped.append((first, q, offset, slot))
@@ -333,9 +331,9 @@ def strict_pieces(
                         classes.append((slot, hops, offset, first + q, 2 * q))
                     q *= 2
                 slot ^= (first + offset) // m & 1
-            elif kind is Hologram:
-                offset += -element.v if slot & BACKWARD else element.v
-            hops += 1  # a plate routes nothing
+            else:  # a hologram, or a plate, which routes nothing and kicks by 0
+                offset += kicks[slot]
+            hops += 1
             slot = wiring[slot]
         else:
             path = terminals[~slot]
@@ -599,11 +597,14 @@ def _probes(
     value is probed as one basis state of amplitude 1.
 
     A probe is one packet, walked along the int tables with no dict per
-    hop.  Each hop keeps the packet loop's steps: its prune check (no cut
-    at the first hop), its hop budget, and the sum from 0j its packet
-    lands in, so the walk returns what `_propagate` does, bit for bit.  A
-    probe that splits, at a non-multiple in physical mode, is run alone
-    on the packet loop.
+    hop, and returns what `_propagate` does, bit for bit.  Each hop keeps
+    the loop's hop budget.  Its amplitude changes only at a physical
+    splitter or a plate, so only there is it summed from 0j, as the loop
+    sums each packet it stages or lands, and checked against the prune cut
+    if it goes on to another node.  The loop has no cut at the first hop,
+    so the walk checks the cut once more at the second, on an amplitude no
+    element may have changed yet.  A probe that splits, at a non-multiple
+    in physical mode, is run alone on the packet loop.
 
     Each probe is read in one order.  An error is raised, unless it is
     NonMultipleMode, which leaves the value out.  A probe that lands as
@@ -618,11 +619,12 @@ def _probes(
     source, target = graph.input_path, graph.output_path
     # labels are looked up once: each probe is read by terminal index
     entry = graph.entries.get(source)
-    nodes, wiring, terminals = graph.nodes, graph.wiring, graph.terminals
+    wiring, terminals = graph.wiring, graph.terminals
+    orders, kicks = _tables(graph)
     output = terminals.index(target) if target in terminals else None
     through = entry is None and source == target
     strict = config.mode == STRICT
-    budget = HOPS_PER_NODE * max(1, len(nodes))
+    budget = HOPS_PER_NODE * max(1, len(graph.nodes))
     cut = PRUNE_THRESHOLD  # times the norm of a probe, 1
     for ell in values:
         if type(ell) is not int and not _is_int(ell):
@@ -632,46 +634,53 @@ def _probes(
             continue
         slot, image, amp = entry, ell, 1.0 + 0j
         out: dict[tuple[int, int], complex] | None = {}  # None: NonMultipleMode
-        hops, limit = 0, -1.0
+        # past hop `until` the walk checks the cut once, at the second hop,
+        # where the loop's cut starts, and then only the hop budget
+        hops, until = 0, min(1, budget)
         while slot >= 0:
             hops += 1
-            if hops > budget:
-                if abs(amp) > cut:
-                    raise HopBudgetExceeded(
-                        f"packets still in flight after {budget} node traversals"
-                    )
-                break
-            if not abs(amp) > limit:
-                break
-            limit = cut
-            element = nodes[slot >> 2]
-            kind = type(element)
-            if kind is OamBeamSplitter:
-                k = element.m
+            if hops > until:
+                if hops > budget:
+                    if abs(amp) > cut:
+                        raise HopBudgetExceeded(
+                            f"packets still in flight after {budget} node traversals"
+                        )
+                    break
+                if not abs(amp) > cut:
+                    break
+                until = budget
+            k = orders[slot]
+            if k > 0:
                 if strict:
                     turns, rest = divmod(image, k)
                     if rest:
                         out = None
                         break
-                    slot ^= turns & 1
-                else:
-                    stay, cross = splitter_amplitudes(k, image)
-                    if cross:
-                        if stay:  # it splits: the loop runs the probe
-                            out = _propagate(graph, {(entry, ell): 1.0 + 0j}, 1.0, config)
-                            break
-                        slot ^= 1
-                        amp = cross * amp
-                    elif stay:
-                        amp *= stay
-                    else:  # no port: dropped, as the loop drops it
+                    slot = wiring[slot ^ (turns & 1)]
+                    continue
+                stay, cross = splitter_amplitudes(k, image)
+                if cross:
+                    if stay:  # it splits: the loop runs the probe
+                        out = _propagate(graph, {(entry, ell): 1.0 + 0j}, 1.0, config)
                         break
-            elif kind is Hologram:
-                image = image - element.v if slot & BACKWARD else image + element.v
+                    slot ^= 1
+                    amp = cross * amp
+                elif stay:
+                    amp *= stay
+                else:  # no port: dropped, as the loop drops it
+                    break
+            elif k:
+                amp *= z_phase(-k, image)
             else:
-                amp *= z_phase(element.d, image)
+                image += kicks[slot]
+                slot = wiring[slot]
+                continue
+            # the amplitude changed: summed from 0j as the loop sums it, and
+            # dropped as dust where the loop drops it, at the next hop's head
+            amp = 0j + amp
             slot = wiring[slot]
-            amp = 0j + amp  # the loop sums each packet it stages or lands from 0j
+            if slot >= 0 and not abs(amp) > cut:
+                break
         else:
             if terminals[~slot] is None:
                 raise ValueError("a packet left the device through an unwired port")

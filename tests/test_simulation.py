@@ -19,6 +19,7 @@ from oamcycle.model import (
     ModeVector,
     Netlist,
     OamBeamSplitter,
+    ZPlate,
     equal_up_to_global_phase,
     extract_permutation,
     r_path,
@@ -500,6 +501,37 @@ def test_portgraph_keeps_its_own_tables():
     assert dict(apply_portgraph(built, state).items()) == before == {(R0, 3): 1}
     assert simulation.window_permutation(built, 0, 4) == cyclic(5)
     assert built == graph
+
+
+def test_per_slot_tables_hold_what_each_element_does():
+    # the walks read each element's effect off these tables: a splitter's
+    # order, minus a plate's dimension, and a hologram's charge, negated on
+    # the backward slots a folded graph routes light through
+    net = Netlist(
+        (OamBeamSplitter(3, R0, R1), Hologram(R1, 5), ZPlate(R0, 7), Hologram(R0, -2)), R0, R0, 7
+    )
+    folded = simplify(synth_arbitrary(11))
+    assert any(
+        target >= 0 and target & portgraph.BACKWARD and type(folded.nodes[target >> 2]) is Hologram
+        for target in folded.wiring
+    )
+    for graph in (netlist_to_portgraph(net), folded):
+        orders, kicks = portgraph._tables(graph)
+        assert portgraph._tables(graph) is portgraph._tables(graph)  # built once
+        assert len(orders) == len(kicks) == len(graph.wiring)
+        for slot, (order, kick) in enumerate(zip(orders, kicks)):
+            element = graph.nodes[slot >> 2]
+            if type(element) is OamBeamSplitter:
+                assert (order, kick) == (element.m, 0), slot
+            elif type(element) is Hologram:
+                charge = -element.v if slot & portgraph.BACKWARD else element.v
+                assert (order, kick) == (0, charge), slot
+            else:
+                assert (order, kick) == (-element.d, 0), slot
+    assert portgraph._tables(netlist_to_portgraph(net)) == (
+        (3, 3, 3, 3, 0, 0, 0, 0, -7, -7, -7, -7, 0, 0, 0, 0),
+        (0, 0, 0, 0, 5, 5, -5, -5, 0, 0, 0, 0, -2, -2, 2, 2),
+    )
 
 
 # --- configuration -----------------------------------------------------------------

@@ -42,3 +42,17 @@ def test_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert found == []
+
+
+def test_the_walks_read_element_effects_off_the_port_tables():
+    # the hologram direction rule is written once, in `portgraph`, which owns
+    # the slot encoding: the walks read its per-slot tables and no element
+    found = []
+    for name in ("simulation.py", "analysis.py"):
+        path = SOURCE / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.alias) and node.name == "BACKWARD":
+                found.append(f"{name}:{node.lineno} imports BACKWARD")
+            elif isinstance(node, ast.Attribute) and node.attr in ("v", "BACKWARD"):
+                found.append(f"{name}:{node.lineno} reads .{node.attr}")
+    assert found == []

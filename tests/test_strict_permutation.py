@@ -385,6 +385,28 @@ def probe_run(device, values, per_node=simulation.HOPS_PER_NODE, prune=PRUNE_THR
 @example(probe_run(Netlist((OamBeamSplitter(1, R0, R1),) * 2, R0, R0, 2), [2]))
 # a plate scales the packet to an ulp under 1, at or below one threshold
 @example(probe_run(Netlist((ZPlate(R0, 3), Hologram(R0, 1)), R0, R0, 3), [1], 10, 1.0 - 2.0**-53))
+# physical: the walk checks the cut only where the amplitude changes and the
+# packet goes on to a node.  1 crosses an order-1 splitter onto a terminal,
+# where no cut applies, or onto a hologram, whose hop drops it as dust
+@example(probe_run(Netlist((OamBeamSplitter(1, R0, R1),), R0, R1, 2), [0, 1], 10, 1.0))
+@example(probe_run(Netlist((OamBeamSplitter(1, R0, R1),), R0, R1, 2), [0, 1], 10, 2.0))
+@example(
+    probe_run(Netlist((OamBeamSplitter(1, R0, R1), Hologram(R1, 1)), R0, R1, 2), [0, 1], 10, 1.0)
+)
+@example(
+    probe_run(Netlist((OamBeamSplitter(1, R0, R1), Hologram(R1, 1)), R0, R1, 2), [0, 1], 10, 2.0)
+)
+# a plate last before the terminal scales the packet, uncut, as it lands:
+# 0 reaches it as 1, and leaves it an ulp under 1
+@example(probe_run(Netlist((Hologram(R0, 1), ZPlate(R0, 3)), R0, R0, 3), [0, 1], 10, 1.0 - 2.0**-53))
+# past the second hop too: 0 reaches the plate as 1 and is dust after it
+@example(
+    probe_run(
+        Netlist((Hologram(R0, 1), ZPlate(R0, 3), Hologram(R0, 1)), R0, R0, 3), [0], 10, 1.0 - 2.0**-53
+    )
+)
+# no element changes the unit packet, which is dust at the second hop
+@example(probe_run(Netlist((Hologram(R0, 1), Hologram(R0, 1)), R0, R0, 2), [0], 10, 1.0))
 # at one hop a node, a route of two hops through one node overruns the budget
 @example(probe_run(graph([Hologram(R0, 1)], [2, ~0, ~1, ~0], {R0: 0}), [0], 1))
 # an unwired exit
