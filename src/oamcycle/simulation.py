@@ -2,9 +2,9 @@
 
 A device is propagated as its port graph: a netlist is threaded into one
 the first time it is simulated, and the graph is kept on the netlist.
-`transform` returns the device's map for many states.  One packet loop
-serves every state: each (slot, OAM, amplitude) packet hops along the
-graph's int wiring, visiting only the elements it reaches, until it
+`transform` returns the device's map for many states.  A state travels
+as (slot, OAM, amplitude) packets, one per component, each hopping along
+the graph's int wiring, visiting only the elements it reaches, until it
 lands on a terminal, where amplitudes sum coherently.  Packets are
 independent (the optics is linear), which lets folded graphs route
 light backwards through an element.  Norm is checked once against the
@@ -16,23 +16,30 @@ reads an element: each walks the graph's per-slot int tables
 (`portgraph._tables`), a splitter's order or a plate's dimension and a
 hologram's kick, which is its charge, negated on a backward slot.
 
-One run of the loop carries one state, and its input norm sets the prune
-cut; dust is pruned at the head of each hop.  Inside the loop everything
-is an int: a packet is keyed (slot, ell) and lands on (terminal index,
-ell).  Path labels appear only at the boundary: `transform` and
-`apply_*` resolve each component's path to its entry slot, run the loop,
-and name the terminal sums by their labels for the output `ModeVector`.
-`_probes` yields each basis probe's image in order.  It walks the probe's
-one packet along the int tables itself, with no dict per hop, and gets
-what the loop does, bit for bit, though it touches the amplitude only at
-a physical splitter or a plate, where it can change; a probe that splits
-is run alone on the loop.  It compares each probe's terminal index with
-the output path's, so no probe hashes a label.  A probe that lands as
-one component of modulus exactly 1 (every strict probe, and every
+`_walk` takes one packet at a time, with no dict per hop, and lands it
+where the packet loop would land it alone, bit for bit, though it
+touches the amplitude only at a physical splitter or a plate, where it
+can change.  It gives up wherever the packet splits, fails, is dropped
+as dust, or lands on an unwired port.  The packet loop, `_propagate`,
+is the one engine for light that splits, fails or interferes: one run
+carries one state, whose input norm sets the prune cut, and dust is
+pruned at the head of each hop.  Inside both everything is an int: a
+packet is keyed (slot, ell) and lands on (terminal index, ell).  Path
+labels appear only at the boundary: `transform` and `apply_*` resolve
+each component's path to its entry slot, walk each packet, and run the
+whole state on the loop instead if a walk gives up or two packets land
+on one key (packets that merge in flight do one or the other); then they
+name the terminal sums by their labels for the output `ModeVector`.  A
+synthesized gate meets only multiples of its splitter orders, so its
+states are walked and never reach the loop.  `_probes` yields each basis
+probe's image in order: it walks each probe, and runs one the walk gives
+up on alone on the loop.  It compares each probe's terminal index with
+the output path's, so no probe hashes a label.  A probe the walk lands
+with modulus exactly 1 (every strict probe that lands, and every
 physical one at multiples of the splitter orders) is read straight off
-that component: there is no dust to prune, nothing to rescale, and its
-norm drifts by exactly 0.  Any other probe's terminal sums are named by
-their labels and pruned, checked and rescaled as `transform`'s are.
+its packet: there is no dust to prune, nothing to rescale, and its norm
+drifts by exactly 0.  Any other probe's terminal sums are named by their
+labels and pruned, checked and rescaled as `transform`'s are.
 
 In strict mode splitters and holograms move basis states to basis
 states with no phase; a phase plate applies its phase in both modes.
@@ -71,7 +78,7 @@ import math
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, repeat
+from itertools import compress, repeat, takewhile, tee
 from operator import eq, is_not, itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -238,10 +245,19 @@ def _finish(out: dict[tuple, complex], norm_in: float) -> dict[tuple, complex]:
 
 
 def _run(graph: PortGraph, state: ModeVector, config: SimulationConfig) -> ModeVector:
-    """*state* through the packet loop, with path labels only at its ends:
-    each component's path is resolved to its entry slot, a component on a
-    path with no entry passes through (it comes first in its key's sum),
-    and each terminal sum is added under its label."""
+    """*state* through the device, with path labels only at its ends: each
+    component's path is resolved to its entry slot, a component on a path
+    with no entry passes through (it comes first in its key's sum), and
+    each terminal sum is added under its label.
+
+    Each packet is walked alone by `_walk`, and the landings, in the
+    loop's order (stable by landing hop, entries on terminals at hop 0),
+    are what `_propagate` returns, bit for bit.  The whole state runs on
+    the packet loop instead if a packet gets None from the walk, or two
+    packets land on one key: packets that merge in flight land on one key
+    or are dropped there, which the walk does not see.  So it does if the
+    walk raises OverflowError, since the loop may drop the packet before
+    the element that raised it."""
     entries = graph.entries
     out: dict[tuple[PathLabel, int], complex] = {}
     packets: dict[tuple[int, int], complex] = {}
@@ -253,11 +269,95 @@ def _run(graph: PortGraph, state: ModeVector, config: SimulationConfig) -> ModeV
             key = (slot, ell)
             packets[key] = packets.get(key, 0j) + amp
     norm_in = state.norm()
+    walks = _walk(graph, (key + (amp,) for key, amp in packets.items()), norm_in, config)
+    try:  # up to the first packet that gets None
+        walked = list(takewhile(partial(is_not, None), walks))
+    except OverflowError:  # a splitter order past the float range: the loop
+        walked = []  # raises it too, unless packets cancel before it
+    walked.sort(key=itemgetter(0))
+    landed = {(t, ell): amp for _, t, ell, amp in walked}
+    if len(landed) < len(packets):  # a walk gave up, or two landed on one key
+        landed = _propagate(graph, packets, norm_in, config)
     terminals = graph.terminals
-    for (t, ell), amp in _propagate(graph, packets, norm_in, config).items():
+    for (t, ell), amp in landed.items():
         key = (terminals[t], ell)
         out[key] = out.get(key, 0j) + amp
     return ModeVector._trusted(_finish(out, norm_in))
+
+
+def _walk(
+    graph: PortGraph,
+    packets: Iterable[tuple[int, int, complex]],
+    norm: float,
+    config: SimulationConfig,
+) -> Iterator[tuple[int, int, int, complex] | None]:
+    """For each ``(slot, ell, amp)`` of *packets*, in order, the packet
+    walked alone along the int tables, with no dict per hop: ``(hops, t,
+    ell, amp)`` if it lands on ``terminals[t]`` after *hops* node
+    traversals (0 for an entry on a terminal), which is what `_propagate`
+    lands for it alone, bit for bit.  None where the loop must tell what
+    happens: the packet splits, at a non-multiple in physical mode; meets
+    a non-multiple in strict mode; is dropped as dust, or at a splitter
+    with no port; is still in flight past the hop budget; or lands on a
+    terminal with no label.  Its cut is ``PRUNE_THRESHOLD * norm``.
+
+    *amp* is summed from 0j, as the loop sums each packet it stages, so
+    the walk touches it only at a physical splitter or a plate, where it
+    can change: there it is summed from 0j again, and checked against the
+    cut if it goes on to another node.  The loop has no cut at the first
+    hop, so the walk checks the cut once more at the second, on an
+    amplitude no element may have changed yet.
+    """
+    wiring, terminals = graph.wiring, graph.terminals
+    orders, kicks = _tables(graph)
+    strict = config.mode == STRICT
+    budget = HOPS_PER_NODE * max(1, len(graph.nodes))
+    cut = PRUNE_THRESHOLD * norm
+    for slot, ell, amp in packets:
+        # past hop `until` the walk checks the cut once, at the second hop,
+        # where the loop's cut starts, and then only the hop budget
+        hops, until = 0, min(1, budget)
+        while slot >= 0:
+            hops += 1
+            if hops > until:
+                if hops > budget or not abs(amp) > cut:
+                    break
+                until = budget
+            k = orders[slot]
+            if k > 0:
+                if strict:  # the rule of splitter_route_strict, on slots
+                    turns, rest = divmod(ell, k)
+                    if rest:
+                        break
+                    slot = wiring[slot ^ (turns & 1)]
+                    continue
+                stay, cross = splitter_amplitudes(k, ell)
+                if cross:
+                    if stay:  # it splits
+                        break
+                    slot ^= 1
+                    amp = cross * amp
+                elif stay:
+                    amp *= stay
+                else:  # no port
+                    break
+            elif k:
+                amp *= z_phase(-k, ell)
+            else:
+                ell += kicks[slot]
+                slot = wiring[slot]
+                continue
+            # the amplitude changed: summed from 0j as the loop sums it, and
+            # dropped as dust where the loop drops it, at the next hop's head
+            amp = 0j + amp
+            slot = wiring[slot]
+            if slot >= 0 and not abs(amp) > cut:
+                break
+        else:
+            if terminals[~slot] is not None:
+                yield hops, ~slot, ell, amp
+                continue
+        yield None
 
 
 def strict_pieces(
@@ -596,108 +696,54 @@ def _probes(
     and its error raised where the failing value would be yielded.  Each
     value is probed as one basis state of amplitude 1.
 
-    A probe is one packet, walked along the int tables with no dict per
-    hop, and returns what `_propagate` does, bit for bit.  Each hop keeps
-    the loop's hop budget.  Its amplitude changes only at a physical
-    splitter or a plate, so only there is it summed from 0j, as the loop
-    sums each packet it stages or lands, and checked against the prune cut
-    if it goes on to another node.  The loop has no cut at the first hop,
-    so the walk checks the cut once more at the second, on an amplitude no
-    element may have changed yet.  A probe that splits, at a non-multiple
-    in physical mode, is run alone on the packet loop.
-
-    Each probe is read in one order.  An error is raised, unless it is
-    NonMultipleMode, which leaves the value out.  A probe that lands as
-    one component of modulus exactly 1 maps to that component's OAM value
-    when it is on the output path, and is left out otherwise; its norm
-    check compares a drift of 0 with ``NORM_TOLERANCE``.  Every other
-    landing (several components, a modulus not exactly 1, a non-finite
-    amplitude, none) is keyed by terminal label and read as
-    ``extract_permutation(transform(...))`` reads it.
+    Each probe is one packet, walked by `_walk`.  A probe the walk gets
+    None for (it splits, fails, is dropped, or lands on an unwired port)
+    is run alone on the packet loop, which raises its error, or returns
+    its terminal sums.  An error is raised, unless it is NonMultipleMode,
+    which leaves the value out.  A probe the walk lands with modulus
+    exactly 1 maps to its OAM value when it lands on the output path, and
+    is left out otherwise; its norm check compares a drift of 0 with
+    ``NORM_TOLERANCE``.  Every other landing (a modulus not exactly 1, a
+    non-finite amplitude, or the loop's terminal sums) is keyed by terminal
+    label and read as ``extract_permutation(transform(...))`` reads it.
     """
     graph = _graph(device)
     source, target = graph.input_path, graph.output_path
     # labels are looked up once: each probe is read by terminal index
     entry = graph.entries.get(source)
-    wiring, terminals = graph.wiring, graph.terminals
-    orders, kicks = _tables(graph)
+    terminals = graph.terminals
     output = terminals.index(target) if target in terminals else None
-    through = entry is None and source == target
-    strict = config.mode == STRICT
-    budget = HOPS_PER_NODE * max(1, len(graph.nodes))
-    cut = PRUNE_THRESHOLD  # times the norm of a probe, 1
-    for ell in values:
-        if type(ell) is not int and not _is_int(ell):
-            raise TypeError(f"OAM value must be int, got {ell!r}")
-        if entry is None:  # the probe passes straight through
-            yield ell, ell if through else None
-            continue
-        slot, image, amp = entry, ell, 1.0 + 0j
-        out: dict[tuple[int, int], complex] | None = {}  # None: NonMultipleMode
-        # past hop `until` the walk checks the cut once, at the second hop,
-        # where the loop's cut starts, and then only the hop budget
-        hops, until = 0, min(1, budget)
-        while slot >= 0:
-            hops += 1
-            if hops > until:
-                if hops > budget:
-                    if abs(amp) > cut:
-                        raise HopBudgetExceeded(
-                            f"packets still in flight after {budget} node traversals"
-                        )
-                    break
-                if not abs(amp) > cut:
-                    break
-                until = budget
-            k = orders[slot]
-            if k > 0:
-                if strict:
-                    turns, rest = divmod(image, k)
-                    if rest:
-                        out = None
-                        break
-                    slot = wiring[slot ^ (turns & 1)]
-                    continue
-                stay, cross = splitter_amplitudes(k, image)
-                if cross:
-                    if stay:  # it splits: the loop runs the probe
-                        out = _propagate(graph, {(entry, ell): 1.0 + 0j}, 1.0, config)
-                        break
-                    slot ^= 1
-                    amp = cross * amp
-                elif stay:
-                    amp *= stay
-                else:  # no port: dropped, as the loop drops it
-                    break
-            elif k:
-                amp *= z_phase(-k, image)
-            else:
-                image += kicks[slot]
-                slot = wiring[slot]
+    if entry is None:  # each probe passes straight through
+        for ell in map(_checked, values):
+            yield ell, ell if source == target else None
+        return
+    ells, probes = tee(map(_checked, values))
+    walked = _walk(graph, zip(repeat(entry), probes, repeat(1.0 + 0j)), 1.0, config)
+    for ell, landing in zip(ells, walked):
+        if landing is None:  # the loop runs the probe alone
+            try:
+                out = _propagate(graph, {(entry, ell): 1.0 + 0j}, 1.0, config)
+            except NonMultipleMode:
+                yield ell, None
                 continue
-            # the amplitude changed: summed from 0j as the loop sums it, and
-            # dropped as dust where the loop drops it, at the next hop's head
-            amp = 0j + amp
-            slot = wiring[slot]
-            if slot >= 0 and not abs(amp) > cut:
-                break
         else:
-            if terminals[~slot] is None:
-                raise ValueError("a packet left the device through an unwired port")
-            out = {(~slot, image): amp}
-        if out is None:
-            yield ell, None
-            continue
-        if len(out) == 1:
-            ((t, image), amp), = out.items()
+            _, t, image, amp = landing
             # one unit landing: no dust to prune, nothing to rescale, and a
             # drift of exactly 0, which fails only a negative tolerance
             if abs(amp) == 1.0 and not 0.0 > NORM_TOLERANCE:
                 yield ell, image if t == output else None
                 continue
+            out = {(t, image): amp}
         # read as `transform` reads it
         named = {(terminals[t], e): amp for (t, e), amp in out.items()}
         yield ell, _image(_finish(named, 1.0), target)
+
+
+def _checked(ell: int) -> int:
+    """*ell*, if it is an OAM value: an int, and no bool."""
+    if type(ell) is not int and not _is_int(ell):
+        raise TypeError(f"OAM value must be int, got {ell!r}")
+    return ell
 
 
 def transform(

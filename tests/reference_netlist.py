@@ -12,7 +12,8 @@ tolerance.
 state, kept whole here for every run: each hop stages every packet in
 flight in one dict.  It is the reference for the engine's loop on states
 of several packets, and, read value by value, for the engine's walk of
-basis probes, bit for bit.
+basis probes, bit for bit; `reference_transform` runs every state on it,
+the reference for the engine's walk of each packet of a state.
 
 `check_window_certificate` checks the pieces `oamcycle.simulation.strict_pieces`
 returns for any window as a proof of the device's strict map there, with
@@ -160,6 +161,27 @@ def reference_propagate(graph, packets, norm, config):
     if error is not None:
         raise error
     return out
+
+
+def reference_transform(device, state, config):
+    """What ``oamcycle.simulation.transform(device, config)(state)`` returns,
+    with every state run on `reference_propagate`: each component's path
+    resolved to its entry slot, a component on a path with no entry passed
+    through first in its key's sum, each terminal sum added under its label,
+    and the sums read through `oamcycle.simulation._finish`."""
+    graph = simulation._graph(device)
+    out, packets = {}, {}
+    for (path, ell), amp in state.items():
+        slot = graph.entries.get(path)
+        if slot is None:
+            out[path, ell] = 0j + amp
+        else:
+            packets[slot, ell] = packets.get((slot, ell), 0j) + amp
+    norm = state.norm()
+    for (t, ell), amp in reference_propagate(graph, packets, norm, config).items():
+        key = (graph.terminals[t], ell)
+        out[key] = out.get(key, 0j) + amp
+    return ModeVector._trusted(simulation._finish(out, norm))
 
 
 def check_window_certificate(device, result, lo, hi):

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_netlist import reference_apply_netlist
+from reference_netlist import reference_apply_netlist, reference_transform
 
 from oamcycle import portgraph, simulation
 from oamcycle.elements import NonMultipleMode, splitter_amplitudes, z_phase
@@ -33,8 +33,16 @@ from oamcycle.simulation import (
     apply_netlist,
     apply_portgraph,
     simulate_word,
+    transform,
 )
-from oamcycle.synthesis import InvalidDimension, simplify, synth_arbitrary
+from oamcycle.synthesis import (
+    VARIANTS,
+    InvalidDimension,
+    device_for,
+    simplify,
+    synth_arbitrary,
+    synth_variant,
+)
 
 R0 = r_path(0)
 R1 = r_path(1)
@@ -428,6 +436,85 @@ def test_folded_graphs_fit_default_hop_budget(monkeypatch):
         graph = simplify(synth_arbitrary(d))
         out = apply_portgraph(graph, ModeVector.basis(R0, 0))
         assert out.get((R0, 1)) == pytest.approx(1.0)
+
+
+# --- states walked packet by packet -------------------------------------------------
+
+
+def superposition(rng, d, n, lo=0):
+    """*n* components on r0 with Gaussian amplitudes, a quarter of them (more
+    when d < n) off the window [lo, lo + d - 1] of a gate, as the benchmark's
+    physical-states workload draws its states."""
+    n_in = min(n - n // 4, d)
+    inside = rng.sample(range(lo, lo + d), n_in)
+    off = [v for v in range(lo - 2 * d - 16, lo + 3 * d + 16) if not lo <= v < lo + d]
+    outside = rng.sample(off, n - n_in)
+    return ModeVector(
+        {(R0, ell): complex(rng.gauss(0, 1), rng.gauss(0, 1)) for ell in inside + outside}
+    )
+
+
+def hexed(run):
+    """The items of the state *run* returns, in order, with their parts as
+    float hex; or the type and message of the error it raises."""
+    try:
+        out = run()
+    except (NonMultipleMode, HopBudgetExceeded, NormDrift, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(key, amp.real.hex(), amp.imag.hex()) for key, amp in out.items()]
+
+
+def gate_devices(d, rng):
+    """``(variant, window start, device)`` for every variant at d, the
+    shifted one on a window drawn from *rng*."""
+    shift = rng.choice((-1, 1)) * rng.randint(1, 4 * d)
+    for variant in VARIANTS:
+        lo = shift if variant == "shifted" else 0
+        yield variant, lo, device_for(synth_variant(d, variant, lo), variant)
+
+
+def check_states(d):
+    """Assert that superpositions drawn from ``random.Random(d)``, at the
+    scales 1, 1e200 and 1e-200, leave every variant's device at d as they
+    leave `reference_transform`, bit for bit, in both modes."""
+    rng = random.Random(d)
+    for variant, lo, device in gate_devices(d, rng):
+        for mode in ("strict", "physical"):
+            config = SimulationConfig(mode)
+            run = transform(device, config)
+            for scale in (1.0, 1e200, 1e-200):
+                state = superposition(rng, d, rng.randint(1, 32), lo).scaled(scale)
+                want = hexed(lambda: reference_transform(device, state, config))
+                assert hexed(lambda: run(state)) == want, (d, variant, mode, scale)
+
+
+def test_states_match_the_reference_loop_up_to_d_300():
+    # `tools/verify_differential.py states` runs the same check to any d
+    for d in range(2, 301):
+        check_states(d)
+
+
+@pytest.mark.parametrize("mode", ["strict", "physical"])
+def test_states_through_synthesized_gates_skip_the_packet_loop(monkeypatch, mode):
+    # a synthesized gate meets only multiples of its splitter orders, on its
+    # window and off it, so no packet of a state splits and no two land on
+    # one key: every state is walked packet by packet, never on the loop
+    config = SimulationConfig(mode)
+    rng = random.Random(mode)
+    runs = []
+    for d in (2, 3, 5, 12, 64, 257, 1024):
+        for _, lo, device in gate_devices(d, rng):
+            for n in (1, 8, 32):
+                state = superposition(rng, d, n, lo)
+                want = hexed(lambda: reference_transform(device, state, config))
+                runs.append((device, state, want))
+
+    def loop(*args):
+        raise AssertionError("a state ran on the packet loop")
+
+    monkeypatch.setattr(simulation, "_propagate", loop)
+    for device, state, want in runs:
+        assert hexed(lambda: transform(device, config)(state)) == want
 
 
 def test_portgraph_rejects_bad_dimension():

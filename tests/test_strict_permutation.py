@@ -3,7 +3,9 @@ must return, and raise, what probing the same window value by value does,
 in both modes.  So must `probe_permutation`, whose `_probes` walks each
 basis probe as one packet; that walk must read what the breadth-first loop
 of `reference_netlist` does, value by value and bit for bit, and the
-engine's loop must return what that reference loop does on any state."""
+engine's loop must return what that reference loop does on any state.
+Each state walked packet by packet must come out as it does with the state
+run on the engine's loop."""
 
 import enum
 import math
@@ -17,6 +19,7 @@ from oamcycle.elements import NonMultipleMode, z_phase
 from oamcycle.model import (
     PRUNE_THRESHOLD,
     Hologram,
+    ModeVector,
     Netlist,
     OamBeamSplitter,
     PathLabel,
@@ -286,7 +289,7 @@ def landed(run):
     error it raises."""
     try:
         out = run()
-    except (NonMultipleMode, *ERRORS) as exc:
+    except (NonMultipleMode, OverflowError, *ERRORS) as exc:
         return type(exc), str(exc)
     return [(key, amp.real.hex(), amp.imag.hex()) for key, amp in out.items()]
 
@@ -462,6 +465,156 @@ def test_walked_probes_match_the_breadth_first_loop(run):
             for ell in values:
                 got = read(simulation._probes(graph_of_device, [ell], config))
                 assert got == read(reference_probes(graph_of_device, [ell], config)), (mode, ell)
+
+
+FINITE_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.6, -0.8, 5e-324, 1e-300]), st.floats(-2.0, 2.0)
+)
+
+
+@st.composite
+def state_runs(draw):
+    """``(graph, components, hops per node, prune threshold)`` for `_run`: up
+    to six components, on the graph's entry paths and on r1, which may have
+    none, so that they pass through; hop budgets that short routes reach,
+    and prune thresholds at which a packet, or one a plate scales by an
+    ulp, is dust."""
+    graph_of_device = simulation._graph(draw(DEVICES))
+    paths = st.sampled_from(sorted({*graph_of_device.entries, R1}))
+    components = {}
+    for _ in range(draw(st.integers(0, 6))):
+        components[draw(paths), draw(ELLS)] = complex(draw(FINITE_PARTS), draw(FINITE_PARTS))
+    prune = draw(st.sampled_from([PRUNE_THRESHOLD, 1.0 - 2.0**-53, 1.0, 2.0]))
+    return graph_of_device, components, draw(PER_NODE), prune
+
+
+def state_run(device, components, per_node=simulation.HOPS_PER_NODE, prune=PRUNE_THRESHOLD):
+    return simulation._graph(device), components, per_node, prune
+
+
+def loop_only(graph_of_device, packets, norm, config):
+    """A walk that gets None for every packet, so `_run` runs each state on
+    the packet loop."""
+    return (None for _ in packets)
+
+
+# two components land on one key, after one hop each or after one and two
+ONE_KEY = graph(
+    [Hologram(R0, 1), Hologram(R1, 2)],
+    [~1, ~0, ~0, ~0, ~1, ~0, ~0, ~0],
+    {R0: 0, R1: 4},
+    (None, R0, R1),
+)
+ONE_KEY_LATER = graph(
+    [Hologram(R0, 1), Hologram(R1, 1), Hologram(R1, 1)],
+    [~1, ~0, ~0, ~0, 8, ~0, ~0, ~0, ~1, ~0, ~0, ~0],
+    {R0: 0, R1: 4},
+    (None, R0, R1),
+)
+# r0 and r1 meet at the third hologram after one hop each, and go on as one
+MERGE_IN_FLIGHT = graph(
+    [Hologram(R0, 1), Hologram(R1, 1), Hologram(R1, 1)],
+    [8, ~0, ~0, ~0, 8, ~0, ~0, ~0, ~1, ~0, ~0, ~0],
+    {R0: 0, R1: 4},
+    (None, R0, R1),
+)
+
+# r0 and r1 meet at a hologram ahead of a splitter whose order is past the
+# float range, where physical amplitudes raise OverflowError
+HUGE_ORDER = graph(
+    [Hologram(R0, 1), Hologram(R1, 1), Hologram(R0, 1), OamBeamSplitter(10**400, R0, R1)],
+    [8, ~0, ~0, ~0, 8, ~0, ~0, ~0, 12, ~0, ~0, ~0, ~1, ~1, ~0, ~0],
+    {R0: 0, R1: 4},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state_runs())
+# physical: 1 and 3 split at the first order-2 splitter and recombine at the
+# second; strict: 1 is no multiple of 2
+@example(
+    state_run(
+        Netlist((OamBeamSplitter(2, R0, R1), OamBeamSplitter(2, R0, R1)), R0, R1, 2),
+        {(R0, 1): 0.6, (R0, 3): 0.8},
+    )
+)
+# strict: 5 is no multiple of 2, after 2 has landed
+@example(state_run(SPLIT_R0, {(R0, 2): 0.6, (R0, 5): 0.8}))
+# a plate scales the packet to an ulp under 1, dust past the second hop
+@example(
+    state_run(
+        Netlist((Hologram(R0, 1), ZPlate(R0, 3), Hologram(R0, 1)), R0, R0, 3),
+        {(R0, 0): 1.0},
+        10,
+        1.0 - 2.0**-53,
+    )
+)
+# no element changes the packet, which is dust at the second hop
+@example(state_run(Netlist((Hologram(R0, 1), Hologram(R0, 1)), R0, R0, 2), {(R0, 0): 1.0}, 10, 1.0))
+# at one hop a node, a route of two hops through one node overruns the budget
+@example(state_run(graph([Hologram(R0, 1)], [2, ~0, ~1, ~0], {R0: 0}), {(R0, 0): 1.0}, 1))
+# physical: 1 splits at the order-10**16 splitter, and its crossing dust is
+# still in flight at the budget of two hops, which ends the run normally
+@example(
+    state_run(
+        graph(
+            [Hologram(R0, 0), OamBeamSplitter(10**16, R0, R1)],
+            [4, ~0, ~0, ~0, ~1, 0, ~0, ~0],
+            {R0: 0},
+        ),
+        {(R0, 1): 1.0},
+        1,
+    )
+)
+# 1 crosses to the y port, which feeds nothing
+@example(
+    state_run(
+        graph([OamBeamSplitter(1, R0, R1)], [~1, ~0, ~0, ~0], {R0: 0}), {(R0, 0): 0.6, (R0, 1): 0.8}
+    )
+)
+# r0 enters on a terminal and lands at once, before r1, which it follows in
+# the state
+@example(
+    state_run(
+        graph([Hologram(R1, 1)], [~1, ~0, ~0, ~0], {R0: ~2, R1: 0}, (None, R0, R1)),
+        {(R1, 0): 0.6, (R0, 3): 0.8},
+    )
+)
+@example(state_run(ONE_KEY, {(R0, 0): 0.6, (R1, -1): 0.8}))
+@example(state_run(ONE_KEY_LATER, {(R1, -1): 0.8, (R0, 0): 0.6}))
+# the two halves cancel where they meet, and nothing lands
+@example(state_run(MERGE_IN_FLIGHT, {(R0, 0): 0.6, (R1, 0): -0.6}))
+@example(state_run(MERGE_IN_FLIGHT, {(R0, 0): 0.6, (R1, 0): 0.8}))
+# physical: the two cancel before the splitter, which no packet of the loop
+# then reaches; where they do not cancel, the loop raises OverflowError too
+@example(state_run(HUGE_ORDER, {(R0, 0): 0.6, (R1, 0): -0.6}))
+@example(state_run(HUGE_ORDER, {(R0, 0): 0.6, (R1, 0): 0.8}))
+def test_walked_states_match_the_breadth_first_loop(run):
+    graph_of_device, components, per_node, prune = run
+    finished = []
+    finish = simulation._finish
+
+    def recording(out, norm_in):
+        finished.append([(key, amp.real.hex(), amp.imag.hex()) for key, amp in out.items()])
+        return finish(out, norm_in)
+
+    def read(state, config):
+        # the output, or the error raised, and each state `_finish` read
+        finished.clear()
+        return landed(lambda: simulation._run(graph_of_device, state, config)), finished[:]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "HOPS_PER_NODE", per_node)
+        patch.setattr(simulation, "PRUNE_THRESHOLD", prune)
+        patch.setattr(simulation, "_finish", recording)
+        for scale in (1.0, 1e200, 1e-200):
+            state = ModeVector({key: amp * scale for key, amp in components.items()})
+            for mode in MODES:
+                config = SimulationConfig(mode)
+                walked = read(state, config)
+                with pytest.MonkeyPatch.context() as looping:
+                    looping.setattr(simulation, "_walk", loop_only)
+                    assert walked == read(state, config), (scale, mode)
 
 
 def drawing(values, drawn):

@@ -1,10 +1,11 @@
-"""Hold `verify_gate` or `discover_cycles` to the value-by-value read, in both modes, or each built device to its checked rebuild, for every d up to a bound.
+"""Hold `verify_gate` or `discover_cycles` to the value-by-value read, in both modes, each built device to its checked rebuild, or `transform` to the breadth-first loop, for every d up to a bound.
 
 Usage::
 
     PYTHONPATH=src python tools/verify_differential.py MAX_D
     PYTHONPATH=src python tools/verify_differential.py cycles MAX_D
     PYTHONPATH=src python tools/verify_differential.py devices MAX_D
+    PYTHONPATH=src python tools/verify_differential.py states MAX_D
 
 For every d in 2..MAX_D the first form runs ``check_dimension`` of
 ``tests/test_verify_pieces.py``: every gate variant on a shift drawn from
@@ -26,6 +27,14 @@ build unchecked, must equal its rebuild through the public constructors (the
 shifted variant on a window drawn from ``random.Random(d)``); and strict
 `verify_gate` on each variant must pass with the predicted splitter count.
 Tier-1 runs the rebuild check up to d = 300.
+The ``states`` form runs ``check_states`` of ``tests/test_simulation.py``:
+superpositions drawn from ``random.Random(d)``, a quarter of their
+components off the gate's window, at the scales 1, 1e200 and 1e-200, go
+through every variant's device in strict and in physical mode, and
+`transform`, which walks each packet alone, must return what
+``reference_transform`` of ``tests/reference_netlist.py``, which runs every
+state on the breadth-first packet loop, returns, bit for bit, or raise the
+same error.  Tier-1 runs it up to d = 300.
 Prints one line per 256 dimensions and exits 1 at the first d that differs.
 """
 
@@ -39,6 +48,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from test_cycle_pieces import check_cycle_dimension  # noqa: E402
+from test_simulation import check_states  # noqa: E402
 from test_synthesis import check_devices  # noqa: E402
 from test_verify_pieces import check_dimension  # noqa: E402
 
@@ -68,6 +78,7 @@ def check_built_devices(d: int) -> None:
 FORMS = {
     "cycles": (check_cycle_dimension, "same cycles"),
     "devices": (check_built_devices, "devices built alike, gates pass"),
+    "states": (check_states, "same states"),
 }
 
 
@@ -77,7 +88,7 @@ def main(argv: list[str]) -> int:
         check, what = FORMS[argv[0]]
         argv = argv[1:]
     if len(argv) != 1 or not argv[0].isdigit() or int(argv[0]) < 2:
-        print(__doc__.strip().splitlines()[0], "\nusage: verify_differential.py [cycles | devices] MAX_D (>= 2)")
+        print(__doc__.strip().splitlines()[0], "\nusage: verify_differential.py [cycles | devices | states] MAX_D (>= 2)")
         return 2
     max_d = int(argv[0])
     start = time.perf_counter()
