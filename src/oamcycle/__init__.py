@@ -5,7 +5,6 @@ from .analysis import (
     ScalingRow,
     VerificationReport,
     discover_cycles,
-    scaling_csv,
     scaling_table,
     verify_gate,
 )
@@ -61,8 +60,6 @@ from .synthesis import (
     shifted_gate,
     simplify,
     synth_arbitrary,
-    synth_odd,
-    synth_power_of_two,
 )
 
 __version__ = "0.1.0"

@@ -387,14 +387,9 @@ def scaling_table(d_min: int, d_max: int) -> list[ScalingRow]:
 
 
 def scaling_csv_lines(rows: Iterable[ScalingRow]) -> Iterator[str]:
-    """The lines of `scaling_csv`, newline included, the header first and
-    then one per row as it is drawn."""
+    """*rows* as CSV lines, newline included, the header first and then one
+    per row as it is drawn; each bound is written with full float precision."""
     yield "d,n_arb_actual,n_arb_predicted,n_s,naive,bound\n"
     for row in rows:
         bound = repr(row.bound) if row.bound is not None else ""
         yield f"{row.d},{row.n_arb_actual},{row.n_arb_predicted},{row.n_s},{row.naive},{bound}\n"
-
-
-def scaling_csv(rows: list[ScalingRow]) -> str:
-    """Render scaling rows as CSV, bounds written with full float precision."""
-    return "".join(scaling_csv_lines(rows))

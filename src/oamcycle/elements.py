@@ -15,6 +15,12 @@ Two models of that behavior are provided.
   phi = pi*ell/m, defined for every ell.  At multiples of m it puts all
   probability, exactly, on the strict router's port, with an
   ell-dependent phase on top.
+
+Every phase is an int ratio of a turn, turned into radians in one place,
+`_angle`: a splitter's half phase phi/2 is (ell mod 4m)/(4m) of a turn
+(at a multiple of m, an exact quarter turn that needs no angle), and a
+plate's phase is (ell mod d)/d of a turn.  The conversion is finite at
+any order and dimension, also past the float range.
 """
 
 from __future__ import annotations
@@ -51,6 +57,21 @@ def splitter_route_strict(m: int, input_port: str, ell: int) -> str:
     return PORT_Y if input_port == PORT_X else PORT_X
 
 
+#: below this denominator tau * float(n) stays finite: tau * 2**1021 < 2**1024
+_FLOAT_SAFE = 2**1021
+
+
+def _angle(n: int, den: int) -> float:
+    """2*pi*n/den radians, for ints 0 <= n < den, finite at any size.
+
+    Below `_FLOAT_SAFE` it is ``math.tau * n / den``.  From there on the
+    int ratio is divided first, which Python rounds correctly at any size.
+    """
+    if den < _FLOAT_SAFE:
+        return math.tau * n / den
+    return math.tau * (n / den)
+
+
 #: (stay, cross) at ell = 0, m, 2m, 3m (mod 4m)
 _QUARTER_TURNS = ((1 + 0j, 0j), (0j, 1j), (-1 + 0j, 0j), (0j, -1j))
 
@@ -60,7 +81,8 @@ def splitter_amplitudes(m: int, ell: int) -> tuple[complex, complex]:
 
     ell is reduced mod 4m (the period in ell) in integers before any float
     arithmetic, so huge ell keep full precision and multiples of m give
-    exactly 1, i, -1 or -i on one port and 0 on the other.
+    exactly 1, i, -1 or -i on one port and 0 on the other.  Elsewhere
+    phi/2 is `_angle` of (ell mod 4m)/(4m), finite at any order.
     """
     if m < 1:
         raise ValueError(f"splitter order must be >= 1, got {m}")
@@ -68,7 +90,7 @@ def splitter_amplitudes(m: int, ell: int) -> tuple[complex, complex]:
     turns, rest = divmod(r, m)
     if not rest:
         return _QUARTER_TURNS[turns]
-    half = math.pi * r / (2 * m)
+    half = _angle(r, 4 * m)
     return complex(math.cos(half)), 1j * math.sin(half)
 
 
@@ -82,9 +104,10 @@ def splitter_unitary(m: int, ell: int) -> tuple[tuple[complex, complex], ...]:
 def z_phase(d: int, ell: int) -> complex:
     """Phase factor exp(2*pi*i*ell/d) of the dimension-d plate.
 
-    The OAM value is reduced mod d before exponentiation, so the result
-    is exactly period-d in ell (bit-identical, not merely close).
+    The OAM value is reduced mod d before `_angle` turns (ell mod d)/d
+    into radians, so the result is exactly period-d in ell (bit-identical,
+    not merely close) and finite at any d.
     """
     if d < 2:
         raise ValueError(f"phase plate dimension must be >= 2, got {d}")
-    return cmath.exp(2j * math.pi * (ell % d) / d)
+    return cmath.exp(1j * _angle(ell % d, d))

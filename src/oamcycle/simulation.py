@@ -255,9 +255,9 @@ def _run(graph: PortGraph, state: ModeVector, config: SimulationConfig) -> ModeV
     are what `_propagate` returns, bit for bit.  The whole state runs on
     the packet loop instead if a packet gets None from the walk, or two
     packets land on one key: packets that merge in flight land on one key
-    or are dropped there, which the walk does not see.  So it does if the
-    walk raises OverflowError, since the loop may drop the packet before
-    the element that raised it."""
+    or are dropped there, which the walk does not see.  The walk itself
+    raises nothing: every element's amplitude is finite at any order or
+    dimension."""
     entries = graph.entries
     out: dict[tuple[PathLabel, int], complex] = {}
     packets: dict[tuple[int, int], complex] = {}
@@ -270,10 +270,7 @@ def _run(graph: PortGraph, state: ModeVector, config: SimulationConfig) -> ModeV
             packets[key] = packets.get(key, 0j) + amp
     norm_in = state.norm()
     walks = _walk(graph, (key + (amp,) for key, amp in packets.items()), norm_in, config)
-    try:  # up to the first packet that gets None
-        walked = list(takewhile(partial(is_not, None), walks))
-    except OverflowError:  # a splitter order past the float range: the loop
-        walked = []  # raises it too, unless packets cancel before it
+    walked = list(takewhile(partial(is_not, None), walks))  # up to the first None
     walked.sort(key=itemgetter(0))
     landed = {(t, ell): amp for _, t, ell, amp in walked}
     if len(landed) < len(packets):  # a walk gave up, or two landed on one key

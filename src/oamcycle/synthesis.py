@@ -7,10 +7,9 @@ recombined so that exactly the modes 0..d-1 cycle.  Rungs come in
 mirror-symmetric forward/backward pairs around a central apex; holograms
 carry the digit-dependent shifts.
 
-Three entry points cover the published layouts: `synth_power_of_two`
-(Q = 1, the plain doubling ladder), `synth_odd` (M = 0), and the general
-`synth_arbitrary`.  All three emit the same element sequence for a given
-dimension; the restricted forms only validate their precondition.
+`synth_arbitrary` builds every published layout: for d a power of two
+(Q = 1) it is the plain doubling ladder, and for odd d (M = 0) the digit
+walk alone.
 
 The emitter records each mirror pair as it emits the backward element,
 and `simplify` folds each such pair onto its forward partner, re-routing
@@ -202,20 +201,6 @@ def synth_arbitrary(d: int) -> Netlist:
     # so that `simplify` folds this netlist without emitting it again
     object.__setattr__(netlist, "_mirror_pairs", _pairs(emitted))
     return netlist
-
-
-def synth_odd(d: int) -> Netlist:
-    """Cyclic shift netlist for odd d >= 3."""
-    if not _is_int(d) or d < 3 or d % 2 == 0:
-        raise InvalidDimension(f"expected an odd dimension >= 3, got {d!r}")
-    return synth_arbitrary(d)
-
-
-def synth_power_of_two(m: int) -> Netlist:
-    """Cyclic shift netlist for d = 2^m, m >= 1: the plain doubling ladder."""
-    if not _is_int(m) or m < 1:
-        raise InvalidDimension(f"expected an exponent >= 1, got {m!r}")
-    return synth_arbitrary(2**m)
 
 
 def count_beamsplitters(device: Netlist | PortGraph) -> int:

@@ -26,7 +26,6 @@ from oamcycle import (
     normalize,
     parse,
     r_path,
-    scaling_csv,
     scaling_table,
     serialize,
     simplify,
@@ -34,6 +33,7 @@ from oamcycle import (
     synth_arbitrary,
     verify_gate,
 )
+from oamcycle.analysis import scaling_csv_lines
 from oamcycle.elements import PORT_X, splitter_route_strict, splitter_unitary
 
 R0 = r_path(0)
@@ -237,7 +237,7 @@ def test_11_serialization_and_scaling_run():
             assert serialize(parse(text).netlist) == text, d
         start = time.perf_counter()
         rows = scaling_table(3, 500)
-        csv_text = scaling_csv(rows)
+        csv_text = "".join(scaling_csv_lines(rows))
         assert time.perf_counter() - start < 30.0
         table = {}
         lines = csv_text.splitlines()

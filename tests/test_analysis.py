@@ -11,7 +11,7 @@ from oamcycle import analysis, simulation
 from oamcycle.analysis import (
     CycleSet,
     discover_cycles,
-    scaling_csv,
+    scaling_csv_lines,
     scaling_table,
     verify_gate,
 )
@@ -520,7 +520,7 @@ def test_scaling_rejects_bad_range():
 
 def test_scaling_csv_format():
     rows = scaling_table(3, 5)
-    text = scaling_csv(rows)
+    text = "".join(scaling_csv_lines(rows))
     lines = text.splitlines()
     assert lines[0] == "d,n_arb_actual,n_arb_predicted,n_s,naive,bound"
     assert lines[1] == "3,4,4,4,4,4.0"
@@ -530,5 +530,5 @@ def test_scaling_csv_format():
 
 
 def test_scaling_csv_empty_bound_for_d2():
-    text = scaling_csv(scaling_table(2, 2))
+    text = "".join(scaling_csv_lines(scaling_table(2, 2)))
     assert text.splitlines()[1] == "2,2,2,1,2,"

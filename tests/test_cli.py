@@ -16,7 +16,17 @@ from pathlib import Path
 import pytest
 
 import oamcycle
-from oamcycle import Hologram, Netlist, OamBeamSplitter, analysis, cli, parse, r_path, serialize
+from oamcycle import (
+    Hologram,
+    Netlist,
+    OamBeamSplitter,
+    ZPlate,
+    analysis,
+    cli,
+    parse,
+    r_path,
+    serialize,
+)
 from oamcycle.cli import main
 
 
@@ -124,6 +134,25 @@ def test_simulate_non_multiple_mode_is_exit_one(tmp_path, capsys):
     path.write_text(serialize(netlist), encoding="utf-8")
     assert main(["simulate", str(path), "--input", "|1>"]) == 1
     assert "simulation failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "element, mode",
+    [
+        (OamBeamSplitter(10**400, r_path(0), r_path(1)), "physical"),
+        (ZPlate(r_path(0), 10**400), "strict"),
+    ],
+    ids=["splitter", "plate"],
+)
+def test_simulate_order_past_the_float_range(tmp_path, capsys, element, mode):
+    # a splitter order or plate dimension of 10**400 gives a finite phase
+    netlist = Netlist(elements=(element,), dimension=2, input_path=r_path(0), output_path=r_path(0))
+    path = tmp_path / "huge.json"
+    path.write_text(serialize(netlist), encoding="utf-8")
+    assert main(["simulate", str(path), "--input", "|1>", "--mode", mode]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "|1> @ r0"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(

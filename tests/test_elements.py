@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -178,3 +179,71 @@ def test_z_phase_roots_sum_to_zero():
 def test_z_phase_rejects_small_dimension():
     with pytest.raises(ValueError):
         z_phase(1, 0)
+
+
+# --- phases as int ratios of a turn ---------------------------------------------
+
+
+def _bits(lo, hi):
+    """Ints of lo..hi bits, every size alike."""
+    return st.integers(lo, hi).flatmap(lambda b: st.integers(2 ** (b - 1), 2**b - 1))
+
+
+ANY_ELL = st.one_of(st.integers(), st.integers(-(2**1600), 2**1600))
+
+
+def _hexes(*amps):
+    return [part.hex() for amp in amps for part in (amp.real, amp.imag)]
+
+
+@given(_bits(1, 1000), ANY_ELL)
+def test_splitter_phase_is_pi_r_over_2m_bit_for_bit_below_2_1000(m, ell):
+    # below 2**1021 `_angle` rounds the half phase as pi * r / (2m) does
+    r = ell % (4 * m)
+    if r % m:
+        half = math.pi * r / (2 * m)
+        want = (complex(math.cos(half)), 1j * math.sin(half))
+        assert _hexes(*splitter_amplitudes(m, ell)) == _hexes(*want)
+
+
+@given(_bits(2, 1000), ANY_ELL)
+def test_z_phase_is_2_pi_i_ell_over_d_bit_for_bit_below_2_1000(d, ell):
+    # below 2**1021 `_angle` rounds the plate phase as this expression does
+    want = cmath.exp(2j * math.pi * (ell % d) / d)
+    assert _hexes(z_phase(d, ell)) == _hexes(want)
+
+
+def _turn(n, den):
+    """2*pi*n/den radians from the exact fraction, rounded once."""
+    return math.tau * float(Fraction(n, den))
+
+
+# from 2**1021 on, tau * float(n) for n < d may be past the float range
+PAST_THE_FLOATS = st.one_of(st.just(10**400), _bits(1022, 1500))
+
+
+@given(PAST_THE_FLOATS, ANY_ELL)
+def test_splitter_phase_is_finite_past_the_float_range(m, ell):
+    stay, cross = splitter_amplitudes(m, ell)
+    half = _turn(ell % (4 * m), 4 * m)
+    assert cmath.isfinite(stay) and cmath.isfinite(cross)
+    assert abs(stay - math.cos(half)) <= 1e-15
+    assert abs(cross - 1j * math.sin(half)) <= 1e-15
+
+
+@given(PAST_THE_FLOATS, ANY_ELL)
+def test_z_phase_is_finite_past_the_float_range(d, ell):
+    phase = z_phase(d, ell)
+    angle = _turn(ell % d, d)
+    assert cmath.isfinite(phase)
+    assert abs(phase.real - math.cos(angle)) <= 1e-15
+    assert abs(phase.imag - math.sin(angle)) <= 1e-15
+
+
+def test_phases_past_the_float_range_examples():
+    m = 10**400
+    assert splitter_amplitudes(m, m // 2) == splitter_amplitudes(8, 4)  # phi = pi/2
+    assert splitter_amplitudes(m, 3 * m) == (0j, -1j)
+    assert splitter_amplitudes(m, 1) == (1 + 0j, 0j)  # phi/2 underflows to 0
+    assert abs(z_phase(m, m // 4) - 1j) < 1e-15
+    assert abs(z_phase(m, -m // 2) + 1) < 1e-15

@@ -27,7 +27,7 @@ from oamcycle.serialization import (
     parse_state,
     serialize,
 )
-from oamcycle.synthesis import VARIANTS, simplify, synth_arbitrary, synth_odd, synth_power_of_two
+from oamcycle.synthesis import VARIANTS, simplify, synth_arbitrary
 
 R0 = r_path(0)
 
@@ -57,7 +57,7 @@ def _swap_first_hologram(text: str, body: str) -> str:
 
 
 def test_d3_document_is_frozen():
-    assert serialize(synth_odd(3)) == D3_DOC
+    assert serialize(synth_arbitrary(3)) == D3_DOC
 
 
 def test_d3_document_element_tally():
@@ -230,7 +230,7 @@ def test_parse_rejects_zplate_bad_dimension():
 
 
 def test_dot_power_of_two_one():
-    dot = export_dot(synth_power_of_two(1))
+    dot = export_dot(synth_arbitrary(2))
     assert dot.count("shape=box") == 6  # 2 splitters + 4 holograms
     assert dot.count('label="LI_1"') == 2
     assert 'label="Holog-2"' in dot
@@ -352,7 +352,7 @@ def test_dot_draws_no_terminal_without_a_label():
 
 
 def test_dot_edge_labels_are_paths():
-    dot = export_dot(synth_odd(3))
+    dot = export_dot(synth_arbitrary(3))
     assert 'label="s0"' in dot and 'label="r1"' in dot
 
 

@@ -696,6 +696,14 @@ def test_word_z_power_is_one_exact_phase():
         assert list(out.items()) == [((R0, 1), phase)], z_power
 
 
+def test_word_z_at_a_dimension_past_the_float_range():
+    # a quarter of 2**1200 picks up a quarter turn, past the float range
+    out = simulate_word(2**1200, 0, 1, ModeVector.basis(R0, 2**1198))
+    [(key, phase)] = out.items()
+    assert key == (R0, 2**1198)
+    assert abs(phase - 1j) < 1e-15
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
 def test_words_match_clock_and_shift_matrices(d):
     # oracle: X as the cyclic permutation matrix, Z = diag(w^k)

@@ -12,7 +12,7 @@ import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from reference_netlist import reference_propagate
+from reference_netlist import reference_propagate, reference_transform
 
 from oamcycle import analysis, simulation
 from oamcycle.elements import NonMultipleMode, z_phase
@@ -289,7 +289,7 @@ def landed(run):
     error it raises."""
     try:
         out = run()
-    except (NonMultipleMode, OverflowError, *ERRORS) as exc:
+    except (NonMultipleMode, *ERRORS) as exc:
         return type(exc), str(exc)
     return [(key, amp.real.hex(), amp.imag.hex()) for key, amp in out.items()]
 
@@ -520,7 +520,7 @@ MERGE_IN_FLIGHT = graph(
 )
 
 # r0 and r1 meet at a hologram ahead of a splitter whose order is past the
-# float range, where physical amplitudes raise OverflowError
+# float range, where a physical amplitude is still finite
 HUGE_ORDER = graph(
     [Hologram(R0, 1), Hologram(R1, 1), Hologram(R0, 1), OamBeamSplitter(10**400, R0, R1)],
     [8, ~0, ~0, ~0, 8, ~0, ~0, ~0, 12, ~0, ~0, ~0, ~1, ~1, ~0, ~0],
@@ -586,7 +586,8 @@ HUGE_ORDER = graph(
 @example(state_run(MERGE_IN_FLIGHT, {(R0, 0): 0.6, (R1, 0): -0.6}))
 @example(state_run(MERGE_IN_FLIGHT, {(R0, 0): 0.6, (R1, 0): 0.8}))
 # physical: the two cancel before the splitter, which no packet of the loop
-# then reaches; where they do not cancel, the loop raises OverflowError too
+# then reaches; where they do not cancel, the sum meets the huge order at a
+# non-multiple, where its amplitude is finite
 @example(state_run(HUGE_ORDER, {(R0, 0): 0.6, (R1, 0): -0.6}))
 @example(state_run(HUGE_ORDER, {(R0, 0): 0.6, (R1, 0): 0.8}))
 def test_walked_states_match_the_breadth_first_loop(run):
@@ -615,6 +616,42 @@ def test_walked_states_match_the_breadth_first_loop(run):
                 with pytest.MonkeyPatch.context() as looping:
                     looping.setattr(simulation, "_walk", loop_only)
                     assert walked == read(state, config), (scale, mode)
+
+
+HUGE = 10**400  # about 2**1329, past the float range
+HUGE_ELLS = [0, 1, -1, HUGE // 4, HUGE // 2, HUGE, 2 * HUGE, 3 * HUGE + 7, -(HUGE // 3), 2**1600]
+
+
+@pytest.mark.parametrize(
+    "device",
+    [
+        Netlist((OamBeamSplitter(HUGE, R0, R1),), R0, R0, 2),
+        Netlist((ZPlate(R0, HUGE),), R0, R0, 2),
+        HUGE_ORDER,
+    ],
+    ids=["splitter", "plate", "huge-order-graph"],
+)
+def test_orders_and_dimensions_past_the_float_range_match_the_reference(device):
+    # every amplitude is finite, and an OverflowError fails the test
+    graph_of_device = simulation._graph(device)
+    for mode in MODES:
+        config = SimulationConfig(mode)
+        want = outcome(
+            lambda: {
+                ell: image
+                for ell, image in reference_probes(graph_of_device, HUGE_ELLS, config)
+                if image is not None
+            }
+        )
+        assert outcome(lambda: probe_permutation(device, HUGE_ELLS, config)) == want, mode
+        run = transform(device, config)
+        for ell in HUGE_ELLS:
+            for state in (
+                ModeVector.basis(R0, ell),
+                ModeVector({(R0, ell): 0.6, (R0, ell + HUGE // 2): 0.8j, (R1, ell): 1e-3}),
+            ):
+                want = landed(lambda: reference_transform(device, state, config))
+                assert landed(lambda: run(state)) == want, (mode, ell)
 
 
 def drawing(values, drawn):

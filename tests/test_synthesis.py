@@ -28,8 +28,6 @@ from oamcycle.synthesis import (
     shifted_gate,
     simplify,
     synth_arbitrary,
-    synth_odd,
-    synth_power_of_two,
     synth_variant,
     variant_name,
 )
@@ -150,29 +148,11 @@ def test_no_zero_holograms_ever():
         assert all(el.v != 0 for el in synth_arbitrary(d).elements if isinstance(el, Hologram))
 
 
-def test_wrappers_agree_with_general_builder():
-    assert synth_power_of_two(3) == synth_arbitrary(8)
-    assert synth_odd(11) == synth_arbitrary(11)
-    assert synth_odd(3) == synth_arbitrary(3)
-
-
-def test_wrapper_domains():
-    with pytest.raises(InvalidDimension):
-        synth_odd(10)
-    with pytest.raises(InvalidDimension):
-        synth_odd(1)
-    with pytest.raises(InvalidDimension):
-        synth_power_of_two(0)
-    with pytest.raises(InvalidDimension):
-        synth_arbitrary(1)
-
-
-def test_wrappers_reject_bools():
+def test_synth_arbitrary_domain():
     # a bool is an int to isinstance: True once built the d = 2 gate
-    for wrapper in (synth_odd, synth_power_of_two):
-        for bad in (True, False):
-            with pytest.raises(InvalidDimension):
-                wrapper(bad)
+    for bad in (1, True, False):
+        with pytest.raises(InvalidDimension):
+            synth_arbitrary(bad)
 
 
 def test_io_paths():
