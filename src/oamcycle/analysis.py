@@ -119,7 +119,7 @@ def verify_gate(
         mapping = _PieceMap(window, graph.output_path)
         violations = _off_oracle(graph, window, step)
         if violations and d <= MAX_WINDOW:
-            violations = _misses(_expand(graph, window, config), lo, hi, step)
+            violations = _misses(dict(mapping.items()), lo, hi, step)
     elif d <= MAX_WINDOW:
         domain = range(lo, hi + 1)
         try:
@@ -168,19 +168,20 @@ def _off_oracle(graph: PortGraph, window: _Window, step: int) -> list[str]:
     violations = []
     for piece in window.pieces:
         first, q, offset, path = piece
-        members = window.count(piece)
-        name = f"piece {first} mod {q} (members: {members})"
+        # a piece on the oracle formats nothing: its ints may have any size
         if path != graph.output_path:
-            violations.append(f"{name}: leaves on {path}, expected {graph.output_path}")
-            continue
-        if wrap < first or (wrap - first) % q:  # the wrap value is no member
-            on, want = offset == step, f"{step:+d}"
-        elif members == 1:
-            on, want = offset == back, f"{back:+d}"
+            fault = f"leaves on {path}, expected {graph.output_path}"
+        elif wrap < first or (wrap - first) % q:  # the wrap value is no member
+            if offset == step:
+                continue
+            fault = f"shifted by {offset:+d}, expected {step:+d}"
+        elif window.count(piece) == 1:
+            if offset == back:
+                continue
+            fault = f"shifted by {offset:+d}, expected {back:+d}"
         else:
-            on, want = False, f"{step:+d}, and {back:+d} at |{wrap}>"
-        if not on:
-            violations.append(f"{name}: shifted by {offset:+d}, expected {want}")
+            fault = f"shifted by {offset:+d}, expected {step:+d}, and {back:+d} at |{wrap}>"
+        violations.append(f"piece {first} mod {q} (members: {window.count(piece)}): {fault}")
     return violations
 
 

@@ -33,12 +33,14 @@ PORT_Y = "y"
 
 
 class NonMultipleMode(Exception):
-    """Strict routing was asked for an OAM value not divisible by the order."""
+    """Strict routing met an OAM value not divisible by the order: args ``(ell, m)``."""
 
     def __init__(self, ell: int, m: int):
-        super().__init__(f"OAM value {ell} is not a multiple of splitter order {m}")
-        self.ell = ell
-        self.m = m
+        super().__init__(ell, m)
+        self.ell, self.m = ell, m
+
+    def __str__(self) -> str:
+        return f"OAM value {self.ell} is not a multiple of splitter order {self.m}"
 
 
 def splitter_route_strict(m: int, input_port: str, ell: int) -> str:

@@ -33,6 +33,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _checked(ell: int) -> int:
+    """*ell*, if it is an OAM value: an int, and no bool."""
+    if type(ell) is not int and not _is_int(ell):
+        raise TypeError(f"OAM value must be int, got {ell!r}")
+    return ell
+
+
 class ZeroState(Exception):
     """Normalization was asked of a state with no support."""
 
@@ -144,19 +151,18 @@ class ModeVector:
     ):
         items = entries.items() if isinstance(entries, Mapping) else entries
         acc: dict[StateKey, complex] = {}
-        for key, amp in items:
-            path, ell = key
-            if type(path) is not PathLabel:  # a subclass equals no label
-                raise TypeError(f"state key path must be PathLabel, got {path!r}")
-            if not _is_int(ell):
-                raise TypeError(f"OAM value must be int, got {ell!r}")
-            a = complex(amp)
-            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-                raise ValueError(f"non-finite amplitude for {path}|{ell}>")
-            acc[key] = acc.get(key, 0j) + a
         try:
+            for key, amp in items:
+                path, ell = key
+                if type(path) is not PathLabel:  # a subclass equals no label
+                    raise TypeError(f"state key path must be PathLabel, got {path!r}")
+                _checked(ell)
+                a = complex(amp)  # OverflowError for an int past the float range
+                if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+                    raise ValueError(f"non-finite amplitude for {path}|{ell}>")
+                acc[key] = acc.get(key, 0j) + a
             norm = _norm(acc.values())
-        except OverflowError:  # abs() of one amplitude is past the float range
+        except OverflowError:  # an amplitude, or abs() of one, is past the float range
             norm = math.inf
         if norm == math.inf:
             raise ValueError("state norm is beyond the float range")
@@ -350,9 +356,9 @@ def _check_kinds(elements: tuple) -> None:
     """Raise TypeError unless each member's exact type is one of `Element`'s, on
     which the engines dispatch; devices call this when built, so no loop does."""
     kinds = get_args(Element)
-    if not set(map(type, elements)).issubset(kinds):
-        unknown = next(el for el in elements if type(el) not in kinds)
-        raise TypeError(f"unknown element {unknown!r}")
+    for element in elements:
+        if type(element) not in kinds:
+            raise TypeError(f"unknown element {element!r}")
 
 
 def element_paths(element: Element) -> tuple[PathLabel, ...]:

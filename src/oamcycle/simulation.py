@@ -89,6 +89,7 @@ from .model import (
     ModeVector,
     Netlist,
     PathLabel,
+    _checked,
     _image,
     _is_int,
     _norm,
@@ -294,9 +295,9 @@ def _walk(
     traversals (0 for an entry on a terminal), which is what `_propagate`
     lands for it alone, bit for bit.  None where the loop must tell what
     happens: the packet splits, at a non-multiple in physical mode; meets
-    a non-multiple in strict mode; is dropped as dust, or at a splitter
-    with no port; is still in flight past the hop budget; or lands on a
-    terminal with no label.  Its cut is ``PRUNE_THRESHOLD * norm``.
+    a non-multiple in strict mode; is dropped as dust; is still in flight
+    past the hop budget; or lands on a terminal with no label.  Its cut
+    is ``PRUNE_THRESHOLD * norm``.
 
     *amp* is summed from 0j, as the loop sums each packet it stages, so
     the walk touches it only at a physical splitter or a plate, where it
@@ -334,10 +335,8 @@ def _walk(
                         break
                     slot ^= 1
                     amp = cross * amp
-                elif stay:
+                else:  # then stay is 1 or -1: a multiple, or an angle that underflows
                     amp *= stay
-                else:  # no port
-                    break
             elif k:
                 amp *= z_phase(-k, ell)
             else:
@@ -382,9 +381,7 @@ def strict_pieces(
     input path the whole window passes through, as one piece on that
     path.  Raises TypeError unless *lo* and *hi* are ints.
     """
-    for bound in (lo, hi):
-        if not _is_int(bound):
-            raise TypeError(f"OAM value must be int, got {bound!r}")
+    lo, hi = _checked(lo), _checked(hi)
     graph = _graph(device)
     pieces: list[tuple[int, int, int, PathLabel]] = []
     dropped: list[tuple[int, int, int, int]] = []
@@ -495,15 +492,12 @@ class _Window:
 
 
 def _expand(graph: PortGraph, window: _Window, config: SimulationConfig) -> dict[int, int]:
-    """`window_permutation`'s map of *window* of *graph* under *config*:
-    its pieces expanded, the physical hand-off probed, and its failure
-    raised.  A caller that has routed the window already hands it here."""
+    """`window_permutation`'s map of *window*, routed already, of *graph*
+    under *config*: its pieces expanded, then `_handoff`'s probes and failure."""
     lo, hi = window.lo, window.hi
     images = _images(window, lo, hi, graph.output_path)
     for ell, image in _handoff(graph, window, config):
         images[ell - lo] = image
-    if window.failure is not None:
-        raise window.failure[1]
     return {ell: image for ell, image in zip(range(lo, hi + 1), images) if image is not None}
 
 
@@ -516,7 +510,7 @@ def _steps(graph: PortGraph, window: _Window, config: SimulationConfig) -> list[
     A piece's members share one int, its offset, filled in by one slice
     assignment, so the list costs one pointer per window value; each
     value of the physical hand-off fills its own entry.  Raises what
-    `_expand` raises, after the same probes."""
+    `_expand` raises, after the same probes, by `_handoff`."""
     lo, hi = window.lo, window.hi
     steps: list[int | None] = [None] * (hi - lo + 1)
     for piece in window.pieces:
@@ -528,8 +522,6 @@ def _steps(graph: PortGraph, window: _Window, config: SimulationConfig) -> list[
     for ell, image in _handoff(graph, window, config):
         if image is not None and lo <= image <= hi:
             steps[ell - lo] = image - ell
-    if window.failure is not None:
-        raise window.failure[1]
     return steps
 
 
@@ -539,15 +531,16 @@ def _handoff(
     """In physical mode, `_probes` of the values of *window* that none of
     its pieces holds, below its failing value if it has one, in ascending
     order: light split at a non-multiple may recombine.  Nothing in
-    strict mode."""
-    if config.mode != PHYSICAL:
-        return iter(())
+    strict mode.  Then raises the window's failure, if it has one."""
     lo, failure = window.lo, window.failure
-    landed = bytearray(window.hi - lo + 1)  # 1 where a piece holds the value
-    for piece in window.pieces:
-        landed[piece[0] - lo :: piece[1]] = b"\1" * window.count(piece)
-    stop = len(landed) if failure is None else failure[0] - lo
-    return _probes(graph, (lo + i for i in range(stop) if not landed[i]), config)
+    if config.mode == PHYSICAL:
+        landed = bytearray(window.hi - lo + 1)  # 1 where a piece holds the value
+        for piece in window.pieces:
+            landed[piece[0] - lo :: piece[1]] = b"\1" * window.count(piece)
+        stop = len(landed) if failure is None else failure[0] - lo
+        yield from _probes(graph, (lo + i for i in range(stop) if not landed[i]), config)
+    if failure is not None:
+        raise failure[1]
 
 
 def _images(window: _Window, lo: int, hi: int, output: PathLabel) -> list[int | None]:
@@ -734,13 +727,6 @@ def _probes(
         # read as `transform` reads it
         named = {(terminals[t], e): amp for (t, e), amp in out.items()}
         yield ell, _image(_finish(named, 1.0), target)
-
-
-def _checked(ell: int) -> int:
-    """*ell*, if it is an OAM value: an int, and no bool."""
-    if type(ell) is not int and not _is_int(ell):
-        raise TypeError(f"OAM value must be int, got {ell!r}")
-    return ell
 
 
 def transform(

@@ -3,6 +3,7 @@
 import cmath
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oamcycle.elements import (
     NonMultipleMode,
@@ -66,6 +67,13 @@ def test_non_multiple_error_carries_context():
     with pytest.raises(NonMultipleMode) as err:
         splitter_route_strict(4, "x", 6)
     assert err.value.ell == 6 and err.value.m == 4
+    # its args are (ell, m), so it pickles, and its message is written when read
+    copy = pickle.loads(pickle.dumps(NonMultipleMode(5, 3)))
+    assert (copy.args, copy.ell, copy.m) == ((5, 3), 5, 3)
+    assert str(copy) == "OAM value 5 is not a multiple of splitter order 3"
+    # one digit more than str() writes for an int: building it formats nothing
+    huge = 10 ** sys.get_int_max_str_digits()
+    assert NonMultipleMode(huge, 3).args == (huge, 3)
 
 
 @given(st.integers(1, 1024), st.integers(-16, 16), st.sampled_from(["x", "y"]))
@@ -238,6 +246,18 @@ def test_z_phase_is_finite_past_the_float_range(d, ell):
     assert cmath.isfinite(phase)
     assert abs(phase.real - math.cos(angle)) <= 1e-15
     assert abs(phase.imag - math.sin(angle)) <= 1e-15
+
+
+@given(_bits(1, 1100), ANY_ELL)
+@example(10**400, 1)
+@example(2**1100 - 1, 2**1098)
+def test_a_splitter_never_blocks_both_ports(m, ell):
+    # the walk has no branch for a splitter with no port: a multiple gives one
+    # quarter turn, elsewhere cos(phi/2) is never exactly 0, and sin(phi/2) is
+    # 0 only where the angle underflows, and then cos(phi/2) is 1
+    stay, cross = splitter_amplitudes(m, ell)
+    assert (stay, cross) != (0, 0)
+    assert cross or abs(stay) == 1
 
 
 def test_phases_past_the_float_range_examples():

@@ -184,8 +184,10 @@ def test_normalize_examples():
         {(R0, 1): 1.7e308, (R0, 2): 1.7e308},
         {(R0, 1): 1.7e308 + 1.7e308j},
         [((R0, 1), 1.7e308), ((R0, 1), 1.7e308)],
+        {(R0, 1): 10**400},
+        {(R0, 1): 0.5, (R0, 2): -(10**400)},
     ],
-    ids=["norm", "modulus", "sum"],
+    ids=["norm", "modulus", "sum", "int", "int-second"],
 )
 def test_state_norm_beyond_the_float_range_rejected(entries):
     # an infinite norm would make an infinite prune cut, dropping every entry

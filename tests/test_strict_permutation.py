@@ -9,6 +9,7 @@ run on the engine's loop."""
 
 import enum
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -847,6 +848,55 @@ def test_smallest_failing_value_decides_the_error():
         window_permutation(split, 1, 4)
     assert_engines_agree(split, 0, 2)
     assert_engines_agree(split, 1, 4)
+
+
+def test_a_window_read_raises_its_own_failure_after_the_handoff(monkeypatch):
+    # an order-2 splitter drops the odd values, keeps 0 mod 4 on r0, and
+    # sends 2 mod 4 to an order-1 splitter whose x port is unwired: the window
+    # [0, 3] drops 1 and 3 below its failure at 2.  In physical mode 1 splits
+    # onto r0 and r2, which is probed before the failure is raised
+    r2 = r_path(2)
+    wired = graph(
+        [OamBeamSplitter(2, R0, R1), OamBeamSplitter(1, R1, r2)],
+        [~1, 4, ~0, ~0, ~0, ~2, ~0, ~0],
+        {R0: 0},
+        terminals=(None, R0, r2),
+    )
+    window = _Window(0, 3, *strict_pieces(wired, 0, 3))
+    assert (window.pieces, window.dropped) == ([(0, 4, 0, R0)], [(0, 1, 0, 0)])
+    assert window.failure[0] == 2 and type(window.failure[1]) is ValueError
+    probed = []
+    real = simulation._probes
+
+    def recording(device, values, config):
+        for ell, image in real(device, values, config):
+            probed.append((ell, image))
+            yield ell, image
+
+    monkeypatch.setattr(simulation, "_probes", recording)
+    for mode in MODES:
+        for read in (simulation._expand, simulation._steps):
+            probed.clear()
+            with pytest.raises(ValueError) as raised:
+                read(wired, window, SimulationConfig(mode))
+            assert raised.value is window.failure[1], (mode, read)
+            assert probed == ([(1, None)] if mode == PHYSICAL else []), (mode, read)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_readers_leave_out_a_non_multiple_too_long_to_print(mode):
+    # v has one digit more than str() writes for an int, and v mod 3 = 2:
+    # the error that leaves v out formats it only when it is read
+    net = Netlist((OamBeamSplitter(3, R0, R1),), R0, R0, 2)
+    v = 10 ** sys.get_int_max_str_digits() + 1
+    config = SimulationConfig(mode)
+    assert probe_permutation(net, [v], config) == {}
+    assert window_permutation(net, v, v, config) == {}
+    assert extract_permutation(transform(net, config), [v], R0, R0) == {}
+    if mode == STRICT:
+        with pytest.raises(NonMultipleMode) as raised:
+            transform(net, config)(ModeVector.basis(R0, v))
+        assert raised.value.m == 3 and raised.value.ell == v
 
 
 def test_input_path_with_no_entry():

@@ -185,15 +185,34 @@ def test_a_certified_broken_gate_is_not_probed_again(monkeypatch, mode, d):
     # the broken gate of the differential is certified and off the oracle: its
     # report is read from the map its pieces prove, so the packet engine sees
     # the ends of its pieces, in ascending order, in one call, and no window
-    # value again
+    # value again, and the window is not filled in a second time
     variant, shift, device = gates(d)[-1]
     config = SimulationConfig(mode)
+
+    def refill(*args):
+        raise AssertionError("a certified window was filled again")
+
     with monkeypatch.context() as patch:
         calls = record_probes(patch)
+        patch.setattr(analysis, "_expand", refill)
         report = verify_with(device, d, variant, shift, config)
     assert calls == [sorted(piece_ends(device, shift, shift + d - 1))]
     assert report == reference_verify_gate(d, variant, shift, config, device)
     assert not report.passed and not report.permutation_ok
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("variant, sign", [("standard", 1), ("inverse", 1), ("shifted", -1)])
+def test_a_gate_passes_at_a_shift_too_long_to_print(mode, variant, sign):
+    # the shift has one digit more than str() writes for an int: a piece on
+    # the oracle is not named, so nothing is formatted
+    shift = sign * 10 ** sys.get_int_max_str_digits()
+    report = verify_gate(5, variant, shift, SimulationConfig(mode))
+    assert report.passed and report.permutation_ok
+    step = -1 if variant == "inverse" else 1
+    assert [report.mapping[k] - shift for k in range(shift, shift + 5)] == [
+        (k + step) % 5 for k in range(5)
+    ]
 
 
 @pytest.mark.parametrize("mode", MODES)
