@@ -6,6 +6,7 @@ from .analysis import (
     VerificationReport,
     discover_cycles,
     scaling_table,
+    simulate_word,
     verify_gate,
 )
 from .elements import NonMultipleMode, splitter_amplitudes, z_phase
@@ -42,7 +43,6 @@ from .simulation import (
     apply_netlist,
     apply_portgraph,
     probe_permutation,
-    simulate_word,
     strict_pieces,
     transform,
     window_permutation,

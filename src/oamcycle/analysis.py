@@ -1,35 +1,39 @@
-"""Gate verification, cycle discovery, and scaling tables.
+"""Gate verification, cycle discovery, gate words, and scaling tables.
 
 Everything here cross-checks two independent routes: simulated behavior
 against the modular-arithmetic oracle, and tallied element counts
-against the closed-form predictions.
+against the closed-form predictions.  A window is routed, read and
+proven in `simulation` (`_Window.routed`, `_certified`); this module
+compares what it proves with the oracle, and reads no port table.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
-from . import simulation
-from .model import Netlist
-from .portgraph import PortGraph, _tables
+from .elements import _int_text, z_phase
+from .model import ModeVector, Netlist, _is_int
+from .portgraph import PortGraph
 from .simulation import (
     DEFAULT_CONFIG,
     MAX_WINDOW,
+    STRICT,
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
+    _certified,
     _expand,
-    _graph,
     _PieceMap,
-    _probes,
+    _resimulate,
     _steps,
     _Window,
-    strict_pieces,
+    transform,
 )
 from .synthesis import (
+    InvalidDimension,
     count_beamsplitters,
     device_for,
     naive_count,
@@ -65,6 +69,12 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return not self.violations
+
+    def __repr__(self) -> str:
+        # the dataclass repr, with `_int_text` writing the ints (d, shift)
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        text = (f"{k}={_int_text(v) if _is_int(v) else repr(v)}" for k, v in values)
+        return f"VerificationReport({', '.join(text)})"
 
 
 @dataclass(frozen=True)
@@ -111,20 +121,19 @@ def verify_gate(
     count_actual = count_beamsplitters(device)
 
     violations: list[str] = []
-    graph = _graph(device)
     lo, hi = shift, shift + d - 1
-    window = _Window(lo, hi, *strict_pieces(graph, lo, hi))
+    window = _Window.routed(device, lo, hi)
     mapping: Mapping[int, int] = {}
-    if _certified(graph, window, config):
-        mapping = _PieceMap(window, graph.output_path)
-        violations = _off_oracle(graph, window, step)
+    if _certified(window, config):
+        mapping = _PieceMap(window)
+        violations = _off_oracle(window, step)
         if violations and d <= MAX_WINDOW:
             violations = _misses(dict(mapping.items()), lo, hi, step)
     elif d <= MAX_WINDOW:
         domain = range(lo, hi + 1)
         try:
-            read = _expand(graph, window, config)
-            _resimulate(graph, domain, map(read.get, domain), config)
+            read = _expand(window, config)
+            _resimulate(window.graph, domain, map(read.get, domain), config)
             mapping = read
         except (NormDrift, HopBudgetExceeded) as exc:
             violations.append(f"simulation failed: {exc}")
@@ -154,9 +163,9 @@ def verify_gate(
     )
 
 
-def _off_oracle(graph: PortGraph, window: _Window, step: int) -> list[str]:
-    """A violation for each piece of the gate *window* of *graph* that does
-    not reach the output path, or does not lie inside one of the oracle's
+def _off_oracle(window: _Window, step: int) -> list[str]:
+    """A violation for each piece of the gate *window* that does not reach
+    its graph's output path, or does not lie inside one of the oracle's
     two affine pieces (``+step`` on the window and the one wrap value) with
     its offset: its residue class, its member count, and its offset
     against the oracle's.  With none, a window that `_certified` proves
@@ -165,23 +174,28 @@ def _off_oracle(graph: PortGraph, window: _Window, step: int) -> list[str]:
     d = hi - lo + 1
     # the wrap value and the oracle's offset there
     wrap, back = (hi, 1 - d) if step == 1 else (lo, d - 1)
-    violations = []
+    output, violations = window.graph.output_path, []
     for piece in window.pieces:
         first, q, offset, path = piece
-        # a piece on the oracle formats nothing: its ints may have any size
-        if path != graph.output_path:
-            fault = f"leaves on {path}, expected {graph.output_path}"
+        # a piece on the oracle formats nothing; the ints of the others may
+        # have any size, so `_int_text` writes them
+        if path != output:
+            fault = f"leaves on {path}, expected {output}"
         elif wrap < first or (wrap - first) % q:  # the wrap value is no member
             if offset == step:
                 continue
-            fault = f"shifted by {offset:+d}, expected {step:+d}"
+            fault = f"shifted by {_int_text(offset, '+d')}, expected {step:+d}"
         elif window.count(piece) == 1:
             if offset == back:
                 continue
-            fault = f"shifted by {offset:+d}, expected {back:+d}"
+            fault = f"shifted by {_int_text(offset, '+d')}, expected {_int_text(back, '+d')}"
         else:
-            fault = f"shifted by {offset:+d}, expected {step:+d}, and {back:+d} at |{wrap}>"
-        violations.append(f"piece {first} mod {q} (members: {window.count(piece)}): {fault}")
+            fault = (
+                f"shifted by {_int_text(offset, '+d')}, expected {step:+d},"
+                f" and {_int_text(back, '+d')} at |{_int_text(wrap)}>"
+            )
+        first, q, count = map(_int_text, (first, q, window.count(piece)))
+        violations.append(f"piece {first} mod {q} (members: {count}): {fault}")
     return violations
 
 
@@ -191,7 +205,7 @@ def _misses(read: Mapping[int, int], lo: int, hi: int, step: int) -> list[str]:
     does, each expected image computed where it is compared."""
     d = hi - lo + 1
     return [
-        f"|{k}> mapped to {got}, expected |{want}>"
+        f"|{_int_text(k)}> mapped to {_int_text(got)}, expected |{_int_text(want)}>"
         for k in range(lo, hi + 1)
         if (got := read.get(k)) != (want := (k - lo + step) % d + lo)
     ]
@@ -204,73 +218,8 @@ def _unproven(window: _Window) -> str:
         return f"simulation failed: {window.failure[1]}"
     dropped, pieces = len(window.dropped), len(window.pieces)
     because = f", {dropped} classes dropped at splitters" if dropped else ""
-    return f"window [{window.lo}, {window.hi}] not proven from its {pieces} pieces{because}"
-
-
-def _certified(graph: PortGraph, window: _Window, config: SimulationConfig) -> bool:
-    """True if *window* of *graph*, as `strict_pieces` routes it, is a
-    certificate of the window's map in either mode, checked on the packet
-    engine under *config* at the ends of its pieces.
-
-    The input path must have an entry, and nothing be dropped or failing.
-    `_routes` proves that every member ``first + j*q`` of a piece takes
-    its first member's port at every splitter and leaves on its path with
-    its offset.  A value's walk from the input entry is fixed by the ports
-    it takes, so a value in two pieces gives them one route: distinct
-    routes mean disjoint pieces.  Every piece starts in the window (the
-    classes of `strict_pieces` start at lo and only move up) and the member
-    counts sum to its size, so the pieces partition it.  In physical mode
-    too: a route meets each splitter at a multiple of its order, where
-    `splitter_amplitudes` is one of its quarter turns, all the amplitude
-    on the strict port times a power of i; a plate only adds a phase.
-    Last, each piece's ends are probed with `_resimulate`, ascending, at
-    ``ell + offset`` on the output path and left out otherwise; an
-    AssertionError there is raised, an engine error gives False.
-    """
-    if window.dropped or window.failure is not None or graph.input_path not in graph.entries:
-        return False
-    if sum(map(window.count, window.pieces)) != window.hi - window.lo + 1:
-        return False
-    output = graph.output_path
-    routes: set[int] = set()
-    probes: dict[int, int | None] = {}
-    for piece in window.pieces:
-        route = _routes(graph, window, piece)
-        if route is None or route in routes:
-            return False
-        routes.add(route)
-        for end in (piece[0], window.last(piece)):
-            probes[end] = end + piece[2] if piece[3] == output else None
-    domain = sorted(probes)
-    try:
-        _resimulate(graph, domain, map(probes.get, domain), config)
-    except (NormDrift, HopBudgetExceeded):
-        return False
-    return True
-
-
-def _routes(graph: PortGraph, window: _Window, piece: tuple) -> int | None:
-    """The route of *piece*, of *window*: the port its first member takes
-    at each splitter, as the bits of an int below a leading 1, if that walk
-    within the hop budget takes every member along and leaves on the
-    piece's path with its offset; else None."""
-    first, q, offset, path = piece
-    wiring = graph.wiring
-    orders, kicks = _tables(graph)
-    slot, carried, route = graph.entries[graph.input_path], 0, 1
-    for _ in range(simulation.HOPS_PER_NODE * max(1, len(graph.nodes)) + 1):
-        if slot < 0:
-            return route if graph.terminals[~slot] == path and carried == offset else None
-        m = orders[slot]
-        if m > 0:
-            if (first + carried) % m or not (q % (2 * m) == 0 or window.count(piece) == 1):
-                return None
-            slot ^= (first + carried) // m & 1
-            route = route << 1 | slot & 1
-        else:  # a hologram, or a plate, which kicks by 0
-            carried += kicks[slot]
-        slot = wiring[slot]
-    return None
+    lo, hi = _int_text(window.lo), _int_text(window.hi)
+    return f"window [{lo}, {hi}] not proven from its {pieces} pieces{because}"
 
 
 def discover_cycles(
@@ -297,10 +246,9 @@ def discover_cycles(
     check each other either way.
     """
     d = device.dimension
-    graph = _graph(device)
-    window = _Window(lo, hi, *strict_pieces(graph, lo, hi))
-    steps = _steps(graph, window, config)
-    proven = _certified(graph, window, config)
+    window = _Window.routed(device, lo, hi)
+    steps = _steps(window, config)
+    proven = _certified(window, config)
     cycles: list[tuple[int, ...]] = []
     # the last d values of a walk, as indices into steps; no loop is longer than the window
     last = deque(maxlen=min(d, len(steps)))
@@ -322,28 +270,50 @@ def discover_cycles(
     if not proven:
         members = (ell for cycle in cycles for ell in cycle)
         successors = (image for cycle in cycles for image in cycle[1:] + cycle[:1])
-        _resimulate(graph, members, successors, config)
+        _resimulate(window.graph, members, successors, config)
     return [CycleSet(cycle) for cycle in cycles]
 
 
-def _resimulate(
-    device: Netlist | PortGraph,
-    domain: Iterable[int],
-    expected: Iterable[int | None],
-    config: SimulationConfig,
-) -> None:
-    """Probe each value of *domain* on the packet engine with `_probes`, and
-    raise AssertionError at the first whose image differs from its
-    *expected* one, given in the order of *domain*, None meaning left out.
+def simulate_word(
+    d: int,
+    x_power: int,
+    z_power: int,
+    state: ModeVector,
+    config: SimulationConfig = DEFAULT_CONFIG,
+) -> ModeVector:
+    """Apply the gate word X^x_power followed by Z^z_power in dimension d.
 
-    Each value is compared as it is probed, so a differing value raises
-    before any later value is probed: the AssertionError wins over an
-    engine error at a later value, which a probe of the whole domain would
-    have raised.
+    X is the synthesized cyclic shift netlist.  On its window, a state
+    whose every component is on its input path with 0 <= ell < d, X has
+    period d in strict mode and 4d in physical mode (there every splitter
+    meets a multiple of its order, so X is a permutation times a diagonal
+    of powers of i), and x_power is reduced modulo that period.  Off the
+    window the gate runs x_power times.  Z^z_power multiplies each
+    component on its output path by the plate's phase for z_power * ell,
+    reduced mod d, so its error does not grow with z_power.  For
+    d = 1 both gates are the identity.  Raises InvalidDimension unless d is
+    an int >= 1, and ValueError unless both powers are ints >= 0.
     """
-    for (ell, image), want in zip(_probes(device, domain, config), expected, strict=True):
-        if image != want:
-            raise AssertionError(f"|{ell}> -> {want} failed re-simulation (got {image})")
+    if not _is_int(d) or d < 1:
+        raise InvalidDimension(f"dimension must be an integer >= 1, got {d!r}")
+    if not (_is_int(x_power) and _is_int(z_power)) or x_power < 0 or z_power < 0:
+        raise ValueError(f"gate powers must be non-negative ints, got {x_power!r}, {z_power!r}")
+    if d == 1:
+        return state
+    shift = synth_arbitrary(d)
+    x_gate = transform(shift, config)
+    if all(path == shift.input_path and 0 <= ell < d for path, ell in state.keys()):
+        x_power %= d if config.mode == STRICT else 4 * d
+    out = state
+    for _ in range(x_power):
+        out = x_gate(out)
+    if z_power:  # one phase per component, however large the power
+        path = shift.output_path
+        out = ModeVector(
+            (key, amp * z_phase(d, z_power * key[1]) if key[0] == path else amp)
+            for key, amp in out.items()
+        )
+    return out
 
 
 @dataclass(frozen=True)

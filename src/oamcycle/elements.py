@@ -40,7 +40,17 @@ class NonMultipleMode(Exception):
         self.ell, self.m = ell, m
 
     def __str__(self) -> str:
-        return f"OAM value {self.ell} is not a multiple of splitter order {self.m}"
+        ell, m = _int_text(self.ell), _int_text(self.m)
+        return f"OAM value {ell} is not a multiple of splitter order {m}"
+
+
+def _int_text(n: int | None, spec: str = "") -> str:
+    """``format(n, spec)`` for *spec* "" or "+d", in hex past the digit
+    limit of int-to-decimal conversion, which hex does not have."""
+    try:
+        return format(n, spec)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return format(n, spec.rstrip("d") + "#x")
 
 
 def splitter_route_strict(m: int, input_port: str, ell: int) -> str:

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Union, get_args
 
-from .elements import NonMultipleMode
+from .elements import NonMultipleMode, _int_text
 
 #: amplitudes at or below this fraction of their state's norm are dropped
 PRUNE_THRESHOLD = 1e-15
@@ -159,7 +159,7 @@ class ModeVector:
                 _checked(ell)
                 a = complex(amp)  # OverflowError for an int past the float range
                 if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-                    raise ValueError(f"non-finite amplitude for {path}|{ell}>")
+                    raise ValueError(f"non-finite amplitude for {path}|{_int_text(ell)}>")
                 acc[key] = acc.get(key, 0j) + a
             norm = _norm(acc.values())
         except OverflowError:  # an amplitude, or abs() of one, is past the float range

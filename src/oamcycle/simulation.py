@@ -58,17 +58,23 @@ routes, not with the window: the classes that reach a terminal are the
 window's pieces, each an affine map ``ell -> ell + offset`` on its
 members (O(log d) of them for a synthesized gate, at any d), and it also
 returns the classes it dropped at non-multiples and the first failure.
-A routed window travels as one `_Window`, the one reader of a piece's
-member count, last member and members in a part of the window, and every
-reader of pieces takes it.  `_expand` (`window_permutation`) expands the
-pieces into the map of the window, in either mode; only that expansion
-is linear in the window.  `_steps` fills the same map in as a list of
-steps, one shared offset per piece, which `analysis.discover_cycles`
-walks.  `_PieceMap` is the map of the pieces, read off them and never
-expanded, so its lookups and length cost O(#pieces).  A piece meets only
-multiples of each splitter's order, where both modes route it the same
-way; in physical mode the values no piece holds, which split at a
-non-multiple and may recombine, are probed on the packet loop.
+A routed window travels as one `_Window`, built by `_Window.routed`: it
+holds the port graph it was routed on, so every reader of pieces takes
+the window alone, and it is the one reader of a piece's member count,
+last member and members in a part of the window.  `_expand`
+(`window_permutation`) expands the pieces into the map of the window, in
+either mode; only that expansion is linear in the window.  `_steps`
+fills the same map in as a list of steps, one shared offset per piece,
+which `analysis.discover_cycles` walks.  `_PieceMap` is the map of the
+pieces, read off them and never expanded, so its lookups and length cost
+O(#pieces).  A piece meets only multiples of each splitter's order,
+where both modes route it the same way; in physical mode the values no
+piece holds, which split at a non-multiple and may recombine, are probed
+on the packet loop.  `_certified` proves that a window's pieces are its
+map: `_routes` walks each piece on the int tables by its own arithmetic,
+and `_resimulate` probes the ends of each piece on the packet engine.
+This module is the one that reads the tables and the hop budget;
+`analysis` compares the windows it routes and proves with the oracle.
 """
 
 from __future__ import annotations
@@ -83,20 +89,9 @@ from operator import eq, is_not, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from . import portgraph
-from .elements import NonMultipleMode, splitter_amplitudes, z_phase
-from .model import (
-    PRUNE_THRESHOLD,
-    ModeVector,
-    Netlist,
-    PathLabel,
-    _checked,
-    _image,
-    _is_int,
-    _norm,
-    _pruned,
-)
+from .elements import NonMultipleMode, _int_text, splitter_amplitudes, z_phase
+from .model import PRUNE_THRESHOLD, ModeVector, Netlist, PathLabel, _checked, _image, _norm, _pruned
 from .portgraph import PortGraph, _tables
-from .synthesis import InvalidDimension, synth_arbitrary
 
 STRICT = "strict"
 PHYSICAL = "physical"
@@ -233,7 +228,7 @@ def _finish(out: dict[tuple, complex], norm_in: float) -> dict[tuple, complex]:
     norm_out = _norm(out.values())
     if not math.isfinite(norm_out):
         path, ell = next(key for key, amp in out.items() if not cmath.isfinite(amp))
-        raise ValueError(f"non-finite amplitude for {path}|{ell}>")
+        raise ValueError(f"non-finite amplitude for {path}|{_int_text(ell)}>")
     result = _pruned(out)
     if len(result) < len(out):
         norm_out = _norm(result.values())
@@ -461,21 +456,27 @@ def window_permutation(
     recombine, so the window values below the first failing value that
     no piece holds are probed on the packet loop, in ascending order.
     """
-    graph = _graph(device)
-    return _expand(graph, _Window(lo, hi, *strict_pieces(graph, lo, hi)), config)
+    return _expand(_Window.routed(device, lo, hi), config)
 
 
 @dataclass(frozen=True, slots=True)
 class _Window:
-    """The window [lo, hi] and what `strict_pieces` returns for it, the
-    one reader of a piece ``(first, q, offset, terminal)``, whose members
-    are ``first + k*q <= hi`` (k >= 0)."""
+    """The window [lo, hi] of the port graph *graph* and what
+    `strict_pieces` returns for it, the one reader of a piece ``(first, q,
+    offset, terminal)``, whose members are ``first + k*q <= hi`` (k >= 0)."""
 
+    graph: PortGraph
     lo: int
     hi: int
     pieces: list[tuple[int, int, int, PathLabel]]
     dropped: list[tuple[int, int, int, int]]
     failure: tuple[int, Exception] | None
+
+    @classmethod
+    def routed(cls, device: Netlist | PortGraph, lo: int, hi: int) -> _Window:
+        """The window [lo, hi] of *device*, routed by `strict_pieces`."""
+        graph = _graph(device)
+        return cls(graph, lo, hi, *strict_pieces(graph, lo, hi))
 
     def count(self, piece: tuple) -> int:
         """The number of members of *piece*, an int at any window size."""
@@ -491,17 +492,17 @@ class _Window:
         return range(max(first, lo + (first - lo) % q), min(hi, self.hi) + 1, q)
 
 
-def _expand(graph: PortGraph, window: _Window, config: SimulationConfig) -> dict[int, int]:
-    """`window_permutation`'s map of *window*, routed already, of *graph*
-    under *config*: its pieces expanded, then `_handoff`'s probes and failure."""
+def _expand(window: _Window, config: SimulationConfig) -> dict[int, int]:
+    """`window_permutation`'s map of *window*, routed already, under
+    *config*: its pieces expanded, then `_handoff`'s probes and failure."""
     lo, hi = window.lo, window.hi
-    images = _images(window, lo, hi, graph.output_path)
-    for ell, image in _handoff(graph, window, config):
+    images = _images(window, lo, hi)
+    for ell, image in _handoff(window, config):
         images[ell - lo] = image
     return {ell: image for ell, image in zip(range(lo, hi + 1), images) if image is not None}
 
 
-def _steps(graph: PortGraph, window: _Window, config: SimulationConfig) -> list[int | None]:
+def _steps(window: _Window, config: SimulationConfig) -> list[int | None]:
     """The map `_expand` returns, as a list of steps: entry ``ell - lo``
     is ``image - ell`` where ell's image lies in *window* [lo, hi], and
     None where ell has no image or one outside the window.  So each step
@@ -514,20 +515,18 @@ def _steps(graph: PortGraph, window: _Window, config: SimulationConfig) -> list[
     lo, hi = window.lo, window.hi
     steps: list[int | None] = [None] * (hi - lo + 1)
     for piece in window.pieces:
-        if piece[3] == graph.output_path:
+        if piece[3] == window.graph.output_path:
             offset = piece[2]
             members = window.members(piece, lo - offset, hi - offset)
             if members:  # else its slice stop may lie below the list
                 steps[members.start - lo : members.stop - lo : piece[1]] = [offset] * len(members)
-    for ell, image in _handoff(graph, window, config):
+    for ell, image in _handoff(window, config):
         if image is not None and lo <= image <= hi:
             steps[ell - lo] = image - ell
     return steps
 
 
-def _handoff(
-    graph: PortGraph, window: _Window, config: SimulationConfig
-) -> Iterator[tuple[int, int | None]]:
+def _handoff(window: _Window, config: SimulationConfig) -> Iterator[tuple[int, int | None]]:
     """In physical mode, `_probes` of the values of *window* that none of
     its pieces holds, below its failing value if it has one, in ascending
     order: light split at a non-multiple may recombine.  Nothing in
@@ -538,18 +537,18 @@ def _handoff(
         for piece in window.pieces:
             landed[piece[0] - lo :: piece[1]] = b"\1" * window.count(piece)
         stop = len(landed) if failure is None else failure[0] - lo
-        yield from _probes(graph, (lo + i for i in range(stop) if not landed[i]), config)
+        yield from _probes(window.graph, (lo + i for i in range(stop) if not landed[i]), config)
     if failure is not None:
         raise failure[1]
 
 
-def _images(window: _Window, lo: int, hi: int, output: PathLabel) -> list[int | None]:
+def _images(window: _Window, lo: int, hi: int) -> list[int | None]:
     """The image of each value of [lo, hi], a part of *window*, that one of
-    its pieces carries to the path *output*, in order, with None for every
-    other value."""
+    its pieces carries to its graph's output path, in order, with None for
+    every other value."""
     images: list[int | None] = [None] * (hi - lo + 1)
     for piece in window.pieces:
-        if piece[3] == output:
+        if piece[3] == window.graph.output_path:
             members, offset = window.members(piece, lo, hi), piece[2]
             images[members.start - lo : members.stop - lo : piece[1]] = range(
                 members.start + offset, members.stop + offset, piece[1]
@@ -558,8 +557,8 @@ def _images(window: _Window, lo: int, hi: int, output: PathLabel) -> list[int | 
 
 
 class _PieceMap(Mapping):
-    """The map of *window* that its pieces carry to the path *output*, read
-    off the pieces and never expanded whole.
+    """The map of *window* that its pieces carry to its graph's output
+    path, read off the pieces and never expanded whole.
 
     ``map[ell]``, ``get`` and ``in`` cost O(#pieces); ``len`` is the sum
     of the member counts, so ``len()`` raises OverflowError past
@@ -570,10 +569,10 @@ class _PieceMap(Mapping):
     at most ``MAX_WINDOW`` values, a one-line summary above.
     """
 
-    __slots__ = ("_window", "_pieces", "_output", "_size")
+    __slots__ = ("_window", "_pieces", "_size")
 
-    def __init__(self, window: _Window, output: PathLabel):
-        self._window, self._output = window, output
+    def __init__(self, window: _Window):
+        self._window, output = window, window.graph.output_path
         self._pieces = [piece for piece in window.pieces if piece[3] == output]
         self._size = sum(map(window.count, self._pieces))
 
@@ -610,7 +609,7 @@ class _PieceMap(Mapping):
         window, lo, size = self._window, self._window.lo, 1
         while lo <= window.hi:
             hi = min(lo + size - 1, window.hi)
-            images = _images(window, lo, hi, self._output)
+            images = _images(window, lo, hi)
             yield from compress(zip(range(lo, hi + 1), images), map(is_not, images, repeat(None)))
             lo, size = hi + 1, min(2 * size, MAX_WINDOW)
 
@@ -637,8 +636,8 @@ class _PieceMap(Mapping):
         if hi - lo < MAX_WINDOW:
             return repr(dict(self._items()))
         return (
-            f"<map of {self._size} values of the window [{lo}, {hi}] "
-            f"from {len(self._pieces)} pieces>"
+            f"<map of {_int_text(self._size)} values of the window "
+            f"[{_int_text(lo)}, {_int_text(hi)}] from {len(self._pieces)} pieces>"
         )
 
 
@@ -729,6 +728,96 @@ def _probes(
         yield ell, _image(_finish(named, 1.0), target)
 
 
+def _certified(window: _Window, config: SimulationConfig) -> bool:
+    """True if *window*, as `strict_pieces` routes it, is a certificate of
+    the window's map in either mode, checked on the packet engine under
+    *config* at the ends of its pieces.
+
+    The input path must have an entry, and nothing be dropped or failing.
+    `_routes` proves that every member ``first + j*q`` of a piece takes
+    its first member's port at every splitter and leaves on its path with
+    its offset.  A value's walk from the input entry is fixed by the ports
+    it takes, so a value in two pieces gives them one route: distinct
+    routes mean disjoint pieces.  Every piece starts in the window (the
+    classes of `strict_pieces` start at lo and only move up) and the member
+    counts sum to its size, so the pieces partition it.  In physical mode
+    too: a route meets each splitter at a multiple of its order, where
+    `splitter_amplitudes` is one of its quarter turns, all the amplitude
+    on the strict port times a power of i; a plate only adds a phase.
+    Last, each piece's ends are probed with `_resimulate`, ascending, at
+    ``ell + offset`` on the output path and left out otherwise; an
+    AssertionError there is raised, an engine error gives False.
+    """
+    graph = window.graph
+    if window.dropped or window.failure is not None or graph.input_path not in graph.entries:
+        return False
+    if sum(map(window.count, window.pieces)) != window.hi - window.lo + 1:
+        return False
+    output = graph.output_path
+    routes: set[int] = set()
+    probes: dict[int, int | None] = {}
+    for piece in window.pieces:
+        route = _routes(window, piece)
+        if route is None or route in routes:
+            return False
+        routes.add(route)
+        for end in (piece[0], window.last(piece)):
+            probes[end] = end + piece[2] if piece[3] == output else None
+    domain = sorted(probes)
+    try:
+        _resimulate(graph, domain, map(probes.get, domain), config)
+    except (NormDrift, HopBudgetExceeded):
+        return False
+    return True
+
+
+def _routes(window: _Window, piece: tuple) -> int | None:
+    """The route of *piece*, of *window*: the port its first member takes
+    at each splitter, as the bits of an int below a leading 1, if that walk
+    within the hop budget takes every member along and leaves on the
+    piece's path with its offset; else None.  The walk is its own, not
+    `strict_pieces`' class loop, so the two check each other."""
+    first, q, offset, path = piece
+    graph = window.graph
+    wiring = graph.wiring
+    orders, kicks = _tables(graph)
+    slot, carried, route = graph.entries[graph.input_path], 0, 1
+    for _ in range(HOPS_PER_NODE * max(1, len(graph.nodes)) + 1):
+        if slot < 0:
+            return route if graph.terminals[~slot] == path and carried == offset else None
+        m = orders[slot]
+        if m > 0:
+            if (first + carried) % m or not (q % (2 * m) == 0 or window.count(piece) == 1):
+                return None
+            slot ^= (first + carried) // m & 1
+            route = route << 1 | slot & 1
+        else:  # a hologram, or a plate, which kicks by 0
+            carried += kicks[slot]
+        slot = wiring[slot]
+    return None
+
+
+def _resimulate(
+    device: Netlist | PortGraph,
+    domain: Iterable[int],
+    expected: Iterable[int | None],
+    config: SimulationConfig,
+) -> None:
+    """Probe each value of *domain* on the packet engine with `_probes`, and
+    raise AssertionError at the first whose image differs from its
+    *expected* one, given in the order of *domain*, None meaning left out.
+
+    Each value is compared as it is probed, so a differing value raises
+    before any later value is probed: the AssertionError wins over an
+    engine error at a later value, which a probe of the whole domain would
+    have raised.
+    """
+    for (ell, image), want in zip(_probes(device, domain, config), expected, strict=True):
+        if image != want:
+            ell, want, image = map(_int_text, (ell, want, image))
+            raise AssertionError(f"|{ell}> -> {want} failed re-simulation (got {image})")
+
+
 def transform(
     device: Netlist | PortGraph, config: SimulationConfig = DEFAULT_CONFIG
 ) -> Callable[[ModeVector], ModeVector]:
@@ -762,45 +851,3 @@ def apply_portgraph(
     and the output is rescaled to the input norm (cleaning float dust).
     """
     return _run(graph, state, config)
-
-
-def simulate_word(
-    d: int,
-    x_power: int,
-    z_power: int,
-    state: ModeVector,
-    config: SimulationConfig = DEFAULT_CONFIG,
-) -> ModeVector:
-    """Apply the gate word X^x_power followed by Z^z_power in dimension d.
-
-    X is the synthesized cyclic shift netlist.  On its window, a state
-    whose every component is on its input path with 0 <= ell < d, X has
-    period d in strict mode and 4d in physical mode (there every splitter
-    meets a multiple of its order, so X is a permutation times a diagonal
-    of powers of i), and x_power is reduced modulo that period.  Off the
-    window the gate runs x_power times.  Z^z_power multiplies each
-    component on its output path by the plate's phase for z_power * ell,
-    reduced mod d, so its error does not grow with z_power.  For
-    d = 1 both gates are the identity.  Raises InvalidDimension unless d is
-    an int >= 1, and ValueError unless both powers are ints >= 0.
-    """
-    if not _is_int(d) or d < 1:
-        raise InvalidDimension(f"dimension must be an integer >= 1, got {d!r}")
-    if not (_is_int(x_power) and _is_int(z_power)) or x_power < 0 or z_power < 0:
-        raise ValueError(f"gate powers must be non-negative ints, got {x_power!r}, {z_power!r}")
-    if d == 1:
-        return state
-    shift = synth_arbitrary(d)
-    x_gate = transform(shift, config)
-    if all(path == shift.input_path and 0 <= ell < d for path, ell in state.keys()):
-        x_power %= d if config.mode == STRICT else 4 * d
-    out = state
-    for _ in range(x_power):
-        out = x_gate(out)
-    if z_power:  # one phase per component, however large the power
-        path = shift.output_path
-        out = ModeVector(
-            (key, amp * z_phase(d, z_power * key[1]) if key[0] == path else amp)
-            for key, amp in out.items()
-        )
-    return out

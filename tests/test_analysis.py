@@ -104,11 +104,12 @@ def piece_ends(device, lo, hi):
 
 
 def record_probes(monkeypatch, image=lambda image: image):
-    """Record, per call of `_probes` by the re-check, the values it draws
-    from its domain, each as it is drawn, and return the list of calls.
-    Each image the packet engine yields is passed through *image*."""
+    """Record, per call of `_probes` by the re-check, `_resimulate`, the
+    values it draws from its domain, each as it is drawn, and return the
+    list of calls.  Each image the packet engine yields to the re-check is
+    passed through *image*; the window reads' own probes are left alone."""
     calls = []
-    real = analysis._probes
+    real, resimulate = simulation._probes, simulation._resimulate
 
     def drawn(values, into):
         for ell in values:
@@ -120,7 +121,13 @@ def record_probes(monkeypatch, image=lambda image: image):
         for ell, got in real(device, drawn(values, calls[-1]), config):
             yield ell, image(got)
 
-    monkeypatch.setattr(analysis, "_probes", recording)
+    def rechecking(device, domain, expected, config):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "_probes", recording)
+            return resimulate(device, domain, expected, config)
+
+    for module in (analysis, simulation):  # the certificate's re-check, and the others
+        monkeypatch.setattr(module, "_resimulate", rechecking)
     return calls
 
 
@@ -240,14 +247,15 @@ def test_proven_cycle_search_probes_only_piece_ends(monkeypatch):
     # pieces, so the packet engine sees their ends and no cycle edge; a
     # leaking piece's ends are probed too, expected to leave on another path
     probed = []
-    real = analysis._resimulate
+    real = simulation._resimulate
 
     def recording(device, domain, expected, config):
         domain = list(domain)
         probed.append(domain)
         return real(device, domain, expected, config)
 
-    monkeypatch.setattr(analysis, "_resimulate", recording)
+    for module in (analysis, simulation):  # the per-edge re-check, and the certificate's
+        monkeypatch.setattr(module, "_resimulate", recording)
     gate = synth_arbitrary(11)
     for lo, hi in ((0, 10), (-44, 44), (11, 15), (0, 9)):
         probed.clear()
@@ -389,12 +397,12 @@ def test_cycles_match_the_stepwise_walk(mapping, d, bad):
         rechecks.clear()
         with pytest.MonkeyPatch.context() as patch:
             # the window read as the map given, proven from pieces or not
-            patch.setattr(analysis, "strict_pieces", lambda graph, lo, hi: ([], [], None))
+            patch.setattr(simulation, "strict_pieces", lambda graph, lo, hi: ([], [], None))
             patch.setattr(analysis, "_certified", lambda *args: proven)
             patch.setattr(
                 analysis,
                 "_steps",
-                lambda graph, window, config: steps_of(mapping, window.lo, window.hi),
+                lambda window, config: steps_of(mapping, window.lo, window.hi),
             )
             patch.setattr(
                 analysis,
@@ -439,9 +447,9 @@ def test_each_window_value_is_walked_once(monkeypatch):
     real = analysis._steps
     counted = []
 
-    def counting(graph, window, config):
+    def counting(window, config):
         size = window.hi - window.lo + 1
-        counted.append(CountedReads(real(graph, window, config), 4 * size))
+        counted.append(CountedReads(real(window, config), 4 * size))
         return counted[-1]
 
     monkeypatch.setattr(analysis, "_steps", counting)

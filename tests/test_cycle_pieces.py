@@ -9,16 +9,17 @@ for every d in 2..300 and by ``tools/verify_differential.py cycles`` up to any
 bound.
 """
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oamcycle import analysis, simulation
-from oamcycle.analysis import CycleSet, _resimulate, discover_cycles
+from oamcycle.analysis import CycleSet, discover_cycles
 from oamcycle.model import Hologram, Netlist, OamBeamSplitter, r_path
-from oamcycle.portgraph import UNWIRED, PortGraph
-from oamcycle.simulation import SimulationConfig, strict_pieces, window_permutation
+from oamcycle.portgraph import UNWIRED, PortGraph, netlist_to_portgraph
+from oamcycle.simulation import SimulationConfig, _resimulate, strict_pieces, window_permutation
 from oamcycle.synthesis import VARIANTS, device_for, simplify, synth_arbitrary, synth_variant
 from reference_netlist import check_window_certificate
 from test_strict_permutation import (
@@ -148,6 +149,16 @@ def swap_pairs():
     return PortGraph(nodes, tuple(wiring), {R0: 0}, (None, R0), R0, R0, 2)
 
 
+def recombine():
+    """Two order-2 splitters between r0 and r1, read from r0 to r1 at
+    dimension 1: the even values leave on r0, and the odd ones, dropped in
+    strict mode, split at the first and recombine onto r1 at the second in
+    physical mode, each a cycle of its own."""
+    splitter = OamBeamSplitter(2, R0, R1)
+    graph = netlist_to_portgraph(Netlist((splitter, splitter), R0, R1, 2))
+    return dataclasses.replace(graph, dimension=1)
+
+
 # the interferometer drops odd values in strict mode and recombines them in
 # physical mode; the one-hologram graph of dimension 1 has no entry for its
 # input path, so every window value is a cycle of its own
@@ -160,6 +171,7 @@ SPECIAL = {
         Netlist((OamBeamSplitter(2, R0, R1), OamBeamSplitter(2, R0, R1)), R0, R0, 2),
         [(-3, 3), (-8, 9)],
     ),
+    "recombine": (recombine(), [(-3, 3)]),
     "no-entry": (
         PortGraph((Hologram(R1, 5),), (~1, ~0, ~0, ~0), {R1: 0}, (None, R0), R0, R0, 1),
         [(-3, 3), (4, 3)],
@@ -178,6 +190,15 @@ def test_special_windows_match_the_reference(name):
             assert_same_cycles(device, lo, hi, SimulationConfig(mode))
 
 
+def test_values_split_and_recombined_in_the_window_close_cycles():
+    # the physical hand-off probes the odd values no piece holds, and each
+    # lands on the output path inside the window, so it fills in their steps
+    device, _ = SPECIAL["recombine"]
+    physical = discover_cycles(device, -3, 3, SimulationConfig("physical"))
+    assert physical == [CycleSet((k,)) for k in (-3, -1, 1, 3)]
+    assert discover_cycles(device, -3, 3) == []
+
+
 def test_windows_with_dropped_classes_are_read_value_by_value(monkeypatch):
     # a dropped class proves nothing, so these windows take the per-edge
     # re-check: the swap-pairs device's 2-cycles are probed member by member
@@ -185,14 +206,15 @@ def test_windows_with_dropped_classes_are_read_value_by_value(monkeypatch):
         device, ((lo, hi), *_) = SPECIAL[name]
         assert strict_pieces(device, lo, hi)[1], name
     probed = []
-    real = analysis._resimulate
+    real = simulation._resimulate
 
     def recording(device, domain, expected, config):
         domain = list(domain)
         probed.append(domain)
         return real(device, domain, expected, config)
 
-    monkeypatch.setattr(analysis, "_resimulate", recording)
+    for module in (analysis, simulation):  # the per-edge re-check, and the certificate's
+        monkeypatch.setattr(module, "_resimulate", recording)
     cycles = discover_cycles(swap_pairs(), -8, 9)
     assert cycles == [CycleSet((k, k + 2)) for k in (-8, -4, 0, 4)]
     assert probed == [[-8, -6, -4, -2, 0, 2, 4, 6]]

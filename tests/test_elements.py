@@ -74,6 +74,14 @@ def test_non_multiple_error_carries_context():
     # one digit more than str() writes for an int: building it formats nothing
     huge = 10 ** sys.get_int_max_str_digits()
     assert NonMultipleMode(huge, 3).args == (huge, 3)
+    # reading it writes such a value in hex, and one digit less in decimal
+    nines = "9" * sys.get_int_max_str_digits()
+    for error, ell, m in (
+        (NonMultipleMode(huge, 3), f"{huge:#x}", "3"),
+        (NonMultipleMode(-huge, huge), f"{-huge:#x}", f"{huge:#x}"),
+        (NonMultipleMode(1 - huge, 2), f"-{nines}", "2"),
+    ):
+        assert str(error) == f"OAM value {ell} is not a multiple of splitter order {m}"
 
 
 @given(st.integers(1, 1024), st.integers(-16, 16), st.sampled_from(["x", "y"]))

@@ -166,6 +166,12 @@ def test_rejects_bad_keys_and_amplitudes():
             ModeVector({(R0, ell): 1.0})
     with pytest.raises(ValueError):
         ModeVector({(R0, 0): float("nan")})
+    # an OAM value of one digit more than str() writes for an int is written in hex
+    huge = 10 ** sys.get_int_max_str_digits()
+    for ell in (huge, -huge):
+        with pytest.raises(ValueError) as raised:
+            ModeVector({(R0, ell): float("nan")})
+        assert str(raised.value) == f"non-finite amplitude for r0|{ell:#x}>"
 
 
 def test_normalize_examples():

@@ -5,6 +5,7 @@ import cmath
 import dataclasses
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from reference_netlist import reference_apply_netlist, reference_transform
 
 from oamcycle import portgraph, simulation
+from oamcycle.analysis import simulate_word
 from oamcycle.elements import NonMultipleMode, splitter_amplitudes, z_phase
 from oamcycle.model import (
     PRUNE_THRESHOLD,
@@ -32,7 +34,6 @@ from oamcycle.simulation import (
     SimulationConfig,
     apply_netlist,
     apply_portgraph,
-    simulate_word,
     transform,
 )
 from oamcycle.synthesis import (
@@ -233,6 +234,13 @@ def test_overflowing_output_is_rejected():
     for config in (SimulationConfig(), PHYSICAL):
         with pytest.raises(ValueError, match=r"non-finite amplitude for r0\|0>"):
             apply_portgraph(merge, state, config)
+    # an OAM value of one digit more than str() writes for an int is written in hex
+    huge = 10 ** sys.get_int_max_str_digits()
+    state = ModeVector({(R0, huge): 1.2e308, (R1, huge): 1.2e308})
+    for config in (SimulationConfig(), PHYSICAL):
+        with pytest.raises(ValueError) as raised:
+            apply_portgraph(merge, state, config)
+        assert str(raised.value) == f"non-finite amplitude for r0|{huge:#x}>"
 
 
 def test_netlist_is_threaded_once(monkeypatch):

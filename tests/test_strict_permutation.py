@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from reference_netlist import reference_propagate, reference_transform
 
-from oamcycle import analysis, simulation
+from oamcycle import simulation
 from oamcycle.elements import NonMultipleMode, z_phase
 from oamcycle.model import (
     PRUNE_THRESHOLD,
@@ -181,12 +181,11 @@ def test_sibling_pieces_take_different_routes(device, window):
     # where a class splits at a splitter its two halves leave on different
     # ports, so with nothing dropped or failing every piece has a route and
     # no two share one: the certificate loses no window to its route check
-    lo, hi = window
-    graph = simulation._graph(device)
-    window = _Window(lo, hi, *strict_pieces(graph, lo, hi))
+    window = _Window.routed(device, *window)
+    graph = window.graph
     if window.dropped or window.failure is not None or graph.input_path not in graph.entries:
         return
-    routes = [analysis._routes(graph, window, piece) for piece in window.pieces]
+    routes = [simulation._routes(window, piece) for piece in window.pieces]
     assert all(type(route) is int for route in routes), (window.pieces, routes)
     assert len(set(routes)) == len(routes), (window.pieces, routes)
 
@@ -862,7 +861,7 @@ def test_a_window_read_raises_its_own_failure_after_the_handoff(monkeypatch):
         {R0: 0},
         terminals=(None, R0, r2),
     )
-    window = _Window(0, 3, *strict_pieces(wired, 0, 3))
+    window = _Window.routed(wired, 0, 3)
     assert (window.pieces, window.dropped) == ([(0, 4, 0, R0)], [(0, 1, 0, 0)])
     assert window.failure[0] == 2 and type(window.failure[1]) is ValueError
     probed = []
@@ -878,7 +877,7 @@ def test_a_window_read_raises_its_own_failure_after_the_handoff(monkeypatch):
         for read in (simulation._expand, simulation._steps):
             probed.clear()
             with pytest.raises(ValueError) as raised:
-                read(wired, window, SimulationConfig(mode))
+                read(window, SimulationConfig(mode))
             assert raised.value is window.failure[1], (mode, read)
             assert probed == ([(1, None)] if mode == PHYSICAL else []), (mode, read)
 

@@ -21,12 +21,14 @@ from unittest import mock
 import pytest
 
 from oamcycle import analysis, simulation
-from oamcycle.analysis import _resimulate, verify_gate
+from oamcycle.analysis import verify_gate
 from oamcycle.model import Hologram, Netlist, OamBeamSplitter, r_path
+from oamcycle.portgraph import PortGraph
 from oamcycle.simulation import (
     HopBudgetExceeded,
     NormDrift,
     SimulationConfig,
+    _resimulate,
     _Window,
     strict_pieces,
     window_permutation,
@@ -40,7 +42,7 @@ from oamcycle.synthesis import (
     synth_variant,
 )
 from reference_netlist import check_certificate
-from test_analysis import piece_ends, record_probes
+from test_analysis import piece_ends, record_probes, shift_the_packet_engine
 from test_strict_permutation import MODES
 
 #: large dimensions and the number of pieces of each variant's window
@@ -160,20 +162,20 @@ def tampered(pieces, hi):
 @pytest.mark.parametrize("d", [2, 12, 500])
 def test_verify_reads_tampered_pieces_value_by_value(monkeypatch, d):
     device = synth_variant(d)
-    graph = analysis._graph(device)
     config = SimulationConfig()
-    window = _Window(0, d - 1, *strict_pieces(device, 0, d - 1))
-    pieces, dropped, failure = window.pieces, window.dropped, window.failure
-    assert analysis._certified(graph, window, config)
-    assert not analysis._off_oracle(graph, window, 1)
+    window = _Window.routed(device, 0, d - 1)
+    graph, pieces, dropped, failure = window.graph, window.pieces, window.dropped, window.failure
+    assert simulation._certified(window, config)
+    assert not analysis._off_oracle(window, 1)
     for changed in tampered(pieces, d - 1):
-        assert not analysis._certified(graph, _Window(0, d - 1, changed, dropped, failure), config)
+        changed = _Window(graph, 0, d - 1, changed, dropped, failure)
+        assert not simulation._certified(changed, config)
     # a dropped class or a failure proves nothing either, whatever the pieces
     for rest in (([(0, 1, 0, 0)], None), ([], (0, ValueError()))):
-        assert not analysis._certified(graph, _Window(0, d - 1, pieces, *rest), config)
+        assert not simulation._certified(_Window(graph, 0, d - 1, pieces, *rest), config)
     # a certified window is off the oracle of the other step, except at d = 2,
     # where the shifts by +1 and -1 are one map
-    assert (not analysis._off_oracle(graph, window, -1)) == (d == 2)
+    assert (not analysis._off_oracle(window, -1)) == (d == 2)
     # and a gate its pieces do not prove is read value by value
     monkeypatch.setattr(analysis, "_certified", lambda *args: False)
     assert verify_gate(d) == reference_verify_gate(d, "standard", 0, config, device)
@@ -215,6 +217,91 @@ def test_a_gate_passes_at_a_shift_too_long_to_print(mode, variant, sign):
     ]
 
 
+def with_last_charge_raised(netlist):
+    """*netlist* with the charge of its last hologram raised by 1: each value
+    it maps leaves one above its image."""
+    elements = list(netlist.elements)
+    i = max(i for i, el in enumerate(elements) if type(el) is Hologram)
+    elements[i] = Hologram(elements[i].path, elements[i].v + 1)
+    return dataclasses.replace(netlist, elements=tuple(elements))
+
+
+def shown(n):
+    """*n* as a report writes it: in decimal up to `sys.get_int_max_str_digits()`
+    digits, in hex past them."""
+    if n is not None and abs(n) >= 10 ** sys.get_int_max_str_digits():
+        return f"{n:#x}"
+    return str(n)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("d", [5, simulation.MAX_WINDOW + 1])
+def test_a_broken_gate_is_reported_at_a_shift_too_long_to_print(monkeypatch, mode, sign, d):
+    # the shift has one digit more than str() writes for an int: every value
+    # a violation names is written in decimal up to that many digits and in
+    # hex past them, value by value up to MAX_WINDOW and piece by piece above
+    big, small = sign * 10 ** sys.get_int_max_str_digits(), 10**5
+    config = SimulationConfig(mode)
+    devices = {s: with_last_charge_raised(synth_variant(d, "standard", s)) for s in (small, big)}
+    report = verify_with(devices[big], d, "standard", big, config)
+    assert not report.passed and not report.permutation_ok
+    if d == 5:
+        oracle = [(k, (k - big + 1) % d + big) for k in range(big, big + d)]
+        want = [
+            f"|{shown(k)}> mapped to {shown(image + 1)}, expected |{shown(image)}>"
+            for k, image in oracle
+        ]
+    else:  # the texts of a shift that prints, with each window value moved
+        def moved(match):
+            return match[1] + shown(int(match[2]) - small + big)
+
+        texts = verify_with(devices[small], d, "standard", small, config).violations
+        want = [re.sub(r"(piece |at \|)(-?\d+)", moved, text) for text in texts]
+    assert list(report.violations) == want
+    if d > simulation.MAX_WINDOW:  # a window not proven is named by its bounds
+        monkeypatch.setattr(analysis, "_certified", lambda *args: False)
+        report = verify_with(devices[big], d, "standard", big, config)
+        pieces = len(strict_pieces(devices[big], big, big + d - 1)[0])
+        bounds = f"[{shown(big)}, {shown(big + d - 1)}]"
+        assert report.violations == (f"window {bounds} not proven from its {pieces} pieces",)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_passing_map_prints_at_a_shift_too_long_to_print(mode):
+    # past MAX_WINDOW values the map's repr is a summary, which names its window
+    d, shift = 2**21 + 3, 10 ** sys.get_int_max_str_digits()
+    report = verify_gate(d, "standard", shift, SimulationConfig(mode))
+    assert report.passed
+    window = f"[{shift:#x}, {shift + d - 1:#x}]"
+    pieces = len(strict_pieces(synth_variant(d, "standard", shift), shift, shift + d - 1)[0])
+    summary = f"<map of {d} values of the window {window} from {pieces} pieces>"
+    assert repr(report.mapping) == summary
+    counts = f"count_actual={report.count_actual}, count_predicted={report.count_predicted}"
+    assert repr(report) == (
+        f"VerificationReport(d={d}, variant='standard', shift={shift:#x},"
+        f" permutation_ok=True, mapping={summary}, {counts}, bound={report.bound!r},"
+        " violations=())"
+    )
+    # a report that prints in decimal prints as the dataclass repr would
+    small = verify_gate(5, "standard", 3, SimulationConfig(mode))
+    assert repr(small) == (
+        "VerificationReport(d=5, variant='standard', shift=3, permutation_ok=True,"
+        " mapping={3: 4, 4: 5, 5: 6, 6: 7, 7: 3}, count_actual=8, count_predicted=8,"
+        " bound=8.0, violations=())"
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_failed_recheck_is_raised_at_a_shift_too_long_to_print(monkeypatch, mode):
+    shift = 10 ** sys.get_int_max_str_digits()
+    shift_the_packet_engine(monkeypatch)
+    with pytest.raises(AssertionError) as raised:
+        verify_gate(5, "standard", shift, SimulationConfig(mode))
+    want = f"|{shift:#x}> -> {shift + 1:#x} failed re-simulation (got {shift + 2:#x})"
+    assert str(raised.value) == want
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_a_window_with_a_dropped_class_is_compared_value_by_value(mode):
     # a gate of dimension 4 with one charge changed drops the class 1 mod 2 at
@@ -224,9 +311,9 @@ def test_a_window_with_a_dropped_class_is_compared_value_by_value(mode):
     elements = list(gate.elements)
     elements[1] = Hologram(elements[1].path, elements[1].v - 1)
     device = dataclasses.replace(gate, elements=tuple(elements))
-    window = _Window(0, 3, *strict_pieces(device, 0, 3))
+    window = _Window.routed(device, 0, 3)
     assert window.dropped and window.failure is None
-    assert not analysis._off_oracle(analysis._graph(device), window, 1)
+    assert not analysis._off_oracle(window, 1)
     config = SimulationConfig(mode)
     report = verify_with(device, 4, "standard", 0, config)
     assert report == reference_verify_gate(4, "standard", 0, config, device)
@@ -239,19 +326,44 @@ def test_a_piece_is_proven_only_if_each_member_takes_its_route():
     # take two routes to one offset, and their union mod 1 is not one route
     r0, r1 = r_path(0), r_path(1)
     splitter = OamBeamSplitter(1, r0, r1)
-    device = analysis._graph(
+    device = simulation._graph(
         Netlist((splitter, Hologram(r0, 1), Hologram(r1, 1), splitter), r0, r1, 2)
     )
     assert strict_pieces(device, 0, 3) == ([(0, 2, 1, r1), (1, 2, 1, r1)], [], None)
-    window = _Window(0, 3, [], [], None)
-    assert analysis._routes(device, window, (0, 2, 1, r1))
-    assert analysis._routes(device, window, (1, 2, 1, r1))
-    routes = [analysis._routes(device, window, (first, 2, 1, r1)) for first in (0, 1)]
+    window = _Window(device, 0, 3, [], [], None)
+    assert simulation._routes(window, (0, 2, 1, r1))
+    assert simulation._routes(window, (1, 2, 1, r1))
+    routes = [simulation._routes(window, (first, 2, 1, r1)) for first in (0, 1)]
     assert all(type(route) is int for route in routes) and routes[0] != routes[1]
-    assert not analysis._routes(device, window, (0, 1, 1, r1))
-    assert analysis._routes(device, _Window(0, 0, [], [], None), (0, 1, 1, r1))  # one member
-    assert not analysis._routes(device, window, (0, 2, 2, r1))
-    assert not analysis._routes(device, window, (0, 2, 1, r0))
+    assert not simulation._routes(window, (0, 1, 1, r1))
+    assert simulation._routes(_Window(device, 0, 0, [], [], None), (0, 1, 1, r1))  # one member
+    assert not simulation._routes(window, (0, 2, 2, r1))
+    assert not simulation._routes(window, (0, 2, 1, r0))
+
+
+def self_loop():
+    """One hologram, its forward exit wired back to its forward entry: every
+    value circles until the hop budget runs out."""
+    r0 = r_path(0)
+    return PortGraph((Hologram(r0, 1),), (0, ~0, ~0, ~0), {r0: 0}, (None, r0), r0, r0, 2)
+
+
+def test_a_route_past_the_hop_budget_proves_nothing():
+    loop = self_loop()
+    window = _Window(loop, 0, 0, [], [], None)
+    assert simulation._routes(window, (0, 1, 1, loop.output_path)) is None
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_failing_window_past_max_window_reports_its_failure(mode):
+    # its pieces prove nothing and it is not read value by value: the report
+    # names the failure, then the splitter count, 0 against the formula's
+    d = simulation.MAX_WINDOW + 1
+    report = verify_with(self_loop(), d, "standard", 0, SimulationConfig(mode))
+    failure = "simulation failed: packets still in flight after 10 node traversals"
+    assert report.violations[0] == failure
+    assert report.violations[1:] == (f"splitter count 0 != predicted {predict_count(d)[0]}",)
+    assert report.mapping == {} and not report.permutation_ok
 
 
 @pytest.mark.parametrize("d", [2, 12, 500])
@@ -280,8 +392,7 @@ def test_certificate_checker_accepts_the_pieces_of_large_gates(d, variant):
 
 def test_a_piece_map_reads_as_the_dict_it_stands_for(monkeypatch):
     device = synth_variant(12)
-    graph = analysis._graph(device)
-    read = simulation._PieceMap(_Window(0, 11, *strict_pieces(graph, 0, 11)), graph.output_path)
+    read = simulation._PieceMap(_Window.routed(device, 0, 11))
     want = window_permutation(device, 0, 11)
     assert read == want and want == read and not read != want
     assert list(read.items()) == list(want.items())
@@ -295,10 +406,11 @@ def test_a_piece_map_reads_as_the_dict_it_stands_for(monkeypatch):
     assert all(read != other for other in changed)
     assert read != list(want.items())
     # other pieces of the same map are equal; the same pieces on another window are not
+    graph = read._window.graph
     out = graph.output_path
 
     def piece_map(pieces, lo, hi):
-        return simulation._PieceMap(_Window(lo, hi, pieces, [], None), out)
+        return simulation._PieceMap(_Window(graph, lo, hi, pieces, [], None))
 
     whole = piece_map([(0, 1, 1, out)], 0, 3)
     assert whole == piece_map([(1, 2, 1, out), (0, 2, 1, out)], 0, 3)
@@ -347,9 +459,8 @@ def test_an_unproven_large_gate_fails_with_few_violations(monkeypatch, mode):
     config = SimulationConfig(mode)
     # a certified gate off the oracle: one violation per piece off it
     variant, shift, device = gates(d)[-1]
-    graph = analysis._graph(device)
-    window = _Window(shift, shift + d - 1, *strict_pieces(graph, shift, shift + d - 1))
-    assert analysis._certified(graph, window, config)
+    window = _Window.routed(device, shift, shift + d - 1)
+    assert simulation._certified(window, config)
     start = time.perf_counter()
     report = verify_with(device, d, variant, shift, config)
     assert time.perf_counter() - start < 1.0

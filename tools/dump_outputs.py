@@ -35,7 +35,7 @@ import random
 import sys
 
 from oamcycle import simulation
-from oamcycle.analysis import _certified, discover_cycles, verify_gate
+from oamcycle.analysis import discover_cycles, verify_gate
 from oamcycle.model import (
     Hologram,
     ModeVector,
@@ -51,6 +51,7 @@ from oamcycle.simulation import (
     PHYSICAL,
     STRICT,
     SimulationConfig,
+    _certified,
     _Window,
     probe_permutation,
     strict_pieces,
@@ -175,8 +176,7 @@ def superposition(rng: random.Random, lo: int, scale: float) -> ModeVector:
 def certified(device, lo: int, hi: int, config: SimulationConfig) -> bool:
     """The certificate's verdict on the window [lo, hi] of *device*, as
     `strict_pieces` routes it."""
-    graph = simulation._graph(device)
-    return _certified(graph, _Window(lo, hi, *strict_pieces(graph, lo, hi)), config)
+    return _certified(_Window.routed(device, lo, hi), config)
 
 
 def dump(seed: int, count: int, out) -> None:
