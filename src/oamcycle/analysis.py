@@ -1,10 +1,12 @@
-"""Gate verification, cycle discovery, gate words, and scaling tables.
+"""Gate verification, cycle discovery and gate words.
 
-Everything here cross-checks two independent routes: simulated behavior
-against the modular-arithmetic oracle, and tallied element counts
-against the closed-form predictions.  A window is routed, read and
-proven in `simulation` (`_Window.routed`, `_certified`); this module
-compares what it proves with the oracle, and reads no port table.
+Everything here cross-checks simulated behavior against the
+modular-arithmetic oracle, and a gate's tallied splitter count against
+the closed-form prediction.  A window is routed, read and proven in
+`simulation` (`_Window.routed`, `_certified`); this module compares what
+it proves with the oracle, and reads no port table.  The scaling table,
+which needs no simulation, is defined in `synthesis`; its names stay
+importable here.
 """
 
 from __future__ import annotations
@@ -12,17 +14,13 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator
 
-from .elements import _int_text, z_phase
-from .model import ModeVector, Netlist, _is_int
+from .elements import HopBudgetExceeded, NormDrift, _int_text, z_phase
+from .model import MAX_WINDOW, ModeVector, Netlist, _is_int
 from .portgraph import PortGraph
 from .simulation import (
     DEFAULT_CONFIG,
-    MAX_WINDOW,
     STRICT,
-    HopBudgetExceeded,
-    NormDrift,
     SimulationConfig,
     _certified,
     _expand,
@@ -32,13 +30,16 @@ from .simulation import (
     _Window,
     transform,
 )
-from .synthesis import (
+from .synthesis import (  # the scaling names, defined in `synthesis`, stay importable here
     InvalidDimension,
+    ScalingRow,
     count_beamsplitters,
     device_for,
-    naive_count,
     predict_count,
     predict_simplified_count,
+    scaling_csv_lines,
+    scaling_rows,
+    scaling_table,
     synth_arbitrary,
     synth_variant,
 )
@@ -314,53 +315,3 @@ def simulate_word(
             for key, amp in out.items()
         )
     return out
-
-
-@dataclass(frozen=True)
-class ScalingRow:
-    d: int
-    n_arb_actual: int
-    n_arb_predicted: int
-    n_s: int
-    naive: int
-    bound: float | None
-
-
-def scaling_rows(d_min: int, d_max: int) -> Iterator[ScalingRow]:
-    """The rows of `scaling_table`, each made as it is drawn.
-
-    The range is checked at once; a row that breaks the tally/formula
-    identity or the bound raises when it is drawn.
-    """
-    if d_min < 2 or d_max < d_min:
-        raise ValueError(f"need 2 <= d_min <= d_max, got [{d_min}, {d_max}]")
-    return map(_scaling_row, range(d_min, d_max + 1))
-
-
-def _scaling_row(d: int) -> ScalingRow:
-    actual = count_beamsplitters(synth_arbitrary(d))
-    predicted, bound = predict_count(d)
-    if actual != predicted:
-        raise AssertionError(f"d={d}: tallied {actual} splitters, formula {predicted}")
-    if bound is not None and actual > bound:
-        raise AssertionError(f"d={d}: count {actual} exceeds bound {bound}")
-    return ScalingRow(d, actual, predicted, predict_simplified_count(d), naive_count(d), bound)
-
-
-def scaling_table(d_min: int, d_max: int) -> list[ScalingRow]:
-    """Tally-vs-formula splitter counts for every dimension in [d_min, d_max].
-
-    Each row also carries the simplified and brute-force counts and the
-    log bound; the tally/formula identity and the bound are asserted
-    row by row.
-    """
-    return list(scaling_rows(d_min, d_max))
-
-
-def scaling_csv_lines(rows: Iterable[ScalingRow]) -> Iterator[str]:
-    """*rows* as CSV lines, newline included, the header first and then one
-    per row as it is drawn; each bound is written with full float precision."""
-    yield "d,n_arb_actual,n_arb_predicted,n_s,naive,bound\n"
-    for row in rows:
-        bound = repr(row.bound) if row.bound is not None else ""
-        yield f"{row.d},{row.n_arb_actual},{row.n_arb_predicted},{row.n_s},{row.naive},{bound}\n"

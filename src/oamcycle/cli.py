@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 verification/simulation failure, 2 usage or
 document errors.  When the reader of stdout closes it early (as in
 ``oamcycle cycles ... | head -1``) the command stops silently with 1,
 Python's own exit code for a broken pipe.
+
+Each command is its own process, so the module imports at its top only
+what parsing and `main`'s error handling need for every command; the
+commands that run the engines import them: `simulation` for `simulate`,
+`analysis` for `verify` and `cycles`.  `synth`, `export` and `scaling`
+load neither.
 """
 
 from __future__ import annotations
@@ -14,9 +20,8 @@ import re
 import sys
 from pathlib import Path
 
-from .analysis import discover_cycles, scaling_csv_lines, scaling_rows, verify_gate
-from .elements import NonMultipleMode
-from .model import ZeroState, normalize
+from .elements import HopBudgetExceeded, NonMultipleMode, NormDrift
+from .model import MAX_WINDOW, ZeroState, normalize
 from .serialization import (
     NetlistDocument,
     ParseError,
@@ -27,12 +32,13 @@ from .serialization import (
     parse_state,
     serialize,
 )
-from .simulation import MAX_WINDOW, HopBudgetExceeded, NormDrift, SimulationConfig, transform
 from .synthesis import (
     VARIANTS,
     InvalidDimension,
     NotSimplifiable,
     device_for,
+    scaling_csv_lines,
+    scaling_rows,
     synth_variant,
     variant_name,
 )
@@ -63,6 +69,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulation import SimulationConfig, transform
+
     doc = _load_document(args.netlist)
     state = parse_state(args.input, doc.netlist.input_path)
     norm = state.norm()
@@ -75,6 +83,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .analysis import verify_gate
+
     for name, value in (("dimension", args.d), ("shift", args.shift)):
         if value.bit_length() > _MAX_BITS:
             raise ValueError(f"{name} {value} has more than {_MAX_BITS} bits")
@@ -114,6 +124,8 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_cycles(args) -> int:
+    from .analysis import discover_cycles
+
     doc = _load_document(args.netlist)
     if args.window:
         match = _WINDOW_RE.match(args.window)

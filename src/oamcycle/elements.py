@@ -21,6 +21,11 @@ Every phase is an int ratio of a turn, turned into radians in one place,
 (at a multiple of m, an exact quarter turn that needs no angle), and a
 plate's phase is (ell mod d)/d of a turn.  The conversion is finite at
 any order and dimension, also past the float range.
+
+The three errors a simulation raises, `NonMultipleMode`, `NormDrift` and
+`HopBudgetExceeded`, are defined here, the module every other one loads,
+so that the command line catches them without loading the engines;
+`simulation` re-exports the last two.
 """
 
 from __future__ import annotations
@@ -42,6 +47,14 @@ class NonMultipleMode(Exception):
     def __str__(self) -> str:
         ell, m = _int_text(self.ell), _int_text(self.m)
         return f"OAM value {ell} is not a multiple of splitter order {m}"
+
+
+class NormDrift(Exception):
+    """Simulation lost or gained probability beyond `simulation.NORM_TOLERANCE`."""
+
+
+class HopBudgetExceeded(Exception):
+    """A packet exceeded the maximum number of node traversals."""
 
 
 def _int_text(n: int | None, spec: str = "") -> str:

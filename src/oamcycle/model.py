@@ -23,6 +23,11 @@ PRUNE_THRESHOLD = 1e-15
 #: tolerance on |amplitude| - 1 when reading a permutation off a state
 PERMUTATION_AMPLITUDE_TOL = 1e-9
 
+#: most OAM values read one by one: the window of ``oamcycle cycles``, the
+#: dimensions ``oamcycle scaling`` synthesizes, and a `verify_gate` window
+#: read value by value or printed as a dict
+MAX_WINDOW = 2**20
+
 #: one spelling per label: no sign, no leading zero, nothing after the digits
 _PATH_RE = re.compile(r"([rs])(0|[1-9][0-9]*)")
 
@@ -79,7 +84,10 @@ class PathLabel:
         return cls(m.group(1), int(m.group(2)))
 
     def __str__(self) -> str:
-        return f"{self.family}{self.index}"
+        return f"{self.family}{_int_text(self.index)}"
+
+    def __repr__(self) -> str:  # the dataclass repr, with `_int_text` writing the index
+        return f"{type(self).__qualname__}(family={self.family!r}, index={_int_text(self.index)})"
 
 
 def _check_paths(what: str, paths: Iterable) -> None:
@@ -225,9 +233,8 @@ class ModeVector:
         return ModeVector({k: v / n for k, v in self._entries.items()})
 
     def __repr__(self) -> str:
-        terms = ", ".join(
-            f"({amp:.6g})|{ell}>@{path}" for (path, ell), amp in sorted(self._entries.items())
-        )
+        entries = sorted(self._entries.items())
+        terms = ", ".join(f"({amp:.6g})|{_int_text(ell)}>@{path}" for (path, ell), amp in entries)
         return f"ModeVector[{terms}]" if terms else "ModeVector[0]"
 
 

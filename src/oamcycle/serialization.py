@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .elements import _int_text
 from .model import Element, Hologram, ModeVector, Netlist, OamBeamSplitter, PathLabel, ZPlate
 from .portgraph import BACKWARD, PortGraph, netlist_to_portgraph
 from .synthesis import VARIANTS
@@ -284,5 +285,5 @@ def format_state(state: ModeVector) -> str:
     """One line per component, sorted by path then OAM value."""
     lines = []
     for (path, ell), amp in sorted(state.items()):
-        lines.append(f"{format_amplitude(amp)}|{ell}> @ {path}")
+        lines.append(f"{format_amplitude(amp)}|{_int_text(ell)}> @ {path}")
     return "\n".join(lines)

@@ -89,8 +89,25 @@ from operator import eq, is_not, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from . import portgraph
-from .elements import NonMultipleMode, _int_text, splitter_amplitudes, z_phase
-from .model import PRUNE_THRESHOLD, ModeVector, Netlist, PathLabel, _checked, _image, _norm, _pruned
+from .elements import (
+    HopBudgetExceeded,
+    NonMultipleMode,
+    NormDrift,
+    _int_text,
+    splitter_amplitudes,
+    z_phase,
+)
+from .model import (
+    MAX_WINDOW,
+    PRUNE_THRESHOLD,
+    ModeVector,
+    Netlist,
+    PathLabel,
+    _checked,
+    _image,
+    _norm,
+    _pruned,
+)
 from .portgraph import PortGraph, _tables
 
 STRICT = "strict"
@@ -101,18 +118,6 @@ HOPS_PER_NODE = 10
 
 #: allowed drift of the terminal norm from the input norm, relative to it
 NORM_TOLERANCE = 1e-12
-
-#: most OAM values read one by one: the window of ``oamcycle cycles``, the
-#: dimensions ``oamcycle scaling`` synthesizes, and a `verify_gate` window
-#: read value by value or printed as a dict
-MAX_WINDOW = 2**20
-
-class NormDrift(Exception):
-    """Simulation lost or gained probability beyond `NORM_TOLERANCE`."""
-
-
-class HopBudgetExceeded(Exception):
-    """A packet exceeded the maximum number of node traversals."""
 
 
 @dataclass(frozen=True)

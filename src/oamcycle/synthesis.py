@@ -39,12 +39,17 @@ on it; a device of fresh equal labels behaves the same.
 The gate variants are decided here and nowhere else: `synth_variant`
 builds the element list a variant's document stores, and `device_for`
 turns a stored list into the device the variant names.
+
+`scaling_rows` tallies each dimension's synthesized splitters against
+the count formulas and the log bound, and `scaling_csv_lines` writes the
+rows; they read nothing but the tallies and formulas here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .model import (
     Element,
@@ -339,3 +344,53 @@ def variant_name(variant: str, shift: int) -> str:
 def device_for(netlist: Netlist, variant: str) -> Netlist | PortGraph:
     """The device a document of *variant* storing *netlist* describes."""
     return simplify(netlist) if variant == "simplified" else netlist
+
+
+@dataclass(frozen=True)
+class ScalingRow:
+    d: int
+    n_arb_actual: int
+    n_arb_predicted: int
+    n_s: int
+    naive: int
+    bound: float | None
+
+
+def scaling_rows(d_min: int, d_max: int) -> Iterator[ScalingRow]:
+    """The rows of `scaling_table`, each made as it is drawn.
+
+    The range is checked at once; a row that breaks the tally/formula
+    identity or the bound raises when it is drawn.
+    """
+    if d_min < 2 or d_max < d_min:
+        raise ValueError(f"need 2 <= d_min <= d_max, got [{d_min}, {d_max}]")
+    return map(_scaling_row, range(d_min, d_max + 1))
+
+
+def _scaling_row(d: int) -> ScalingRow:
+    actual = count_beamsplitters(synth_arbitrary(d))
+    predicted, bound = predict_count(d)
+    if actual != predicted:
+        raise AssertionError(f"d={d}: tallied {actual} splitters, formula {predicted}")
+    if bound is not None and actual > bound:
+        raise AssertionError(f"d={d}: count {actual} exceeds bound {bound}")
+    return ScalingRow(d, actual, predicted, predict_simplified_count(d), naive_count(d), bound)
+
+
+def scaling_table(d_min: int, d_max: int) -> list[ScalingRow]:
+    """Tally-vs-formula splitter counts for every dimension in [d_min, d_max].
+
+    Each row also carries the simplified and brute-force counts and the
+    log bound; the tally/formula identity and the bound are asserted
+    row by row.
+    """
+    return list(scaling_rows(d_min, d_max))
+
+
+def scaling_csv_lines(rows: Iterable[ScalingRow]) -> Iterator[str]:
+    """*rows* as CSV lines, newline included, the header first and then one
+    per row as it is drawn; each bound is written with full float precision."""
+    yield "d,n_arb_actual,n_arb_predicted,n_s,naive,bound\n"
+    for row in rows:
+        bound = repr(row.bound) if row.bound is not None else ""
+        yield f"{row.d},{row.n_arb_actual},{row.n_arb_predicted},{row.n_s},{row.naive},{bound}\n"

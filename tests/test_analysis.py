@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oamcycle import analysis, simulation
+from oamcycle import analysis, simulation, synthesis
 from oamcycle.analysis import (
     CycleSet,
     discover_cycles,
@@ -509,11 +509,11 @@ def test_scaling_500():
 
 def test_scaling_asserts_each_row_against_the_formula_and_the_bound(monkeypatch):
     with monkeypatch.context() as patched:
-        patched.setattr(analysis, "count_beamsplitters", lambda device: 10**6)
+        patched.setattr(synthesis, "count_beamsplitters", lambda device: 10**6)
         with pytest.raises(AssertionError) as raised:
             scaling_table(5, 5)
         assert str(raised.value) == "d=5: tallied 1000000 splitters, formula 8"
-    monkeypatch.setattr(analysis, "predict_count", lambda d: (predict_count(d)[0], 0.5))
+    monkeypatch.setattr(synthesis, "predict_count", lambda d: (predict_count(d)[0], 0.5))
     with pytest.raises(AssertionError) as raised:
         scaling_table(5, 5)
     assert str(raised.value) == "d=5: count 8 exceeds bound 0.5"

@@ -287,7 +287,7 @@ def test_verify_rejects_a_dimension_or_shift_past_the_bit_bound(monkeypatch, cap
     assert synthesized == [(3, "shifted", -(2**256 - 1))]
     assert capsys.readouterr().out.endswith("PASS\n")
     report, checked = analysis.verify_gate(2), []
-    monkeypatch.setattr(cli, "verify_gate", lambda d, **kw: checked.append(d) or report)
+    monkeypatch.setattr(analysis, "verify_gate", lambda d, **kw: checked.append(d) or report)
     assert main(["verify", str(2**256 - 1)]) == 0
     assert checked == [2**256 - 1]
 

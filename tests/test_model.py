@@ -27,6 +27,7 @@ from oamcycle.model import (
     r_path,
     s_path,
 )
+from oamcycle.serialization import format_state
 
 R0 = r_path(0)
 R1 = r_path(1)
@@ -113,6 +114,23 @@ def test_a_label_pickled_under_another_hash_seed_finds_its_key():
         assert table[label] == "found" and label in set(table)
         seeded_apart += int(str_hash) != hash("s7")
     assert seeded_apart
+
+
+def test_labels_and_states_write_an_int_past_the_digit_limit_in_hex():
+    # one digit more than str() writes for an int is written in hex, and one
+    # digit less in decimal, as str() writes it
+    huge = 10 ** sys.get_int_max_str_digits()
+    nines = "9" * sys.get_int_max_str_digits()
+    assert str(r_path(huge)) == f"r{huge:#x}"
+    assert repr(s_path(huge)) == f"PathLabel(family='s', index={huge:#x})"
+    assert str(s_path(huge - 1)) == f"s{nines}"
+    assert repr(r_path(huge - 1)) == f"PathLabel(family='r', index={nines})"
+    assert repr(r_path(3)) == "PathLabel(family='r', index=3)"
+    state = ModeVector({(R0, huge): 1, (R1, 1 - huge): -1, (r_path(huge), 5): 0.5j})
+    assert repr(state) == (
+        f"ModeVector[(1+0j)|{huge:#x}>@r0, (-1+0j)|-{nines}>@r1, (0+0.5j)|5>@r{huge:#x}]"
+    )
+    assert format_state(state) == f"|{huge:#x}> @ r0\n-|-{nines}> @ r1\n0.5j|5> @ r{huge:#x}"
 
 
 # --- mode vectors -----------------------------------------------------------
