@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .elements import HopBudgetExceeded, NormDrift, _int_text, z_phase
-from .model import MAX_WINDOW, ModeVector, Netlist, _is_int
+from .model import MAX_WINDOW, ModeVector, Netlist, _dataclass_repr, _is_int
 from .portgraph import PortGraph
 from .simulation import (
     DEFAULT_CONFIG,
@@ -66,16 +66,11 @@ class VerificationReport:
     count_predicted: int
     bound: float | None
     violations: tuple[str, ...]
+    __repr__ = _dataclass_repr
 
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def __repr__(self) -> str:
-        # the dataclass repr, with `_int_text` writing the ints (d, shift)
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        text = (f"{k}={_int_text(v) if _is_int(v) else repr(v)}" for k, v in values)
-        return f"VerificationReport({', '.join(text)})"
 
 
 @dataclass(frozen=True)

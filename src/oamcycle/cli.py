@@ -43,7 +43,7 @@ from .synthesis import (
     variant_name,
 )
 
-_WINDOW_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
+_WINDOW_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 
 #: most bits of `verify`'s dimension and shift: its window splits into
 #: O(log d) residue-class pieces, so a d of 256 bits is proven in under a
@@ -128,7 +128,7 @@ def _cmd_cycles(args) -> int:
 
     doc = _load_document(args.netlist)
     if args.window:
-        match = _WINDOW_RE.match(args.window)
+        match = _WINDOW_RE.fullmatch(args.window)
         if match is None:
             raise ValueError(f"--window must look like -44..44, got {args.window!r}")
         lo, hi = int(match.group(1)), int(match.group(2))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Mapping, Union, get_args
 
 from .elements import NonMultipleMode, _int_text
@@ -43,6 +43,14 @@ def _checked(ell: int) -> int:
     if type(ell) is not int and not _is_int(ell):
         raise TypeError(f"OAM value must be int, got {ell!r}")
     return ell
+
+
+def _dataclass_repr(self) -> str:
+    """The dataclass repr of *self*, with `_int_text` writing each int field, in hex
+    past the digit limit; a dataclass keeps it as the ``__repr__`` its body sets."""
+    values = ((f.name, getattr(self, f.name)) for f in fields(self) if f.repr)
+    text = (f"{k}={_int_text(v) if type(v) is int else repr(v)}" for k, v in values)
+    return f"{type(self).__qualname__}({', '.join(text)})"
 
 
 class ZeroState(Exception):
@@ -86,8 +94,7 @@ class PathLabel:
     def __str__(self) -> str:
         return f"{self.family}{_int_text(self.index)}"
 
-    def __repr__(self) -> str:  # the dataclass repr, with `_int_text` writing the index
-        return f"{type(self).__qualname__}(family={self.family!r}, index={_int_text(self.index)})"
+    __repr__ = _dataclass_repr
 
 
 def _check_paths(what: str, paths: Iterable) -> None:
@@ -182,7 +189,7 @@ class ModeVector:
 
         Only for amplitudes already summed per key, keyed by
         ``(PathLabel, int)``, finite and pruned: the simulation engine's
-        output.
+        output, and the basis probes it reads through its own path.
         """
         state = cls.__new__(cls)
         state._entries = entries
@@ -279,9 +286,9 @@ def extract_permutation(
 
     Returns a partial map ``ell -> ell'`` containing only the inputs whose
     image is a single basis state on *output_path* with unit magnitude
-    (within ``PERMUTATION_AMPLITUDE_TOL``).  Inputs that error, split,
-    leak to another path, or lose amplitude are omitted rather than
-    raised.
+    (within ``PERMUTATION_AMPLITUDE_TOL``).  Inputs that split, leak to
+    another path, lose amplitude or raise NonMultipleMode are omitted;
+    any other error *transform* raises is raised.
     """
     mapping: dict[int, int] = {}
     for ell in domain:
@@ -321,6 +328,7 @@ class OamBeamSplitter:
     m: int
     port_x: PathLabel
     port_y: PathLabel
+    __repr__ = _dataclass_repr
 
     def __post_init__(self):
         if not _is_int(self.m) or self.m < 1:
@@ -336,6 +344,7 @@ class Hologram:
 
     path: PathLabel
     v: int
+    __repr__ = _dataclass_repr
 
     def __post_init__(self):
         if not _is_int(self.v):
@@ -349,6 +358,7 @@ class ZPlate:
 
     path: PathLabel
     d: int
+    __repr__ = _dataclass_repr
 
     def __post_init__(self):
         if not _is_int(self.d) or self.d < 2:
@@ -388,6 +398,7 @@ class Netlist:
     input_path: PathLabel
     output_path: PathLabel
     dimension: int
+    __repr__ = _dataclass_repr
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))

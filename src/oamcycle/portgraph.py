@@ -30,6 +30,7 @@ from .model import (
     PathLabel,
     _check_kinds,
     _check_paths,
+    _dataclass_repr,
     _is_int,
     _unchecked,
     element_paths,
@@ -70,6 +71,7 @@ class PortGraph:
     input_path: PathLabel
     output_path: PathLabel
     dimension: int
+    __repr__ = _dataclass_repr
 
     def __post_init__(self):
         # private copies, so a caller's later edits cannot get past the checks
@@ -124,22 +126,16 @@ def _tables(graph: PortGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if tables is None:
         orders: list[int] = []
         kicks: list[int] = []
-        zeros = (0, 0, 0, 0)
         for element in graph.nodes:
             kind = type(element)
-            if kind is OamBeamSplitter:
-                m = element.m
-                orders += (m, m, m, m)
-                kicks += zeros
-            elif kind is Hologram:
+            if kind is Hologram:  # the slots with the BACKWARD bit, 2 and 3, run it in reverse
                 v = element.v
-                orders += zeros
-                # the slots with the BACKWARD bit, 2 and 3, run it in reverse
+                orders += (0, 0, 0, 0)
                 kicks += (v, v, -v, -v)
-            else:  # a ZPlate: the graph admits only the three kinds
-                k = -element.d
+            else:  # a splitter or a ZPlate: the graph admits only the three kinds
+                k = element.m if kind is OamBeamSplitter else -element.d
                 orders += (k, k, k, k)
-                kicks += zeros
+                kicks += (0, 0, 0, 0)
         tables = (tuple(orders), tuple(kicks))
         object.__setattr__(graph, "_tables", tables)
     return tables

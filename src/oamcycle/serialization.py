@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,41 +52,51 @@ class _Form(NamedTuple):
     key: str  # key and attribute of the int parameter
     paths: tuple[str, ...]  # path attributes, in document order
     noun: str  # the kind's name in messages
-    label: str  # DOT label, formatted with the parameter
+    label: tuple[str, str]  # DOT label: a prefix, and the parameter's format spec
 
 
 #: keyed by exact class: `Netlist` and `PortGraph` admit no other
 _FORMS = {
-    OamBeamSplitter: _Form("LI", "m", ("port_x", "port_y"), "splitter", "LI_{}"),
-    Hologram: _Form("HOLOG", "v", ("path",), "hologram", "Holog{:+d}"),
-    ZPlate: _Form("ZPLATE", "d", ("path",), "phase plate", "Z_{}"),
+    OamBeamSplitter: _Form("LI", "m", ("port_x", "port_y"), "splitter", ("LI_", "")),
+    Hologram: _Form("HOLOG", "v", ("path",), "hologram", ("Holog", "+d")),
+    ZPlate: _Form("ZPLATE", "d", ("path",), "phase plate", ("Z_", "")),
 }
 _BY_KIND = {form.kind: (cls, form) for cls, form in _FORMS.items()}
 
 
-def _element_to_obj(element: Element) -> dict:
+def _decimal(value: int, what: str) -> int:
+    """*value*, or ValueError naming *what* past the digit limit, where `parse` reads no int."""
+    try:
+        str(value)
+    except ValueError:
+        raise ValueError(f"{what} has more than {sys.get_int_max_str_digits()} digits") from None
+    return value
+
+
+def _element_to_obj(index: int, element: Element) -> dict:
     form = _FORMS[type(element)]
     paths = [str(getattr(element, field)) for field in form.paths]
-    return {"kind": form.kind, form.key: getattr(element, form.key), "paths": paths}
+    parameter = _decimal(getattr(element, form.key), f"element {index} key {form.key!r}")
+    return {"kind": form.kind, form.key: parameter, "paths": paths}
 
 
 def serialize(netlist: Netlist, variant: str = "standard") -> str:
-    """Canonical JSON text for a netlist document."""
+    """Canonical JSON text for a netlist document; ValueError for an int past
+    the digit limit of int-to-decimal conversion, which `parse` cannot read."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     lines = [
         "{",
         f'  "schema_version": {json.dumps(SCHEMA_VERSION)},',
-        f'  "dimension": {netlist.dimension},',
+        f'  "dimension": {_decimal(netlist.dimension, "dimension")},',
         f'  "variant": {json.dumps(variant)},',
         f'  "input_path": {json.dumps(str(netlist.input_path))},',
         f'  "output_path": {json.dumps(str(netlist.output_path))},',
         '  "elements": [',
     ]
     if netlist.elements:
-        lines.append(
-            ",\n".join(f"    {json.dumps(_element_to_obj(el))}" for el in netlist.elements)
-        )
+        objs = map(_element_to_obj, range(len(netlist.elements)), netlist.elements)
+        lines.append(",\n".join(f"    {json.dumps(obj)}" for obj in objs))
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -142,6 +153,8 @@ def parse(text: str) -> NetlistDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    except ValueError as exc:  # an int past the digit limit of decimal-to-int conversion
+        raise ParseError(f"document not read: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"document must be an object, got {type(obj).__name__}")
     _check_keys(
@@ -185,7 +198,7 @@ def export_dot(device: Netlist | PortGraph) -> str:
         lines.append(f'  in_{path} [shape=point, xlabel="{path}"];')
     for index, element in enumerate(graph.nodes):
         form = _FORMS[type(element)]
-        label = form.label.format(getattr(element, form.key))
+        label = form.label[0] + _int_text(getattr(element, form.key), form.label[1])
         lines.append(f'  n{index} [shape=box, label="{label}"];')
     # the labelled terminals that out-slots or entries reach; a slot on a
     # terminal with no label (UNWIRED among them) draws no node and no edge
@@ -219,7 +232,7 @@ def export_dot(device: Netlist | PortGraph) -> str:
 
 # --- state expressions ------------------------------------------------------
 
-_KET_RE = re.compile(r"\|\s*(-?\d+)\s*>")
+_KET_RE = re.compile(r"\|\s*(-?[0-9]+)\s*>")
 
 
 def _parse_coefficient(chunk: str, first: bool) -> complex:

@@ -24,22 +24,17 @@ as dust, or lands on an unwired port.  The packet loop, `_propagate`,
 is the one engine for light that splits, fails or interferes: one run
 carries one state, whose input norm sets the prune cut, and dust is
 pruned at the head of each hop.  Inside both everything is an int: a
-packet is keyed (slot, ell) and lands on (terminal index, ell).  Path
-labels appear only at the boundary: `transform` and `apply_*` resolve
-each component's path to its entry slot, walk each packet, and run the
-whole state on the loop instead if a walk gives up or two packets land
-on one key (packets that merge in flight do one or the other); then they
-name the terminal sums by their labels for the output `ModeVector`.  A
-synthesized gate meets only multiples of its splitter orders, so its
-states are walked and never reach the loop.  `_probes` yields each basis
-probe's image in order: it walks each probe, and runs one the walk gives
-up on alone on the loop.  It compares each probe's terminal index with
-the output path's, so no probe hashes a label.  A probe the walk lands
-with modulus exactly 1 (every strict probe that lands, and every
-physical one at multiples of the splitter orders) is read straight off
-its packet: there is no dust to prune, nothing to rescale, and its norm
-drifts by exactly 0.  Any other probe's terminal sums are named by their
-labels and pruned, checked and rescaled as `transform`'s are.
+packet is keyed (slot, ell) and lands on (terminal index, ell).  `_run`,
+the path of `transform` and `apply_*`, is the one caller of the loop and
+of the readout `_finish`, and the one place path labels appear: it
+resolves each component's path to its entry slot, walks each packet,
+and runs the whole state on the loop instead if a walk gives up or two
+packets land on one key (packets that merge in flight do one or the
+other).  A synthesized gate meets only multiples of its splitter orders,
+so its states never reach the loop.  `_probes` walks each basis probe
+and reads one that lands with modulus exactly 1 off its packet, by
+terminal index: there is no dust to prune, nothing to rescale, and its
+norm drifts by exactly 0.  Any other probe is read through `_run`.
 
 In strict mode splitters and holograms move basis states to basis
 states with no phase; a phase plate applies its phase in both modes.
@@ -162,7 +157,7 @@ def _propagate(
     the first error the packets meet: NonMultipleMode (strict mode),
     HopBudgetExceeded, else ValueError if a packet lands on a terminal
     with no label (an unwired port).  No path label is hashed or compared
-    here; the callers turn terminal indices into labels.
+    here; its caller, `_run`, turns terminal indices into labels.
 
     At the hop budget the run fails only with a packet still above the
     cut, so a run whose last packets are all dust ends normally.
@@ -249,7 +244,8 @@ def _run(graph: PortGraph, state: ModeVector, config: SimulationConfig) -> ModeV
     """*state* through the device, with path labels only at its ends: each
     component's path is resolved to its entry slot, a component on a path
     with no entry passes through (it comes first in its key's sum), and
-    each terminal sum is added under its label.
+    each terminal sum is added under its label.  The one caller of the
+    loop and of `_finish`, for `transform`, `apply_*` and `_probes` alike.
 
     Each packet is walked alone by `_walk`, and the landings, in the
     loop's order (stable by landing hop, entries on terminals at hop 0),
@@ -459,7 +455,7 @@ def window_permutation(
     plates have unit modulus, so both modes route them as one unit
     component.  In physical mode light split at a non-multiple may
     recombine, so the window values below the first failing value that
-    no piece holds are probed on the packet loop, in ascending order.
+    no piece holds are probed one by one, in ascending order.
     """
     return _expand(_Window.routed(device, lo, hi), config)
 
@@ -686,51 +682,36 @@ def _probes(
     device: Netlist | PortGraph, values: Iterable[int], config: SimulationConfig
 ) -> Iterator[tuple[int, int | None]]:
     """``(value, image or None)`` for each of *values*, in order: the map
-    `probe_permutation` returns, with None for each value it leaves out,
-    and its error raised where the failing value would be yielded.  Each
-    value is probed as one basis state of amplitude 1.
-
-    Each probe is one packet, walked by `_walk`.  A probe the walk gets
-    None for (it splits, fails, is dropped, or lands on an unwired port)
-    is run alone on the packet loop, which raises its error, or returns
-    its terminal sums.  An error is raised, unless it is NonMultipleMode,
-    which leaves the value out.  A probe the walk lands with modulus
-    exactly 1 maps to its OAM value when it lands on the output path, and
-    is left out otherwise; its norm check compares a drift of 0 with
-    ``NORM_TOLERANCE``.  Every other landing (a modulus not exactly 1, a
-    non-finite amplitude, or the loop's terminal sums) is keyed by terminal
-    label and read as ``extract_permutation(transform(...))`` reads it.
+    `probe_permutation` returns, None where it leaves a value out, and its
+    error raised where the failing value would be yielded.  Each probe, a
+    basis state of amplitude 1, is walked by `_walk`; one it lands with
+    modulus exactly 1 maps to its OAM value on the output path and is left
+    out elsewhere, its norm check comparing a drift of 0 with
+    ``NORM_TOLERANCE``.  Any other probe (the walk gives up, the modulus is
+    not exactly 1, or the input path has no entry) is read through `_run`,
+    as `extract_permutation` reads `transform`.
     """
     graph = _graph(device)
     source, target = graph.input_path, graph.output_path
-    # labels are looked up once: each probe is read by terminal index
-    entry = graph.entries.get(source)
-    terminals = graph.terminals
-    output = terminals.index(target) if target in terminals else None
-    if entry is None:  # each probe passes straight through
-        for ell in map(_checked, values):
-            yield ell, ell if source == target else None
-        return
-    ells, probes = tee(map(_checked, values))
-    walked = _walk(graph, zip(repeat(entry), probes, repeat(1.0 + 0j)), 1.0, config)
+    # the output terminal is looked up once: a unit landing is read by index
+    output = graph.terminals.index(target) if target in graph.terminals else None
+    ells = map(_checked, values)
+    walked = repeat(None)  # with no entry: nothing to walk, and no tee to buffer
+    if (entry := graph.entries.get(source)) is not None:
+        ells, probes = tee(ells)
+        walked = _walk(graph, zip(repeat(entry), probes, repeat(1.0 + 0j)), 1.0, config)
     for ell, landing in zip(ells, walked):
-        if landing is None:  # the loop runs the probe alone
-            try:
-                out = _propagate(graph, {(entry, ell): 1.0 + 0j}, 1.0, config)
-            except NonMultipleMode:
-                yield ell, None
-                continue
-        else:
-            _, t, image, amp = landing
-            # one unit landing: no dust to prune, nothing to rescale, and a
-            # drift of exactly 0, which fails only a negative tolerance
-            if abs(amp) == 1.0 and not 0.0 > NORM_TOLERANCE:
-                yield ell, image if t == output else None
-                continue
-            out = {(t, image): amp}
-        # read as `transform` reads it
-        named = {(terminals[t], e): amp for (t, e), amp in out.items()}
-        yield ell, _image(_finish(named, 1.0), target)
+        # one unit landing: no dust to prune, nothing to rescale, and a
+        # drift of exactly 0, which fails only a negative tolerance
+        if landing is not None and abs(landing[3]) == 1.0 and not 0.0 > NORM_TOLERANCE:
+            yield ell, landing[2] if landing[1] == output else None
+            continue
+        probe = ModeVector._trusted({(source, ell): 1.0 + 0j})
+        try:
+            image = _image(_run(graph, probe, config), target)
+        except NonMultipleMode:
+            image = None
+        yield ell, image
 
 
 def _certified(window: _Window, config: SimulationConfig) -> bool:

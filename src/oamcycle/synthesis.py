@@ -58,6 +58,7 @@ from .model import (
     OamBeamSplitter,
     PathLabel,
     ZPlate,
+    _dataclass_repr,
     _is_int,
     _unchecked,
 )
@@ -107,6 +108,7 @@ class SynthesisParams:
     nbits: int
     bits: tuple[int, ...]
     prev_one: tuple[int, ...]
+    __repr__ = _dataclass_repr
 
 
 def decompose(d: int) -> SynthesisParams:
@@ -354,6 +356,7 @@ class ScalingRow:
     n_s: int
     naive: int
     bound: float | None
+    __repr__ = _dataclass_repr
 
 
 def scaling_rows(d_min: int, d_max: int) -> Iterator[ScalingRow]:

@@ -381,6 +381,23 @@ def test_cycles_rejects_malformed_window(tmp_path, capsys, window):
     assert main(["cycles", path, "--window", window]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("cycles", "--window", "0..5\n"),  # a newline after the window
+        ("cycles", "--window", "\u0660..\u0664"),  # Arabic-Indic digits 0..4
+        ("simulate", "--input", "|\u0663>"),  # the Arabic-Indic digit 3
+    ],
+    ids=["trailing-newline", "window-digits", "ket-digits"],
+)
+def test_numbers_are_written_in_ascii_digits_alone(tmp_path, capsys, command, flag, text):
+    path = synth_file(tmp_path, 5)
+    capsys.readouterr()
+    assert main([command, path, flag, text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("d, window", [(3, "-100000000..100000000"), (131072, None)])
 def test_cycles_rejects_oversized_window(tmp_path, capsys, d, window):
     # explicit or default, a window of more than 2**20 values is refused
@@ -456,6 +473,16 @@ def test_corrupt_document_is_exit_two(tmp_path, capsys):
     path.write_text('{"schema_version": "1"', encoding="utf-8")
     assert main(["cycles", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_document_int_past_the_digit_limit_is_exit_two(tmp_path, capsys):
+    text = Path(synth_file(tmp_path, 3)).read_text(encoding="utf-8")
+    path = tmp_path / "huge.json"
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    path.write_text(text.replace('"dimension": 3', f'"dimension": {digits}'), encoding="utf-8")
+    assert main(["export", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: document not read: ")
 
 
 def test_wrong_schema_version_is_exit_two(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """JSON documents, DOT rendering, state expressions."""
 
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from oamcycle.model import (
     r_path,
     s_path,
 )
-from oamcycle.portgraph import PortGraph
+from oamcycle.portgraph import PortGraph, netlist_to_portgraph
 from oamcycle.serialization import (
     ParseError,
     SchemaVersionMismatch,
@@ -27,7 +28,7 @@ from oamcycle.serialization import (
     parse_state,
     serialize,
 )
-from oamcycle.synthesis import VARIANTS, simplify, synth_arbitrary
+from oamcycle.synthesis import VARIANTS, ScalingRow, decompose, simplify, synth_arbitrary
 
 R0 = r_path(0)
 
@@ -420,3 +421,66 @@ def test_format_state_sorted():
         "|5> @ r0",
         "1j|2> @ s0",
     ]
+
+
+# --- ints past the digit limit -------------------------------------------------------
+
+
+#: one digit more than str() writes for an int, and the most it writes
+HUGE = 10 ** sys.get_int_max_str_digits()
+WIDEST = HUGE - 1
+
+
+def test_writers_name_or_hex_an_int_past_the_digit_limit():
+    # a document cannot hold the int for `parse` to read back, so serialize
+    # refuses it by name; the DOT label writes it in hex
+    r1, limit = r_path(1), sys.get_int_max_str_digits()
+    huge = (OamBeamSplitter(HUGE, R0, r1), Hologram(r1, -HUGE), ZPlate(R0, HUGE))
+    elements = (Hologram(R0, 1), *huge)
+    for index, key in ((1, "m"), (2, "v"), (3, "d")):
+        net = Netlist((elements[0], elements[index]), R0, R0, 2)
+        with pytest.raises(ValueError, match=f"^element 1 key '{key}' has more than {limit} "):
+            serialize(net)
+    with pytest.raises(ValueError, match=f"^dimension has more than {limit} digits$"):
+        serialize(Netlist(elements[:1], R0, R0, HUGE))
+    dot = export_dot(Netlist(elements, R0, R0, 2))
+    for label in ("Holog+1", f"LI_{HUGE:#x}", f"Holog-{HUGE:#x}", f"Z_{HUGE:#x}"):
+        assert f'label="{label}"' in dot
+    # the most digits str() writes are written, and read back, in decimal
+    widest = Netlist((OamBeamSplitter(WIDEST, R0, r1), Hologram(r1, -WIDEST)), R0, R0, WIDEST)
+    assert parse(serialize(widest)).netlist == widest
+    assert f'label="LI_{WIDEST}"' in export_dot(widest)
+
+
+def test_reprs_write_an_int_past_the_digit_limit_in_hex():
+    # each repr is the dataclass repr, byte for byte, with an int past the
+    # digit limit in hex
+    r0, r1 = repr(R0), repr(r_path(1))
+    for n, text in ((3, "3"), (WIDEST, str(WIDEST)), (HUGE, f"{HUGE:#x}")):
+        splitter = OamBeamSplitter(n, R0, r_path(1))
+        assert repr(splitter) == f"OamBeamSplitter(m={text}, port_x={r0}, port_y={r1})"
+        hologram = Hologram(R0, -n)
+        assert repr(hologram) == f"Hologram(path={r0}, v=-{text})"
+        assert repr(ZPlate(R0, n)) == f"ZPlate(path={r0}, d={text})"
+        net = Netlist((splitter, hologram), R0, R0, n)
+        fields = f"input_path={r0}, output_path={r0}, dimension={text}"
+        assert repr(net) == f"Netlist(elements=({splitter!r}, {hologram!r}), {fields})"
+        graph = netlist_to_portgraph(net)
+        tables = f"wiring={graph.wiring!r}, entries={graph.entries!r}"
+        assert repr(graph) == (
+            f"PortGraph(nodes={graph.nodes!r}, {tables}, terminals={graph.terminals!r}, {fields})"
+        )
+        assert repr(ScalingRow(n, 1, 1, 1, 1, None)) == (
+            f"ScalingRow(d={text}, n_arb_actual=1, n_arb_predicted=1, n_s=1, naive=1, bound=None)"
+        )
+    p = decompose(HUGE)  # its odd part, 5**limit, has fewer digits than the limit
+    assert repr(p) == (
+        f"SynthesisParams(d={HUGE:#x}, two_exp={p.two_exp}, odd={p.odd}, nbits={p.nbits},"
+        f" bits={p.bits!r}, prev_one={p.prev_one!r})"
+    )
+
+
+def test_parse_reads_no_int_past_the_digit_limit():
+    text = D3_DOC.replace('"dimension": 3', f'"dimension": 1{"0" * sys.get_int_max_str_digits()}')
+    with pytest.raises(ParseError, match="^document not read: "):
+        parse(text)

@@ -76,3 +76,25 @@ def test_the_walks_read_element_effects_off_the_port_tables():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Window":
                 found.append(f"{name}:{node.lineno} builds a _Window outside _Window.routed")
     assert found == []
+
+
+def test_the_packet_loop_and_the_readout_have_one_caller():
+    # `_run` is the one path from a state to its readout: `_probes` reads
+    # every probe it does not read off a unit landing through `_run`, so
+    # nothing else names the loop or the readout
+    names = {"_propagate", "_finish"}
+    found = set()
+
+    def visit(node, module, owner):
+        # each name or attribute is found under the innermost function naming it
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            named = {getattr(child, key, None) for key in ("id", "attr")} & names
+            found.update((module, owner, name) for name in named)
+            visit(child, module, owner)
+
+    for path in sorted(SOURCE.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.name, "")
+    assert found == {("simulation.py", "_run", "_propagate"), ("simulation.py", "_run", "_finish")}

@@ -337,19 +337,19 @@ def test_the_packet_loop_matches_the_reference_loop(run):
 def reference_probes(graph_of_device, values, config):
     """What `simulation._probes` yields for *values*, read value by value:
     each probe run alone by `reference_propagate`, its terminal sums named
-    by their labels and read through `simulation._finish`."""
+    by their labels and read through `simulation._finish`.  With no entry
+    for the input path the probe passes through, and is read alike."""
     source, target = graph_of_device.input_path, graph_of_device.output_path
     entry = graph_of_device.entries.get(source)
     for ell in values:
-        if entry is None:
-            yield ell, ell if source == target else None
-            continue
-        try:
-            out = reference_propagate(graph_of_device, {(entry, ell): 1.0 + 0j}, 1.0, config)
-        except NonMultipleMode:
-            yield ell, None
-            continue
-        named = {(graph_of_device.terminals[t], e): amp for (t, e), amp in out.items()}
+        named = {(source, ell): 1.0 + 0j}
+        if entry is not None:
+            try:
+                out = reference_propagate(graph_of_device, {(entry, ell): 1.0 + 0j}, 1.0, config)
+            except NonMultipleMode:
+                yield ell, None
+                continue
+            named = {(graph_of_device.terminals[t], e): amp for (t, e), amp in out.items()}
         yield ell, _image(simulation._finish(named, 1.0), target)
 
 
@@ -898,16 +898,65 @@ def test_readers_leave_out_a_non_multiple_too_long_to_print(mode):
         assert raised.value.m == 3 and raised.value.ell == v
 
 
+# a hologram on r1 only: r0, the input path, has no entry, and its light
+# passes through onto the output path r0, or leaks from the output path r1
+BYPASS = graph([Hologram(R1, 5)], [~1, ~0, ~0, ~0], {R1: 0})
+LEAK = graph([Hologram(R1, 5)], [~1, ~0, ~0, ~0], {R1: 0}, output=R1)
+# two order-2 splitters in a row: in physical mode the odd values split at
+# the first and recombine, whole, on r1 at the second; in strict mode they
+# are non-multiples, and the multiples of 2 leave on r0
+INTERFEROMETER = Netlist((OamBeamSplitter(2, R0, R1),) * 2, R0, R1, 2)
+
+
 def test_input_path_with_no_entry():
-    bypass = graph([Hologram(R1, 5)], [~1, ~0, ~0, ~0], {R1: 0})
-    assert window_permutation(bypass, -2, 2) == {k: k for k in range(-2, 3)}
-    leak = graph([Hologram(R1, 5)], [~1, ~0, ~0, ~0], {R1: 0}, output=R1)
-    assert window_permutation(leak, -2, 2) == {}
+    assert window_permutation(BYPASS, -2, 2) == {k: k for k in range(-2, 3)}
+    assert window_permutation(LEAK, -2, 2) == {}
     for config in (SimulationConfig(STRICT), SimulationConfig(PHYSICAL)):
-        assert probe_permutation(bypass, [3, -1, 3], config) == {3: 3, -1: -1}
-        assert probe_permutation(leak, [3, -1], config) == {}
-    assert_engines_agree(bypass, -2, 2)
-    assert_engines_agree(leak, -2, 2)
+        assert probe_permutation(BYPASS, [3, -1, 3], config) == {3: 3, -1: -1}
+        assert probe_permutation(LEAK, [3, -1], config) == {}
+        for device in (BYPASS, LEAK):
+            assert probe_permutation(device, [3, -1, 3], config) == by_value(
+                device, [3, -1, 3], config
+            )
+    assert_engines_agree(BYPASS, -2, 2)
+    assert_engines_agree(LEAK, -2, 2)
+
+
+def test_a_probe_that_splits_and_recombines_is_read_as_transform_reads_it(monkeypatch):
+    # the walk gives up where the probe splits, and `_run` reads it
+    runs = []
+    run = simulation._run
+
+    def recording(graph_of_device, state, config):
+        runs.extend(ell for _, ell in state.keys())
+        return run(graph_of_device, state, config)
+
+    monkeypatch.setattr(simulation, "_run", recording)
+    domain = range(-4, 5)
+    for mode, want in ((STRICT, {}), (PHYSICAL, {-3: -3, -1: -1, 1: 1, 3: 3})):
+        config = SimulationConfig(mode)
+        runs.clear()
+        assert probe_permutation(INTERFEROMETER, domain, config) == want, mode
+        assert runs == [-3, -1, 1, 3], mode
+        assert want == by_value(INTERFEROMETER, domain, config), mode
+
+
+@pytest.mark.parametrize(
+    "device",
+    [synth_arbitrary(5), BYPASS, LEAK, INTERFEROMETER, Netlist((ZPlate(R0, 3),), R0, R0, 3)],
+    ids=["gate", "bypass", "leak", "interferometer", "plate"],
+)
+def test_below_a_zero_tolerance_probes_fail_as_transform_does(monkeypatch, device):
+    # every norm check fails: a unit landing's, a probe's with no entry to
+    # walk from, a split probe's and a plate's; a strict non-multiple (1 and
+    # 3 at the interferometer) is left out before any check
+    monkeypatch.setattr(simulation, "NORM_TOLERANCE", -1.0)
+    for mode in MODES:
+        config = SimulationConfig(mode)
+        for domain in ([0, 1], [1, 3, 0]):
+            probed = outcome(lambda: probe_permutation(device, domain, config))
+            assert probed == by_value(device, domain, config), (mode, domain)
+            assert probed[0] is NormDrift, (mode, domain)
 
 
 def test_empty_window():

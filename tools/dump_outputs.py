@@ -15,9 +15,11 @@ those pieces, `window_permutation`, `probe_permutation` and
 `discover_cycles` on a window near 0 and on one near +-10**17 or
 2**60 + 3, `transform` of a random superposition at the scales 1, 1e200,
 1e-200 and 1e-17 (amplitudes as float hex), and one `verify_gate` report
-for d in 2..129.  The `strict_pieces` and `certified` lines draw nothing
-from the random source, so every other line is what the dump wrote
-without them.  One device in twenty is run with
+for d in 2..129.  Each device's `repr`, its DOT text (`export_dot`) and,
+for a netlist, its document (`serialize`) are written too.  The
+`strict_pieces`, `certified` and writer lines draw nothing from the
+random source, so every other line is what the dump wrote without them.
+One device in twenty is run with
 ``simulation.NORM_TOLERANCE = -1``, which fails every norm check.  Each
 line gives the result with its types, or the type and message of the
 error raised.
@@ -47,6 +49,7 @@ from oamcycle.model import (
     s_path,
 )
 from oamcycle.portgraph import PortGraph
+from oamcycle.serialization import export_dot, serialize
 from oamcycle.simulation import (
     PHYSICAL,
     STRICT,
@@ -185,6 +188,10 @@ def dump(seed: int, count: int, out) -> None:
     for n in range(count):
         name, device = rng.choice((netlist, gate, wired_graph))(rng)
         out.write(f"{n} device {name}\n")
+        out.write(f"{n} repr: {outcome(lambda: repr(device))}\n")
+        out.write(f"{n} dot: {outcome(lambda: export_dot(device))}\n")
+        if isinstance(device, Netlist):
+            out.write(f"{n} document: {outcome(lambda: serialize(device))}\n")
         simulation.NORM_TOLERANCE = -1.0 if rng.random() < 0.05 else tolerance
         try:
             for mode in (STRICT, PHYSICAL):
