@@ -10,12 +10,12 @@ from importlib import import_module as _import_module
 
 _PUBLIC = {
     "analysis": "CycleSet VerificationReport discover_cycles simulate_word verify_gate",
-    "elements": "HopBudgetExceeded NonMultipleMode NormDrift splitter_amplitudes z_phase",
+    "elements": """HopBudgetExceeded NonMultipleMode NormDrift ParseError SchemaVersionMismatch
+        splitter_amplitudes z_phase""",
     "model": """Element Hologram ModeVector Netlist OamBeamSplitter PathLabel ZPlate ZeroState
         equal_up_to_global_phase extract_permutation normalize r_path s_path""",
     "portgraph": "PortGraph netlist_to_portgraph",
-    "serialization": """NetlistDocument ParseError SchemaVersionMismatch export_dot
-        format_state parse parse_state serialize""",
+    "serialization": "NetlistDocument export_dot format_state parse parse_state serialize",
     "simulation": """SimulationConfig apply_netlist apply_portgraph probe_permutation
         strict_pieces transform window_permutation""",
     "synthesis": """InvalidDimension NotSimplifiable ScalingRow SynthesisParams

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from .elements import HopBudgetExceeded, NormDrift, _int_text, z_phase
-from .model import MAX_WINDOW, ModeVector, Netlist, _dataclass_repr, _is_int
+from .model import MAX_WINDOW, ModeVector, Netlist, _is_int, _Record, _set
 from .portgraph import PortGraph
 from .simulation import (
     DEFAULT_CONFIG,
@@ -45,8 +44,7 @@ from .synthesis import (  # the scaling names, defined in `synthesis`, stay impo
 )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of checking one synthesized gate against its oracle.
 
     ``mapping`` is the gate's map of its window [shift, shift + d - 1].
@@ -57,27 +55,45 @@ class VerificationReport:
     values, which is not read value by value.
     """
 
-    d: int
-    variant: str
-    shift: int
-    permutation_ok: bool
-    mapping: Mapping[int, int]
-    count_actual: int
-    count_predicted: int
-    bound: float | None
-    violations: tuple[str, ...]
-    __repr__ = _dataclass_repr
+    _fields = (
+        "d", "variant", "shift", "permutation_ok", "mapping", "count_actual",
+        "count_predicted", "bound", "violations",
+    )
+
+    def __init__(
+        self,
+        d: int,
+        variant: str,
+        shift: int,
+        permutation_ok: bool,
+        mapping: Mapping[int, int],
+        count_actual: int,
+        count_predicted: int,
+        bound: float | None,
+        violations: tuple[str, ...],
+    ):
+        _set(self, "d", d)
+        _set(self, "variant", variant)
+        _set(self, "shift", shift)
+        _set(self, "permutation_ok", permutation_ok)
+        _set(self, "mapping", mapping)
+        _set(self, "count_actual", count_actual)
+        _set(self, "count_predicted", count_predicted)
+        _set(self, "bound", bound)
+        _set(self, "violations", violations)
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class CycleSet:
+class CycleSet(_Record):
     """A closed orbit of OAM values under a gate, canonical (minimum) first."""
 
-    modes: tuple[int, ...]
+    _fields = ("modes",)
+
+    def __init__(self, modes: tuple[int, ...]):
+        _set(self, "modes", modes)
 
     def __len__(self) -> int:
         return len(self.modes)

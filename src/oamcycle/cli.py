@@ -9,7 +9,9 @@ Each command is its own process, so the module imports at its top only
 what parsing and `main`'s error handling need for every command; the
 commands that run the engines import them: `simulation` for `simulate`,
 `analysis` for `verify` and `cycles`.  `synth`, `export` and `scaling`
-load neither.
+load neither.  The commands that read or write a document or a state
+import `serialization`, and with it `json`: `verify` and `scaling` load
+neither.
 """
 
 from __future__ import annotations
@@ -20,18 +22,14 @@ import re
 import sys
 from pathlib import Path
 
-from .elements import HopBudgetExceeded, NonMultipleMode, NormDrift
-from .model import MAX_WINDOW, ZeroState, normalize
-from .serialization import (
-    NetlistDocument,
+from .elements import (
+    HopBudgetExceeded,
+    NonMultipleMode,
+    NormDrift,
     ParseError,
     SchemaVersionMismatch,
-    export_dot,
-    format_state,
-    parse,
-    parse_state,
-    serialize,
 )
+from .model import MAX_WINDOW, ZeroState, normalize
 from .synthesis import (
     VARIANTS,
     InvalidDimension,
@@ -45,13 +43,30 @@ from .synthesis import (
 
 _WINDOW_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 
+#: an int argument: ASCII digits, with an optional minus sign
+_INT_RE = re.compile(r"-?[0-9]+")
+
 #: most bits of `verify`'s dimension and shift: its window splits into
 #: O(log d) residue-class pieces, so a d of 256 bits is proven in under a
 #: second; `cycles` and `scaling` are bounded by ``MAX_WINDOW`` values
 _MAX_BITS = 256
 
 
-def _load_document(path_text: str) -> NetlistDocument:
+def _int(text: str) -> int:
+    """*text* as an int, if it is one in ASCII digits: Python's ``int`` also
+    takes other Unicode digits, blanks, a plus sign and underscores."""
+    if _INT_RE.fullmatch(text) is not None:
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    # argparse's message for a value ``int`` rejects
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _load_document(path_text: str):
+    from .serialization import parse
+
     return parse(Path(path_text).read_text(encoding="utf-8"))
 
 
@@ -63,12 +78,15 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _cmd_synth(args) -> int:
+    from .serialization import serialize
+
     netlist = synth_variant(args.d, args.variant, args.shift)
     _write_or_print(serialize(netlist, variant_name(args.variant, args.shift)), args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
+    from .serialization import format_state, parse_state
     from .simulation import SimulationConfig, transform
 
     doc = _load_document(args.netlist)
@@ -149,6 +167,8 @@ def _cmd_cycles(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .serialization import export_dot
+
     doc = _load_document(args.netlist)
     _write_or_print(export_dot(device_for(doc.netlist, doc.variant)), args.dot)
     return 0
@@ -162,10 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize a netlist and write it as JSON")
-    p.add_argument("d", type=int, help="gate dimension (>= 2)")
+    p.add_argument("d", type=_int, help="gate dimension (>= 2)")
     p.add_argument("--variant", choices=[v for v in VARIANTS if v != "shifted"],
                    default="standard")
-    p.add_argument("--shift", type=int, default=0, metavar="M",
+    p.add_argument("--shift", type=_int, default=0, metavar="M",
                    help="operate on the OAM window starting at M")
     p.add_argument("--out", metavar="FILE", help="write here instead of stdout")
     p.set_defaults(func=_cmd_synth)
@@ -178,15 +198,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="check a synthesized gate against its oracle")
-    p.add_argument("d", type=int, help=f"gate dimension, from 2 to {_MAX_BITS} bits")
+    p.add_argument("d", type=_int, help=f"gate dimension, from 2 to {_MAX_BITS} bits")
     p.add_argument("--variant", choices=VARIANTS, default="standard")
-    p.add_argument("--shift", type=int, default=0, metavar="M",
+    p.add_argument("--shift", type=_int, default=0, metavar="M",
                    help=f"operate on the OAM window starting at M; at most {_MAX_BITS} bits")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("scaling", help="splitter counts over a dimension range")
-    p.add_argument("--min", type=int, default=3)
-    p.add_argument("--max", type=int, default=500,
+    p.add_argument("--min", type=_int, default=3)
+    p.add_argument("--max", type=_int, default=500,
                    help=f"last dimension; at most {MAX_WINDOW} dimensions from --min")
     p.add_argument("--csv", metavar="FILE")
     p.set_defaults(func=_cmd_scaling)

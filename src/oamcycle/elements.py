@@ -23,9 +23,11 @@ plate's phase is (ell mod d)/d of a turn.  The conversion is finite at
 any order and dimension, also past the float range.
 
 The three errors a simulation raises, `NonMultipleMode`, `NormDrift` and
-`HopBudgetExceeded`, are defined here, the module every other one loads,
-so that the command line catches them without loading the engines;
-`simulation` re-exports the last two.
+`HopBudgetExceeded`, and the two a document or state reader raises,
+`ParseError` and `SchemaVersionMismatch`, are defined here, the module
+every other one loads, so that the command line catches them without
+loading the engines or the reader; `simulation` re-exports `NormDrift`
+and `HopBudgetExceeded`, and `serialization` the reader's two.
 """
 
 from __future__ import annotations
@@ -55,6 +57,20 @@ class NormDrift(Exception):
 
 class HopBudgetExceeded(Exception):
     """A packet exceeded the maximum number of node traversals."""
+
+
+class ParseError(Exception):
+    """A netlist document or state expression could not be read."""
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        where = f" (line {line}, column {column})" if line is not None else ""
+        super().__init__(message + where)
+        self.line = line
+        self.column = column
+
+
+class SchemaVersionMismatch(Exception):
+    """The document declares a schema version this reader does not speak."""
 
 
 def _int_text(n: int | None, spec: str = "") -> str:

@@ -19,8 +19,7 @@ backward slots, and the engines walk those ints instead of the elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .model import (
     Element,
@@ -30,8 +29,9 @@ from .model import (
     PathLabel,
     _check_kinds,
     _check_paths,
-    _dataclass_repr,
     _is_int,
+    _Record,
+    _set,
     _unchecked,
     element_paths,
 )
@@ -43,8 +43,7 @@ BACKWARD = 2
 UNWIRED = ~0
 
 
-@dataclass(frozen=True)
-class PortGraph:
+class PortGraph(_Record):
     """Feed-through wiring of elements, with per-path entry points.
 
     ``wiring[slot]`` is the in-slot an out-slot of ``nodes`` feeds, or
@@ -64,36 +63,45 @@ class PortGraph:
     and every slot they write is in range by construction.
     """
 
-    nodes: tuple[Element, ...]
-    wiring: tuple[int, ...]
-    entries: Mapping[PathLabel, int]
-    terminals: tuple[PathLabel | None, ...]
-    input_path: PathLabel
-    output_path: PathLabel
-    dimension: int
-    __repr__ = _dataclass_repr
+    _fields = (
+        "nodes", "wiring", "entries", "terminals", "input_path", "output_path", "dimension"
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        nodes: Iterable[Element],
+        wiring: Iterable[int],
+        entries: Mapping[PathLabel, int],
+        terminals: Iterable[PathLabel | None],
+        input_path: PathLabel,
+        output_path: PathLabel,
+        dimension: int,
+    ):
         # private copies, so a caller's later edits cannot get past the checks
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "wiring", tuple(self.wiring))
-        object.__setattr__(self, "entries", dict(self.entries))
-        object.__setattr__(self, "terminals", tuple(self.terminals))
-        if not _is_int(self.dimension) or self.dimension < 1:
-            raise ValueError(f"dimension must be an int >= 1, got {self.dimension!r}")
-        _check_kinds(self.nodes)
-        if not self.terminals or self.terminals[0] is not None:
-            raise ValueError(f"terminals[0] must be None, got {self.terminals!r}")
-        slots = 4 * len(self.nodes)
-        if len(self.wiring) != slots:
+        nodes, wiring, entries = tuple(nodes), tuple(wiring), dict(entries)
+        terminals = tuple(terminals)
+        _set(self, "nodes", nodes)
+        _set(self, "wiring", wiring)
+        _set(self, "entries", entries)
+        _set(self, "terminals", terminals)
+        _set(self, "input_path", input_path)
+        _set(self, "output_path", output_path)
+        _set(self, "dimension", dimension)
+        if not _is_int(dimension) or dimension < 1:
+            raise ValueError(f"dimension must be an int >= 1, got {dimension!r}")
+        _check_kinds(nodes)
+        if not terminals or terminals[0] is not None:
+            raise ValueError(f"terminals[0] must be None, got {terminals!r}")
+        slots = 4 * len(nodes)
+        if len(wiring) != slots:
             raise ValueError(
-                f"wiring must hold 4 slots per node, {slots} in all, got {len(self.wiring)}"
+                f"wiring must hold 4 slots per node, {slots} in all, got {len(wiring)}"
             )
-        _check_slots("wiring", self.wiring, slots, len(self.terminals))
-        _check_slots("entries", self.entries.values(), slots, len(self.terminals))
-        _check_paths("input and output path", (self.input_path, self.output_path))
-        _check_paths("entry path", self.entries.keys())
-        labels = [path for path in self.terminals if path is not None]
+        _check_slots("wiring", wiring, slots, len(terminals))
+        _check_slots("entries", entries.values(), slots, len(terminals))
+        _check_paths("input and output path", (input_path, output_path))
+        _check_paths("entry path", entries.keys())
+        labels = [path for path in terminals if path is not None]
         _check_paths("terminal path", labels)
         # the engine sums light per terminal index, so one label is one terminal
         if len(set(labels)) < len(labels):
@@ -137,7 +145,7 @@ def _tables(graph: PortGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 orders += (k, k, k, k)
                 kicks += (0, 0, 0, 0)
         tables = (tuple(orders), tuple(kicks))
-        object.__setattr__(graph, "_tables", tables)
+        _set(graph, "_tables", tables)
     return tables
 
 

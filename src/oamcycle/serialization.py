@@ -16,35 +16,35 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .elements import _int_text
-from .model import Element, Hologram, ModeVector, Netlist, OamBeamSplitter, PathLabel, ZPlate
+# the errors `parse` and `parse_state` raise, defined in `elements`, stay importable here
+from .elements import ParseError, SchemaVersionMismatch, _int_text
+from .model import (
+    Element,
+    Hologram,
+    ModeVector,
+    Netlist,
+    OamBeamSplitter,
+    PathLabel,
+    ZPlate,
+    _Record,
+    _set,
+)
 from .portgraph import BACKWARD, PortGraph, netlist_to_portgraph
 from .synthesis import VARIANTS
 
 SCHEMA_VERSION = "1"
 
 
-class ParseError(Exception):
-    """A netlist document or state expression could not be read."""
+class NetlistDocument(_Record):
+    """A netlist and the gate variant its document names."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        where = f" (line {line}, column {column})" if line is not None else ""
-        super().__init__(message + where)
-        self.line = line
-        self.column = column
+    _fields = ("netlist", "variant")
 
-
-class SchemaVersionMismatch(Exception):
-    """The document declares a schema version this reader does not speak."""
-
-
-@dataclass(frozen=True)
-class NetlistDocument:
-    netlist: Netlist
-    variant: str = "standard"
+    def __init__(self, netlist: Netlist, variant: str = "standard"):
+        _set(self, "netlist", netlist)
+        _set(self, "variant", variant)
 
 
 class _Form(NamedTuple):
@@ -270,7 +270,12 @@ def parse_state(expression: str, path: PathLabel) -> ModeVector:
     first = True
     for match in _KET_RE.finditer(expression):
         coeff = _parse_coefficient(expression[cursor : match.start()], first)
-        terms.append(((path, int(match.group(1))), coeff))
+        try:
+            ell = int(match.group(1))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"ket {len(terms) + 1} has more than {limit} digits") from None
+        terms.append(((path, ell), coeff))
         cursor = match.end()
         first = False
     if first:

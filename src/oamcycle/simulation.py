@@ -77,7 +77,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat, takewhile, tee
 from operator import eq, is_not, itemgetter
@@ -102,6 +101,9 @@ from .model import (
     _image,
     _norm,
     _pruned,
+    _Record,
+    _set,
+    _value_repr,
 )
 from .portgraph import PortGraph, _tables
 
@@ -115,15 +117,15 @@ HOPS_PER_NODE = 10
 NORM_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(_Record):
     """The element model a run uses: ``"strict"`` or ``"physical"``."""
 
-    mode: str = STRICT
+    _fields = ("mode",)
 
-    def __post_init__(self):
-        if self.mode not in (STRICT, PHYSICAL):
-            raise ValueError(f"mode must be 'strict' or 'physical', got {self.mode!r}")
+    def __init__(self, mode: str = STRICT):
+        if mode not in (STRICT, PHYSICAL):
+            raise ValueError(f"mode must be 'strict' or 'physical', got {mode!r}")
+        _set(self, "mode", mode)
 
 
 DEFAULT_CONFIG = SimulationConfig()
@@ -138,7 +140,7 @@ def _graph(device: Netlist | PortGraph) -> PortGraph:
     graph = device.__dict__.get("_portgraph")
     if graph is None:
         graph = portgraph.netlist_to_portgraph(device)
-        object.__setattr__(device, "_portgraph", graph)
+        _set(device, "_portgraph", graph)
     return graph
 
 
@@ -460,18 +462,28 @@ def window_permutation(
     return _expand(_Window.routed(device, lo, hi), config)
 
 
-@dataclass(frozen=True, slots=True)
-class _Window:
+class _Window(_Record):
     """The window [lo, hi] of the port graph *graph* and what
     `strict_pieces` returns for it, the one reader of a piece ``(first, q,
     offset, terminal)``, whose members are ``first + k*q <= hi`` (k >= 0)."""
 
-    graph: PortGraph
-    lo: int
-    hi: int
-    pieces: list[tuple[int, int, int, PathLabel]]
-    dropped: list[tuple[int, int, int, int]]
-    failure: tuple[int, Exception] | None
+    _fields = ("graph", "lo", "hi", "pieces", "dropped", "failure")
+
+    def __init__(
+        self,
+        graph: PortGraph,
+        lo: int,
+        hi: int,
+        pieces: list[tuple[int, int, int, PathLabel]],
+        dropped: list[tuple[int, int, int, int]],
+        failure: tuple[int, Exception] | None,
+    ):
+        _set(self, "graph", graph)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "pieces", pieces)
+        _set(self, "dropped", dropped)
+        _set(self, "failure", failure)
 
     @classmethod
     def routed(cls, device: Netlist | PortGraph, lo: int, hi: int) -> _Window:
@@ -635,7 +647,7 @@ class _PieceMap(Mapping):
     def __repr__(self) -> str:
         lo, hi = self._window.lo, self._window.hi
         if hi - lo < MAX_WINDOW:
-            return repr(dict(self._items()))
+            return _value_repr(dict(self._items()))
         return (
             f"<map of {_int_text(self._size)} values of the window "
             f"[{_int_text(lo)}, {_int_text(hi)}] from {len(self._pieces)} pieces>"

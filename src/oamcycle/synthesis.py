@@ -48,7 +48,6 @@ rows; they read nothing but the tallies and formulas here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .model import (
@@ -58,8 +57,9 @@ from .model import (
     OamBeamSplitter,
     PathLabel,
     ZPlate,
-    _dataclass_repr,
     _is_int,
+    _Record,
+    _set,
     _unchecked,
 )
 from .portgraph import PortGraph, contract_mirrors, netlist_to_portgraph
@@ -92,8 +92,7 @@ class NotSimplifiable(Exception):
     """Mirror contraction was asked of a netlist without the mirror layout."""
 
 
-@dataclass(frozen=True)
-class SynthesisParams:
+class SynthesisParams(_Record):
     """Factorization d = 2^two_exp * odd and the digit walk over odd.
 
     ``bits`` holds the binary digits of ``odd``, least significant first
@@ -102,13 +101,23 @@ class SynthesisParams:
     recent 1-digit strictly below t, or 0.  Index 0 is padding.
     """
 
-    d: int
-    two_exp: int
-    odd: int
-    nbits: int
-    bits: tuple[int, ...]
-    prev_one: tuple[int, ...]
-    __repr__ = _dataclass_repr
+    _fields = ("d", "two_exp", "odd", "nbits", "bits", "prev_one")
+
+    def __init__(
+        self,
+        d: int,
+        two_exp: int,
+        odd: int,
+        nbits: int,
+        bits: tuple[int, ...],
+        prev_one: tuple[int, ...],
+    ):
+        _set(self, "d", d)
+        _set(self, "two_exp", two_exp)
+        _set(self, "odd", odd)
+        _set(self, "nbits", nbits)
+        _set(self, "bits", bits)
+        _set(self, "prev_one", prev_one)
 
 
 def decompose(d: int) -> SynthesisParams:
@@ -206,7 +215,7 @@ def synth_arbitrary(d: int) -> Netlist:
     )
     # kept beside the fields, as `simulation._graph` keeps the port graph,
     # so that `simplify` folds this netlist without emitting it again
-    object.__setattr__(netlist, "_mirror_pairs", _pairs(emitted))
+    _set(netlist, "_mirror_pairs", _pairs(emitted))
     return netlist
 
 
@@ -348,15 +357,29 @@ def device_for(netlist: Netlist, variant: str) -> Netlist | PortGraph:
     return simplify(netlist) if variant == "simplified" else netlist
 
 
-@dataclass(frozen=True)
-class ScalingRow:
-    d: int
-    n_arb_actual: int
-    n_arb_predicted: int
-    n_s: int
-    naive: int
-    bound: float | None
-    __repr__ = _dataclass_repr
+class ScalingRow(_Record):
+    """One dimension's splitter counts: ``n_arb_actual`` tallied on its
+    synthesized netlist and ``n_arb_predicted`` by the count formula,
+    ``n_s`` after mirror contraction, ``naive`` for the brute-force
+    layout, and the log ``bound`` (None for d = 2)."""
+
+    _fields = ("d", "n_arb_actual", "n_arb_predicted", "n_s", "naive", "bound")
+
+    def __init__(
+        self,
+        d: int,
+        n_arb_actual: int,
+        n_arb_predicted: int,
+        n_s: int,
+        naive: int,
+        bound: float | None,
+    ):
+        _set(self, "d", d)
+        _set(self, "n_arb_actual", n_arb_actual)
+        _set(self, "n_arb_predicted", n_arb_predicted)
+        _set(self, "n_s", n_s)
+        _set(self, "naive", naive)
+        _set(self, "bound", bound)
 
 
 def scaling_rows(d_min: int, d_max: int) -> Iterator[ScalingRow]:

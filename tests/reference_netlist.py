@@ -19,6 +19,9 @@ the reference for the engine's walk of each packet of a state.
 returns for any window as a proof of the device's strict map there, with
 the strict splitter rule and the graph's wiring alone; `check_certificate`
 adds the gate oracle for a gate window.
+
+`replaced` is a record with some fields changed, built again through its
+public constructor.
 """
 
 import math
@@ -37,6 +40,13 @@ from oamcycle import simulation
 from oamcycle.portgraph import BACKWARD, netlist_to_portgraph
 from oamcycle.simulation import NORM_TOLERANCE, STRICT, HopBudgetExceeded, NormDrift
 
+
+
+def replaced(record, **changes):
+    """*record* with *changes* to its fields, built again through its class's
+    public constructor, so that every check runs on every field it holds."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
 
 def _splitter_step(el, entries, mode):
     out = {}

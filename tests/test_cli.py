@@ -5,7 +5,6 @@ checks the exit code plus whatever landed on stdout/stderr or in the output
 files.
 """
 
-import dataclasses
 import json
 import os
 import re
@@ -28,6 +27,7 @@ from oamcycle import (
     serialize,
 )
 from oamcycle.cli import main
+from reference_netlist import replaced
 
 
 def synth_file(tmp_path, d, *extra):
@@ -249,7 +249,7 @@ def flip_first_charge(monkeypatch):
         elements = list(netlist.elements)
         i = next(i for i, el in enumerate(elements) if isinstance(el, Hologram))
         elements[i] = Hologram(elements[i].path, -elements[i].v)
-        return dataclasses.replace(netlist, elements=tuple(elements))
+        return replaced(netlist, elements=tuple(elements))
 
     monkeypatch.setattr(analysis, "synth_variant", broken)
 
@@ -396,6 +396,36 @@ def test_numbers_are_written_in_ascii_digits_alone(tmp_path, capsys, command, fl
     assert main([command, path, flag, text]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_a_ket_past_the_digit_limit_is_exit_two(tmp_path, capsys):
+    path = synth_file(tmp_path, 5)
+    capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert main(["simulate", path, "--input", "|" + "1" * (limit + 1) + ">"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: ket 1 has more than {limit} digits\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "\u0665"],  # the Arabic-Indic digit 5
+        ["verify", "5", "--shift", "\u0663"],
+        ["synth", "\uff15"],  # the fullwidth digit 5
+        ["synth", "5", "--shift", " 3"],
+        ["scaling", "--min", "\u0663", "--max", "\u0665"],
+        ["scaling", "--max", "1_0"],
+        ["verify", "+5"],
+    ],
+    ids=["verify-d", "verify-shift", "synth-d", "synth-shift", "scaling", "underscore", "plus"],
+)
+def test_int_arguments_are_written_in_ascii_digits_alone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid int value: " in captured.err
 
 
 @pytest.mark.parametrize("d, window", [(3, "-100000000..100000000"), (131072, None)])

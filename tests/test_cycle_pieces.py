@@ -9,7 +9,6 @@ for every d in 2..300 and by ``tools/verify_differential.py cycles`` up to any
 bound.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -21,7 +20,7 @@ from oamcycle.model import Hologram, Netlist, OamBeamSplitter, r_path
 from oamcycle.portgraph import UNWIRED, PortGraph, netlist_to_portgraph
 from oamcycle.simulation import SimulationConfig, _resimulate, strict_pieces, window_permutation
 from oamcycle.synthesis import VARIANTS, device_for, simplify, synth_arbitrary, synth_variant
-from reference_netlist import check_window_certificate
+from reference_netlist import check_window_certificate, replaced
 from test_strict_permutation import (
     GCD_DROP,
     MODES,
@@ -156,7 +155,7 @@ def recombine():
     physical mode, each a cycle of its own."""
     splitter = OamBeamSplitter(2, R0, R1)
     graph = netlist_to_portgraph(Netlist((splitter, splitter), R0, R1, 2))
-    return dataclasses.replace(graph, dimension=1)
+    return replaced(graph, dimension=1)
 
 
 # the interferometer drops odd values in strict mode and recombines them in

@@ -402,6 +402,14 @@ def test_parse_state_rejects(bad):
         parse_state(bad, R0)
 
 
+def test_parse_state_reads_no_ket_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    ket = "|" + "1" * (limit + 1) + ">"
+    with pytest.raises(ParseError, match=f"^ket 2 has more than {limit} digits$"):
+        parse_state("|0> + " + ket, R0)
+    assert parse_state("|" + "1" * limit + ">", R0).keys() == {(R0, int("1" * limit))}
+
+
 # --- formatting ----------------------------------------------------------------------
 
 
@@ -453,8 +461,8 @@ def test_writers_name_or_hex_an_int_past_the_digit_limit():
 
 
 def test_reprs_write_an_int_past_the_digit_limit_in_hex():
-    # each repr is the dataclass repr, byte for byte, with an int past the
-    # digit limit in hex
+    # each repr names each field with its value's repr, byte for byte, with an
+    # int past the digit limit in hex
     r0, r1 = repr(R0), repr(r_path(1))
     for n, text in ((3, "3"), (WIDEST, str(WIDEST)), (HUGE, f"{HUGE:#x}")):
         splitter = OamBeamSplitter(n, R0, r_path(1))

@@ -2,7 +2,6 @@
 cross-checked against the element-by-element reference interpreter."""
 
 import cmath
-import dataclasses
 import math
 import random
 import sys
@@ -10,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_netlist import reference_apply_netlist, reference_transform
+from reference_netlist import reference_apply_netlist, reference_transform, replaced
 
 from oamcycle import portgraph, simulation
 from oamcycle.analysis import simulate_word
@@ -529,7 +528,7 @@ def test_portgraph_rejects_bad_dimension():
     graph = netlist_to_portgraph(synth_arbitrary(3))
     for d in (2.5, 2.0, "3", True, None, 0):
         with pytest.raises(ValueError, match="dimension must be an int"):
-            dataclasses.replace(graph, dimension=d)
+            replaced(graph, dimension=d)
 
 
 def test_portgraph_rejects_a_terminal_label_twice():
@@ -537,8 +536,8 @@ def test_portgraph_rejects_a_terminal_label_twice():
     # label would split one output component in two
     graph = netlist_to_portgraph(synth_arbitrary(3))
     with pytest.raises(ValueError, match="terminal paths must differ, got r0 twice"):
-        dataclasses.replace(graph, terminals=(*graph.terminals, R0))
-    assert dataclasses.replace(graph, terminals=(*graph.terminals, None)).terminals[-1] is None
+        replaced(graph, terminals=(*graph.terminals, R0))
+    assert replaced(graph, terminals=(*graph.terminals, None)).terminals[-1] is None
 
 
 def test_portgraph_rejects_tables_the_loops_cannot_index():
@@ -567,7 +566,7 @@ def test_portgraph_rejects_tables_the_loops_cannot_index():
         ("terminals", ()),
     ):
         with pytest.raises(ValueError, match=f"^{field}"):
-            dataclasses.replace(base, **{field: value})
+            replaced(base, **{field: value})
     # a string terminal label once came back as a state key no ModeVector
     # accepts, and a string entry left its light unread
     for field, value, what in (
@@ -577,9 +576,9 @@ def test_portgraph_rejects_tables_the_loops_cannot_index():
         ("terminals", (None, "r0"), "terminal path"),
     ):
         with pytest.raises(ValueError, match=f"^{what} must be PathLabel, got 'r0'"):
-            dataclasses.replace(base, **{field: value})
+            replaced(base, **{field: value})
     # an entry may lie on a terminal: its light lands there at once
-    on_terminal = dataclasses.replace(base, entries={R0: ~1})
+    on_terminal = replaced(base, entries={R0: ~1})
     assert dict(apply_portgraph(on_terminal, ModeVector.basis(R0, 3)).items()) == {(R0, 3): 1}
 
 

@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -31,6 +30,7 @@ from oamcycle.synthesis import (
     synth_variant,
     variant_name,
 )
+from reference_netlist import replaced
 
 R = r_path
 S = s_path
@@ -312,8 +312,8 @@ def rebuilt(device):
     """*device* built again through the public constructors, each element
     too, so that every check runs on every field it holds."""
     if isinstance(device, PortGraph):
-        return replace(device, nodes=tuple(map(replace, device.nodes)))
-    return replace(device, elements=tuple(map(replace, device.elements)))
+        return replaced(device, nodes=tuple(map(replaced, device.nodes)))
+    return replaced(device, elements=tuple(map(replaced, device.elements)))
 
 
 def check_devices(d, shift):

@@ -9,7 +9,6 @@ Past any window that could be expanded, at the dimensions of `LARGE`, the
 reports are checked against modular arithmetic at sampled values.
 """
 
-import dataclasses
 import random
 import re
 import sys
@@ -21,7 +20,7 @@ from unittest import mock
 import pytest
 
 from oamcycle import analysis, simulation
-from oamcycle.analysis import verify_gate
+from oamcycle.analysis import discover_cycles, verify_gate
 from oamcycle.model import Hologram, Netlist, OamBeamSplitter, r_path
 from oamcycle.portgraph import PortGraph
 from oamcycle.simulation import (
@@ -41,7 +40,7 @@ from oamcycle.synthesis import (
     predict_simplified_count,
     synth_variant,
 )
-from reference_netlist import check_certificate
+from reference_netlist import check_certificate, replaced
 from test_analysis import piece_ends, record_probes, shift_the_packet_engine
 from test_strict_permutation import MODES
 
@@ -88,7 +87,7 @@ def with_one_charge_flipped(device, rng):
     elements = list(getattr(device, field))
     i = rng.choice([i for i, el in enumerate(elements) if type(el) is Hologram])
     elements[i] = Hologram(elements[i].path, -elements[i].v)
-    return dataclasses.replace(device, **{field: tuple(elements)})
+    return replaced(device, **{field: tuple(elements)})
 
 
 def gates(d):
@@ -223,7 +222,7 @@ def with_last_charge_raised(netlist):
     elements = list(netlist.elements)
     i = max(i for i, el in enumerate(elements) if type(el) is Hologram)
     elements[i] = Hologram(elements[i].path, elements[i].v + 1)
-    return dataclasses.replace(netlist, elements=tuple(elements))
+    return replaced(netlist, elements=tuple(elements))
 
 
 def shown(n):
@@ -283,13 +282,30 @@ def test_a_passing_map_prints_at_a_shift_too_long_to_print(mode):
         f" permutation_ok=True, mapping={summary}, {counts}, bound={report.bound!r},"
         " violations=())"
     )
-    # a report that prints in decimal prints as the dataclass repr would
+    # a report that prints in decimal names each field with its value's repr
     small = verify_gate(5, "standard", 3, SimulationConfig(mode))
     assert repr(small) == (
         "VerificationReport(d=5, variant='standard', shift=3, permutation_ok=True,"
         " mapping={3: 4, 4: 5, 5: 6, 6: 7, 7: 3}, count_actual=8, count_predicted=8,"
         " bound=8.0, violations=())"
     )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_small_window_prints_its_map_and_cycle_at_a_shift_too_long_to_print(mode):
+    # at most MAX_WINDOW values, a map prints value by value and a cycle its
+    # members, each int past the digit limit in hex
+    d, shift, config = 5, 10 ** sys.get_int_max_str_digits(), SimulationConfig(mode)
+    report = verify_gate(d, "standard", shift, config)
+    window = range(shift, shift + d)
+    pairs = ", ".join(f"{k:#x}: {(k - shift + 1) % d + shift:#x}" for k in window)
+    assert repr(report.mapping) == f"{{{pairs}}}"
+    assert f"shift={shift:#x}, permutation_ok=True, mapping={{{pairs}}}, " in repr(report)
+    cycles = discover_cycles(synth_variant(d, "standard", shift), shift, shift + d - 1, config)
+    members = ", ".join(f"{k:#x}" for k in window)
+    assert list(map(repr, cycles)) == [f"CycleSet(modes=({members}))"]
+    routed = _Window.routed(synth_variant(d, "standard", shift), shift, shift + d - 1)
+    assert f"lo={shift:#x}, hi={shift + d - 1:#x}, pieces=[({shift:#x}, " in repr(routed)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -310,7 +326,7 @@ def test_a_window_with_a_dropped_class_is_compared_value_by_value(mode):
     gate = synth_variant(4)
     elements = list(gate.elements)
     elements[1] = Hologram(elements[1].path, elements[1].v - 1)
-    device = dataclasses.replace(gate, elements=tuple(elements))
+    device = replaced(gate, elements=tuple(elements))
     window = _Window.routed(device, 0, 3)
     assert window.dropped and window.failure is None
     assert not analysis._off_oracle(window, 1)
