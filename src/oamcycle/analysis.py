@@ -15,7 +15,7 @@ from collections import deque
 from collections.abc import Mapping
 
 from .elements import HopBudgetExceeded, NormDrift, _int_text, z_phase
-from .model import MAX_WINDOW, ModeVector, Netlist, _is_int, _Record, _set
+from .model import MAX_WINDOW, ModeVector, Netlist, _is_int, _Record
 from .portgraph import PortGraph
 from .simulation import (
     DEFAULT_CONFIG,
@@ -60,28 +60,6 @@ class VerificationReport(_Record):
         "count_predicted", "bound", "violations",
     )
 
-    def __init__(
-        self,
-        d: int,
-        variant: str,
-        shift: int,
-        permutation_ok: bool,
-        mapping: Mapping[int, int],
-        count_actual: int,
-        count_predicted: int,
-        bound: float | None,
-        violations: tuple[str, ...],
-    ):
-        _set(self, "d", d)
-        _set(self, "variant", variant)
-        _set(self, "shift", shift)
-        _set(self, "permutation_ok", permutation_ok)
-        _set(self, "mapping", mapping)
-        _set(self, "count_actual", count_actual)
-        _set(self, "count_predicted", count_predicted)
-        _set(self, "bound", bound)
-        _set(self, "violations", violations)
-
     @property
     def passed(self) -> bool:
         return not self.violations
@@ -91,9 +69,6 @@ class CycleSet(_Record):
     """A closed orbit of OAM values under a gate, canonical (minimum) first."""
 
     _fields = ("modes",)
-
-    def __init__(self, modes: tuple[int, ...]):
-        _set(self, "modes", modes)
 
     def __len__(self) -> int:
         return len(self.modes)

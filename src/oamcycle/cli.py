@@ -28,6 +28,7 @@ from .elements import (
     NormDrift,
     ParseError,
     SchemaVersionMismatch,
+    _int_text,
 )
 from .model import MAX_WINDOW, ZeroState, normalize
 from .synthesis import (
@@ -149,14 +150,18 @@ def _cmd_cycles(args) -> int:
         match = _WINDOW_RE.fullmatch(args.window)
         if match is None:
             raise ValueError(f"--window must look like -44..44, got {args.window!r}")
-        lo, hi = int(match.group(1)), int(match.group(2))
+        try:
+            lo, hi = int(match.group(1)), int(match.group(2))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"--window has an end of more than {limit} digits") from None
         if lo > hi:
             raise ValueError(f"empty window {args.window!r}")
     else:
         lo, hi = -4 * doc.netlist.dimension, 4 * doc.netlist.dimension
     if hi - lo + 1 > MAX_WINDOW:
         raise ValueError(
-            f"window [{lo}, {hi}] holds {hi - lo + 1} values, more than {MAX_WINDOW}"
+            f"window [{lo}, {hi}] holds {_int_text(hi - lo + 1)} values, more than {MAX_WINDOW}"
         )
     cycles = discover_cycles(device_for(doc.netlist, doc.variant), lo, hi)
     for cycle in cycles:

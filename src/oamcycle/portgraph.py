@@ -19,10 +19,9 @@ backward slots, and the engines walk those ints instead of the elements.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .model import (
-    Element,
     Hologram,
     Netlist,
     OamBeamSplitter,
@@ -67,28 +66,16 @@ class PortGraph(_Record):
         "nodes", "wiring", "entries", "terminals", "input_path", "output_path", "dimension"
     )
 
-    def __init__(
-        self,
-        nodes: Iterable[Element],
-        wiring: Iterable[int],
-        entries: Mapping[PathLabel, int],
-        terminals: Iterable[PathLabel | None],
-        input_path: PathLabel,
-        output_path: PathLabel,
-        dimension: int,
-    ):
+    def _check(self) -> None:
         # private copies, so a caller's later edits cannot get past the checks
-        nodes, wiring, entries = tuple(nodes), tuple(wiring), dict(entries)
-        terminals = tuple(terminals)
+        nodes, wiring, entries = tuple(self.nodes), tuple(self.wiring), dict(self.entries)
+        terminals = tuple(self.terminals)
         _set(self, "nodes", nodes)
         _set(self, "wiring", wiring)
         _set(self, "entries", entries)
         _set(self, "terminals", terminals)
-        _set(self, "input_path", input_path)
-        _set(self, "output_path", output_path)
-        _set(self, "dimension", dimension)
-        if not _is_int(dimension) or dimension < 1:
-            raise ValueError(f"dimension must be an int >= 1, got {dimension!r}")
+        if not _is_int(self.dimension) or self.dimension < 1:
+            raise ValueError(f"dimension must be an int >= 1, got {self.dimension!r}")
         _check_kinds(nodes)
         if not terminals or terminals[0] is not None:
             raise ValueError(f"terminals[0] must be None, got {terminals!r}")
@@ -99,7 +86,7 @@ class PortGraph(_Record):
             )
         _check_slots("wiring", wiring, slots, len(terminals))
         _check_slots("entries", entries.values(), slots, len(terminals))
-        _check_paths("input and output path", (input_path, output_path))
+        _check_paths("input and output path", (self.input_path, self.output_path))
         _check_paths("entry path", entries.keys())
         labels = [path for path in terminals if path is not None]
         _check_paths("terminal path", labels)

@@ -29,7 +29,6 @@ from .model import (
     PathLabel,
     ZPlate,
     _Record,
-    _set,
 )
 from .portgraph import BACKWARD, PortGraph, netlist_to_portgraph
 from .synthesis import VARIANTS
@@ -41,10 +40,7 @@ class NetlistDocument(_Record):
     """A netlist and the gate variant its document names."""
 
     _fields = ("netlist", "variant")
-
-    def __init__(self, netlist: Netlist, variant: str = "standard"):
-        _set(self, "netlist", netlist)
-        _set(self, "variant", variant)
+    _defaults = {"variant": "standard"}
 
 
 class _Form(NamedTuple):

@@ -121,11 +121,11 @@ class SimulationConfig(_Record):
     """The element model a run uses: ``"strict"`` or ``"physical"``."""
 
     _fields = ("mode",)
+    _defaults = {"mode": STRICT}
 
-    def __init__(self, mode: str = STRICT):
-        if mode not in (STRICT, PHYSICAL):
-            raise ValueError(f"mode must be 'strict' or 'physical', got {mode!r}")
-        _set(self, "mode", mode)
+    def _check(self) -> None:
+        if self.mode not in (STRICT, PHYSICAL):
+            raise ValueError(f"mode must be 'strict' or 'physical', got {self.mode!r}")
 
 
 DEFAULT_CONFIG = SimulationConfig()
@@ -468,22 +468,6 @@ class _Window(_Record):
     offset, terminal)``, whose members are ``first + k*q <= hi`` (k >= 0)."""
 
     _fields = ("graph", "lo", "hi", "pieces", "dropped", "failure")
-
-    def __init__(
-        self,
-        graph: PortGraph,
-        lo: int,
-        hi: int,
-        pieces: list[tuple[int, int, int, PathLabel]],
-        dropped: list[tuple[int, int, int, int]],
-        failure: tuple[int, Exception] | None,
-    ):
-        _set(self, "graph", graph)
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
-        _set(self, "pieces", pieces)
-        _set(self, "dropped", dropped)
-        _set(self, "failure", failure)
 
     @classmethod
     def routed(cls, device: Netlist | PortGraph, lo: int, hi: int) -> _Window:

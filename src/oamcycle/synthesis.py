@@ -103,22 +103,6 @@ class SynthesisParams(_Record):
 
     _fields = ("d", "two_exp", "odd", "nbits", "bits", "prev_one")
 
-    def __init__(
-        self,
-        d: int,
-        two_exp: int,
-        odd: int,
-        nbits: int,
-        bits: tuple[int, ...],
-        prev_one: tuple[int, ...],
-    ):
-        _set(self, "d", d)
-        _set(self, "two_exp", two_exp)
-        _set(self, "odd", odd)
-        _set(self, "nbits", nbits)
-        _set(self, "bits", bits)
-        _set(self, "prev_one", prev_one)
-
 
 def decompose(d: int) -> SynthesisParams:
     """Factor d and precompute the digit walk.  Requires d >= 2."""
@@ -364,22 +348,6 @@ class ScalingRow(_Record):
     layout, and the log ``bound`` (None for d = 2)."""
 
     _fields = ("d", "n_arb_actual", "n_arb_predicted", "n_s", "naive", "bound")
-
-    def __init__(
-        self,
-        d: int,
-        n_arb_actual: int,
-        n_arb_predicted: int,
-        n_s: int,
-        naive: int,
-        bound: float | None,
-    ):
-        _set(self, "d", d)
-        _set(self, "n_arb_actual", n_arb_actual)
-        _set(self, "n_arb_predicted", n_arb_predicted)
-        _set(self, "n_s", n_s)
-        _set(self, "naive", naive)
-        _set(self, "bound", bound)
 
 
 def scaling_rows(d_min: int, d_max: int) -> Iterator[ScalingRow]:

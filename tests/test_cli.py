@@ -407,6 +407,28 @@ def test_a_ket_past_the_digit_limit_is_exit_two(tmp_path, capsys):
     assert captured.out == "" and captured.err == f"error: ket 1 has more than {limit} digits\n"
 
 
+@pytest.mark.parametrize("ends", ["1..{}", "-{}..1"], ids=["hi", "lo"])
+def test_a_window_end_past_the_digit_limit_is_exit_two(tmp_path, capsys, ends):
+    path = synth_file(tmp_path, 5)
+    capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert main(["cycles", path, "--window", ends.format("1" * (limit + 1))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --window has an end of more than {limit} digits\n"
+
+
+def test_a_window_size_past_the_digit_limit_is_written_in_hex(tmp_path, capsys):
+    # each end has `limit` digits, which is allowed, but the size has one more
+    path = synth_file(tmp_path, 5)
+    capsys.readouterr()
+    nines = "9" * sys.get_int_max_str_digits()
+    assert main(["cycles", path, "--window", f"-{nines}..{nines}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: window [")
+    assert f"] holds {2 * int(nines) + 1:#x} values, more than 1048576\n" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

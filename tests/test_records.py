@@ -1,13 +1,24 @@
-"""The value behaviour of the package's record classes: equality, hashing,
-ordering, immutability, copies and reprs, one table for all thirteen."""
+"""The value behaviour of the package's record classes: construction,
+equality, hashing, ordering, immutability, copies and reprs, one table for
+all thirteen."""
 
 import copy
 import pickle
+import sys
 
 import pytest
 
 from oamcycle.analysis import CycleSet, verify_gate
-from oamcycle.model import Hologram, Netlist, OamBeamSplitter, PathLabel, ZPlate, r_path, s_path
+from oamcycle.model import (
+    Hologram,
+    Netlist,
+    OamBeamSplitter,
+    PathLabel,
+    ZPlate,
+    _unchecked,
+    r_path,
+    s_path,
+)
 from oamcycle.portgraph import PortGraph
 from oamcycle.serialization import NetlistDocument
 from oamcycle.simulation import SimulationConfig, _graph, _Window
@@ -101,6 +112,53 @@ def test_a_record_is_a_frozen_value(name):
     assert record == twin and repr(record) == text
     for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert type(copied) is type(record) and copied == record and repr(copied) == text
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_record_is_built_by_position_by_name_or_unchecked(name):
+    record = RECORDS[name][0]()
+    cls, text = type(record), RECORDS[name][3]
+    fields = {field: getattr(record, field) for field in cls._fields}
+    for built in (cls(*fields.values()), cls(**fields), _unchecked(cls, **fields)):
+        assert type(built) is cls and built == record and repr(built) == text
+    first, *rest = fields
+    if rest:  # the first field by position, the others by name
+        assert cls(fields[first], **{field: fields[field] for field in rest}) == record
+
+
+def test_a_field_left_out_takes_its_default():
+    netlist = one_hologram()
+    assert NetlistDocument(netlist) == NetlistDocument(netlist, "standard")
+    assert NetlistDocument(netlist=netlist).variant == "standard"
+    assert SimulationConfig() == SimulationConfig("strict") == SimulationConfig(mode="strict")
+
+
+#: an int whose decimal text Python refuses to write
+HUGE = 10 ** sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("value", ["given", HUGE], ids=["value", "past-the-digit-limit"])
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_wrong_field_is_a_type_error_naming_it(name, value):
+    # the binder raises before any check runs, and writes no field value
+    cls = type(RECORDS[name][0]())
+    fields = cls._fields
+    values = [value] * len(fields)
+    required = [field for field in fields if field not in cls._defaults]
+    calls = [
+        (lambda: cls(*values, extra=value), "got unknown field 'extra'"),
+        (lambda: cls(self=value), "got unknown field 'self'"),
+        (lambda: cls(*values, **{fields[-1]: value}), f"got repeated field {fields[-1]!r}"),
+        (lambda: cls(*values, value),
+         f"takes {len(fields)} fields {fields}, got {len(fields) + 1}"),
+    ]
+    if required:  # every other field given by name
+        others = {field: value for field in fields if field != required[0]}
+        calls.append((lambda: cls(**others), f"missing field {required[0]!r}"))
+    for call, message in calls:
+        with pytest.raises(TypeError) as error:
+            call()
+        assert str(error.value) == f"{name}() {message}"
 
 
 @pytest.mark.parametrize("name", RECORDS)

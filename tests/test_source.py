@@ -98,3 +98,21 @@ def test_the_packet_loop_and_the_readout_have_one_caller():
     for path in sorted(SOURCE.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.name, "")
     assert found == {("simulation.py", "_run", "_propagate"), ("simulation.py", "_run", "_finish")}
+
+
+def test_no_record_writes_its_own_constructor():
+    # every record is built by `_Record.__init__`, which binds the fields and
+    # then runs the record's `_check`; a record of its own writes only `_check`
+    records, found = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and "_Record" in [
+                getattr(base, "id", None) for base in node.bases
+            ]:
+                records.append(node.name)
+                found += [
+                    f"{path.name}:{item.lineno} {node.name}.__init__"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                ]
+    assert len(records) == 13 and found == []
